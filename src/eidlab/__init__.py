@@ -36,7 +36,6 @@ from .gains import (
     ahu_gain,
     dt_gradient_gain,
     empirical_gain,
-    gradient_ff_region,
     ifp_osp_gain,
 )
 from .interconnect import (
@@ -80,7 +79,7 @@ __all__ = [
     "EquilibriumMap", "IoSample", "RelationSamples", "annihilator",
     "check_relation_dissipativity", "cocoercivity_check",
     "maximality_conditions", "EidLabError", "FeasibleRegion", "GainBound",
-    "ahu_gain", "dt_gradient_gain", "empirical_gain", "gradient_ff_region",
+    "ahu_gain", "dt_gradient_gain", "empirical_gain",
     "ifp_osp_gain", "ComposedSupply", "FeedbackLoop", "circle_criterion",
     "compose_closed_loop", "compose_supply", "kappa_search", "loop_transform",
     "solve_monotone_inclusion", "static_feedback", "DissipationAudit",

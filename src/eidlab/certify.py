@@ -19,8 +19,7 @@ tolerances: quantified sampled evidence, not a proof.
 from __future__ import annotations
 
 import json
-import warnings
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass
 from typing import Callable, Optional
 
 import numpy as np
@@ -38,12 +37,7 @@ DEFAULT_PAIR_COUNT = 2000
 
 def bregman(generator: StorageGenerator, xbar, x) -> float:
     """Bregman divergence V(x) - V(xb) - ∇V(xb)ᵀ(x - xb)."""
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    xbar = np.atleast_1d(np.asarray(xbar, dtype=float))
-    return float(
-        generator.V(x) - generator.V(xbar)
-        - np.asarray(generator.grad_V(xbar), dtype=float) @ (x - xbar)
-    )
+    return BregmanStorage(generator, xbar)(x)
 
 
 @dataclass
@@ -95,35 +89,26 @@ def canonical_w(rhat, tol: float = DEFAULT_TOL_C) -> np.ndarray:
     nothing is lost by the choice.  Raises RhatNotPsdError when Rhat has an
     eigenvalue below -tol (no constant W exists).
     """
-    eig = numerics.sym_eigen(rhat)
-    if eig.min < -max(tol, 1e-12):
-        raise RhatNotPsdError(
-            f"effective input block has eigenvalue {eig.min:.3e} < 0"
-        )
-    vals = np.clip(eig.eigenvalues, 0.0, None)
-    V = eig.eigenvectors
-    return V @ np.diag(np.sqrt(vals)) @ V.T
+    return numerics.psd_sqrt(rhat, max(tol, 1e-12))
 
 
 @dataclass
 class ResidualStats:
+    """Largest residuals; each worst index names the pair attaining it."""
+
     max_a_violation: float = 0.0
     max_b_residual: float = 0.0
     c_residual: float = 0.0
-    worst_pair_index: int = -1
+    worst_a_index: int = -1
+    worst_b_index: int = -1
 
     def as_dict(self) -> dict:
-        return {
-            "max_a_violation": self.max_a_violation,
-            "max_b_residual": self.max_b_residual,
-            "c_residual": self.c_residual,
-            "worst_pair_index": self.worst_pair_index,
-        }
+        return asdict(self)
 
 
 @dataclass
 class EidCertificate:
-    """Outcome of a sampled continuous-time EID verification."""
+    """Outcome of a sampled EID verification (continuous or discrete time)."""
 
     system_name: str
     supply: SupplyRate
@@ -161,29 +146,87 @@ class EidCertificate:
         return text
 
 
-# same shape in discrete time, kept as an alias for type clarity
-DtEidCertificate = EidCertificate
+def _pair_states(pair):
+    x, eq = pair
+    x = np.atleast_1d(np.asarray(x, dtype=float))
+    xbar = eq.x if isinstance(eq, IoSample) else np.atleast_1d(np.asarray(eq, dtype=float))
+    return x, xbar
 
 
-def _ell_values(W, c_vec, ell, x, xbar):
-    """Per-pair ell: user-supplied, or the minimum-norm solution of
-    Wᵀ ell = c.  Any kernel component of Wᵀ only makes condition (a)
-    harder, so minimum norm is the favourable canonical choice."""
-    if ell is not None:
-        return np.atleast_1d(np.asarray(ell(x, xbar), dtype=float))
-    sol, *_ = np.linalg.lstsq(W.T, c_vec, rcond=None)
-    return sol
+def _pair_terms(sys, qjs, storage, x, xbar):
+    """Δh, the storage term s and the b-difference c at one (x, xb) pair.
+
+    ``storage`` is a StorageGenerator in continuous time, where
+    s = Δ∇Vᵀ Δf and c = qjsᵀΔh - ½ GᵀΔ∇V, and a symmetric PSD matrix P in
+    discrete time, where s = ΔfᵀPΔf - ΔxᵀPΔx and c = qjsᵀΔh - GᵀPΔf, with
+    qjs = QJ+S.  Condition (a) reads s <= ΔhᵀQΔh - ||ell||², (b) Wᵀ ell = c.
+    """
+    df = sys.f(x) - sys.f(xbar)
+    dh = sys.h(x) - sys.h(xbar)
+    qjs_dh = qjs.T @ dh
+    if sys.discrete:
+        dx = x - xbar
+        s = float(df @ storage @ df) - float(dx @ storage @ dx)
+        return dh, s, qjs_dh - sys.G.T @ (storage @ df)
+    dgrad = (np.asarray(storage.grad_V(x), dtype=float)
+             - np.asarray(storage.grad_V(xbar), dtype=float))
+    return dh, float(dgrad @ df), qjs_dh - 0.5 * sys.G.T @ dgrad
 
 
-def _b_residual(W, lvec, c_vec) -> float:
-    """Residual of Wᵀ ell = c, padding W with zero rows when the supplied
-    ell has more components (zero rows leave WᵀW unchanged)."""
-    r = W.shape[0]
-    if lvec.size < r:
-        raise DimensionMismatchError(
-            f"ell has {lvec.size} components but W has {r} rows"
-        )
-    return float(np.linalg.norm(W.T @ lvec[:r] - c_vec))
+def _supply_terms(sys, w: SupplyRate, storage):
+    """The pair-independent terms: QJ+S, and the right-hand side of
+    condition (c), Rhat_eff = Rhat (less GᵀPG in discrete time)."""
+    rhat = w.rhat(sys.J)
+    if sys.discrete:
+        rhat = rhat - sys.G.T @ storage @ sys.G
+    return w.Q @ sys.J + w.S, rhat
+
+
+def _verify_eid(sys, w: SupplyRate, storage, pairs, W, ell, mode,
+                tol_a, tol_b, tol_c, seed) -> EidCertificate:
+    """Conditions (a)-(c) on every pair, for either time domain."""
+    if mode not in ("equality", "inequality"):
+        raise ValueError(f"unknown mode {mode!r}")
+    qjs, rhat_eff = _supply_terms(sys, w, storage)
+    if W is None:
+        W = canonical_w(rhat_eff, tol_c)
+    W = np.atleast_2d(np.asarray(W, dtype=float))
+    if W.shape[1] != sys.m:
+        raise DimensionMismatchError(f"W must have {sys.m} columns")
+    c_res = float(np.linalg.norm(W.T @ W - rhat_eff))
+
+    a_viol = np.zeros(len(pairs))
+    b_res = np.zeros(len(pairs))
+    for idx, pair in enumerate(pairs):
+        x, xbar = _pair_states(pair)
+        dh, s, c_vec = _pair_terms(sys, qjs, storage, x, xbar)
+        if ell is None:
+            # minimum-norm solution of Wᵀ ell = c: any kernel component of Wᵀ
+            # only makes condition (a) harder, so this is the favourable choice
+            lvec = np.linalg.lstsq(W.T, c_vec, rcond=None)[0]
+        else:
+            lvec = np.atleast_1d(np.asarray(ell(x, xbar), dtype=float))
+            if lvec.size < W.shape[0]:
+                raise DimensionMismatchError(
+                    f"ell has {lvec.size} components but W has {W.shape[0]} rows")
+        # a longer ell pads W with zero rows, which leave WᵀW unchanged
+        b_res[idx] = np.linalg.norm(W.T @ lvec[:W.shape[0]] - c_vec)
+        rhs = float(dh @ w.Q @ dh) - float(lvec @ lvec)
+        a_viol[idx] = abs(s - rhs) if mode == "equality" else max(s - rhs, 0.0)
+
+    stats = ResidualStats(c_residual=c_res)
+    if len(pairs):
+        stats.worst_a_index = int(np.argmax(a_viol))
+        stats.worst_b_index = int(np.argmax(b_res))
+        stats.max_a_violation = float(a_viol[stats.worst_a_index])
+        stats.max_b_residual = float(b_res[stats.worst_b_index])
+    passed = (stats.max_a_violation <= tol_a and stats.max_b_residual <= tol_b
+              and c_res <= tol_c)
+    return EidCertificate(
+        system_name=sys.name, supply=w, W=W, mode=mode,
+        tolerances={"tol_a": tol_a, "tol_b": tol_b, "tol_c": tol_c},
+        stats=stats, n_pairs=len(pairs), passed=passed, seed=seed,
+    )
 
 
 def verify_eid_ct(
@@ -208,43 +251,7 @@ def verify_eid_ct(
     """
     if sys.discrete:
         raise DimensionMismatchError("verify_eid_ct expects a continuous-time system")
-    if mode not in ("equality", "inequality"):
-        raise ValueError(f"unknown mode {mode!r}")
-    rhat = w.rhat(sys.J)
-    if W is None:
-        W = canonical_w(rhat, tol_c)
-    W = np.atleast_2d(np.asarray(W, dtype=float))
-    if W.shape[1] != sys.m:
-        raise DimensionMismatchError(f"W must have {sys.m} columns")
-    c_res = float(np.linalg.norm(W.T @ W - rhat))
-    QJS = w.Q @ sys.J + w.S
-
-    stats = ResidualStats(c_residual=c_res)
-    for idx, (x, eq) in enumerate(pairs):
-        x = np.atleast_1d(np.asarray(x, dtype=float))
-        xbar = eq.x if isinstance(eq, IoSample) else np.atleast_1d(np.asarray(eq, dtype=float))
-        dgrad = (np.asarray(gen.grad_V(x), dtype=float)
-                 - np.asarray(gen.grad_V(xbar), dtype=float))
-        df = sys.f(x) - sys.f(xbar)
-        dh = sys.h(x) - sys.h(xbar)
-        c_vec = QJS.T @ dh - 0.5 * sys.G.T @ dgrad
-        lvec = _ell_values(W, c_vec, ell, x, xbar)
-        b_res = _b_residual(W, lvec, c_vec)
-        lhs = float(dgrad @ df)
-        rhs = float(dh @ w.Q @ dh) - float(lvec @ lvec)
-        a_viol = abs(lhs - rhs) if mode == "equality" else max(lhs - rhs, 0.0)
-        if a_viol > stats.max_a_violation or b_res > stats.max_b_residual:
-            stats.worst_pair_index = idx
-        stats.max_a_violation = max(stats.max_a_violation, a_viol)
-        stats.max_b_residual = max(stats.max_b_residual, b_res)
-
-    passed = (stats.max_a_violation <= tol_a and stats.max_b_residual <= tol_b
-              and c_res <= tol_c)
-    return EidCertificate(
-        system_name=sys.name, supply=w, W=W, mode=mode,
-        tolerances={"tol_a": tol_a, "tol_b": tol_b, "tol_c": tol_c},
-        stats=stats, n_pairs=len(pairs), passed=passed, seed=seed,
-    )
+    return _verify_eid(sys, w, gen, pairs, W, ell, mode, tol_a, tol_b, tol_c, seed)
 
 
 def verify_eid_dt(
@@ -259,48 +266,15 @@ def verify_eid_dt(
     tol_b: float = DEFAULT_TOL_B,
     tol_c: float = DEFAULT_TOL_C,
     seed: Optional[int] = None,
-) -> DtEidCertificate:
+) -> EidCertificate:
     """Discrete-time analogue of :func:`verify_eid_ct` with storage
     ``V_xb(x) = ||x - xb||_P²`` for a PSD matrix P."""
     if not sys.discrete:
         raise DimensionMismatchError("verify_eid_dt expects a discrete-time system")
-    if mode not in ("equality", "inequality"):
-        raise ValueError(f"unknown mode {mode!r}")
     P = numerics.symmetrize(np.atleast_2d(np.asarray(P, dtype=float)))
     if numerics.sym_eigen(P).min < -1e-10:
         raise RhatNotPsdError("P must be positive semidefinite")
-    rhat_eff = w.rhat(sys.J) - sys.G.T @ P @ sys.G
-    if W is None:
-        W = canonical_w(rhat_eff, tol_c)
-    W = np.atleast_2d(np.asarray(W, dtype=float))
-    c_res = float(np.linalg.norm(W.T @ W - rhat_eff))
-    QJS = w.Q @ sys.J + w.S
-
-    stats = ResidualStats(c_residual=c_res)
-    for idx, (x, eq) in enumerate(pairs):
-        x = np.atleast_1d(np.asarray(x, dtype=float))
-        xbar = eq.x if isinstance(eq, IoSample) else np.atleast_1d(np.asarray(eq, dtype=float))
-        dx = x - xbar
-        df = sys.f(x) - sys.f(xbar)
-        dh = sys.h(x) - sys.h(xbar)
-        c_vec = QJS.T @ dh - sys.G.T @ (P @ df)
-        lvec = _ell_values(W, c_vec, ell, x, xbar)
-        b_res = _b_residual(W, lvec, c_vec)
-        lhs = float(df @ P @ df) - float(dx @ P @ dx)
-        rhs = float(dh @ w.Q @ dh) - float(lvec @ lvec)
-        a_viol = abs(lhs - rhs) if mode == "equality" else max(lhs - rhs, 0.0)
-        if a_viol > stats.max_a_violation or b_res > stats.max_b_residual:
-            stats.worst_pair_index = idx
-        stats.max_a_violation = max(stats.max_a_violation, a_viol)
-        stats.max_b_residual = max(stats.max_b_residual, b_res)
-
-    passed = (stats.max_a_violation <= tol_a and stats.max_b_residual <= tol_b
-              and c_res <= tol_c)
-    return DtEidCertificate(
-        system_name=sys.name, supply=w, W=W, mode=mode,
-        tolerances={"tol_a": tol_a, "tol_b": tol_b, "tol_c": tol_c},
-        stats=stats, n_pairs=len(pairs), passed=passed, seed=seed,
-    )
+    return _verify_eid(sys, w, P, pairs, W, ell, mode, tol_a, tol_b, tol_c, seed)
 
 
 @dataclass
@@ -328,52 +302,16 @@ def factor_dissipation(sys, w: SupplyRate, storage, pair,
     at one pair and report its PSD margin.  ``storage`` is a
     StorageGenerator in continuous time or a PSD matrix P in discrete time.
     """
-    x, eq = pair
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    xbar = eq.x if isinstance(eq, IoSample) else np.atleast_1d(np.asarray(eq, dtype=float))
-    dh = sys.h(x) - sys.h(xbar)
-    df = sys.f(x) - sys.f(xbar)
-    QJS = w.Q @ sys.J + w.S
     if sys.discrete:
-        P = numerics.symmetrize(np.atleast_2d(np.asarray(storage, dtype=float)))
-        dx = x - xbar
-        a = float(dx @ P @ dx) - float(df @ P @ df) + float(dh @ w.Q @ dh)
-        bdiff = QJS.T @ dh - sys.G.T @ (P @ df)
-        rhat_eff = w.rhat(sys.J) - sys.G.T @ P @ sys.G
-    else:
-        dgrad = (np.asarray(storage.grad_V(x), dtype=float)
-                 - np.asarray(storage.grad_V(xbar), dtype=float))
-        a = -float(dgrad @ df) + float(dh @ w.Q @ dh)
-        bdiff = QJS.T @ dh - 0.5 * sys.G.T @ dgrad
-        rhat_eff = w.rhat(sys.J)
+        storage = numerics.symmetrize(np.atleast_2d(np.asarray(storage, dtype=float)))
+    qjs, rhat_eff = _supply_terms(sys, w, storage)
+    dh, s, bdiff = _pair_terms(sys, qjs, storage, *_pair_states(pair))
+    a = float(dh @ w.Q @ dh) - s
     D = np.block([[np.array([[a]]), bdiff[None, :]], [bdiff[:, None], rhat_eff]])
     eig = numerics.sym_eigen(D)
     rank = int(np.sum(eig.eigenvalues > rank_tol * max(abs(eig.max), 1.0)))
     return FactorizationResult(a=a, b_difference=bdiff, rhat_eff=rhat_eff,
                                D=D, psd_margin=eig.min, rank=rank)
-
-
-def check_sector(psi: StaticNonlinearity, bounds: SectorBounds, probes,
-                 tol: float = 1e-9) -> dict:
-    """Validate a declared incremental sector by sampling pairs.
-
-    Evaluates the incremental dissipation form with parameters
-    (Q, S, R) = (-I, (K1+K2)/2, -K1 K2) on each probe pair and reports the
-    minimum margin.
-    """
-    supply = SupplyRate(-np.eye(bounds.m), 0.5 * (bounds.K1 + bounds.K2),
-                        -bounds.K1 @ bounds.K2, warn_definite=False)
-    worst = np.inf
-    violations = 0
-    for z1, z2 in probes:
-        dz = np.atleast_1d(z2) - np.atleast_1d(z1)
-        dpsi = psi(z2) - psi(z1)
-        margin = supply.evaluate(dz, dpsi)
-        worst = min(worst, margin)
-        if margin < -tol:
-            violations += 1
-    return {"min_margin": float(worst), "violations": violations,
-            "holds": violations == 0}
 
 
 def sector_supply(bounds: SectorBounds) -> SupplyRate:
@@ -382,8 +320,23 @@ def sector_supply(bounds: SectorBounds) -> SupplyRate:
                       -bounds.K1 @ bounds.K2, warn_definite=False)
 
 
+def check_sector(psi: StaticNonlinearity, bounds: SectorBounds, probes,
+                 tol: float = 1e-9) -> dict:
+    """Validate a declared incremental sector by sampling pairs.
+
+    Evaluates the incremental dissipation form :func:`sector_supply` on
+    each probe pair and reports the minimum margin.
+    """
+    dz = np.array([np.atleast_1d(z2) - np.atleast_1d(z1) for z1, z2 in probes], dtype=float)
+    dpsi = np.array([psi(z2) - psi(z1) for z1, z2 in probes])
+    margins = sector_supply(bounds).evaluate(dz, dpsi)
+    violations = int(np.sum(margins < -tol))
+    return {"min_margin": float(margins.min()), "violations": violations,
+            "holds": violations == 0}
+
+
 def verify_kyp_lti(F, G, H, J, w: SupplyRate, P, tol: float = 1e-9) -> dict:
-    """LTI dissipativity check for a GIVEN quadratic storage ½ xᵀPx.
+    """LTI dissipativity check for a GIVEN quadratic storage xᵀPx.
 
     Assembles M(P) = [[FᵀP+PF, PG], [GᵀP, 0]] - [H J; 0 I]ᵀ [Q S; Sᵀ R]
     [H J; 0 I] and passes iff λ_max(M) <= tol — equivalent to the existence

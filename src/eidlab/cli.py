@@ -21,12 +21,7 @@ import numpy as np
 from . import certify as certify_mod
 from . import equilibria, gains, interconnect, sim
 from .errors import EidLabError
-from .systems import (
-    SectorBounds,
-    StaticNonlinearity,
-    SupplyRate,
-    load_system,
-)
+from .systems import SectorBounds, SupplyRate, load_system
 
 _EXIT_PASS = 0
 _EXIT_ERROR = 1
@@ -108,8 +103,6 @@ def _common(fn):
     fn = click.option("--seed", type=int, default=None)(fn)
     fn = click.option("--tol", type=float, default=None)(fn)
     fn = click.option("--out", "out_dir", type=click.Path(), default=".")(fn)
-    fn = click.option("--jobs", type=int, default=1,
-                      help="worker cap (analyses here are sequential)")(fn)
     return fn
 
 
@@ -140,7 +133,7 @@ def _pairs_for(system, cfg, seed):
 
 @main.command("certify")
 @_common
-def cmd_certify(system_file, config_file, seed, tol, out_dir, jobs):
+def cmd_certify(system_file, config_file, seed, tol, out_dir):
     """Continuous-time EID certification for a catalog system."""
     def body():
         cfg = _load_config(config_file)
@@ -163,7 +156,7 @@ def cmd_certify(system_file, config_file, seed, tol, out_dir, jobs):
 
 @main.command("certify-dt")
 @_common
-def cmd_certify_dt(system_file, config_file, seed, tol, out_dir, jobs):
+def cmd_certify_dt(system_file, config_file, seed, tol, out_dir):
     """Discrete-time EID certification with quadratic storage."""
     def body():
         cfg = _load_config(config_file)
@@ -184,15 +177,16 @@ def cmd_certify_dt(system_file, config_file, seed, tol, out_dir, jobs):
 
 @main.command("kyp")
 @_common
-def cmd_kyp(system_file, config_file, seed, tol, out_dir, jobs):
+def cmd_kyp(system_file, config_file, seed, tol, out_dir):
     """Linear dissipativity check for a given quadratic storage."""
     def body():
         cfg = _load_config(config_file)
         rseed = _resolve_seed(seed)
         w = _parse_supply(cfg["supply"])
-        res = certify_mod.verify_kyp_lti(cfg["F"], cfg["G"], cfg.get("H", cfg["F"]),
-                                         cfg.get("J", np.zeros_like(np.atleast_2d(cfg["G"]).T)),
-                                         w, cfg["P"],
+        n, m = np.atleast_2d(cfg["G"]).shape
+        H = np.atleast_2d(cfg.get("H", np.eye(n)))
+        J = cfg.get("J", np.zeros((H.shape[0], m)))
+        res = certify_mod.verify_kyp_lti(cfg["F"], cfg["G"], H, J, w, cfg["P"],
                                          tol=tol if tol is not None else 1e-9)
         verdict = "pass" if res["passed"] else "fail"
         metrics = {"lambda_max": res["lambda_max"]}
@@ -202,13 +196,13 @@ def cmd_kyp(system_file, config_file, seed, tol, out_dir, jobs):
 
 @main.command("region")
 @_common
-def cmd_region(system_file, config_file, seed, tol, out_dir, jobs):
+def cmd_region(system_file, config_file, seed, tol, out_dir):
     """Sweep the feedforward-passivity feasibility region to CSV."""
     def body():
         cfg = _load_config(config_file)
         rseed = _resolve_seed(seed)
-        reg = gains.gradient_ff_region(float(cfg["mu"]), float(cfg["g"]),
-                                       float(cfg["j"]))
+        reg = gains.FeasibleRegion(mu=float(cfg["mu"]), g=float(cfg["g"]),
+                                   j=float(cfg["j"]))
         nu_lo = float(cfg.get("nu_min", 0.0))
         nu_hi = float(cfg.get("nu_max", reg.nu_intercept))
         points = int(cfg.get("points", 101))
@@ -234,7 +228,7 @@ def cmd_region(system_file, config_file, seed, tol, out_dir, jobs):
 
 @main.command("gain")
 @_common
-def cmd_gain(system_file, config_file, seed, tol, out_dir, jobs):
+def cmd_gain(system_file, config_file, seed, tol, out_dir):
     """Closed-form gain sweep to CSV."""
     def body():
         cfg = _load_config(config_file)
@@ -273,7 +267,7 @@ def cmd_gain(system_file, config_file, seed, tol, out_dir, jobs):
 
 @main.command("compose")
 @_common
-def cmd_compose(system_file, config_file, seed, tol, out_dir, jobs):
+def cmd_compose(system_file, config_file, seed, tol, out_dir):
     """Supply-rate composition and kappa search across the feedback loop."""
     def body():
         cfg = _load_config(config_file)
@@ -283,7 +277,7 @@ def cmd_compose(system_file, config_file, seed, tol, out_dir, jobs):
         if "kappa" in cfg:
             comp = interconnect.compose_supply(w1, w2, float(cfg["kappa"]))
             lam = comp.lambda_max_q
-            verdict = "pass" if lam < -(tol or 1e-9) else "fail"
+            verdict = "pass" if lam < -(tol if tol is not None else 1e-9) else "fail"
             metrics = {"kappa": comp.kappa, "lambda_max_q": lam,
                        "Q_cl": comp.Q_cl, "S_cl": comp.S_cl, "R_cl": comp.R_cl}
         else:
@@ -299,7 +293,7 @@ def cmd_compose(system_file, config_file, seed, tol, out_dir, jobs):
 
 @main.command("circle")
 @_common
-def cmd_circle(system_file, config_file, seed, tol, out_dir, jobs):
+def cmd_circle(system_file, config_file, seed, tol, out_dir):
     """Sector absolute-stability certificate search."""
     def body():
         cfg = _load_config(config_file)
@@ -331,7 +325,7 @@ def _input_from_config(cfg, m):
 
 @main.command("simulate")
 @_common
-def cmd_simulate(system_file, config_file, seed, tol, out_dir, jobs):
+def cmd_simulate(system_file, config_file, seed, tol, out_dir):
     """Simulate a trajectory and export it to CSV."""
     def body():
         cfg = _load_config(config_file)
@@ -358,7 +352,7 @@ def cmd_simulate(system_file, config_file, seed, tol, out_dir, jobs):
 
 @main.command("audit")
 @_common
-def cmd_audit(system_file, config_file, seed, tol, out_dir, jobs):
+def cmd_audit(system_file, config_file, seed, tol, out_dir):
     """Simulate and audit the dissipation inequality along the run."""
     def body():
         cfg = _load_config(config_file)
@@ -395,7 +389,7 @@ def cmd_audit(system_file, config_file, seed, tol, out_dir, jobs):
 
 @main.command("stability")
 @_common
-def cmd_stability(system_file, config_file, seed, tol, out_dir, jobs):
+def cmd_stability(system_file, config_file, seed, tol, out_dir):
     """Probe-shell convergence experiment around an equilibrium."""
     def body():
         cfg = _load_config(config_file)
@@ -421,7 +415,7 @@ def cmd_stability(system_file, config_file, seed, tol, out_dir, jobs):
 
 @main.command("io-relation")
 @_common
-def cmd_io_relation(system_file, config_file, seed, tol, out_dir, jobs):
+def cmd_io_relation(system_file, config_file, seed, tol, out_dir):
     """Sample the equilibrium I/O relation and check pairwise dissipativity."""
     def body():
         cfg = _load_config(config_file)

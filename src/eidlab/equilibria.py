@@ -191,24 +191,25 @@ def check_relation_dissipativity(samples, w: SupplyRate, tol: float = 1e-9) -> d
 
     The monotone (incrementally passive) check is the special case
     (Q, S, R) = (0, I/2, 0).  Reports the minimum pair value and the
-    violating pairs; a sampled check, not a proof.
+    violating pairs; a sampled check, not a proof.  Pairs are evaluated one
+    row at a time, so memory stays linear in the sample count.
     """
     items = list(samples)
     if len(items) < 2:
         raise ValueError("need at least two samples")
+    U = np.array([s.u for s in items])
+    Y = np.array([s.y for s in items])
     min_value = np.inf
     argmin = None
     violations = []
-    for i in range(len(items)):
-        for j in range(i + 1, len(items)):
-            du = items[i].u - items[j].u
-            dy = items[i].y - items[j].y
-            val = w.evaluate(du, dy)
-            if val < min_value:
-                min_value = val
-                argmin = (i, j)
-            if val < -tol:
-                violations.append((i, j, val))
+    for i in range(len(items) - 1):
+        vals = w.evaluate(U[i] - U[i + 1:], Y[i] - Y[i + 1:])
+        j = int(np.argmin(vals))
+        if vals[j] < min_value:
+            min_value = float(vals[j])
+            argmin = (i, i + 1 + j)
+        violations += [(i, i + 1 + int(k), float(vals[k]))
+                       for k in np.flatnonzero(vals < -tol)]
     return {
         "min_pair_value": float(min_value),
         "argmin_pair": argmin,
@@ -219,20 +220,15 @@ def check_relation_dissipativity(samples, w: SupplyRate, tol: float = 1e-9) -> d
 
 
 def cocoercivity_check(samples, rho: float, tol: float = 1e-9) -> dict:
-    """Sampled test of (y-y')ᵀ(u-u') >= rho ||y-y'||² over all pairs."""
+    """Sampled test of (y-y')ᵀ(u-u') >= rho ||y-y'||² over all pairs: the
+    relation check with the output-strict supply (-rho I, I/2, 0)."""
     items = list(samples)
-    worst = np.inf
-    violations = 0
-    for i in range(len(items)):
-        for j in range(i + 1, len(items)):
-            du = items[i].u - items[j].u
-            dy = items[i].y - items[j].y
-            margin = float(dy @ du - rho * dy @ dy)
-            worst = min(worst, margin)
-            if margin < -tol:
-                violations += 1
-    return {"min_margin": float(worst), "violations": violations,
-            "holds": violations == 0}
+    if len(items) < 2:
+        raise ValueError("need at least two samples")
+    rep = check_relation_dissipativity(
+        items, SupplyRate.output_strict(rho, items[0].u.size), tol)
+    return {"min_margin": rep["min_pair_value"], "violations": len(rep["violations"]),
+            "holds": rep["monotone"]}
 
 
 def maximality_conditions(sys, samples: Optional[RelationSamples] = None,

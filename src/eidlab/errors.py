@@ -50,8 +50,9 @@ class NonzeroFeedthroughError(EidLabError):
 
 
 class RhatNotPsdError(EidLabError):
-    """Effective feedthrough-matched matrix has a negative eigenvalue, so
-    no constant factor W exists."""
+    """A matrix required to be PSD has a negative eigenvalue: the effective
+    feedthrough-matched matrix (so no constant factor W exists), a storage
+    matrix P, or the argument of a PSD square root."""
 
 
 class DomainError(EidLabError):

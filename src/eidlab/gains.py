@@ -21,7 +21,7 @@ from .sim import simulate_ct, simulate_dt
 
 __all__ = [
     "GainBound", "FeasibleRegion", "gamma_completion", "ifp_osp_gain",
-    "dt_gradient_gain", "ahu_gain", "gradient_ff_region", "empirical_gain",
+    "dt_gradient_gain", "ahu_gain", "empirical_gain",
     "gaussian_disturbances", "sinusoid_disturbances", "power_iterate_disturbance",
 ]
 
@@ -150,10 +150,6 @@ class FeasibleRegion:
             return False
         beta = -self.g * rho * self.j / np.sqrt(slack)
         return bool(self.mu >= rho * self.g**2 + beta**2 - 1e-12)
-
-
-def gradient_ff_region(mu: float, g: float, j: float) -> FeasibleRegion:
-    return FeasibleRegion(mu=mu, g=g, j=j)
 
 
 # ---------------------------------------------------------------------------

@@ -15,6 +15,7 @@ from .errors import (
     NoConvergenceError,
     NonFiniteError,
     NonSymmetricError,
+    RhatNotPsdError,
     SingularJacobianError,
 )
 
@@ -113,10 +114,13 @@ def is_nsd(A, tol: float = DEFAULT_PSD_TOL) -> bool:
 
 
 def psd_sqrt(A, tol: float = DEFAULT_PSD_TOL) -> np.ndarray:
-    """Symmetric PSD square root, clipping eigenvalues in [-tol, 0] to zero."""
+    """Symmetric PSD square root, clipping eigenvalues in [-tol, 0] to zero.
+
+    Raises RhatNotPsdError when ``A`` has an eigenvalue below -tol.
+    """
     eig = sym_eigen(A)
     if eig.min < -tol:
-        raise NonSymmetricError  # pragma: no cover - guarded by callers
+        raise RhatNotPsdError(f"matrix has eigenvalue {eig.min:.3e} < 0")
     vals = np.clip(eig.eigenvalues, 0.0, None)
     V = eig.eigenvectors
     return V @ np.diag(np.sqrt(vals)) @ V.T

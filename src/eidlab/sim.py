@@ -175,10 +175,7 @@ def audit_dissipation(traj: Trajectory, storage, supply, ubar, ybar,
         tol = ct_audit_tol(traj.dt, horizon) if traj.dt is not None else DT_AUDIT_TOL
 
     Vs = np.array([V(traj.states[k]) for k in range(N + 1)])
-    w = np.array([
-        supply.evaluate(traj.inputs[k] - ubar, traj.outputs[k] - ybar)
-        for k in range(N + 1)
-    ])
+    w = supply.evaluate(traj.inputs - ubar, traj.outputs - ybar)
     if traj.dt is not None:
         supplied = 0.5 * traj.dt * (w[:-1] + w[1:])
     else:

@@ -56,10 +56,15 @@ class SupplyRate:
     def block(self) -> np.ndarray:
         return np.block([[self.Q, self.S], [self.S.T, self.R]])
 
-    def evaluate(self, u, y) -> float:
-        u = np.atleast_1d(np.asarray(u, dtype=float))
-        y = np.atleast_1d(np.asarray(y, dtype=float))
-        return float(y @ self.Q @ y + 2.0 * y @ self.S @ u + u @ self.R @ u)
+    def evaluate(self, u, y):
+        """w(u, y) as a float for one (u, y) pair, or as a (K,) array for
+        (K, m) / (K, p) stacks of pairs."""
+        u = np.asarray(u, dtype=float)
+        y = np.asarray(y, dtype=float)
+        U, Y = np.atleast_2d(u, y)
+        vals = (np.sum((Y @ self.Q) * Y, axis=1) + 2.0 * np.sum((Y @ self.S) * U, axis=1)
+                + np.sum((U @ self.R) * U, axis=1))
+        return float(vals[0]) if max(u.ndim, y.ndim) < 2 else vals
 
     def rhat(self, J) -> np.ndarray:
         """Feedthrough-matched input block R + JᵀS + SᵀJ + JᵀQJ."""

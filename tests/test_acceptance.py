@@ -21,10 +21,10 @@ from eidlab.certify import (
 from eidlab.equilibria import EquilibriumMap, check_relation_dissipativity
 from eidlab.errors import RhatNotPsdError
 from eidlab.gains import (
+    FeasibleRegion,
     dt_gradient_gain,
     empirical_gain,
     gaussian_disturbances,
-    gradient_ff_region,
     ifp_osp_gain,
 )
 from eidlab.interconnect import circle_criterion, compose_supply, static_feedback
@@ -110,7 +110,7 @@ def test_acceptance_2_wrong_storage_negative_control():
 
 def test_acceptance_3_feasible_region_is_sharp():
     mu, g, j = 2.0, 1.0, 0.9
-    reg = gradient_ff_region(mu, g, j)
+    reg = FeasibleRegion(mu=mu, g=g, j=j)
     assert reg.nu_intercept == pytest.approx(0.9, abs=1e-9)
     assert reg.rho_intercept_feedthrough == pytest.approx(1.0 / 0.9, abs=1e-9)
     assert reg.rho_intercept_curvature == pytest.approx(2.0 / 2.8, abs=1e-9)

@@ -5,6 +5,7 @@ import pytest
 
 from eidlab import (
     BregmanStorage,
+    CtSystem,
     EquilibriumMap,
     SectorBounds,
     StaticNonlinearity,
@@ -132,6 +133,23 @@ def test_wrong_supply_fails(ph, ph_pairs):
     assert not cert.passed
 
 
+def test_worst_pair_indices_are_per_condition():
+    # xdot = -x + u, y = x³ with V = x²/2, R = 1 (so W = 1) and ell = 0:
+    # equality-mode (a) residual is Δx², (b) residual is |Δ(x³) - Δx| / 2
+    sys = CtSystem(lambda x: -x, lambda x: x**3, [[1.0]])
+    w = SupplyRate([[0.0]], [[0.5]], [[1.0]], warn_definite=False)
+    gen = StorageGenerator.quadratic([[1.0]])
+    pairs = [([2.0], [0.0]), ([1.0], [-1.9]), ([0.1], [0.0])]
+    cert = verify_eid_ct(sys, w, gen, pairs, ell=lambda x, xb: np.zeros(1),
+                         mode="equality")
+    assert cert.stats.worst_a_index == 1
+    assert cert.stats.worst_b_index == 0
+    assert cert.stats.max_a_violation == pytest.approx(2.9**2)
+    assert cert.stats.max_b_residual == pytest.approx(3.0)
+    residuals = cert.to_dict()["residuals"]
+    assert (residuals["worst_a_index"], residuals["worst_b_index"]) == (1, 0)
+
+
 def test_certificate_serialization(ph, ph_pairs, tmp_path):
     w = SupplyRate.passivity(2)
     cert = verify_eid_ct(ph, w, ph.storage, ph_pairs, seed=7)
@@ -175,6 +193,14 @@ def test_dt_lti_hand_derived_certificate():
     # and the same storage cannot absorb a stricter output penalty
     w_bad = SupplyRate([[-0.5]], [[0.5]], [[1.0]], warn_definite=False)
     assert not verify_eid_dt(sys, w_bad, [[0.5]], pairs).passed
+
+
+def test_dt_rejects_w_with_wrong_column_count():
+    sys = catalog_build("dt_integrator", {"alpha": 0.5})
+    pairs = sample_pairs(sys, (-np.ones(1), np.ones(1)), count=10, seed=2)
+    with pytest.raises(DimensionMismatchError):
+        verify_eid_dt(sys, SupplyRate.passivity(1), sys.meta["P"], pairs,
+                      W=np.ones((1, 2)))
 
 
 def test_dt_rejects_indefinite_p():
@@ -268,8 +294,9 @@ def test_sector_supply_form():
 
 
 def test_kyp_scalar_example():
-    # xdot = -x + u, y = x, passivity: P = 1 over-weights the storage and
-    # fails, P = 1/2 passes
+    # xdot = -x + u, y = x, passivity: the storage is xᵀPx, so P = 1
+    # over-weights it and fails while P = 1/2 passes; verify_eid_ct with the
+    # generators x² and x²/2 (Bregman storages xᵀPx for P = 1, 1/2) agrees
     w = SupplyRate.passivity(1)
     res_fail = verify_kyp_lti([[-1.0]], [[1.0]], [[1.0]], [[0.0]], w, [[1.0]])
     assert not res_fail["passed"]
@@ -277,6 +304,11 @@ def test_kyp_scalar_example():
     res_pass = verify_kyp_lti([[-1.0]], [[1.0]], [[1.0]], [[0.0]], w, [[0.5]])
     assert res_pass["passed"]
     assert res_pass["lambda_max"] <= 1e-12
+    sys = catalog_build("lti", {"F": [[-1.0]], "G": [[1.0]], "H": [[1.0]]})
+    pairs = sample_pairs(sys, (-np.ones(1), np.ones(1)), count=50, seed=4)
+    for P, res in (([[0.5]], res_pass), ([[1.0]], res_fail)):
+        gen = StorageGenerator.quadratic(2.0 * np.asarray(P))
+        assert verify_eid_ct(sys, w, gen, pairs).passed == res["passed"]
 
 
 def test_kyp_l2_gain_example():

@@ -102,6 +102,19 @@ def test_kyp_pass_and_fail(runner, tmp_path):
     assert result.exit_code == 2
 
 
+def test_kyp_defaults_h_identity_and_zero_feedthrough(runner, tmp_path):
+    # H omitted with n = 2 > m = 1: y = x (p = 2) with J = 0 (2 x 1);
+    # |G(jw)|² = 1/(1+w²) + 1/(4+w²) peaks at 1.25 < 1.5²
+    cfg = _write(tmp_path, "cfg.json", {
+        "F": [[-1.0, 0.0], [0.0, -2.0]], "G": [[1.0], [1.0]],
+        "P": [[2.0, 0.0], [0.0, 1.0]],
+        "supply": {"type": "l2_gain", "gamma": 1.5, "p": 2, "m": 1},
+    })
+    result = runner.invoke(main, ["kyp", "--config", cfg, "--out", str(tmp_path)])
+    assert result.exit_code == 0, result.output
+    assert _report(result)["metrics"]["lambda_max"] <= 1e-9
+
+
 # ---------------------------------------------------------------------------
 # sweeps
 
@@ -155,6 +168,16 @@ def test_compose_fixed_kappa_and_search(runner, tmp_path):
                                   "--out", str(tmp_path)])
     assert result.exit_code == 2
     assert "kappa" in _report(result)["metrics"]
+
+
+def test_compose_tol_zero_is_not_replaced(runner, tmp_path):
+    # S1 = S2 = 1/2 and kappa = 1 make Q_cl = diag(Q1 + R2, R1 + Q2) = -1e-10 I,
+    # negative definite, which passes at --tol 0 and fails at the 1e-9 default
+    w = {"Q": [[-1e-10]], "S": [[0.5]], "R": [[0.0]]}
+    cfg = _write(tmp_path, "cfg.json", {"w1": w, "w2": w, "kappa": 1.0})
+    args = ["compose", "--config", cfg, "--out", str(tmp_path)]
+    assert runner.invoke(main, args + ["--tol", "0"]).exit_code == 0
+    assert runner.invoke(main, args).exit_code == 2
 
 
 def test_circle_certifies_smib_sector(runner, tmp_path):

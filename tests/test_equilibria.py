@@ -3,6 +3,7 @@ import pytest
 
 from eidlab.equilibria import (
     EquilibriumMap,
+    IoSample,
     annihilator,
     check_relation_dissipativity,
     cocoercivity_check,
@@ -110,12 +111,38 @@ def test_relation_violations_detected():
     assert rep["argmin_pair"] is not None
 
 
+def test_relation_check_matches_double_loop():
+    rng = np.random.default_rng(3)
+    samples = [IoSample(x=np.zeros(2), u=rng.normal(size=2), y=rng.normal(size=2))
+               for _ in range(25)]
+    Q = rng.normal(size=(2, 2))
+    w = SupplyRate(Q + Q.T, rng.normal(size=(2, 2)), np.eye(2), warn_definite=False)
+    best, argmin, violations = np.inf, None, []
+    for i in range(len(samples)):
+        for j in range(i + 1, len(samples)):
+            z = np.concatenate([samples[i].y - samples[j].y, samples[i].u - samples[j].u])
+            val = float(z @ w.block() @ z)
+            if val < best:
+                best, argmin = val, (i, j)
+            if val < -1e-9:
+                violations.append((i, j, val))
+    rep = check_relation_dissipativity(samples, w)
+    assert 0 < len(violations) < rep["n_pairs"]
+    assert rep["argmin_pair"] == argmin
+    assert rep["min_pair_value"] == pytest.approx(best, rel=0.0, abs=1e-12)
+    assert [v[:2] for v in rep["violations"]] == [v[:2] for v in violations]
+    assert np.allclose([v[2] for v in rep["violations"]], [v[2] for v in violations],
+                       rtol=0.0, atol=1e-12)
+
+
 def test_cocoercivity_check():
     sys = catalog_build("gradient_ff", {"mu": 1.0, "g": 1.0, "j": 0.5, "n": 1})
     emap = EquilibriumMap(sys)
     samples = emap.sample_io_relation((-np.ones(1), np.ones(1)), 15, seed=2)
     assert cocoercivity_check(samples, 0.0)["holds"]
     assert not cocoercivity_check(samples, 100.0)["holds"]
+    with pytest.raises(ValueError):
+        cocoercivity_check(list(samples)[:1], 0.0)
 
 
 def test_maximality_conditions_dt_integrator():

@@ -3,12 +3,12 @@ import pytest
 
 from eidlab.errors import DomainError, RankDeficientError
 from eidlab.gains import (
+    FeasibleRegion,
     ahu_gain,
     dt_gradient_gain,
     empirical_gain,
     gamma_completion,
     gaussian_disturbances,
-    gradient_ff_region,
     ifp_osp_gain,
     power_iterate_disturbance,
     sinusoid_disturbances,
@@ -115,14 +115,14 @@ def test_ahu_gain_input_validation():
 
 
 def test_region_intercepts():
-    r = gradient_ff_region(mu=2.0, g=1.0, j=0.9)
+    r = FeasibleRegion(mu=2.0, g=1.0, j=0.9)
     assert r.nu_intercept == pytest.approx(0.9)
     assert r.rho_intercept_feedthrough == pytest.approx(1.0 / 0.9)
     assert r.rho_intercept_curvature == pytest.approx(2.0 / 2.8)
 
 
 def test_region_membership_boundary_cases():
-    r = gradient_ff_region(mu=2.0, g=1.0, j=0.9)
+    r = FeasibleRegion(mu=2.0, g=1.0, j=0.9)
     assert r.membership(0.0, 0.0)
     assert not r.membership(r.j + 1e-6, 0.0)
     # just inside the curvature cap on the nu = 0 axis
@@ -132,7 +132,7 @@ def test_region_membership_boundary_cases():
 
 
 def test_region_curves_consistent_with_membership():
-    r = gradient_ff_region(mu=1.5, g=1.2, j=0.7)
+    r = FeasibleRegion(mu=1.5, g=1.2, j=0.7)
     for nu in np.linspace(0.0, r.j * 0.95, 12):
         cap = min(r.rho_max_feedthrough(nu), r.rho_max_curvature(nu))
         if cap > 1e-6:
@@ -142,9 +142,9 @@ def test_region_curves_consistent_with_membership():
 
 def test_region_rejects_nonpositive_parameters():
     with pytest.raises(DomainError):
-        gradient_ff_region(0.0, 1.0, 1.0)
+        FeasibleRegion(mu=0.0, g=1.0, j=1.0)
     with pytest.raises(DomainError):
-        gradient_ff_region(1.0, 1.0, -0.5)
+        FeasibleRegion(mu=1.0, g=1.0, j=-0.5)
 
 
 # ---------------------------------------------------------------------------

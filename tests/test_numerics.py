@@ -6,6 +6,7 @@ from eidlab.errors import (
     NoConvergenceError,
     NonFiniteError,
     NonSymmetricError,
+    RhatNotPsdError,
     SingularJacobianError,
 )
 
@@ -23,6 +24,11 @@ def test_symmetrize_accepts_roundoff_asymmetry():
     A = np.array([[2.0, 1.0], [1.0 + 1e-15, 3.0]])
     S = numerics.symmetrize(A)
     assert np.allclose(S, S.T)
+
+
+def test_psd_sqrt_rejects_negative_eigenvalue_by_value():
+    with pytest.raises(RhatNotPsdError, match=r"-5\.000e-01"):
+        numerics.psd_sqrt(np.diag([1.0, -0.5]))
 
 
 def test_symmetrize_rejects_genuine_asymmetry():

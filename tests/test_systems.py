@@ -34,6 +34,19 @@ def test_supply_evaluate_matches_block_form():
     assert w.evaluate(u, y) == pytest.approx(z @ w.block() @ z)
 
 
+def test_supply_evaluate_stack_matches_rows():
+    rng = np.random.default_rng(0)
+    Q = rng.normal(size=(2, 2))
+    R = rng.normal(size=(3, 3))
+    w = SupplyRate(Q + Q.T, rng.normal(size=(2, 3)), R + R.T, warn_definite=False)
+    U, Y = rng.normal(size=(40, 3)), rng.normal(size=(40, 2))
+    stacked = w.evaluate(U, Y)
+    rows = [w.evaluate(u, y) for u, y in zip(U, Y)]
+    assert stacked.shape == (40,)
+    assert all(type(v) is float for v in rows)
+    assert np.allclose(stacked, rows, rtol=0.0, atol=1e-12)
+
+
 def test_supply_rhat():
     w = SupplyRate(-np.eye(1), 0.5 * np.eye(1), np.zeros((1, 1)), warn_definite=False)
     J = np.array([[1.0]])
