@@ -318,8 +318,7 @@ def _input_from_config(cfg, m):
     if spec["type"] == "zero":
         return None
     if spec["type"] == "constant":
-        val = np.atleast_1d(np.asarray(spec["value"], dtype=float))
-        return lambda t: val
+        return np.atleast_1d(np.asarray(spec["value"], dtype=float))
     raise EidLabError(f"unknown input type {spec['type']!r}")
 
 
@@ -333,10 +332,8 @@ def cmd_simulate(system_file, config_file, seed, tol, out_dir):
         rseed = _resolve_seed(seed)
         x0 = np.asarray(cfg["x0"], dtype=float)
         if system.discrete:
-            steps = int(cfg.get("steps", 100))
-            u = _input_from_config(cfg, system.m)
-            useq = None if u is None else np.tile(u(0.0), (steps, 1))
-            traj = sim.simulate_dt(system, x0, useq, steps=steps)
+            traj = sim.simulate_dt(system, x0, _input_from_config(cfg, system.m),
+                                   steps=int(cfg.get("steps", 100)))
         else:
             traj = sim.simulate_ct(system, x0, _input_from_config(cfg, system.m),
                                    T=float(cfg.get("T", 1.0)),
@@ -364,16 +361,14 @@ def cmd_audit(system_file, config_file, seed, tol, out_dir):
         eq = emap.ku_ky(xbar)
         x0 = np.asarray(cfg.get("x0", xbar), dtype=float)
         if system.discrete:
-            steps = int(cfg.get("steps", 100))
-            useq = np.tile(eq.u, (steps, 1))
-            traj = sim.simulate_dt(system, x0, useq, steps=steps)
+            traj = sim.simulate_dt(system, x0, eq.u, steps=int(cfg.get("steps", 100)))
             storage = system.meta.get("P")
             if "P" in cfg:
                 storage = np.asarray(cfg["P"], dtype=float)
             audit = sim.audit_dissipation(traj, storage, w, eq.u, eq.y, xbar=xbar,
                                           tol=tol)
         else:
-            traj = sim.simulate_ct(system, x0, lambda t: eq.u,
+            traj = sim.simulate_ct(system, x0, eq.u,
                                    T=float(cfg.get("T", 1.0)),
                                    dt=float(cfg.get("dt", 1e-3)))
             storage = certify_mod.BregmanStorage(system.storage, xbar)

@@ -187,15 +187,14 @@ def sinusoid_disturbances(count: int, m: int, steps: int, dt: float = 1.0,
 
 
 def _signal_norms(traj, ybar, dt: Optional[float]):
-    dy = traj.outputs - ybar[None, :]
-    du = traj.inputs
+    """||y - ybar|| and ||u|| of each row of a batched trajectory: sums in
+    discrete time, trapezoid integrals in continuous time."""
+    dy2 = np.sum((traj.outputs - ybar) ** 2, axis=-1)
+    du2 = np.sum(traj.inputs**2, axis=-1)
     if dt is None:
-        num = float(np.sqrt(np.sum(dy**2)))
-        den = float(np.sqrt(np.sum(du**2)))
-    else:
-        num = float(np.sqrt(np.trapezoid(np.sum(dy**2, axis=1), dx=dt)))
-        den = float(np.sqrt(np.trapezoid(np.sum(du**2, axis=1), dx=dt)))
-    return num, den
+        return np.sqrt(np.sum(dy2, axis=-1)), np.sqrt(np.sum(du2, axis=-1))
+    return (np.sqrt(np.trapezoid(dy2, dx=dt, axis=-1)),
+            np.sqrt(np.trapezoid(du2, dx=dt, axis=-1)))
 
 
 def empirical_gain(sys, xbar, disturbances, horizon: Optional[float] = None,
@@ -205,31 +204,41 @@ def empirical_gain(sys, xbar, disturbances, horizon: Optional[float] = None,
     set of ||y - ybar|| / ||v||, starting at x(0) = xbar so the storage
     starts from zero.
 
-    A lower bound on the true gain by construction.  The report flags
-    truncation when the final state has not settled back to the equilibrium.
+    Signals of equal length are simulated together as one batch, each as
+    per-step input values (a continuous-time run longer than a signal holds
+    its last value).  A lower bound on the true gain by construction.  The
+    report flags truncation when the final state has not settled back to
+    the equilibrium.
     """
-    disturbances = list(disturbances)
+    disturbances = [np.atleast_2d(np.asarray(v, dtype=float)) for v in disturbances]
     if not disturbances:
         raise ValueError("disturbance set is empty")
     xbar = np.atleast_1d(np.asarray(xbar, dtype=float))
     ybar = sys.h(xbar)
+    by_length = {}
+    for v in disturbances:
+        by_length.setdefault(v.shape[0], []).append(v)
     best = 0.0
     truncated = False
-    for v in disturbances:
-        v = np.atleast_2d(np.asarray(v, dtype=float))
+    for length, group in by_length.items():
+        V = np.stack(group)
+        x0 = np.tile(xbar, (len(group), 1))
         if sys.discrete:
-            traj = simulate_dt(sys, xbar, v, steps=v.shape[0])
+            traj = simulate_dt(sys, x0, V, steps=length)
             num, den = _signal_norms(traj, ybar, None)
         else:
-            T = horizon if horizon is not None else v.shape[0] * dt
-            u_of_t = lambda t, sig=v: sig[min(int(t / dt), sig.shape[0] - 1)]
-            traj = simulate_ct(sys, xbar, u_of_t, T=T, dt=dt)
+            T = horizon if horizon is not None else length * dt
+            traj = simulate_ct(sys, x0, V, T=T, dt=dt)
             num, den = _signal_norms(traj, ybar, dt)
-        if den <= 1e-14:
+        if traj.diverged.any():
+            raise NonFiniteError("trajectory states became non-finite")
+        live = den > 1e-14
+        if not live.any():
             continue
-        settle = np.linalg.norm(traj.states[-1] - xbar)
-        truncated |= bool(settle > 1e-4 * max(1.0, np.linalg.norm(v)))
-        best = max(best, num / den)
+        settle = np.linalg.norm(traj.states[:, -1] - xbar, axis=-1)
+        scale = np.maximum(1.0, np.linalg.norm(V.reshape(len(group), -1), axis=-1))
+        truncated |= bool(np.any(live & (settle > 1e-4 * scale)))
+        best = max(best, float(np.max(num[live] / den[live])))
     if not np.isfinite(best):
         raise NonFiniteError("trajectory norms became non-finite")
     return {"gain": best, "truncated": truncated, "n_signals": len(disturbances)}
@@ -252,9 +261,7 @@ def power_iterate_disturbance(sys, xbar, v0, rounds: int = 5, dt: float = 1e-3):
             traj = simulate_dt(sys, xbar, v, steps=v.shape[0])
             dy = traj.outputs - ybar[None, :]
         else:
-            T = v.shape[0] * dt
-            u_of_t = lambda t, sig=v: sig[min(int(t / dt), sig.shape[0] - 1)]
-            traj = simulate_ct(sys, xbar, u_of_t, T=T, dt=dt)
+            traj = simulate_ct(sys, xbar, v, T=v.shape[0] * dt, dt=dt)
             dy = traj.outputs[: v.shape[0]] - ybar[None, :]
         if dy.shape[1] != v.shape[1]:
             break  # non-square channel; keep the current iterate

@@ -74,14 +74,14 @@ def compose_closed_loop(loop: FeedbackLoop):
                    [np.zeros((p2, s1.m)), s2.J]])
     L = np.eye(p1 + p2) - Jd @ E
     Linv = np.linalg.inv(L)
+    BE = B @ E
 
     def h_cl(x):
-        return Linv @ np.concatenate([s1.h(x[:n1]), s2.h(x[n1:])])
+        return np.concatenate([s1.h(x[..., :n1]), s2.h(x[..., n1:])], axis=-1) @ Linv.T
 
     def f_cl(x):
-        ybar = h_cl(x)
-        drift = np.concatenate([s1.f(x[:n1]), s2.f(x[n1:])])
-        return drift + B @ (E @ ybar)
+        drift = np.concatenate([s1.f(x[..., :n1]), s2.f(x[..., n1:])], axis=-1)
+        return drift + h_cl(x) @ BE.T
 
     G_cl = B + B @ E @ Linv @ Jd
     J_cl = Linv @ Jd
@@ -102,7 +102,7 @@ def static_feedback(sys, psi, channel_sign: float = -1.0):
         raise NonzeroFeedthroughError("static feedback requires J = 0")
     if sys.p != sys.m:
         raise NonSquareError("static feedback requires a square system")
-    f_cl = lambda x: sys.f(x) + channel_sign * (sys.G @ psi(sys.h(x)))
+    f_cl = lambda x: sys.f(x) + channel_sign * (psi(sys.h(x)) @ sys.G.T)
     cls = DtSystem if sys.discrete else CtSystem
     return cls(f_cl, sys.h, sys.G, name=f"{sys.name}+static",
                storage=sys.storage, meta=dict(sys.meta))
@@ -223,9 +223,10 @@ def loop_transform(sys: CtSystem, bounds: SectorBounds) -> CtSystem:
         raise NonzeroFeedthroughError("loop transformation requires J = 0")
     if bounds.m != sys.m:
         raise DimensionMismatchError("sector dimension does not match the system")
-    K1, K = bounds.K1, bounds.K
-    f_t = lambda x: sys.f(x) - sys.G @ (K1 @ sys.h(x))
-    h_t = lambda x: K @ sys.h(x)
+    GK1 = sys.G @ bounds.K1
+    K = bounds.K
+    f_t = lambda x: sys.f(x) - sys.h(x) @ GK1.T
+    h_t = lambda x: sys.h(x) @ K.T
     return CtSystem(f_t, h_t, sys.G, J=np.eye(sys.m),
                     name=f"{sys.name}-transformed", storage=sys.storage,
                     meta=dict(sys.meta))

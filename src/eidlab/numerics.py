@@ -193,7 +193,13 @@ def newton_root(
 
 
 def rk4_step(f, x, u, dt: float) -> np.ndarray:
-    """Classical RK4 update for ``xdot = f(x, u)`` with ``u`` held constant."""
+    """Classical RK4 update for ``xdot = f(x, u)`` with ``u`` held constant.
+
+    ``x`` is one state or an (N, n) stack, and ``u`` whatever ``f`` takes
+    with it (one input or per-row inputs).  The update is returned as
+    computed: a non-finite result is for the caller to detect, as the
+    simulation loops do per row.
+    """
     if dt <= 0:
         raise ValueError("dt must be positive")
     x = np.asarray(x, dtype=float)
@@ -201,5 +207,4 @@ def rk4_step(f, x, u, dt: float) -> np.ndarray:
     k2 = np.asarray(f(x + 0.5 * dt * k1, u), dtype=float)
     k3 = np.asarray(f(x + 0.5 * dt * k2, u), dtype=float)
     k4 = np.asarray(f(x + dt * k3, u), dtype=float)
-    out = x + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-    return require_finite(out, "RK4 state")
+    return x + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)

@@ -10,8 +10,8 @@ fail from integrator error.
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, field
-from typing import Callable, Optional, Union
+from dataclasses import dataclass
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -35,6 +35,12 @@ class Trajectory:
     ``inputs`` holds the zero-order-hold value active on the step starting
     at each sample; the final row repeats the last applied input so all
     arrays share one length.
+
+    A run from an (N, n) stack of initial states is one batched trajectory:
+    ``states``, ``inputs`` and ``outputs`` gain a leading batch axis,
+    (N, samples, n/m/p), while ``times`` stays (samples,).  ``diverged``
+    flags the rows that went non-finite and were frozen at their last
+    finite state; it is None for a single trajectory.
     """
 
     times: np.ndarray
@@ -42,11 +48,14 @@ class Trajectory:
     inputs: np.ndarray
     outputs: np.ndarray
     dt: Optional[float] = None  # None for discrete time
+    diverged: Optional[np.ndarray] = None
 
     def __len__(self):
         return self.times.size
 
     def to_csv(self, path):
+        if self.states.ndim != 2:
+            raise ValueError("to_csv writes a single trajectory, not a batch")
         n, m, p = self.states.shape[1], self.inputs.shape[1], self.outputs.shape[1]
         header = (["t"] + [f"x_{i+1}" for i in range(n)]
                   + [f"u_{i+1}" for i in range(m)] + [f"y_{i+1}" for i in range(p)])
@@ -58,68 +67,100 @@ class Trajectory:
                                  *self.inputs[k], *self.outputs[k]])
 
 
-def _input_function(u, m: int, dt: float):
+def _input_at(u, x0: np.ndarray, m: int, dt: float, min_steps: int = 0):
+    """Step-k input lookup: ``u`` is None (zero), a callable of time, a
+    constant (m,) or per-row (N, m) array, or per-step values with one more
+    axis than ``x0``, held at their last row past the end."""
     if u is None:
-        return lambda t: np.zeros(m)
+        zero = np.zeros(m)
+        return lambda k: zero
     if callable(u):
-        return lambda t: np.atleast_1d(np.asarray(u(t), dtype=float))
-    arr = np.atleast_2d(np.asarray(u, dtype=float))
-    return lambda t: arr[min(int(round(t / dt)), arr.shape[0] - 1)]
+        return lambda k: np.atleast_1d(np.asarray(u(k * dt), dtype=float))
+    arr = np.asarray(u, dtype=float)
+    if arr.ndim <= x0.ndim:
+        return lambda k: arr
+    if arr.shape[-2] < min_steps:
+        raise ValueError(f"need {min_steps} input rows, got {arr.shape[-2]}")
+    last = arr.shape[-2] - 1
+    return lambda k: arr[..., min(k, last), :]
+
+
+def _integrate(sys, x0: np.ndarray, u_at, steps: int, advance,
+               dt: Optional[float]) -> Trajectory:
+    """The one step loop behind both simulators: ``advance(x, u)`` maps the
+    state (or stack of states) to the next one."""
+    x = x0
+    lead = x.shape[:-1]
+    states = np.empty(lead + (steps + 1, sys.n))
+    inputs = np.empty(lead + (steps + 1, sys.m))
+    outputs = np.empty(lead + (steps + 1, sys.p))
+    diverged = np.zeros(lead, dtype=bool)
+    frozen = False
+    states[..., 0, :] = x
+    # overflow in a diverging row is expected here: it is detected and
+    # flagged below, so numpy's warnings would only be noise
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(steps):
+            uk = u_at(k)
+            inputs[..., k, :] = uk
+            outputs[..., k, :] = sys.output(x, uk)
+            nxt = advance(x, uk)
+            if not np.isfinite(nxt).all():
+                if x.ndim == 1:
+                    raise NonFiniteError(
+                        f"trajectory state contains NaN or Inf entries at step {k + 1}")
+                diverged |= ~np.isfinite(nxt).all(axis=-1)
+                frozen = True
+            if frozen:
+                nxt[diverged] = x[diverged]
+            x = nxt
+            states[..., k + 1, :] = x
+        inputs[..., steps, :] = inputs[..., steps - 1, :]
+        outputs[..., steps, :] = sys.output(x, inputs[..., steps, :])
+    times = np.arange(steps + 1) * (1.0 if dt is None else dt)
+    return Trajectory(times=times, states=states, inputs=inputs, outputs=outputs,
+                      dt=dt, diverged=diverged if lead else None)
 
 
 def simulate_ct(sys, x0, u=None, T: float = 1.0, dt: float = 1e-3) -> Trajectory:
     """RK4 integration with zero-order-hold inputs.
 
-    ``u`` may be None (zero input), a callable of time, or an array of
-    per-step values; it is sampled once at the start of each step and held.
+    ``x0`` is one state (n,) or an (N, n) stack of initial states that are
+    integrated together as one batched trajectory; ``sys.f`` and ``sys.h``
+    then see the whole stack per evaluation (user callables that only take
+    one state are evaluated row by row, which is correct but slower).
+
+    ``u`` may be None (zero input), a callable of time returning one input
+    or per-row inputs, a constant (m,) or per-row (N, m) array, or per-step
+    values with one more axis than ``x0``: (steps, m), or (N, steps, m) for
+    a stack.  It is sampled at the start of each step and held; per-step
+    values hold their last row past their end.
+
+    A single trajectory raises NonFiniteError when its state goes
+    non-finite.  In a stack such a row is frozen at its last finite state
+    and flagged in ``Trajectory.diverged``; the other rows run on.
     """
     if dt <= 0 or T <= 0:
         raise ValueError("need dt > 0 and T > 0")
     steps = max(1, int(round(T / dt)))
-    u_of_t = _input_function(u, sys.m, dt)
-    x = np.atleast_1d(np.asarray(x0, dtype=float)).copy()
-    states = np.empty((steps + 1, sys.n))
-    inputs = np.empty((steps + 1, sys.m))
-    outputs = np.empty((steps + 1, sys.p))
-    states[0] = x
-    for k in range(steps):
-        uk = u_of_t(k * dt)
-        inputs[k] = uk
-        outputs[k] = sys.output(x, uk)
-        x = numerics.rk4_step(lambda z, v: sys.rhs(z, v), x, uk, dt)
-        states[k + 1] = x
-    inputs[steps] = inputs[steps - 1]
-    outputs[steps] = sys.output(x, inputs[steps])
-    numerics.require_finite(states, "trajectory states")
-    return Trajectory(times=np.arange(steps + 1) * dt, states=states,
-                      inputs=inputs, outputs=outputs, dt=dt)
+    x0 = np.atleast_1d(np.asarray(x0, dtype=float))
+    return _integrate(sys, x0, _input_at(u, x0, sys.m, dt), steps,
+                      lambda x, uk: numerics.rk4_step(sys.rhs, x, uk, dt), dt)
 
 
 def simulate_dt(sys, x0, u=None, steps: int = 1) -> Trajectory:
-    """Exact iteration of a discrete-time system."""
+    """Exact iteration of a discrete-time system.
+
+    Takes the same one-state or (N, n) stack ``x0`` (with the same row by
+    row fallback for user callables) and the same forms of ``u`` as
+    :func:`simulate_ct`, with time counted in steps; per-step input values
+    must cover all ``steps``.  Divergence is handled as there.
+    """
     if steps < 1:
         raise ValueError("steps must be >= 1")
-    if u is None:
-        useq = np.zeros((steps, sys.m))
-    else:
-        useq = np.atleast_2d(np.asarray(u, dtype=float))
-        if useq.shape[0] < steps:
-            raise ValueError(f"need {steps} input rows, got {useq.shape[0]}")
-    x = np.atleast_1d(np.asarray(x0, dtype=float)).copy()
-    states = np.empty((steps + 1, sys.n))
-    inputs = np.empty((steps + 1, sys.m))
-    outputs = np.empty((steps + 1, sys.p))
-    states[0] = x
-    for k in range(steps):
-        inputs[k] = useq[k]
-        outputs[k] = sys.output(x, useq[k])
-        x = sys.step(x, useq[k])
-        states[k + 1] = x
-    inputs[steps] = inputs[steps - 1]
-    outputs[steps] = sys.output(x, inputs[steps])
-    numerics.require_finite(states, "trajectory states")
-    return Trajectory(times=np.arange(steps + 1, dtype=float), states=states,
-                      inputs=inputs, outputs=outputs, dt=None)
+    x0 = np.atleast_1d(np.asarray(x0, dtype=float))
+    return _integrate(sys, x0, _input_at(u, x0, sys.m, 1.0, min_steps=steps), steps,
+                      sys.step, None)
 
 
 @dataclass
@@ -166,6 +207,8 @@ def audit_dissipation(traj: Trajectory, storage, supply, ubar, ybar,
     discrete time.  Positive entries of ``violations`` beyond ``tol`` fail
     the audit; per-step comparison localizes where the inequality breaks.
     """
+    if traj.states.ndim != 2:
+        raise ValueError("audit_dissipation audits a single trajectory, not a batch")
     V = _storage_callable(storage, xbar)
     ubar = np.atleast_1d(np.asarray(ubar, dtype=float))
     ybar = np.atleast_1d(np.asarray(ybar, dtype=float))
@@ -214,8 +257,13 @@ def stability_experiment(sys, xbar, ubar=None, radius: float = 0.1,
     """Simulate from a shell of probe states with the input held at the
     equilibrium value and report convergence statistics.
 
-    ``conv_tol`` defaults to 5% of the probe radius.  Diverging
-    trajectories (non-finite states) count as non-converged.
+    All probes are integrated together as one (probes, n) stack, so the
+    system's ``f`` and ``h`` see stacks; user callables that only take one
+    state still work through the slower row by row fallback.
+    ``conv_tol`` defaults to 5% of the probe radius.  Diverging trajectories
+    (non-finite states) count as non-converged with an infinite final
+    distance; ``nonconverged`` lists the probe indices that did not
+    converge and ``n_diverged`` counts those that diverged.
     """
     xbar = np.atleast_1d(np.asarray(xbar, dtype=float))
     if ubar is None:
@@ -223,27 +271,21 @@ def stability_experiment(sys, xbar, ubar=None, radius: float = 0.1,
     ubar = np.atleast_1d(np.asarray(ubar, dtype=float))
     if conv_tol is None:
         conv_tol = 0.05 * radius
-    offsets = sphere_probes(sys.n, probes, radius)
-    finals = []
-    converged = 0
-    for d in offsets:
-        try:
-            if sys.discrete:
-                useq = np.tile(ubar, (steps, 1))
-                traj = simulate_dt(sys, xbar + d, useq, steps=steps)
-            else:
-                traj = simulate_ct(sys, xbar + d, lambda t: ubar, T=horizon, dt=dt)
-            dist = float(np.linalg.norm(traj.states[-1] - xbar))
-        except NonFiniteError:
-            dist = np.inf
-        finals.append(dist)
-        if dist <= conv_tol:
-            converged += 1
-    finals = np.array(finals)
+    x0 = xbar + sphere_probes(sys.n, probes, radius)
+    if sys.discrete:
+        traj = simulate_dt(sys, x0, ubar, steps=steps)
+    else:
+        traj = simulate_ct(sys, x0, ubar, T=horizon, dt=dt)
+    live = ~traj.diverged
+    finals = np.full(len(x0), np.inf)
+    finals[live] = np.linalg.norm(traj.states[live, -1] - xbar, axis=-1)
+    converged = finals <= conv_tol
     return {
-        "converged_fraction": converged / len(offsets),
+        "converged_fraction": int(np.sum(converged)) / len(x0),
         "final_distances": finals,
         "max_final_distance": float(np.max(finals)),
         "conv_tol": float(conv_tol),
-        "n_probes": int(len(offsets)),
+        "n_probes": int(len(x0)),
+        "nonconverged": np.flatnonzero(~converged).tolist(),
+        "n_diverged": int(np.sum(traj.diverged)),
     }

@@ -218,8 +218,42 @@ class SeparableConvex:
 # systems
 
 
+def _maps_stacks(fn, n: int) -> bool:
+    """Whether ``fn`` maps a fixed 3-row stack of states to the stack of its
+    values on each row.  Raising, a wrong shape or a wrong value all say no."""
+    X = np.linspace(-0.5, 0.7, 3 * n).reshape(3, n)
+    try:
+        with warnings.catch_warnings(), np.errstate(all="ignore"):
+            warnings.simplefilter("ignore")
+            rows = _evaluate(fn, True, X)
+            stacked = np.asarray(fn(X), dtype=float)
+    except Exception:
+        return False
+    if stacked.shape != rows.shape:
+        return False
+    # a stacked matmul may round differently from a single-row one
+    err = np.max(np.abs(stacked - rows), initial=0.0)
+    return bool(err <= 1e-12 * (1.0 + np.max(np.abs(rows), initial=0.0)))
+
+
+def _evaluate(fn, rowwise: bool, x) -> np.ndarray:
+    """``fn`` at one state or on a stack, looping over rows if ``rowwise``."""
+    x = np.asarray(x, dtype=float)
+    if rowwise and x.ndim > 1:
+        out = np.array([np.atleast_1d(np.asarray(fn(r), dtype=float))
+                        for r in x.reshape(-1, x.shape[-1])])
+        return out.reshape(x.shape[:-1] + out.shape[-1:])
+    return np.atleast_1d(np.asarray(fn(x), dtype=float))
+
+
 class _ControlAffine:
-    """Shared implementation for CT and DT control-affine systems."""
+    """Shared implementation for CT and DT control-affine systems.
+
+    ``f`` and ``h`` accept one state or an (N, n) stack of states.  The
+    catalog's callables handle stacks natively; any other callable is
+    checked once at construction and, if it only handles single states,
+    evaluated row by row on stacks (correct, but slower).
+    """
 
     discrete: bool = False
 
@@ -246,19 +280,23 @@ class _ControlAffine:
         self.name = name
         self.storage = storage
         self.meta = dict(meta or {})
+        self._f_rowwise = not _maps_stacks(f, self.n)
+        self._h_rowwise = not _maps_stacks(h, self.n)
 
     def _infer_p(self, h):
         probe = np.atleast_1d(np.asarray(h(np.zeros(self.n)), dtype=float))
         return probe.size
 
     def f(self, x) -> np.ndarray:
-        return np.atleast_1d(np.asarray(self._f(np.asarray(x, dtype=float)), dtype=float))
+        """Drift at one state (n,) or at each row of an (N, n) stack."""
+        return _evaluate(self._f, self._f_rowwise, x)
 
     def h(self, x) -> np.ndarray:
-        return np.atleast_1d(np.asarray(self._h(np.asarray(x, dtype=float)), dtype=float))
+        """Output map at one state (n,) or at each row of an (N, n) stack."""
+        return _evaluate(self._h, self._h_rowwise, x)
 
     def output(self, x, u) -> np.ndarray:
-        return self.h(x) + self.J @ np.atleast_1d(u)
+        return self.h(x) + np.atleast_1d(u) @ self.J.T
 
     @property
     def square(self) -> bool:
@@ -275,7 +313,7 @@ class CtSystem(_ControlAffine):
     discrete = False
 
     def rhs(self, x, u) -> np.ndarray:
-        return self.f(x) + self.G @ np.atleast_1d(u)
+        return self.f(x) + np.atleast_1d(u) @ self.G.T
 
 
 class DtSystem(_ControlAffine):
@@ -284,7 +322,7 @@ class DtSystem(_ControlAffine):
     discrete = True
 
     def step(self, x, u) -> np.ndarray:
-        return self.f(x) + self.G @ np.atleast_1d(u)
+        return self.f(x) + np.atleast_1d(u) @ self.G.T
 
 
 # ---------------------------------------------------------------------------
@@ -355,8 +393,15 @@ def _phi_from_params(params: dict, n_key: str = "n") -> SeparableConvex:
 def _build_second_order(params: dict):
     # xdot1 = x2, xdot2 = -U'(x1) - x2 + u, y = x2, with U strictly convex
     U = _phi_from_params({**params, "n": 1})
-    f = lambda x: np.array([x[1], -U.grad(x[:1])[0] - x[1]])
-    h = lambda x: np.array([x[1]])
+
+    def f(x):
+        # components are read from x.T and the result transposed back, which
+        # handles an (N, n) stack and costs one state no more than np.array
+        xt = x.T
+        v = xt[1]
+        return np.array([v, -U.grad(xt[:1])[0] - v]).T
+
+    h = lambda x: x[..., 1:]
     G = np.array([[0.0], [1.0]])
     gen = StorageGenerator(
         V=lambda x: U(x[:1]) + 0.5 * x[1] ** 2,
@@ -389,17 +434,20 @@ def _build_port_hamiltonian(params: dict):
         x = np.atleast_1d(x)
         return 0.5 * float(x @ P @ x) + float(np.sum(c * _logcosh(x)))
 
+    Pt = P.T
+
     def grad_H(x):
         x = np.atleast_1d(np.asarray(x, dtype=float))
-        return P @ x + c * np.tanh(x)
+        return x @ Pt + c * np.tanh(x)
 
     mu = max(numerics.sym_eigen(P).min, 0.0)
     gen = StorageGenerator(V=H, grad_V=grad_H,
                            convexity_class="strongly_convex" if mu > 1e-12 else "convex",
                            mu=mu, name="hamiltonian")
     A = Jm - Rm
-    f = lambda x: A @ grad_H(x) + d
-    h = lambda x: G.T @ grad_H(x)
+    At = A.T
+    f = lambda x: grad_H(x) @ At + d
+    h = lambda x: grad_H(x) @ G
     sqR = numerics.psd_sqrt(Rm)
     meta = {"family": "port_hamiltonian", "R": Rm, "Jmat": Jm, "sqrt_R": sqR,
             "grad_H": grad_H}
@@ -448,12 +496,14 @@ def _build_ahu_saddle(params: dict):
     lam_min = numerics.sym_eigen(M_plus).min
     alpha = float(params.get("alpha", 2.0 / lam_min if lam_min > 0 else 1.0))
 
-    def f(x):
-        z, lam = x[:n1], x[n1:]
-        res = A @ z - b
-        return np.concatenate([-phi.grad(z) - A.T @ (K @ res) - A.T @ lam, res])
+    At = A.T
 
-    h = lambda x: x[:n1]
+    def f(x):
+        z, lam = x[..., :n1], x[..., n1:]
+        res = z @ At - b
+        return np.concatenate([-phi.grad(z) - (res @ K + lam) @ A, res], axis=-1)
+
+    h = lambda x: x[..., :n1]
     G = np.vstack([np.eye(n1), np.zeros((n2, n1))])
     gen = StorageGenerator.quadratic(
         np.diag(np.concatenate([np.full(n1, alpha), np.ones(n2)])),
@@ -475,8 +525,13 @@ def _build_smib(params: dict):
     if min(M, D, bcoef, Vbus) <= 0:
         raise ValueError("M, D, b, V must be positive")
     bv2 = bcoef * Vbus**2
-    f = lambda x: np.array([x[1], (Pm - bv2 * np.sin(x[0]) - D * x[1]) / M])
-    h = lambda x: np.array([x[1]])
+
+    def f(x):
+        xt = x.T  # see _build_second_order
+        omega = xt[1]
+        return np.array([omega, (Pm - bv2 * np.sin(xt[0]) - D * omega) / M]).T
+
+    h = lambda x: x[..., 1:]
     G = np.array([[0.0], [1.0 / M]])
     # energy function; convex only on |theta| <= pi/2, which is the region
     # the absolute-stability analysis restricts itself to
@@ -530,8 +585,9 @@ def _build_lti(params: dict):
     H = np.atleast_2d(np.asarray(params.get("H", np.eye(n)), dtype=float))
     J = np.atleast_2d(np.asarray(params["J"], dtype=float)) if "J" in params else None
     discrete = bool(params.get("discrete", False))
-    f = lambda x: F @ np.atleast_1d(x)
-    h = lambda x: H @ np.atleast_1d(x)
+    Ft, Ht = F.T, H.T
+    f = lambda x: np.atleast_1d(x) @ Ft
+    h = lambda x: np.atleast_1d(x) @ Ht
     meta = {"family": "lti", "F": F, "H": H, "f_is_zero": bool(np.all(F == 0))}
     cls = DtSystem if discrete else CtSystem
     return cls(f, h, G, J=J, f_jac=lambda x: F, name="lti", meta=meta)
@@ -565,15 +621,17 @@ def catalog_build(name: str, params: Optional[dict] = None):
 def load_system(source):
     """Load a system from a JSON file path, JSON string, or parsed dict.
 
-    Schema: {"schema": 1, "family": "<name>", "params": {...}} with matrices
-    as row-major nested arrays.  Unknown top-level keys are rejected.
+    A dict is used as is, a string whose first non-blank character is ``{``
+    is JSON text, and anything else is a path.  Schema: {"schema": 1,
+    "family": "<name>", "params": {...}} with matrices as row-major nested
+    arrays.  Unknown top-level keys are rejected.
     """
     if isinstance(source, dict):
         doc = source
     else:
         text = source
         try:
-            if "{" not in str(source):
+            if not (isinstance(source, str) and source.lstrip().startswith("{")):
                 with open(source) as fh:
                     text = fh.read()
             doc = json.loads(text)

@@ -2,6 +2,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from eidlab import (
     BregmanStorage,
@@ -318,6 +320,55 @@ def test_kyp_l2_gain_example():
     assert ok["passed"]
     bad = verify_kyp_lti(F, G, H, J, SupplyRate.l2_gain(0.9, 1, 1), [[0.5]])
     assert not bad["passed"]
+
+
+def _lyapunov(F, X):
+    """Symmetric P with FᵀP + PF = -X, by a Kronecker solve (small n)."""
+    n = F.shape[0]
+    K = np.kron(F.T, np.eye(n)) + np.kron(np.eye(n), F.T)
+    P = np.linalg.solve(K, -X.reshape(-1)).reshape(n, n)
+    return 0.5 * (P + P.T)
+
+
+@st.composite
+def _lti_dims(draw):
+    n = draw(st.integers(1, 3))
+    return n, draw(st.integers(1, n)), draw(st.integers(1, n)), draw(st.integers(0, 2**32 - 1))
+
+
+@settings(derandomize=True, deadline=None, max_examples=50)
+@given(_lti_dims())
+def test_sampled_eid_agrees_with_kyp_on_random_lti(dims):
+    # random stable (F, G, H, J), a supply with Rhat ⪰ 0 and a scaled
+    # Lyapunov P; about a quarter of these cases pass KYP
+    n, m, p, seed = dims
+    rng = np.random.default_rng(seed)
+    B, Sk = rng.normal(size=(2, n, n))
+    F = -(0.2 * np.eye(n) + B @ B.T / n) + 0.5 * (Sk - Sk.T)
+    G, H, J = rng.normal(size=(n, m)), rng.normal(size=(p, n)), 0.5 * rng.normal(size=(p, m))
+    Qr = rng.normal(size=(p, p))
+    Q = -rng.uniform(0.0, 1.0) * np.eye(p) + 0.1 * (Qr + Qr.T)
+    S = 0.5 * rng.normal(size=(p, m))
+    L = rng.normal(size=(m, m))
+    rhat = 10 ** rng.uniform(-1, 2) * (L @ L.T + rng.uniform(0.0, 1.0) * np.eye(m))
+    R = rhat - J.T @ S - S.T @ J - J.T @ Q @ J
+    w = SupplyRate(Q, S, 0.5 * (R + R.T), warn_definite=False)
+    P = 10 ** rng.uniform(-2, 1) * _lyapunov(F, np.eye(n))
+
+    kyp = verify_kyp_lti(F, G, H, J, w, P)
+    assume(abs(kyp["lambda_max"]) > 1e-6)
+    sys = catalog_build("lti", {"F": F.tolist(), "G": G.tolist(), "H": H.tolist(),
+                                "J": J.tolist()})
+    pairs = []
+    for _ in range(20):
+        xbar = -np.linalg.solve(F, G @ rng.normal(size=m))  # F xbar + G ubar = 0
+        pairs.append((xbar + rng.normal(size=n), xbar))
+    # a sampled check only sees violations along sampled directions; along
+    # the state part v of M's top eigenvector the (a) residual is at least
+    # lambda_max(M), so a failing KYP case always has a violating pair
+    pairs.append((xbar + np.linalg.eigh(kyp["M"])[1][:n, -1], xbar))
+    cert = verify_eid_ct(sys, w, StorageGenerator.quadratic(2.0 * P), pairs)
+    assert cert.passed == kyp["passed"]
 
 
 def test_kyp_dimension_check():

@@ -280,3 +280,16 @@ def test_config_hash_deterministic(runner, tmp_path):
 def test_missing_system_is_an_error(runner, tmp_path):
     result = runner.invoke(main, ["certify", "--out", str(tmp_path)])
     assert result.exit_code != 0
+
+
+def test_system_path_with_brace_in_directory(runner, tmp_path):
+    run_dir = tmp_path / "run{1}"
+    run_dir.mkdir()
+    sys_path = _gradient_ff_system(run_dir)
+    cfg = _write(tmp_path, "cfg.json", {
+        "supply": {"Q": [[-0.3]], "S": [[0.5]], "R": [[-0.2]]}, "pairs": 50,
+    })
+    result = runner.invoke(main, ["certify", "--system", sys_path, "--config", cfg,
+                                  "--seed", "1", "--out", str(tmp_path)])
+    assert result.exit_code == 0, result.output
+    assert _report(result)["verdict"] == "pass"

@@ -13,6 +13,8 @@ from eidlab.gains import (
     power_iterate_disturbance,
     sinusoid_disturbances,
 )
+from eidlab.equilibria import EquilibriumMap
+from eidlab.sim import simulate_ct, simulate_dt
 from eidlab.systems import catalog_build
 
 
@@ -182,3 +184,57 @@ def test_power_iteration_does_not_decrease_gain():
     v = power_iterate_disturbance(sys, np.zeros(1), v0, rounds=4)
     refined = empirical_gain(sys, np.zeros(1), [v])["gain"]
     assert refined >= base - 1e-9
+
+
+def _ahu_system():
+    sys = catalog_build("ahu_saddle", {
+        "mu": [1.0] * 4, "A": [[1.0, 0.0, 1.0, 0.0], [0.0, 1.0, 0.0, 1.0]], "b": [1.0, -0.5],
+    })
+    return sys, EquilibriumMap(sys).solve_equilibrium(np.zeros(4), np.zeros(6))
+
+
+def _per_signal_gain(sys, xbar, sigs, dt=None, horizon=None):
+    """Reference: one simulation per signal, the signal passed as per-step
+    input values."""
+    ybar = sys.h(xbar)
+    best = 0.0
+    for v in sigs:
+        if sys.discrete:
+            traj = simulate_dt(sys, xbar, v, steps=v.shape[0])
+            num = np.sqrt(np.sum((traj.outputs - ybar) ** 2))
+            den = np.sqrt(np.sum(traj.inputs**2))
+        else:
+            T = horizon if horizon is not None else v.shape[0] * dt
+            traj = simulate_ct(sys, xbar, v, T=T, dt=dt)
+            num = np.sqrt(np.trapezoid(np.sum((traj.outputs - ybar) ** 2, axis=1), dx=dt))
+            den = np.sqrt(np.trapezoid(np.sum(traj.inputs**2, axis=1), dx=dt))
+        best = max(best, num / den)
+    return best
+
+
+def test_empirical_gain_applies_each_signal_sample_once():
+    # at dt = 0.04, int(t / dt) floors k*dt/dt to k - 1 at 7 of 200 steps,
+    # which repeats one sample and skips the next
+    sys, xbar = _ahu_system()
+    sigs = gaussian_disturbances(4, 4, 200, seed=5, scale=0.5)
+    rep = empirical_gain(sys, xbar, sigs, dt=0.04)
+    assert rep["gain"] == pytest.approx(_per_signal_gain(sys, xbar, sigs, dt=0.04),
+                                        rel=1e-12, abs=1e-12)
+
+
+def test_batched_empirical_gain_matches_per_signal_runs():
+    sys, xbar = _ahu_system()
+    sigs = (gaussian_disturbances(3, 4, 150, seed=6, scale=0.5)
+            + sinusoid_disturbances(3, 4, 100, dt=0.02, seed=7, scale=0.5))
+    for horizon in (None, 4.0):
+        rep = empirical_gain(sys, xbar, sigs, horizon=horizon, dt=0.02)
+        ref = _per_signal_gain(sys, xbar, sigs, dt=0.02, horizon=horizon)
+        assert rep["gain"] == pytest.approx(ref, rel=1e-12, abs=1e-12)
+        assert rep["n_signals"] == 6
+
+    dtg = catalog_build("dt_gradient", {"mu": 1.0, "c": 0.5, "alpha": 0.5})
+    sigs = (gaussian_disturbances(5, 1, 200, seed=2, support=0.3)
+            + gaussian_disturbances(5, 1, 80, seed=3, support=0.5, scale=2.0))
+    rep = empirical_gain(dtg, np.zeros(1), sigs)
+    assert rep["gain"] == pytest.approx(_per_signal_gain(dtg, np.zeros(1), sigs),
+                                        rel=1e-12, abs=1e-12)

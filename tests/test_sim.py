@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -13,7 +15,8 @@ from eidlab.sim import (
     sphere_probes,
     stability_experiment,
 )
-from eidlab.systems import SupplyRate, catalog_build
+from eidlab.interconnect import static_feedback
+from eidlab.systems import CtSystem, SupplyRate, catalog_build
 
 
 # ---------------------------------------------------------------------------
@@ -197,3 +200,98 @@ def test_simulate_rejects_nonfinite_trajectories():
     sys = catalog_build("lti", {"F": [[5.0]], "G": [[1.0]], "H": [[1.0]]})
     with pytest.raises(NonFiniteError):
         simulate_ct(sys, np.array([1.0]), T=200.0, dt=0.1)
+
+
+# ---------------------------------------------------------------------------
+# batched simulation
+
+
+def test_batched_ct_trajectory_layout_and_rows():
+    sys = catalog_build("second_order", {"mu": 1.0, "c": 0.5})
+    rng = np.random.default_rng(1)
+    X0 = rng.uniform(-1.0, 1.0, size=(5, 2))
+    U = rng.normal(size=(5, 40, 1))
+    traj = simulate_ct(sys, X0, U, T=0.5, dt=0.01)  # 50 steps: the last input row is held
+    assert traj.times.shape == (51,)
+    assert traj.states.shape == (5, 51, 2)
+    assert traj.inputs.shape == (5, 51, 1) and traj.outputs.shape == (5, 51, 1)
+    assert traj.diverged.shape == (5,) and not traj.diverged.any()
+    for i in range(5):
+        one = simulate_ct(sys, X0[i], U[i], T=0.5, dt=0.01)
+        assert one.diverged is None
+        np.testing.assert_allclose(traj.states[i], one.states, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(traj.outputs[i], one.outputs, rtol=0, atol=1e-12)
+        np.testing.assert_array_equal(traj.inputs[i], one.inputs)
+    np.testing.assert_array_equal(traj.inputs[:, 45], U[:, -1])
+
+
+def test_batched_dt_per_row_constant_and_callable_inputs():
+    sys = catalog_build("dt_gradient", {"mu": [1.0, 2.0], "c": 0.5, "alpha": 0.5})
+    X0 = np.array([[1.0, -1.0], [0.5, 2.0], [0.0, 0.0]])
+    V = np.array([[0.1, 0.2], [-0.3, 0.0], [0.5, 0.5]])
+    traj = simulate_dt(sys, X0, V, steps=30)
+    by_time = simulate_dt(sys, X0, lambda t: V, steps=30)
+    np.testing.assert_array_equal(traj.states, by_time.states)
+    for i in range(3):
+        one = simulate_dt(sys, X0[i], np.tile(V[i], (30, 1)), steps=30)
+        np.testing.assert_allclose(traj.states[i], one.states, rtol=0, atol=1e-12)
+    with pytest.raises(ValueError):
+        simulate_dt(sys, X0, np.zeros((3, 10, 2)), steps=30)
+    with pytest.raises(ValueError):
+        traj.to_csv("unused.csv")
+    with pytest.raises(ValueError):
+        audit_dissipation(traj, np.eye(2), SupplyRate.passivity(2), np.zeros(2),
+                          np.zeros(2), xbar=np.zeros(2))
+
+
+def test_batched_run_freezes_diverging_rows_and_keeps_going():
+    # xdot = -x + x^2: the -1.5 probe converges, +1.5 escapes in finite time
+    sys = CtSystem(lambda x: -x + x**2, lambda x: x, [[1.0]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        traj = simulate_ct(sys, np.array([[-1.5], [1.5]]), T=5.0, dt=1e-2)
+        rep = stability_experiment(sys, np.zeros(1), radius=1.5, probes=2, horizon=5.0,
+                                   dt=1e-2)
+    np.testing.assert_array_equal(traj.diverged, [False, True])
+    assert np.all(np.isfinite(traj.states))
+    # a frozen row holds its last finite state
+    assert traj.states[1, -1, 0] == traj.states[1, -2, 0] > 1e3
+    assert abs(traj.states[0, -1, 0]) < 1e-2
+    assert rep["converged_fraction"] == 0.5
+    assert rep["nonconverged"] == [1] and rep["n_diverged"] == 1
+    assert rep["final_distances"][0] < rep["conv_tol"]
+    assert rep["final_distances"][1] == np.inf and rep["max_final_distance"] == np.inf
+    # one state still raises, as before
+    with pytest.raises(NonFiniteError):
+        simulate_ct(sys, np.array([1.5]), T=5.0, dt=1e-2)
+
+
+def _per_probe_distances(sys, xbar, ubar, radius, probes, horizon=20.0, dt=1e-3,
+                         steps=2000):
+    """Reference: one simulation per probe, as the experiment ran before
+    probes were integrated together."""
+    out = []
+    for d in sphere_probes(sys.n, probes, radius):
+        if sys.discrete:
+            traj = simulate_dt(sys, xbar + d, np.tile(ubar, (steps, 1)), steps=steps)
+        else:
+            traj = simulate_ct(sys, xbar + d, lambda t: ubar, T=horizon, dt=dt)
+        out.append(np.linalg.norm(traj.states[-1] - xbar))
+    return np.array(out)
+
+
+def test_batched_stability_experiment_matches_per_probe_runs():
+    smib = catalog_build("smib", {"M": 1.0, "D": 1.0, "b": 1.0, "V": 1.0, "P_m": 0.2})
+    loop = static_feedback(smib, np.tanh)
+    xbar = EquilibriumMap(smib).project(np.array([np.arcsin(0.2), 0.0]))
+    rep = stability_experiment(loop, xbar, np.zeros(1), radius=0.3, probes=8,
+                               horizon=2.0, dt=2e-3)
+    ref = _per_probe_distances(loop, xbar, np.zeros(1), 0.3, 8, horizon=2.0, dt=2e-3)
+    np.testing.assert_allclose(rep["final_distances"], ref, rtol=0, atol=1e-12)
+
+    dtg = catalog_build("dt_gradient", {"mu": [1.0, 2.0], "c": 0.5, "alpha": 0.5})
+    eq = EquilibriumMap(dtg).ku_ky(np.array([0.4, -0.2]))
+    rep = stability_experiment(dtg, eq.x, eq.u, radius=0.3, probes=16, steps=40)
+    ref = _per_probe_distances(dtg, eq.x, eq.u, 0.3, 16, steps=40)
+    np.testing.assert_allclose(rep["final_distances"], ref, rtol=0, atol=1e-12)
+    assert rep["converged_fraction"] == 1.0 and rep["nonconverged"] == []

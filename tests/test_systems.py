@@ -268,3 +268,97 @@ def test_validate_system_reports_nonfinite():
                            np.array([[1.0], [0.0]]))
     rep = validate_system(sys, probes=3)
     assert not rep["f_h_finite"] and not rep["ok"]
+
+
+def test_load_system_path_with_brace_in_directory(tmp_path):
+    doc = {"schema": 1, "family": "dt_integrator", "params": {"alpha": 0.25}}
+    folder = tmp_path / "run{1}"
+    folder.mkdir()
+    path = folder / "sys.json"
+    path.write_text(json.dumps(doc))
+    assert load_system(str(path)).meta["alpha"] == 0.25
+    assert load_system(path).meta["alpha"] == 0.25
+    assert load_system("  \n" + json.dumps(doc)).meta["alpha"] == 0.25
+
+
+# ---------------------------------------------------------------------------
+# stacked evaluation
+
+
+PH_PARAMS = {
+    "J": [[0, 1, 0, 0], [-1, 0, 0, 0], [0, 0, 0, 1], [0, 0, -1, 0]],
+    "R": np.diag([0.5, 0.2, 0.3, 0.1]).tolist(),
+    "G": [[1, 0], [0, 0], [0, 1], [0, 0]],
+    "d": [0.1, 0.0, -0.2, 0.0],
+    "hamiltonian": {"P": [[1.0, 0.2, 0, 0], [0.2, 2.0, 0, 0], [0, 0, 1.5, 0], [0, 0, 0, 1.0]],
+                    "c": [0.3, 0.0, 0.2, 0.0]},
+}
+
+FAMILIES = {
+    "second_order": {"mu": 1.0, "c": 0.5},
+    "port_hamiltonian": PH_PARAMS,
+    "gradient_ff": {"mu": [1.0, 2.0], "c": 0.3, "g": 1.0, "j": 0.5, "tau": [1.0, 2.0]},
+    "ahu_saddle": {"mu": [1.0, 2.0, 1.0, 3.0], "c": 0.2,
+                   "A": [[1, 0, 1, 0], [0, 1, 0, 1]], "b": [1.0, -0.5],
+                   "K": [[1.0, 0.2], [0.2, 0.5]]},
+    "smib": {"M": 1.0, "D": 1.0, "b": 1.0, "V": 1.0, "P_m": 0.2},
+    "dt_gradient": {"mu": [1.0, 2.0], "c": 0.5, "alpha": 0.5},
+    "dt_integrator": {"alpha": 0.5, "n": 2},
+    "lti": {"F": [[-1.0, 2.0], [0.5, -3.0]], "G": [[1.0], [0.5]], "H": [[1.0, 1.0]],
+            "J": [[0.3]]},
+}
+
+
+def _assert_stack_matches_rows(sys, rows=7, seed=0):
+    X = np.random.default_rng(seed).uniform(-1.5, 1.5, size=(rows, sys.n))
+    for fn, width in ((sys.f, sys.n), (sys.h, sys.p)):
+        assert fn(X[0]).shape == (width,)
+        stacked = fn(X)
+        assert stacked.shape == (rows, width)
+        np.testing.assert_allclose(stacked, np.array([fn(x) for x in X]), rtol=0, atol=1e-12)
+    U = np.random.default_rng(seed + 1).normal(size=(rows, sys.m))
+    step = sys.step if sys.discrete else sys.rhs
+    np.testing.assert_allclose(step(X, U), np.array([step(x, u) for x, u in zip(X, U)]),
+                               rtol=0, atol=1e-12)
+    np.testing.assert_allclose(sys.output(X, U),
+                               np.array([sys.output(x, u) for x, u in zip(X, U)]),
+                               rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("family", sorted(FAMILIES))
+def test_catalog_stack_evaluation_matches_rows(family):
+    sys = catalog_build(family, FAMILIES[family])
+    # every catalog family maps stacks natively, without the row fallback
+    assert not sys._f_rowwise and not sys._h_rowwise
+    _assert_stack_matches_rows(sys)
+
+
+def test_interconnect_closures_stack_evaluation_matches_rows():
+    from eidlab.interconnect import (FeedbackLoop, compose_closed_loop, loop_transform,
+                                     static_feedback)
+
+    smib = catalog_build("smib", FAMILIES["smib"])
+    g1 = catalog_build("gradient_ff", {"mu": 2.0, "g": 1.0, "j": 0.9, "n": 1})
+    g2 = catalog_build("gradient_ff", {"mu": 1.0, "c": 0.4, "g": 1.5, "j": 0.5, "n": 1})
+    closures = [
+        static_feedback(smib, np.tanh),
+        loop_transform(smib, SectorBounds.scalar(0.2, 1.5)),
+        compose_closed_loop(FeedbackLoop(g1, g2)),
+        compose_closed_loop(FeedbackLoop(smib, g2)),
+    ]
+    for sys in closures:
+        assert not sys._f_rowwise and not sys._h_rowwise, sys.name
+        _assert_stack_matches_rows(sys)
+
+
+def test_row_only_callables_take_the_row_fallback():
+    two = systems.CtSystem(lambda x: np.array([x[1], -x[0]]), lambda x: np.array([x[1]]),
+                           [[0.0], [1.0]])
+    # on a (3, 3) stack this returns a (3, 3) array of the wrong rows
+    three = systems.CtSystem(lambda x: np.array([x[1], -x[0], -x[2]]), lambda x: x[:1],
+                             [[0.0], [1.0], [0.0]])
+    for sys in (two, three):
+        assert sys._f_rowwise and sys._h_rowwise
+        _assert_stack_matches_rows(sys)
+    X = np.array([[1.0, 2.0], [3.0, 4.0]])
+    np.testing.assert_array_equal(two.f(X), [[2.0, -1.0], [4.0, -3.0]])
