@@ -24,7 +24,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from . import numerics
+from . import numerics, systems
 from .equilibria import EquilibriumMap, IoSample
 from .errors import DimensionMismatchError, RhatNotPsdError
 from .systems import SectorBounds, StaticNonlinearity, StorageGenerator, SupplyRate
@@ -75,11 +75,9 @@ def sample_pairs(sys, region, count: int = DEFAULT_PAIR_COUNT, seed: int = 0,
     if len(eqs) == 0:
         raise ValueError("no equilibria found in the sampling region")
     eq_list = list(eqs)
-    pairs = [(eq_list[0].x.copy(), eq_list[0])]
-    while len(pairs) < count:
-        x = rng.uniform(lo, hi, size=sys.n)
-        pairs.append((x, eq_list[rng.integers(len(eq_list))]))
-    return pairs
+    X = rng.uniform(lo, hi, size=(max(count - 1, 0), sys.n))
+    picks = rng.integers(len(eq_list), size=len(X))
+    return [(eq_list[0].x.copy(), eq_list[0])] + [(x, eq_list[k]) for x, k in zip(X, picks)]
 
 
 def canonical_w(rhat, tol: float = DEFAULT_TOL_C) -> np.ndarray:
@@ -146,31 +144,34 @@ class EidCertificate:
         return text
 
 
-def _pair_states(pair):
-    x, eq = pair
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    xbar = eq.x if isinstance(eq, IoSample) else np.atleast_1d(np.asarray(eq, dtype=float))
-    return x, xbar
+def _stack_pairs(pairs, n: int):
+    """The (N, n) stacks X, X̄ of (x, xb) pairs, xb an IoSample or a state."""
+    X = np.array([x for x, _ in pairs], dtype=float)
+    Xbar = np.array([eq.x if isinstance(eq, IoSample) else eq for _, eq in pairs], dtype=float)
+    return X.reshape(-1, n), Xbar.reshape(-1, n)
 
 
-def _pair_terms(sys, qjs, storage, x, xbar):
-    """Δh, the storage term s and the b-difference c at one (x, xb) pair.
+def _pair_terms(sys, qjs, storage, X, Xbar):
+    """ΔH, the storage terms s and the b-differences C at each row of the
+    (N, n) pair stacks X, X̄.
 
     ``storage`` is a StorageGenerator in continuous time, where
     s = Δ∇Vᵀ Δf and c = qjsᵀΔh - ½ GᵀΔ∇V, and a symmetric PSD matrix P in
     discrete time, where s = ΔfᵀPΔf - ΔxᵀPΔx and c = qjsᵀΔh - GᵀPΔf, with
     qjs = QJ+S.  Condition (a) reads s <= ΔhᵀQΔh - ||ell||², (b) Wᵀ ell = c.
     """
-    df = sys.f(x) - sys.f(xbar)
-    dh = sys.h(x) - sys.h(xbar)
-    qjs_dh = qjs.T @ dh
+    dF = sys.f(X) - sys.f(Xbar)
+    dH = sys.h(X) - sys.h(Xbar)
+    qjs_dh = dH @ qjs
     if sys.discrete:
-        dx = x - xbar
-        s = float(df @ storage @ df) - float(dx @ storage @ dx)
-        return dh, s, qjs_dh - sys.G.T @ (storage @ df)
-    dgrad = (np.asarray(storage.grad_V(x), dtype=float)
-             - np.asarray(storage.grad_V(xbar), dtype=float))
-    return dh, float(dgrad @ df), qjs_dh - 0.5 * sys.G.T @ dgrad
+        dX = X - Xbar
+        s = (np.einsum("ij,jk,ik->i", dF, storage, dF)
+             - np.einsum("ij,jk,ik->i", dX, storage, dX))
+        return dH, s, qjs_dh - (dF @ storage) @ sys.G
+    rowwise = not systems._maps_stacks(storage.grad_V, sys.n)
+    dgrad = (systems._evaluate(storage.grad_V, rowwise, X)
+             - systems._evaluate(storage.grad_V, rowwise, Xbar))
+    return dH, np.einsum("ij,ij->i", dgrad, dF), qjs_dh - 0.5 * dgrad @ sys.G
 
 
 def _supply_terms(sys, w: SupplyRate, storage):
@@ -182,9 +183,33 @@ def _supply_terms(sys, w: SupplyRate, storage):
     return w.Q @ sys.J + w.S, rhat
 
 
+def _residuals(sys, w: SupplyRate, qjs, storage, X, Xbar, W, ell, mode):
+    """The (a) violations and (b) residuals at each row of the (N, n) pair
+    stacks X, X̄, with one min-norm solve or one ``ell`` call for all rows."""
+    dH, s, C = _pair_terms(sys, qjs, storage, X, Xbar)
+    if ell is None:
+        # minimum-norm solution of Wᵀ ell = c: any kernel component of Wᵀ
+        # only makes condition (a) harder, so this is the favourable choice
+        L = np.linalg.lstsq(W.T, C.T, rcond=None)[0].T
+    else:
+        # ell(x, xb) on the (N, 2n) stack [X, X̄], or row by row if, like a
+        # generator that only takes one state, it only takes one pair
+        pair_ell = lambda Z: ell(Z[..., :sys.n], Z[..., sys.n:])
+        L = systems._evaluate(pair_ell, not systems._maps_stacks(pair_ell, 2 * sys.n),
+                              np.concatenate([X, Xbar], axis=1))
+        if L.shape[-1] < W.shape[0]:
+            raise DimensionMismatchError(
+                f"ell has {L.shape[-1]} components but W has {W.shape[0]} rows")
+    # a longer ell pads W with zero rows, which leave WᵀW unchanged
+    b_res = np.linalg.norm(L[:, :W.shape[0]] @ W - C, axis=1)
+    gap = s - (np.einsum("ij,jk,ik->i", dH, w.Q, dH) - np.einsum("ij,ij->i", L, L))
+    return (np.abs(gap) if mode == "equality" else np.maximum(gap, 0.0)), b_res
+
+
 def _verify_eid(sys, w: SupplyRate, storage, pairs, W, ell, mode,
                 tol_a, tol_b, tol_c, seed) -> EidCertificate:
-    """Conditions (a)-(c) on every pair, for either time domain."""
+    """Conditions (a)-(c) on every pair, for either time domain, with all
+    pairs evaluated as one stack."""
     if mode not in ("equality", "inequality"):
         raise ValueError(f"unknown mode {mode!r}")
     qjs, rhat_eff = _supply_terms(sys, w, storage)
@@ -195,31 +220,12 @@ def _verify_eid(sys, w: SupplyRate, storage, pairs, W, ell, mode,
         raise DimensionMismatchError(f"W must have {sys.m} columns")
     c_res = float(np.linalg.norm(W.T @ W - rhat_eff))
 
-    a_viol = np.zeros(len(pairs))
-    b_res = np.zeros(len(pairs))
-    for idx, pair in enumerate(pairs):
-        x, xbar = _pair_states(pair)
-        dh, s, c_vec = _pair_terms(sys, qjs, storage, x, xbar)
-        if ell is None:
-            # minimum-norm solution of Wᵀ ell = c: any kernel component of Wᵀ
-            # only makes condition (a) harder, so this is the favourable choice
-            lvec = np.linalg.lstsq(W.T, c_vec, rcond=None)[0]
-        else:
-            lvec = np.atleast_1d(np.asarray(ell(x, xbar), dtype=float))
-            if lvec.size < W.shape[0]:
-                raise DimensionMismatchError(
-                    f"ell has {lvec.size} components but W has {W.shape[0]} rows")
-        # a longer ell pads W with zero rows, which leave WᵀW unchanged
-        b_res[idx] = np.linalg.norm(W.T @ lvec[:W.shape[0]] - c_vec)
-        rhs = float(dh @ w.Q @ dh) - float(lvec @ lvec)
-        a_viol[idx] = abs(s - rhs) if mode == "equality" else max(s - rhs, 0.0)
-
     stats = ResidualStats(c_residual=c_res)
     if len(pairs):
-        stats.worst_a_index = int(np.argmax(a_viol))
-        stats.worst_b_index = int(np.argmax(b_res))
-        stats.max_a_violation = float(a_viol[stats.worst_a_index])
-        stats.max_b_residual = float(b_res[stats.worst_b_index])
+        a_viol, b_res = _residuals(sys, w, qjs, storage, *_stack_pairs(pairs, sys.n), W, ell,
+                                   mode)
+        stats.worst_a_index, stats.worst_b_index = int(np.argmax(a_viol)), int(np.argmax(b_res))
+        stats.max_a_violation, stats.max_b_residual = float(a_viol.max()), float(b_res.max())
     passed = (stats.max_a_violation <= tol_a and stats.max_b_residual <= tol_b
               and c_res <= tol_c)
     return EidCertificate(
@@ -305,8 +311,9 @@ def factor_dissipation(sys, w: SupplyRate, storage, pair,
     if sys.discrete:
         storage = numerics.symmetrize(np.atleast_2d(np.asarray(storage, dtype=float)))
     qjs, rhat_eff = _supply_terms(sys, w, storage)
-    dh, s, bdiff = _pair_terms(sys, qjs, storage, *_pair_states(pair))
-    a = float(dh @ w.Q @ dh) - s
+    dH, s, C = _pair_terms(sys, qjs, storage, *_stack_pairs([pair], sys.n))
+    dh, bdiff = dH[0], C[0]
+    a = float(dh @ w.Q @ dh) - float(s[0])
     D = np.block([[np.array([[a]]), bdiff[None, :]], [bdiff[:, None], rhat_eff]])
     eig = numerics.sym_eigen(D)
     rank = int(np.sum(eig.eigenvalues > rank_tol * max(abs(eig.max), 1.0)))

@@ -66,15 +66,14 @@ class EquilibriumMap:
     # residuals --------------------------------------------------------------
 
     def _constraint(self, x) -> np.ndarray:
+        """G_perp f(x), or G_perp (x - f(x)) in discrete time, row by row."""
         sys = self.system
         if sys.discrete:
-            return self.G_perp @ (np.atleast_1d(x) - sys.f(x))
-        return self.G_perp @ sys.f(x)
+            return (x - sys.f(x)) @ self.G_perp.T
+        return sys.f(x) @ self.G_perp.T
 
     def assignability_residual(self, x) -> float:
-        if self.fully_actuated:
-            return 0.0
-        return float(np.linalg.norm(self._constraint(x)))
+        return float(np.linalg.norm(self._constraint(np.atleast_1d(x))))
 
     def equilibrium_residual(self, x, u) -> float:
         """Residual of the full equilibrium equation at (x, u)."""
@@ -86,25 +85,27 @@ class EquilibriumMap:
 
     # equilibrium maps -------------------------------------------------------
 
-    def ku_ky(self, xbar) -> IoSample:
-        """Equilibrium input/output for an assignable state.
+    def _assign(self, X):
+        """Inputs, outputs, and residuals of the equilibrium equation G u = D
+        and of the assignability constraint, at each row of an (N, n) stack."""
+        sys = self.system
+        F = sys.f(X)
+        D = X - F if sys.discrete else -F
+        U = (D @ sys.G) @ self._gram_inv.T
+        Y = sys.h(X) + U @ sys.J.T
+        residual = np.linalg.norm(U @ sys.G.T - D, axis=-1)
+        return U, Y, residual, np.linalg.norm(D @ self.G_perp.T, axis=-1)
 
-        Raises NotAssignableError when the annihilator residual exceeds the
-        tolerance.
-        """
-        res = self.assignability_residual(xbar)
+    def ku_ky(self, xbar) -> IoSample:
+        """Equilibrium input/output for an assignable state; raises
+        NotAssignableError when the annihilator residual exceeds the tolerance."""
+        xbar = np.atleast_1d(np.asarray(xbar, dtype=float))
+        u, y, residual, res = (a[0] for a in self._assign(xbar[None]))
         if res > self.tol:
             raise NotAssignableError(
                 f"state is not an assignable equilibrium (residual {res:.3e})"
             )
-        sys = self.system
-        xbar = np.atleast_1d(np.asarray(xbar, dtype=float))
-        if sys.discrete:
-            u = self._gram_inv @ (sys.G.T @ (xbar - sys.f(xbar)))
-        else:
-            u = -self._gram_inv @ (sys.G.T @ sys.f(xbar))
-        y = sys.h(xbar) + sys.J @ u
-        return IoSample(x=xbar, u=u, y=y, residual=self.equilibrium_residual(xbar, u))
+        return IoSample(x=xbar, u=u, y=y, residual=float(residual))
 
     def solve_equilibrium(self, ubar, x0, tol: float = 1e-11,
                           max_iter: int = 80) -> np.ndarray:
@@ -118,19 +119,31 @@ class EquilibriumMap:
         return numerics.newton_root(F, x0, tol=tol, max_iter=max_iter)
 
     def project(self, x0, tol: float = 1e-11, max_iter: int = 60) -> np.ndarray:
-        """Minimum-norm Gauss-Newton projection of a state candidate onto the
-        assignable-equilibrium set {G_perp f = 0}."""
-        x = np.atleast_1d(np.asarray(x0, dtype=float)).copy()
-        if self.fully_actuated:
-            return x
-        for _ in range(max_iter):
-            r = self._constraint(x)
-            if np.linalg.norm(r) <= tol:
-                return x
-            Jc = numerics.fd_jacobian(self._constraint, x)
-            step, *_ = np.linalg.lstsq(Jc, r, rcond=None)
-            x = x - step
-        raise numerics.NoConvergenceError("projection onto equilibrium set failed")
+        """Minimum-norm Gauss-Newton projection of a state candidate, or of
+        each row of an (N, n) stack, onto the assignable-equilibrium set
+        {G_perp f = 0}, all rows iterating together.  A row fails on a
+        non-finite residual or Jacobian, a rank-deficient Jacobian or
+        ``max_iter`` steps: in a stack it comes back NaN, alone it raises
+        NoConvergenceError."""
+        x0 = np.asarray(x0, dtype=float)
+        X = np.atleast_2d(x0).copy()
+        active = np.arange(0 if self.fully_actuated else len(X))
+        with np.errstate(all="ignore"):
+            for _ in range(max_iter):
+                if not active.size:
+                    break
+                R = self._constraint(X[active])
+                moving = ~(np.linalg.norm(R, axis=1) <= tol)  # keeps NaN rows for the step to fail
+                active, R = active[moving], R[moving]
+                if not active.size:
+                    break
+                step = _min_norm_step(numerics.fd_jacobian(self._constraint, X[active]), R)
+                X[active] -= step  # a failed row turns NaN and leaves the loop
+                active = active[~np.isnan(step[:, 0])]
+        X[active] = np.nan
+        if x0.ndim == 1 and np.isnan(X[0, 0]):
+            raise numerics.NoConvergenceError("projection onto equilibrium set failed")
+        return X if x0.ndim > 1 else X[0]
 
     # sampling ---------------------------------------------------------------
 
@@ -138,23 +151,35 @@ class EquilibriumMap:
         """Sample the equilibrium I/O relation over a state box.
 
         Candidates are drawn uniformly in ``region = (lo, hi)`` and, for
-        underactuated systems, Newton-projected onto the equilibrium set.
-        Deterministic for a fixed seed; candidates whose projection fails
-        are counted, not raised.
+        underactuated systems, projected onto the equilibrium set as one
+        stack.  Deterministic for a fixed seed; candidates whose projection
+        fails are counted, not raised.
         """
         lo, hi = (np.asarray(b, dtype=float) for b in region)
         rng = np.random.default_rng(seed)
+        X = self.project(rng.uniform(lo, hi, size=(count, self.system.n)))
+        X = X[~np.isnan(X[:, 0])]
         samples = []
-        failures = 0
-        for _ in range(count):
-            x0 = rng.uniform(lo, hi, size=self.system.n)
-            try:
-                xbar = self.project(x0)
-                samples.append(self.ku_ky(xbar))
-            except (numerics.NoConvergenceError, NotAssignableError):
-                failures += 1
-        return RelationSamples(samples=samples, projection_failures=failures,
+        if len(X):
+            U, Y, residual, res = self._assign(X)
+            keep = res <= self.tol
+            samples = [IoSample(x=x, u=u, y=y, residual=float(r)) for x, u, y, r
+                       in zip(X[keep], U[keep], Y[keep], residual[keep])]
+        return RelationSamples(samples=samples, projection_failures=count - len(samples),
                                seed=seed)
+
+
+def _min_norm_step(J, R):
+    """Minimum-norm solutions s_k of J_k s_k = r_k for a (K, q, n) stack of
+    Jacobians, q < n, by one batched SVD with lstsq's rank cutoff; NaN rows
+    where J_k or r_k is not finite or J_k is not of full row rank."""
+    ok = np.isfinite(J).all(axis=(1, 2)) & np.isfinite(R).all(axis=1)
+    step = np.full((len(J), J.shape[2]), np.nan)
+    U, s, Vt = np.linalg.svd(J[ok], full_matrices=False)
+    full = s[:, -1:] > np.finfo(float).eps * max(J.shape[1:]) * s[:, :1]
+    coef = np.einsum("kji,kj->ki", U, R[ok]) / s
+    step[ok] = np.where(full, np.einsum("kin,ki->kn", Vt, coef), np.nan)
+    return step
 
 
 @dataclass
@@ -248,17 +273,12 @@ def maximality_conditions(sys, samples: Optional[RelationSamples] = None,
     report = {}
     if samples is not None and len(samples) >= 2:
         report["cocoercive_sampled"] = cocoercivity_check(samples, rho)["holds"]
-    rng = np.random.default_rng(seed)
-    hint = True
-    for _ in range(probes):
-        x = rng.uniform(-box, box, size=sys.n)
-        Jf = (np.atleast_2d(sys.f_jac(x)) if sys.f_jac is not None
-              else numerics.fd_jacobian(sys.f, x))
-        if sys.discrete:
-            Jf = Jf - np.eye(sys.n)
-        s = np.linalg.svd(Jf, compute_uv=False)
-        hint &= bool(s[-1] > 1e-8)
-    report["f_homeomorphism_hint"] = hint
+    X = np.random.default_rng(seed).uniform(-box, box, size=(probes, sys.n))
+    Jf = (np.array([np.atleast_2d(sys.f_jac(x)) for x in X]) if sys.f_jac is not None
+          else numerics.fd_jacobian(sys.f, X))
+    if sys.discrete:
+        Jf = Jf - np.eye(sys.n)
+    report["f_homeomorphism_hint"] = bool(np.all(np.linalg.svd(Jf, compute_uv=False)[:, -1] > 1e-8))
     if sys.discrete:
         report["f_zero_or_identity"] = bool(sys.meta.get("f_is_identity", False))
     else:

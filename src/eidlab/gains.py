@@ -198,8 +198,7 @@ def _signal_norms(traj, ybar, dt: Optional[float]):
 
 
 def empirical_gain(sys, xbar, disturbances, horizon: Optional[float] = None,
-                   dt: float = 1e-3, steps: Optional[int] = None,
-                   storage=None) -> dict:
+                   dt: float = 1e-3) -> dict:
     """Empirical L2 (ell2) gain from an equilibrium: max over the disturbance
     set of ||y - ybar|| / ||v||, starting at x(0) = xbar so the storage
     starts from zero.

@@ -127,22 +127,23 @@ def psd_sqrt(A, tol: float = DEFAULT_PSD_TOL) -> np.ndarray:
 
 
 def fd_jacobian(F, x) -> np.ndarray:
-    """Central-difference Jacobian of ``F`` at ``x``.
+    """Central-difference Jacobian of ``F`` at ``x``, or the (N, k, n) stack
+    of Jacobians at each row of an (N, n) stack ``x`` for an ``F`` that maps
+    stacks: 2n calls of ``F`` either way.
 
     Step per coordinate is h_i = max(1e-6, 1e-6 * |x_i|); every equilibrium
     solve in the package ultimately depends on this choice.
     """
     x = np.asarray(x, dtype=float)
-    f0 = np.atleast_1d(np.asarray(F(x), dtype=float))
-    J = np.empty((f0.size, x.size))
-    for i in range(x.size):
-        h = max(1e-6, 1e-6 * abs(x[i]))
+    h = np.maximum(1e-6, 1e-6 * np.abs(x))
+    columns = []
+    for i in range(x.shape[-1]):
         xp = x.copy()
         xm = x.copy()
-        xp[i] += h
-        xm[i] -= h
-        J[:, i] = (np.atleast_1d(F(xp)) - np.atleast_1d(F(xm))) / (2.0 * h)
-    return J
+        xp[..., i] += h[..., i]
+        xm[..., i] -= h[..., i]
+        columns.append((np.atleast_1d(F(xp)) - np.atleast_1d(F(xm))) / (2.0 * h[..., i, None]))
+    return np.stack(columns, axis=-1)
 
 
 def fd_gradient(V, x) -> np.ndarray:

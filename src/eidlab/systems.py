@@ -157,9 +157,12 @@ class StorageGenerator:
         eig = numerics.sym_eigen(P)
         mu = max(eig.min, 0.0)
         cls_name = "strongly_convex" if eig.min > 1e-12 else "convex"
+        # x @ P rather than P @ x: the same for one state (P is symmetric),
+        # and row by row on an (N, n) stack, even where N = n
+        grad_V = lambda x: np.atleast_1d(np.asarray(x, dtype=float)) @ P
         return cls(
-            V=lambda x: 0.5 * float(np.atleast_1d(x) @ P @ np.atleast_1d(x)),
-            grad_V=lambda x: P @ np.atleast_1d(np.asarray(x, dtype=float)),
+            V=lambda x: 0.5 * (grad_V(x) * np.atleast_1d(x)).sum(axis=-1),
+            grad_V=grad_V,
             convexity_class=cls_name,
             mu=mu,
             name=name,
@@ -207,7 +210,7 @@ class SeparableConvex:
 
     def __call__(self, z) -> float:
         z = np.atleast_1d(np.asarray(z, dtype=float))
-        return float(np.sum(0.5 * self.mu_vec * z**2 + self.c_vec * _logcosh(z)))
+        return (0.5 * self.mu_vec * z**2 + self.c_vec * _logcosh(z)).sum(axis=-1)
 
     def grad(self, z) -> np.ndarray:
         z = np.atleast_1d(np.asarray(z, dtype=float))
@@ -404,8 +407,8 @@ def _build_second_order(params: dict):
     h = lambda x: x[..., 1:]
     G = np.array([[0.0], [1.0]])
     gen = StorageGenerator(
-        V=lambda x: U(x[:1]) + 0.5 * x[1] ** 2,
-        grad_V=lambda x: np.array([U.grad(x[:1])[0], x[1]]),
+        V=lambda x: U(x[..., :1]) + 0.5 * x[..., 1] ** 2,
+        grad_V=lambda x: np.array([U.grad(x.T[:1])[0], x.T[1]]).T,
         convexity_class="strongly_convex",
         mu=min(U.mu, 1.0),
         name="mechanical energy",
@@ -430,11 +433,11 @@ def _build_port_hamiltonian(params: dict):
     P = np.atleast_2d(np.asarray(ham.get("P", np.eye(n)), dtype=float))
     c = np.atleast_1d(np.asarray(ham.get("c", np.zeros(n)), dtype=float))
 
+    Pt = P.T
+
     def H(x):
         x = np.atleast_1d(x)
-        return 0.5 * float(x @ P @ x) + float(np.sum(c * _logcosh(x)))
-
-    Pt = P.T
+        return (0.5 * (x @ Pt) * x + c * _logcosh(x)).sum(axis=-1)
 
     def grad_H(x):
         x = np.atleast_1d(np.asarray(x, dtype=float))
@@ -536,8 +539,8 @@ def _build_smib(params: dict):
     # energy function; convex only on |theta| <= pi/2, which is the region
     # the absolute-stability analysis restricts itself to
     gen = StorageGenerator(
-        V=lambda x: 0.5 * M * x[1] ** 2 + bv2 * (1.0 - np.cos(x[0])),
-        grad_V=lambda x: np.array([bv2 * np.sin(x[0]), M * x[1]]),
+        V=lambda x: 0.5 * M * x[..., 1] ** 2 + bv2 * (1.0 - np.cos(x[..., 0])),
+        grad_V=lambda x: np.array([bv2 * np.sin(x.T[0]), M * x.T[1]]).T,
         convexity_class="convex",
         name="smib energy",
     )

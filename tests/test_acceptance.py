@@ -154,8 +154,11 @@ def test_acceptance_4_saddle_flow_disturbance_gain():
     emap = EquilibriumMap(sys)
     xbar = emap.solve_equilibrium(np.zeros(4), np.zeros(6))
     sigs = gaussian_disturbances(50, 4, 300, seed=0, scale=0.5)
-    rep = empirical_gain(sys, xbar, sigs, horizon=8.0, dt=5e-3)
-    assert rep["gain"] <= 1.01
+    # white noise barely excites the flow; a constant push along null(A)
+    # nearly attains the bound, so a bound too small would fail here
+    push = np.tile(0.5 * np.array([1.0, 0.0, -1.0, 0.0]) / np.sqrt(2.0), (300, 1))
+    rep = empirical_gain(sys, xbar, sigs + [push], horizon=8.0, dt=5e-3)
+    assert 0.8 <= rep["gain"] <= 1.01
 
     sys2 = catalog_build("ahu_saddle", {
         "mu": [1.0] * 4, "A": np.eye(4).tolist(), "b": [1.0, -0.5, 0.0, 0.0],

@@ -24,6 +24,7 @@ from eidlab import (
     verify_eid_dt,
     verify_kyp_lti,
 )
+from eidlab.equilibria import IoSample
 from eidlab.errors import DimensionMismatchError, RhatNotPsdError
 
 
@@ -388,3 +389,141 @@ def test_sample_pairs_contract(ph):
     assert np.allclose(x0, eq0.x)  # degenerate pair first
     again = sample_pairs(ph, (-np.ones(4), np.ones(4)), count=64, seed=9)
     assert np.allclose(pairs[5][0], again[5][0])
+
+
+# ---------------------------------------------------------------------------
+# the stacked kernel against the per-pair loop it replaced
+
+
+def _reference_residuals(sys, w, storage, pairs, W, ell, mode):
+    """Conditions (a) and (b) one pair at a time, with one lstsq per pair."""
+    qjs = w.Q @ sys.J + w.S
+    a_viol, b_res = [], []
+    for x, eq in pairs:
+        x = np.atleast_1d(np.asarray(x, dtype=float))
+        xb = eq.x if isinstance(eq, IoSample) else np.atleast_1d(np.asarray(eq, dtype=float))
+        df = sys.f(x) - sys.f(xb)
+        dh = sys.h(x) - sys.h(xb)
+        if sys.discrete:
+            dx = x - xb
+            s = float(df @ storage @ df) - float(dx @ storage @ dx)
+            c = qjs.T @ dh - sys.G.T @ (storage @ df)
+        else:
+            dgrad = np.asarray(storage.grad_V(x)) - np.asarray(storage.grad_V(xb))
+            s = float(dgrad @ df)
+            c = qjs.T @ dh - 0.5 * sys.G.T @ dgrad
+        if ell is None:
+            lvec = np.linalg.lstsq(W.T, c, rcond=None)[0]
+        else:
+            lvec = np.atleast_1d(np.asarray(ell(x, xb), dtype=float))
+        b_res.append(np.linalg.norm(W.T @ lvec[:W.shape[0]] - c))
+        gap = s - (float(dh @ w.Q @ dh) - float(lvec @ lvec))
+        a_viol.append(abs(gap) if mode == "equality" else max(gap, 0.0))
+    return np.array(a_viol), np.array(b_res)
+
+
+def _row_only_storage(ph):
+    # indexes one state's components, so a stack makes the probe disagree
+    gH = ph.meta["grad_H"]
+    return StorageGenerator(V=ph.storage.V, grad_V=lambda x: np.array([gH(x)[i] for i in range(4)]))
+
+
+def _equivalence_cases():
+    ph = catalog_build("port_hamiltonian", PH_PARAMS)
+    sqR, gH = ph.meta["sqrt_R"], ph.meta["grad_H"]
+    row_ell = lambda x, xb: sqR @ (gH(x) - gH(xb))  # (4, 4) @ (3, 4) fails on a stack
+    stack_ell = lambda x, xb: (gH(x) - gH(xb)) @ sqR.T
+    so = catalog_build("second_order", {"mu": 1.0, "c": 0.5})
+    smib = catalog_build("smib", {"M": 1.0, "D": 1.0, "b": 1.0, "V": 1.0, "P_m": 0.2})
+    dti = catalog_build("dt_integrator", {"alpha": 0.5, "n": 2})
+    lti = catalog_build("lti", {"F": [[0.5, 0.1], [0.0, 0.4]], "G": np.eye(2).tolist(),
+                                "discrete": True})
+    box = lambda n: (-np.ones(n), np.ones(n))
+    ifp = SupplyRate(np.zeros((2, 2)), 0.5 * np.eye(2), 0.25 * np.eye(2), warn_definite=False)
+    w_lti = SupplyRate([[-0.25, 0.0], [0.0, -0.25]], 0.5 * np.eye(2), np.eye(2),
+                       warn_definite=False)
+    return {
+        "ph/min-norm": (ph, box(4), SupplyRate.passivity(2), ph.storage, None),
+        "ph/osp-fail": (ph, box(4), SupplyRate.output_strict(5.0, 2), ph.storage, None),
+        "ph/row-ell": (ph, box(4), SupplyRate.passivity(2), ph.storage, row_ell),
+        "ph/stack-ell": (ph, box(4), SupplyRate.passivity(2), ph.storage, stack_ell),
+        # W = 2I, so this ell leaves a (b) residual at every pair
+        "ph/l2-row-ell": (ph, box(4), SupplyRate.l2_gain(2.0, 2, 2), ph.storage, row_ell),
+        "ph/row-storage": (ph, box(4), SupplyRate.output_strict(0.1, 2), _row_only_storage(ph),
+                           None),
+        "second_order": (so, box(2), SupplyRate.output_strict(0.5, 1), so.storage, None),
+        "smib/fail": (smib, (-0.8 * np.ones(2), 0.8 * np.ones(2)),
+                      SupplyRate.output_strict(2.0, 1), smib.storage, None),
+        "dt_integrator": (dti, box(2), ifp, dti.meta["P"], None),
+        "dt_integrator/ell": (dti, box(2), ifp, dti.meta["P"], lambda x, xb: 0.1 * (x - xb)),
+        "lti_dt": (lti, box(2), w_lti, 0.5 * np.eye(2), None),
+    }
+
+
+@pytest.mark.parametrize("mode", ["equality", "inequality"])
+@pytest.mark.parametrize("case", sorted(_equivalence_cases()))
+def test_stacked_kernel_matches_per_pair_reference(case, mode):
+    from eidlab import certify
+
+    sys, region, w, storage, ell = _equivalence_cases()[case]
+    pairs = sample_pairs(sys, region, count=400, seed=6)
+    verify = verify_eid_dt if sys.discrete else verify_eid_ct
+    cert = verify(sys, w, storage, pairs, ell=ell, mode=mode)
+    a_ref, b_ref = _reference_residuals(sys, w, storage, pairs, cert.W, ell, mode)
+    qjs = w.Q @ sys.J + w.S
+    X, Xbar = certify._stack_pairs(pairs, sys.n)
+    a_viol, b_res = certify._residuals(sys, w, qjs, storage, X, Xbar, cert.W, ell, mode)
+    np.testing.assert_allclose(a_viol, a_ref, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(b_res, b_ref, rtol=0, atol=1e-12)
+    ref_passed = (a_ref.max() <= cert.tolerances["tol_a"]
+                  and b_ref.max() <= cert.tolerances["tol_b"]
+                  and cert.stats.c_residual <= cert.tolerances["tol_c"])
+    assert cert.passed == ref_passed
+    # below 1e-12, rounding-level ties may pick another pair
+    if a_ref.max() > 1e-12:
+        assert cert.stats.worst_a_index == int(np.argmax(a_ref))
+    if b_ref.max() > 1e-12:
+        assert cert.stats.worst_b_index == int(np.argmax(b_ref))
+
+
+def test_equivalence_cases_take_the_intended_paths():
+    from eidlab.systems import _maps_stacks
+
+    cases = _equivalence_cases()
+    assert _maps_stacks(cases["ph/min-norm"][3].grad_V, 4)
+    assert not _maps_stacks(cases["ph/row-storage"][3].grad_V, 4)
+    pair_map = lambda ell: (lambda Z: ell(Z[..., :4], Z[..., 4:]))
+    assert not _maps_stacks(pair_map(cases["ph/row-ell"][4]), 8)
+    assert _maps_stacks(pair_map(cases["ph/stack-ell"][4]), 8)
+    verdicts = {name: verify_eid_ct(sys, w, gen, sample_pairs(sys, region, 100, seed=1),
+                                    ell=ell).passed
+                for name, (sys, region, w, gen, ell) in cases.items() if not sys.discrete}
+    assert verdicts["ph/min-norm"] and not verdicts["ph/osp-fail"]
+    assert not verdicts["smib/fail"]
+
+
+def test_verify_call_counts_do_not_grow_with_pairs(ph):
+    counts = {}
+
+    def counting(name, fn):
+        def wrapped(x):
+            counts[name] = counts.get(name, 0) + 1
+            return fn(x)
+        return wrapped
+
+    sys = catalog_build("port_hamiltonian", PH_PARAMS)
+    sys.f, sys.h = counting("f", sys.f), counting("h", sys.h)
+    gen = StorageGenerator(V=ph.storage.V, grad_V=counting("grad_V", ph.storage.grad_V))
+    dti = catalog_build("dt_integrator", {"alpha": 0.5, "n": 2})
+    dti.f, dti.h = counting("dt_f", dti.f), counting("dt_h", dti.h)
+    ifp = SupplyRate(np.zeros((2, 2)), 0.5 * np.eye(2), 0.25 * np.eye(2), warn_definite=False)
+    seen = []
+    for count in (200, 2000):
+        ct_pairs = sample_pairs(ph, (-np.ones(4), np.ones(4)), count=count, seed=2)
+        dt_pairs = sample_pairs(dti, (-np.ones(2), np.ones(2)), count=count, seed=2)
+        counts.clear()
+        verify_eid_ct(sys, SupplyRate.passivity(2), gen, ct_pairs)
+        verify_eid_dt(dti, ifp, dti.meta["P"], dt_pairs)
+        seen.append(dict(counts))
+    assert seen[0] == seen[1]
+    assert all(v <= 8 for v in seen[0].values()), seen[0]

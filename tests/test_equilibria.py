@@ -9,8 +9,9 @@ from eidlab.equilibria import (
     cocoercivity_check,
     maximality_conditions,
 )
-from eidlab.errors import NotAssignableError
-from eidlab.systems import SupplyRate, catalog_build
+from eidlab import numerics
+from eidlab.errors import NoConvergenceError, NotAssignableError
+from eidlab.systems import CtSystem, SupplyRate, catalog_build
 
 
 def test_annihilator_properties():
@@ -158,3 +159,102 @@ def test_maximality_requires_square():
                                 "G": [[1.0], [0.0]]})  # m=1, p=2
     with pytest.raises(ValueError):
         maximality_conditions(sys)
+
+
+# ---------------------------------------------------------------------------
+# batched projection
+
+
+def _reference_sample(emap, region, count, seed, tol=1e-11, max_iter=60):
+    """Per-candidate Gauss-Newton with one lstsq per step, as a loop."""
+    lo, hi = (np.asarray(b, dtype=float) for b in region)
+    rng = np.random.default_rng(seed)
+    xs, failures = [], 0
+    for _ in range(count):
+        x = rng.uniform(lo, hi, size=emap.system.n)
+        for _ in range(max_iter):
+            r = emap._constraint(x)
+            if np.linalg.norm(r) <= tol:
+                xs.append(x)
+                break
+            step, *_ = np.linalg.lstsq(numerics.fd_jacobian(emap._constraint, x), r, rcond=None)
+            x = x - step
+        else:
+            failures += 1
+    return np.array(xs), failures
+
+
+_PH = {
+    "J": [[0, 1, 0, 0], [-1, 0, 0, 0], [0, 0, 0, 1], [0, 0, -1, 0]],
+    "R": np.diag([0.5, 0.2, 0.3, 0.1]).tolist(),
+    "G": [[1, 0], [0, 0], [0, 1], [0, 0]],
+    "hamiltonian": {"P": np.diag([1.0, 2.0, 1.5, 1.0]).tolist(), "c": [0.3, 0.0, 0.2, 0.0]},
+}
+
+
+@pytest.mark.parametrize("family,params,n", [
+    ("port_hamiltonian", _PH, 4),
+    ("smib", {"M": 1.0, "D": 1.0, "b": 1.0, "V": 1.0, "P_m": 0.2}, 2),
+    ("second_order", {"mu": 1.0, "c": 0.5}, 2),
+    ("ahu_saddle", {"mu": [1.0] * 4, "c": [0.5] * 4, "A": [[1, 0, 1, 0], [0, 1, 0, 1]],
+                    "b": [1.0, -0.5]}, 6),
+])
+def test_batched_projection_matches_per_candidate_reference(family, params, n):
+    emap = EquilibriumMap(catalog_build(family, params))
+    region = (-np.ones(n), np.ones(n))
+    for seed in range(3):
+        samples = emap.sample_io_relation(region, 60, seed=seed)
+        xs, failures = _reference_sample(emap, region, 60, seed)
+        assert (len(samples), samples.projection_failures) == (len(xs), failures)
+        X = np.array([s.x for s in samples])
+        # the FD step makes a projection move by ~1e-10 when its start moves
+        # by rounding, so the stacked and per-row paths agree to 1e-9, not 1e-12
+        np.testing.assert_allclose(X, xs, rtol=0, atol=1e-9)
+        for s in list(samples)[:5]:
+            ref = emap.ku_ky(s.x)
+            np.testing.assert_allclose(np.concatenate([s.u, s.y]), np.concatenate([ref.u, ref.y]),
+                                       rtol=0, atol=1e-12)
+
+
+def _exploding_system():
+    # the constraint exp(40 x2) - 1 overflows for x2 above ~17.7 and needs
+    # more than 60 Gauss-Newton steps from x2 above ~1.5
+    return CtSystem(lambda x: np.array([0.0 * x[0], np.exp(40.0 * x[1]) - 1.0]),
+                    lambda x: x[:1], [[1.0], [0.0]])
+
+
+def test_non_finite_candidates_are_counted_not_raised(capfd):
+    emap = EquilibriumMap(_exploding_system())
+    region = (np.array([-1.0, -1.0]), np.array([1.0, 20.0]))
+    samples = emap.sample_io_relation(region, 40, seed=0)
+    assert samples.projection_failures > 0 and len(samples) > 0
+    assert len(samples) + samples.projection_failures == 40
+    for s in samples:
+        assert emap.assignability_residual(s.x) <= 1e-11
+    with pytest.raises(NoConvergenceError):
+        emap.project(np.array([0.0, 19.0]))
+    assert capfd.readouterr().err == ""
+
+
+def test_rank_deficient_jacobian_fails_the_row():
+    # x1² + 1 has no root, and its Jacobian (2 x1, 0) vanishes at x1 = 0
+    emap = EquilibriumMap(CtSystem(lambda x: np.array([0.0 * x[0], x[0] ** 2 + 1.0]),
+                                   lambda x: x[:1], [[1.0], [0.0]]))
+    X = emap.project(np.array([[0.0, 0.3], [0.5, 0.3]]))
+    assert np.isnan(X).all()
+    with pytest.raises(NoConvergenceError):
+        emap.project(np.array([0.0, 0.3]))
+
+
+def test_projection_f_calls_do_not_grow_with_candidates():
+    seen = []
+    for count in (10, 400):
+        sys = catalog_build("port_hamiltonian", _PH)
+        f, calls = sys.f, []
+        sys.f = lambda x, f=f, calls=calls: calls.append(len(x)) or f(x)
+        EquilibriumMap(sys).sample_io_relation((-np.ones(4), np.ones(4)), count, seed=1)
+        assert calls[0] == count  # every candidate in one stack
+        seen.append(len(calls))
+    # 4 Gauss-Newton steps of 2n + 1 calls each, the last residual check
+    # and the assignment, whatever the candidate count
+    assert seen == [38, 38]

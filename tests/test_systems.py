@@ -362,3 +362,25 @@ def test_row_only_callables_take_the_row_fallback():
         _assert_stack_matches_rows(sys)
     X = np.array([[1.0, 2.0], [3.0, 4.0]])
     np.testing.assert_array_equal(two.f(X), [[2.0, -1.0], [4.0, -3.0]])
+
+
+@pytest.mark.parametrize("family", sorted(f for f in FAMILIES if f != "lti"))
+def test_catalog_storage_generators_map_stacks(family):
+    sys = catalog_build(family, FAMILIES[family])
+    gen, n = sys.storage, sys.n
+    assert systems._maps_stacks(gen.grad_V, n)
+    X = np.random.default_rng(1).uniform(-1.5, 1.5, size=(n, n))  # N = n
+    for fn in (gen.V, gen.grad_V):
+        np.testing.assert_allclose(fn(X), np.array([fn(x) for x in X]), rtol=0, atol=1e-12)
+    assert isinstance(gen.V(X[0]), float)
+
+
+def test_quadratic_generator_maps_square_stacks_row_by_row():
+    # P @ X on an (n, n) stack runs without error but mixes the rows
+    P = np.array([[2.0, 0.5, 0.0], [0.5, 1.0, 0.3], [0.0, 0.3, 1.5]])
+    gen = StorageGenerator.quadratic(P)
+    X = np.arange(9.0).reshape(3, 3)
+    np.testing.assert_allclose(gen.grad_V(X), X @ P, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(gen.V(X), 0.5 * np.einsum("ij,jk,ik->i", X, P, X),
+                               rtol=0, atol=1e-12)
+    assert gen.V(X[1]) == pytest.approx(0.5 * X[1] @ P @ X[1])
