@@ -4,7 +4,8 @@ Every command reads JSON configuration, runs one analysis, writes a JSON
 report (and CSV artifacts where applicable) and exits 0 on a Pass verdict,
 2 on a valid run with a Fail verdict, and 1 on configuration or runtime
 errors.  Reports embed a hash of the resolved configuration and the seed so
-runs are reproducible and diffable in CI.
+runs are reproducible and diffable in CI.  Each command is one analysis
+body registered with :func:`_command`, which owns everything else.
 """
 
 from __future__ import annotations
@@ -12,27 +13,32 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-import sys as _sys
+import sys
+from dataclasses import dataclass
 from pathlib import Path
+from typing import Any, Optional
 
 import click
 import numpy as np
 
 from . import certify as certify_mod
 from . import equilibria, gains, interconnect, sim
-from .errors import EidLabError
+from .errors import ConfigError, EidLabError
 from .systems import SectorBounds, SupplyRate, load_system
 
 _EXIT_PASS = 0
 _EXIT_ERROR = 1
 _EXIT_FAIL = 2
 
-
-def _resolve_seed(seed):
-    if seed is not None:
-        return int(seed)
-    env = os.environ.get("EIDLAB_SEED")
-    return int(env) if env else 0
+_OPTIONS = (
+    click.option("--system", "system_file", type=click.Path(exists=True),
+                 default=None, help="system description JSON"),
+    click.option("--config", "config_file", type=click.Path(exists=True),
+                 default=None, help="analysis configuration JSON"),
+    click.option("--seed", type=int, default=None),
+    click.option("--tol", type=float, default=None),
+    click.option("--out", "out_dir", type=click.Path(), default="."),
+)
 
 
 def _config_hash(config: dict) -> str:
@@ -40,70 +46,111 @@ def _config_hash(config: dict) -> str:
     return hashlib.sha256(canon.encode()).hexdigest()[:16]
 
 
-def _load_config(path) -> dict:
-    if path is None:
-        return {}
-    with open(path) as fh:
-        return json.load(fh)
-
-
 def _parse_supply(spec: dict) -> SupplyRate:
-    kind = spec.get("type")
+    kind, m = spec.get("type"), int(spec.get("m", 1))
     if kind == "passivity":
-        return SupplyRate.passivity(int(spec.get("m", 1)))
+        return SupplyRate.passivity(m)
     if kind == "l2_gain":
-        return SupplyRate.l2_gain(float(spec["gamma"]), int(spec.get("p", 1)),
-                                  int(spec.get("m", 1)))
+        return SupplyRate.l2_gain(float(spec["gamma"]), int(spec.get("p", 1)), m)
     if kind == "output_strict":
-        return SupplyRate.output_strict(float(spec["a"]), int(spec.get("m", 1)))
+        return SupplyRate.output_strict(float(spec["a"]), m)
     if kind == "input_feedforward":
-        return SupplyRate.input_feedforward(float(spec["nu"]), int(spec.get("m", 1)))
+        return SupplyRate.input_feedforward(float(spec["nu"]), m)
     return SupplyRate(spec["Q"], spec["S"], spec["R"], warn_definite=False)
-
-
-def _region_box(spec, n):
-    if spec is None:
-        return (-np.ones(n), np.ones(n))
-    return (np.asarray(spec["lo"], dtype=float), np.asarray(spec["hi"], dtype=float))
-
-
-def _emit(command: str, config: dict, seed: int, verdict: str,
-          metrics: dict, artifacts, out_dir) -> int:
-    report = {
-        "command": command,
-        "config_hash": _config_hash(config),
-        "seed": seed,
-        "verdict": verdict,
-        "metrics": metrics,
-        "artifacts": [str(a) for a in artifacts],
-    }
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    path = out / f"{command.replace('-', '_')}_report.json"
-    path.write_text(json.dumps(report, indent=2, default=_jsonify))
-    click.echo(json.dumps(report, indent=2, default=_jsonify))
-    return _EXIT_PASS if verdict == "pass" else _EXIT_FAIL
 
 
 def _jsonify(obj):
     if isinstance(obj, np.ndarray):
         return obj.tolist()
-    if isinstance(obj, (np.floating, np.integer)):
+    if isinstance(obj, np.generic):
         return obj.item()
-    if isinstance(obj, (np.bool_,)):
-        return bool(obj)
     return str(obj)
 
 
-def _common(fn):
-    fn = click.option("--system", "system_file", type=click.Path(exists=True),
-                      default=None, help="system description JSON")(fn)
-    fn = click.option("--config", "config_file", type=click.Path(exists=True),
-                      default=None, help="analysis configuration JSON")(fn)
-    fn = click.option("--seed", type=int, default=None)(fn)
-    fn = click.option("--tol", type=float, default=None)(fn)
-    fn = click.option("--out", "out_dir", type=click.Path(), default=".")(fn)
-    return fn
+@dataclass
+class _Run:
+    """One command invocation: the configuration, seed, ``--tol`` as given,
+    output directory and (for commands that take one) the loaded system."""
+
+    cfg: dict
+    seed: int
+    tol: Optional[float]
+    out: Path
+    system: Any = None
+
+    @property
+    def tolerance(self) -> float:
+        """``--tol``, or 1e-9 for analyses without a default of their own."""
+        return 1e-9 if self.tol is None else self.tol
+
+    def supply(self) -> SupplyRate:
+        """The configured supply rate; passivity on the system's inputs by default."""
+        return _parse_supply(self.cfg.get("supply", {"type": "passivity", "m": self.system.m}))
+
+    def generator(self):
+        if self.system.storage is None:
+            raise EidLabError("system has no storage generator")
+        return self.system.storage
+
+    def storage_matrix(self):
+        """The discrete-time storage matrix P: the config's, else the system's."""
+        P = self.cfg.get("P", self.system.meta.get("P"))
+        if P is None:
+            raise EidLabError("no storage matrix P given or known for this system")
+        return np.asarray(P, dtype=float)
+
+    def region(self):
+        """The configured state box, [-1, 1]^n by default."""
+        spec = self.cfg.get("region", {"lo": -np.ones(self.system.n), "hi": np.ones(self.system.n)})
+        return (np.asarray(spec["lo"], dtype=float), np.asarray(spec["hi"], dtype=float))
+
+    def pairs(self):
+        count = int(self.cfg.get("pairs", 500))
+        return certify_mod.sample_pairs(self.system, self.region(), count=count, seed=self.seed)
+
+    def equilibrium(self):
+        """The configured ``xbar`` projected onto the equilibrium set, and its (u, y)."""
+        emap = equilibria.EquilibriumMap(self.system)
+        xbar = emap.project(np.asarray(self.cfg["xbar"], dtype=float))
+        return xbar, emap.ku_ky(xbar)
+
+    def simulate(self, x0, u):
+        if self.system.discrete:
+            return sim.simulate_dt(self.system, x0, u, steps=int(self.cfg.get("steps", 100)))
+        return sim.simulate_ct(self.system, x0, u, T=float(self.cfg.get("T", 1.0)),
+                               dt=float(self.cfg.get("dt", 1e-3)))
+
+
+def _start(system_file, config_file, seed, tol, out_dir, needs_system) -> _Run:
+    cfg = {}
+    if config_file is not None:
+        with open(config_file) as fh:
+            cfg = json.load(fh)
+        if not isinstance(cfg, dict):
+            raise ConfigError("configuration must be a JSON object")
+    if needs_system and system_file is None:
+        raise ConfigError("--system is required for this command")
+    system = load_system(system_file) if needs_system else None
+    if seed is None:
+        seed = int(os.environ.get("EIDLAB_SEED") or 0)
+    out = Path(out_dir)
+    out.mkdir(parents=True, exist_ok=True)
+    return _Run(cfg, seed, tol, out, system)
+
+
+def _emit(command: str, run: _Run, verdict: str, metrics: dict, artifacts) -> int:
+    report = {
+        "command": command,
+        "config_hash": _config_hash(run.cfg),
+        "seed": run.seed,
+        "verdict": verdict,
+        "metrics": metrics,
+        "artifacts": [str(a) for a in artifacts],
+    }
+    text = json.dumps(report, indent=2, default=_jsonify)
+    (run.out / f"{command.replace('-', '_')}_report.json").write_text(text)
+    click.echo(text)
+    return _EXIT_PASS if verdict == "pass" else _EXIT_FAIL
 
 
 @click.group()
@@ -111,328 +158,197 @@ def main():
     """eid-lab: equilibrium-independent dissipativity certification."""
 
 
-def _run(ctx_exit, body):
-    try:
-        ctx_exit(body())
-    except (EidLabError, OSError, KeyError, ValueError, json.JSONDecodeError) as exc:
-        click.echo(f"error: {exc}", err=True)
-        ctx_exit(_EXIT_ERROR)
+def _command(name: str, needs_system: bool = False):
+    """Register ``body(run) -> (verdict, metrics, artifacts)`` as command ``name``."""
+    def register(body):
+        def command(system_file, config_file, seed, tol, out_dir):
+            try:
+                run = _start(system_file, config_file, seed, tol, out_dir, needs_system)
+                code = _emit(name, run, *body(run))
+            except (EidLabError, OSError, KeyError, ValueError) as exc:
+                message = f"missing key {exc}" if isinstance(exc, KeyError) else exc
+                click.echo(f"error: {message}", err=True)
+                code = _EXIT_ERROR
+            sys.exit(code)
+        for option in _OPTIONS:
+            command = option(command)
+        main.command(name, help=body.__doc__)(command)
+        return body
+    return register
 
 
-def _require_system(system_file):
-    if system_file is None:
-        raise click.ClickException("--system is required for this command")
-    return load_system(system_file)
+def _certificate(run: _Run, verify, storage):
+    kw = {} if run.tol is None else {"tol_a": run.tol, "tol_b": run.tol}
+    cert = verify(run.system, run.supply(), storage, run.pairs(),
+                  mode=run.cfg.get("mode", "inequality"), seed=run.seed, **kw)
+    return cert.verdict, cert.to_dict(), []
 
 
-def _pairs_for(system, cfg, seed):
-    region = _region_box(cfg.get("region"), system.n)
-    count = int(cfg.get("pairs", 500))
-    return certify_mod.sample_pairs(system, region, count=count, seed=seed)
-
-
-@main.command("certify")
-@_common
-def cmd_certify(system_file, config_file, seed, tol, out_dir):
+@_command("certify", needs_system=True)
+def _certify(run):
     """Continuous-time EID certification for a catalog system."""
-    def body():
-        cfg = _load_config(config_file)
-        system = _require_system(system_file)
-        rseed = _resolve_seed(seed)
-        w = _parse_supply(cfg.get("supply", {"type": "passivity", "m": system.m}))
-        gen = system.storage
-        if gen is None:
-            raise EidLabError("system has no storage generator")
-        pairs = _pairs_for(system, cfg, rseed)
-        kw = {}
-        if tol is not None:
-            kw = {"tol_a": tol, "tol_b": tol}
-        cert = certify_mod.verify_eid_ct(system, w, gen, pairs,
-                                         mode=cfg.get("mode", "inequality"),
-                                         seed=rseed, **kw)
-        return _emit("certify", cfg, rseed, cert.verdict, cert.to_dict(), [], out_dir)
-    _run(_sys.exit, body)
+    return _certificate(run, certify_mod.verify_eid_ct, run.generator())
 
 
-@main.command("certify-dt")
-@_common
-def cmd_certify_dt(system_file, config_file, seed, tol, out_dir):
+@_command("certify-dt", needs_system=True)
+def _certify_dt(run):
     """Discrete-time EID certification with quadratic storage."""
-    def body():
-        cfg = _load_config(config_file)
-        system = _require_system(system_file)
-        rseed = _resolve_seed(seed)
-        w = _parse_supply(cfg.get("supply", {"type": "passivity", "m": system.m}))
-        P = np.asarray(cfg["P"], dtype=float) if "P" in cfg else system.meta.get("P")
-        if P is None:
-            raise EidLabError("no storage matrix P given or known for this system")
-        pairs = _pairs_for(system, cfg, rseed)
-        kw = {"tol_a": tol, "tol_b": tol} if tol is not None else {}
-        cert = certify_mod.verify_eid_dt(system, w, P, pairs,
-                                         mode=cfg.get("mode", "inequality"),
-                                         seed=rseed, **kw)
-        return _emit("certify-dt", cfg, rseed, cert.verdict, cert.to_dict(), [], out_dir)
-    _run(_sys.exit, body)
+    return _certificate(run, certify_mod.verify_eid_dt, run.storage_matrix())
 
 
-@main.command("kyp")
-@_common
-def cmd_kyp(system_file, config_file, seed, tol, out_dir):
+@_command("kyp")
+def _kyp(run):
     """Linear dissipativity check for a given quadratic storage."""
-    def body():
-        cfg = _load_config(config_file)
-        rseed = _resolve_seed(seed)
-        w = _parse_supply(cfg["supply"])
-        n, m = np.atleast_2d(cfg["G"]).shape
-        H = np.atleast_2d(cfg.get("H", np.eye(n)))
-        J = cfg.get("J", np.zeros((H.shape[0], m)))
-        res = certify_mod.verify_kyp_lti(cfg["F"], cfg["G"], H, J, w, cfg["P"],
-                                         tol=tol if tol is not None else 1e-9)
-        verdict = "pass" if res["passed"] else "fail"
-        metrics = {"lambda_max": res["lambda_max"]}
-        return _emit("kyp", cfg, rseed, verdict, metrics, [], out_dir)
-    _run(_sys.exit, body)
+    cfg = run.cfg
+    w = _parse_supply(cfg["supply"])
+    n, m = np.atleast_2d(cfg["G"]).shape
+    H = np.atleast_2d(cfg.get("H", np.eye(n)))
+    J = cfg.get("J", np.zeros((H.shape[0], m)))
+    res = certify_mod.verify_kyp_lti(cfg["F"], cfg["G"], H, J, w, cfg["P"], tol=run.tolerance)
+    return ("pass" if res["passed"] else "fail"), {"lambda_max": res["lambda_max"]}, []
 
 
-@main.command("region")
-@_common
-def cmd_region(system_file, config_file, seed, tol, out_dir):
+@_command("region")
+def _region(run):
     """Sweep the feedforward-passivity feasibility region to CSV."""
-    def body():
-        cfg = _load_config(config_file)
-        rseed = _resolve_seed(seed)
-        reg = gains.FeasibleRegion(mu=float(cfg["mu"]), g=float(cfg["g"]),
-                                   j=float(cfg["j"]))
-        nu_lo = float(cfg.get("nu_min", 0.0))
-        nu_hi = float(cfg.get("nu_max", reg.nu_intercept))
-        points = int(cfg.get("points", 101))
-        out = Path(out_dir)
-        out.mkdir(parents=True, exist_ok=True)
-        csv_path = out / "region.csv"
-        with open(csv_path, "w") as fh:
-            fh.write("nu,rho_max_eq16,rho_max_eq18,member\n")
-            for nu in np.linspace(nu_lo, nu_hi, points):
-                r16 = reg.rho_max_feedthrough(nu)
-                r18 = reg.rho_max_curvature(nu)
-                probe = 0.5 * min(r16, r18)
-                member = reg.membership(nu, probe) if probe > 0 else (nu < reg.nu_intercept)
-                fh.write(f"{nu},{r16},{r18},{int(member)}\n")
-        metrics = {
-            "nu_intercept": reg.nu_intercept,
-            "rho_intercept_eq16": reg.rho_intercept_feedthrough,
-            "rho_intercept_eq18": reg.rho_intercept_curvature,
-        }
-        return _emit("region", cfg, rseed, "pass", metrics, [csv_path], out_dir)
-    _run(_sys.exit, body)
+    cfg = run.cfg
+    reg = gains.FeasibleRegion(mu=float(cfg["mu"]), g=float(cfg["g"]), j=float(cfg["j"]))
+    nu_lo = float(cfg.get("nu_min", 0.0))
+    nu_hi = float(cfg.get("nu_max", reg.nu_intercept))
+    points = int(cfg.get("points", 101))
+    csv_path = run.out / "region.csv"
+    with open(csv_path, "w") as fh:
+        fh.write("nu,rho_max_eq16,rho_max_eq18,member\n")
+        for nu in np.linspace(nu_lo, nu_hi, points):
+            r16 = reg.rho_max_feedthrough(nu)
+            r18 = reg.rho_max_curvature(nu)
+            probe = 0.5 * min(r16, r18)
+            member = reg.membership(nu, probe) if probe > 0 else (nu < reg.nu_intercept)
+            fh.write(f"{nu},{r16},{r18},{int(member)}\n")
+    metrics = {
+        "nu_intercept": reg.nu_intercept,
+        "rho_intercept_eq16": reg.rho_intercept_feedthrough,
+        "rho_intercept_eq18": reg.rho_intercept_curvature,
+    }
+    return "pass", metrics, [csv_path]
 
 
-@main.command("gain")
-@_common
-def cmd_gain(system_file, config_file, seed, tol, out_dir):
+@_command("gain")
+def _gain(run):
     """Closed-form gain sweep to CSV."""
-    def body():
-        cfg = _load_config(config_file)
-        rseed = _resolve_seed(seed)
-        formula = cfg["formula"]
-        out = Path(out_dir)
-        out.mkdir(parents=True, exist_ok=True)
-        csv_path = out / "gain_sweep.csv"
-        rows = []
-        if formula == "ifp_osp":
-            b = float(cfg.get("b", 0.0))
-            for a in cfg["grid"]:
-                rows.append((a, gains.ifp_osp_gain(float(a), b).gamma))
-            param = "a"
-        elif formula == "dt_gradient":
-            mu = float(cfg.get("mu", 1.0))
-            grid = [1e-6] + [float(v) for v in cfg["grid"]]  # asymptote row first
-            for alpha in grid:
-                rows.append((alpha, gains.dt_gradient_gain(mu, alpha).gamma))
-            param = "alpha"
-        elif formula == "ahu":
-            bound = gains.ahu_gain(cfg["M"], cfg["A"], cfg.get("K", np.zeros(
-                (np.atleast_2d(cfg["A"]).shape[0],) * 2)))
-            rows.append((0.0, bound.gamma))
-            param = "index"
-        else:
-            raise EidLabError(f"unknown gain formula {formula!r}")
-        with open(csv_path, "w") as fh:
-            fh.write(f"{param},gamma\n")
-            for k, g in rows:
-                fh.write(f"{k},{g}\n")
-        metrics = {"formula": formula, "max_gamma": max(g for _, g in rows)}
-        return _emit("gain", cfg, rseed, "pass", metrics, [csv_path], out_dir)
-    _run(_sys.exit, body)
+    cfg = run.cfg
+    formula = cfg["formula"]
+    if formula == "ifp_osp":
+        b = float(cfg.get("b", 0.0))
+        param, rows = "a", [(a, gains.ifp_osp_gain(float(a), b).gamma) for a in cfg["grid"]]
+    elif formula == "dt_gradient":
+        mu = float(cfg.get("mu", 1.0))
+        grid = [1e-6] + [float(v) for v in cfg["grid"]]  # asymptote row first
+        param, rows = "alpha", [(alpha, gains.dt_gradient_gain(mu, alpha).gamma) for alpha in grid]
+    elif formula == "ahu":
+        K = cfg.get("K", np.zeros((np.atleast_2d(cfg["A"]).shape[0],) * 2))
+        param, rows = "index", [(0.0, gains.ahu_gain(cfg["M"], cfg["A"], K).gamma)]
+    else:
+        raise EidLabError(f"unknown gain formula {formula!r}")
+    csv_path = run.out / "gain_sweep.csv"
+    with open(csv_path, "w") as fh:
+        fh.write(f"{param},gamma\n")
+        for k, g in rows:
+            fh.write(f"{k},{g}\n")
+    return "pass", {"formula": formula, "max_gamma": max(g for _, g in rows)}, [csv_path]
 
 
-@main.command("compose")
-@_common
-def cmd_compose(system_file, config_file, seed, tol, out_dir):
+@_command("compose")
+def _compose(run):
     """Supply-rate composition and kappa search across the feedback loop."""
-    def body():
-        cfg = _load_config(config_file)
-        rseed = _resolve_seed(seed)
-        w1 = _parse_supply(cfg["w1"])
-        w2 = _parse_supply(cfg["w2"])
-        if "kappa" in cfg:
-            comp = interconnect.compose_supply(w1, w2, float(cfg["kappa"]))
-            lam = comp.lambda_max_q
-            verdict = "pass" if lam < -(tol if tol is not None else 1e-9) else "fail"
-            metrics = {"kappa": comp.kappa, "lambda_max_q": lam,
-                       "Q_cl": comp.Q_cl, "S_cl": comp.S_cl, "R_cl": comp.R_cl}
-        else:
-            krange = tuple(cfg.get("kappa_range", (1e-4, 1e4)))
-            res = interconnect.kappa_search(w1, w2, krange,
-                                            grid=int(cfg.get("grid", 60)),
-                                            tol=tol if tol is not None else 1e-9)
-            verdict = res["verdict"]
-            metrics = {"kappa": res["kappa"], "lambda_max_q": res["lambda_max_q"]}
-        return _emit("compose", cfg, rseed, verdict, metrics, [], out_dir)
-    _run(_sys.exit, body)
+    cfg = run.cfg
+    w1 = _parse_supply(cfg["w1"])
+    w2 = _parse_supply(cfg["w2"])
+    if "kappa" in cfg:
+        comp = interconnect.compose_supply(w1, w2, float(cfg["kappa"]))
+        lam = comp.lambda_max_q
+        verdict = "pass" if lam < -run.tolerance else "fail"
+        metrics = {"kappa": comp.kappa, "lambda_max_q": lam,
+                   "Q_cl": comp.Q_cl, "S_cl": comp.S_cl, "R_cl": comp.R_cl}
+    else:
+        res = interconnect.kappa_search(w1, w2, tuple(cfg.get("kappa_range", (1e-4, 1e4))),
+                                        grid=int(cfg.get("grid", 60)), tol=run.tolerance)
+        verdict = res["verdict"]
+        metrics = {"kappa": res["kappa"], "lambda_max_q": res["lambda_max_q"]}
+    return verdict, metrics, []
 
 
-@main.command("circle")
-@_common
-def cmd_circle(system_file, config_file, seed, tol, out_dir):
+@_command("circle", needs_system=True)
+def _circle(run):
     """Sector absolute-stability certificate search."""
-    def body():
-        cfg = _load_config(config_file)
-        system = _require_system(system_file)
-        rseed = _resolve_seed(seed)
-        sector = cfg["sector"]
-        bounds = SectorBounds.scalar(float(sector["alpha"]), float(sector["beta"]),
-                                     m=system.m)
-        gen = system.storage
-        if gen is None:
-            raise EidLabError("system has no storage generator")
-        pairs = _pairs_for(system, cfg, rseed)
-        res = interconnect.circle_criterion(system, bounds, gen, pairs,
-                                            tol=tol if tol is not None else 1e-9)
-        metrics = {"certified_eps": res["certified_eps"]}
-        return _emit("circle", cfg, rseed, res["verdict"], metrics, [], out_dir)
-    _run(_sys.exit, body)
+    sector = run.cfg["sector"]
+    bounds = SectorBounds.scalar(float(sector["alpha"]), float(sector["beta"]), m=run.system.m)
+    res = interconnect.circle_criterion(run.system, bounds, run.generator(), run.pairs(),
+                                        tol=run.tolerance)
+    return res["verdict"], {"certified_eps": res["certified_eps"]}, []
 
 
-def _input_from_config(cfg, m):
-    spec = cfg.get("input", {"type": "zero"})
-    if spec["type"] == "zero":
-        return None
-    if spec["type"] == "constant":
-        return np.atleast_1d(np.asarray(spec["value"], dtype=float))
-    raise EidLabError(f"unknown input type {spec['type']!r}")
-
-
-@main.command("simulate")
-@_common
-def cmd_simulate(system_file, config_file, seed, tol, out_dir):
+@_command("simulate", needs_system=True)
+def _simulate(run):
     """Simulate a trajectory and export it to CSV."""
-    def body():
-        cfg = _load_config(config_file)
-        system = _require_system(system_file)
-        rseed = _resolve_seed(seed)
-        x0 = np.asarray(cfg["x0"], dtype=float)
-        if system.discrete:
-            traj = sim.simulate_dt(system, x0, _input_from_config(cfg, system.m),
-                                   steps=int(cfg.get("steps", 100)))
-        else:
-            traj = sim.simulate_ct(system, x0, _input_from_config(cfg, system.m),
-                                   T=float(cfg.get("T", 1.0)),
-                                   dt=float(cfg.get("dt", 1e-3)))
-        out = Path(out_dir)
-        out.mkdir(parents=True, exist_ok=True)
-        csv_path = out / "trajectory.csv"
-        traj.to_csv(csv_path)
-        metrics = {"final_state": traj.states[-1], "samples": len(traj)}
-        return _emit("simulate", cfg, rseed, "pass", metrics, [csv_path], out_dir)
-    _run(_sys.exit, body)
+    spec = run.cfg.get("input", {"type": "zero"})
+    if spec["type"] not in ("zero", "constant"):
+        raise EidLabError(f"unknown input type {spec['type']!r}")
+    u = np.atleast_1d(np.asarray(spec["value"], dtype=float)) if spec["type"] == "constant" else None
+    traj = run.simulate(run.cfg["x0"], u)
+    csv_path = run.out / "trajectory.csv"
+    traj.to_csv(csv_path)
+    return "pass", {"final_state": traj.states[-1], "samples": len(traj)}, [csv_path]
 
 
-@main.command("audit")
-@_common
-def cmd_audit(system_file, config_file, seed, tol, out_dir):
+@_command("audit", needs_system=True)
+def _audit(run):
     """Simulate and audit the dissipation inequality along the run."""
-    def body():
-        cfg = _load_config(config_file)
-        system = _require_system(system_file)
-        rseed = _resolve_seed(seed)
-        w = _parse_supply(cfg.get("supply", {"type": "passivity", "m": system.m}))
-        emap = equilibria.EquilibriumMap(system)
-        xbar = emap.project(np.asarray(cfg["xbar"], dtype=float))
-        eq = emap.ku_ky(xbar)
-        x0 = np.asarray(cfg.get("x0", xbar), dtype=float)
-        if system.discrete:
-            traj = sim.simulate_dt(system, x0, eq.u, steps=int(cfg.get("steps", 100)))
-            storage = system.meta.get("P")
-            if "P" in cfg:
-                storage = np.asarray(cfg["P"], dtype=float)
-            audit = sim.audit_dissipation(traj, storage, w, eq.u, eq.y, xbar=xbar,
-                                          tol=tol)
-        else:
-            traj = sim.simulate_ct(system, x0, eq.u,
-                                   T=float(cfg.get("T", 1.0)),
-                                   dt=float(cfg.get("dt", 1e-3)))
-            storage = certify_mod.BregmanStorage(system.storage, xbar)
-            audit = sim.audit_dissipation(traj, storage, w, eq.u, eq.y, tol=tol)
-        out = Path(out_dir)
-        out.mkdir(parents=True, exist_ok=True)
-        csv_path = out / "audit.csv"
-        audit.to_csv(csv_path, times=traj.times)
-        metrics = {"max_violation": audit.max_violation, "tol": audit.tol}
-        return _emit("audit", cfg, rseed, audit.verdict, metrics, [csv_path], out_dir)
-    _run(_sys.exit, body)
+    w = run.supply()
+    xbar, eq = run.equilibrium()
+    if run.system.discrete:
+        storage = run.storage_matrix()
+    else:
+        storage = certify_mod.BregmanStorage(run.generator(), xbar)
+    traj = run.simulate(run.cfg.get("x0", xbar), eq.u)
+    audit = sim.audit_dissipation(traj, storage, w, eq.u, eq.y, xbar=xbar, tol=run.tol)
+    csv_path = run.out / "audit.csv"
+    audit.to_csv(csv_path, times=traj.times)
+    metrics = {"max_violation": audit.max_violation, "tol": audit.tol}
+    return audit.verdict, metrics, [csv_path]
 
 
-@main.command("stability")
-@_common
-def cmd_stability(system_file, config_file, seed, tol, out_dir):
+@_command("stability", needs_system=True)
+def _stability(run):
     """Probe-shell convergence experiment around an equilibrium."""
-    def body():
-        cfg = _load_config(config_file)
-        system = _require_system(system_file)
-        rseed = _resolve_seed(seed)
-        emap = equilibria.EquilibriumMap(system)
-        xbar = emap.project(np.asarray(cfg["xbar"], dtype=float))
-        eq = emap.ku_ky(xbar)
-        res = sim.stability_experiment(
-            system, xbar, eq.u,
-            radius=float(cfg.get("radius", 0.1)),
-            probes=int(cfg.get("probes", 32)),
-            horizon=float(cfg.get("horizon", 20.0)),
-            dt=float(cfg.get("dt", 1e-3)),
-            steps=int(cfg.get("steps", 2000)),
-        )
-        verdict = "pass" if res["converged_fraction"] == 1.0 else "fail"
-        metrics = {"converged_fraction": res["converged_fraction"],
-                   "max_final_distance": res["max_final_distance"]}
-        return _emit("stability", cfg, rseed, verdict, metrics, [], out_dir)
-    _run(_sys.exit, body)
+    xbar, eq = run.equilibrium()
+    res = sim.stability_experiment(
+        run.system, xbar, eq.u,
+        radius=float(run.cfg.get("radius", 0.1)),
+        probes=int(run.cfg.get("probes", 32)),
+        horizon=float(run.cfg.get("horizon", 20.0)),
+        dt=float(run.cfg.get("dt", 1e-3)),
+        steps=int(run.cfg.get("steps", 2000)),
+    )
+    verdict = "pass" if res["converged_fraction"] == 1.0 else "fail"
+    metrics = {"converged_fraction": res["converged_fraction"],
+               "max_final_distance": res["max_final_distance"]}
+    return verdict, metrics, []
 
 
-@main.command("io-relation")
-@_common
-def cmd_io_relation(system_file, config_file, seed, tol, out_dir):
+@_command("io-relation", needs_system=True)
+def _io_relation(run):
     """Sample the equilibrium I/O relation and check pairwise dissipativity."""
-    def body():
-        cfg = _load_config(config_file)
-        system = _require_system(system_file)
-        rseed = _resolve_seed(seed)
-        emap = equilibria.EquilibriumMap(system)
-        region = _region_box(cfg.get("region"), system.n)
-        samples = emap.sample_io_relation(region, int(cfg.get("count", 50)),
-                                          seed=rseed)
-        out = Path(out_dir)
-        out.mkdir(parents=True, exist_ok=True)
-        csv_path = out / "io_relation.csv"
-        samples.to_csv(csv_path)
-        w = _parse_supply(cfg.get("supply", {"type": "passivity", "m": system.m}))
-        rep = equilibria.check_relation_dissipativity(
-            samples, w, tol=tol if tol is not None else 1e-9)
-        verdict = "pass" if rep["monotone"] else "fail"
-        metrics = {"min_pair_value": rep["min_pair_value"],
-                   "n_samples": len(samples),
-                   "projection_failures": samples.projection_failures}
-        return _emit("io-relation", cfg, rseed, verdict, metrics, [csv_path], out_dir)
-    _run(_sys.exit, body)
+    emap = equilibria.EquilibriumMap(run.system)
+    samples = emap.sample_io_relation(run.region(), int(run.cfg.get("count", 50)), seed=run.seed)
+    csv_path = run.out / "io_relation.csv"
+    samples.to_csv(csv_path)
+    rep = equilibria.check_relation_dissipativity(samples, run.supply(), tol=run.tolerance)
+    verdict = "pass" if rep["monotone"] else "fail"
+    metrics = {"min_pair_value": rep["min_pair_value"],
+               "n_samples": len(samples),
+               "projection_failures": samples.projection_failures}
+    return verdict, metrics, [csv_path]
 
 
 if __name__ == "__main__":

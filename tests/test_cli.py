@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -293,3 +297,124 @@ def test_system_path_with_brace_in_directory(runner, tmp_path):
                                   "--seed", "1", "--out", str(tmp_path)])
     assert result.exit_code == 0, result.output
     assert _report(result)["verdict"] == "pass"
+
+
+# ---------------------------------------------------------------------------
+# the contract every command shares
+
+
+_SYSTEMS = {
+    "gradient_ff": {"family": "gradient_ff", "params": {"mu": 2.0, "g": 1.0, "j": 0.9, "n": 1}},
+    "dt_integrator": {"family": "dt_integrator", "params": {"alpha": 0.5}},
+    "smib": {"family": "smib", "params": {"M": 1.0, "D": 1.0, "b": 1.0, "V": 1.0, "P_m": 0.2}},
+    "lti_decay": {"family": "lti", "params": {"F": [[-1.0]], "G": [[1.0]]}},
+    "second_order": {"family": "second_order", "params": {"mu": 1.0}},
+    "dt_gradient": {"family": "dt_gradient", "params": {"mu": 1.0, "alpha": 3.0}},
+}
+
+# (command, system or None, small config); both verdicts occur
+_CONTRACT_CASES = [
+    ("certify", "gradient_ff",
+     {"supply": {"Q": [[-0.3]], "S": [[0.5]], "R": [[-0.2]]}, "pairs": 30}),
+    ("certify-dt", "dt_integrator",
+     {"supply": {"Q": [[0.0]], "S": [[0.5]], "R": [[0.25]]}, "pairs": 30}),
+    ("kyp", None, {"F": [[-1.0]], "G": [[1.0]], "H": [[1.0]], "P": [[0.5]],
+                   "supply": {"type": "passivity"}}),
+    ("region", None, {"mu": 2.0, "g": 1.0, "j": 0.9, "points": 5}),
+    ("gain", None, {"formula": "ifp_osp", "b": 0.5, "grid": [0.5, 1.0]}),
+    ("compose", None, {"w1": {"type": "passivity"}, "w2": {"type": "passivity"},
+                       "grid": 10}),
+    ("circle", "smib", {"sector": {"alpha": 0.0, "beta": 1.0}, "pairs": 40,
+                        "region": {"lo": [-1.2, -0.5], "hi": [1.2, 0.5]}}),
+    ("simulate", "lti_decay", {"x0": [1.0], "T": 0.1, "dt": 0.01}),
+    ("audit", "second_order", {"xbar": [0.5, 0.0], "x0": [0.6, 0.1], "T": 0.2, "dt": 0.01}),
+    ("stability", "dt_gradient", {"xbar": [0.0], "radius": 0.2, "probes": 4, "steps": 50}),
+    ("io-relation", "gradient_ff", {"count": 10}),
+]
+
+
+def test_contract_cases_cover_every_command():
+    assert sorted(c for c, _, _ in _CONTRACT_CASES) == sorted(main.commands)
+
+
+@pytest.mark.parametrize("command,system,config", _CONTRACT_CASES,
+                         ids=[c for c, _, _ in _CONTRACT_CASES])
+def test_command_contract(runner, tmp_path, command, system, config):
+    out = tmp_path / "out"
+    args = [command, "--config", _write(tmp_path, "cfg.json", config), "--seed", "2",
+            "--out", str(out)]
+    if system is not None:
+        sys_path = _write(tmp_path, "sys.json", {"schema": 1, **_SYSTEMS[system]})
+        missing = runner.invoke(main, args)
+        assert missing.exit_code == 1
+        assert missing.stderr.strip() == "error: --system is required for this command"
+        args += ["--system", sys_path]
+    result = runner.invoke(main, args)
+    assert result.exit_code in (0, 2), result.output
+    rep = json.loads(result.stdout)
+    assert result.exit_code == (0 if rep["verdict"] == "pass" else 2)
+    assert list(rep) == ["command", "config_hash", "seed", "verdict", "metrics", "artifacts"]
+    assert rep["command"] == command and rep["seed"] == 2
+    on_disk = out / f"{command.replace('-', '_')}_report.json"
+    assert json.loads(on_disk.read_text()) == rep
+    for artifact in rep["artifacts"]:
+        assert Path(artifact).is_file()
+
+
+def test_module_entry_point_lists_every_command():
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (str(src), os.environ.get("PYTHONPATH")) if p)}
+    proc = subprocess.run([sys.executable, "-m", "eidlab.cli", "--help"],
+                          capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.split("Commands:", 1)[1].strip().splitlines()
+    assert [line.split()[0] for line in lines] == [
+        "audit", "certify", "certify-dt", "circle", "compose", "gain",
+        "io-relation", "kyp", "region", "simulate", "stability",
+    ]
+
+
+# ---------------------------------------------------------------------------
+# error messages
+
+
+def _error(result):
+    assert result.exit_code == 1
+    assert result.stdout == ""
+    return result.stderr.strip()
+
+
+def test_missing_config_key_names_the_key(runner, tmp_path):
+    sys_path = _write(tmp_path, "sys.json", {"schema": 1, **_SYSTEMS["lti_decay"]})
+    cfg = _write(tmp_path, "cfg.json", {"T": 0.1})
+    result = runner.invoke(main, ["simulate", "--system", sys_path, "--config", cfg,
+                                  "--out", str(tmp_path)])
+    assert _error(result) == "error: missing key 'x0'"
+
+
+def test_non_object_config_is_a_config_error(runner, tmp_path):
+    cfg = _write(tmp_path, "cfg.json", [1, 2])
+    result = runner.invoke(main, ["region", "--config", cfg, "--out", str(tmp_path)])
+    assert _error(result) == "error: configuration must be a JSON object"
+
+
+def test_audit_without_storage_generator_is_an_error(runner, tmp_path):
+    # the lti family has no storage generator; this used to escape as an
+    # AttributeError traceback
+    sys_path = _write(tmp_path, "sys.json", {"schema": 1, **_SYSTEMS["lti_decay"]})
+    cfg = _write(tmp_path, "cfg.json", {"xbar": [0], "x0": [0.5], "T": 0.1, "dt": 0.01})
+    result = runner.invoke(main, ["audit", "--system", sys_path, "--config", cfg,
+                                  "--out", str(tmp_path)])
+    assert _error(result) == "error: system has no storage generator"
+
+
+def test_dt_audit_without_storage_matrix_says_so(runner, tmp_path):
+    sys_path = _write(tmp_path, "sys.json", {
+        "schema": 1, "family": "lti",
+        "params": {"F": [[0.5]], "G": [[1.0]], "discrete": True},
+    })
+    cfg = _write(tmp_path, "cfg.json", {"xbar": [0], "x0": [0.5], "steps": 5})
+    result = runner.invoke(main, ["audit", "--system", sys_path, "--config", cfg,
+                                  "--out", str(tmp_path)])
+    assert _error(result) == "error: no storage matrix P given or known for this system"
