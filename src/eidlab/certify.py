@@ -168,7 +168,7 @@ def _pair_terms(sys, qjs, storage, X, Xbar):
         s = (np.einsum("ij,jk,ik->i", dF, storage, dF)
              - np.einsum("ij,jk,ik->i", dX, storage, dX))
         return dH, s, qjs_dh - (dF @ storage) @ sys.G
-    rowwise = not systems._maps_stacks(storage.grad_V, sys.n)
+    rowwise = storage._grad_rowwise(sys.n)
     dgrad = (systems._evaluate(storage.grad_V, rowwise, X)
              - systems._evaluate(storage.grad_V, rowwise, Xbar))
     return dH, np.einsum("ij,ij->i", dgrad, dF), qjs_dh - 0.5 * dgrad @ sys.G
@@ -214,7 +214,8 @@ def _verify_eid(sys, w: SupplyRate, storage, pairs, W, ell, mode,
         raise ValueError(f"unknown mode {mode!r}")
     qjs, rhat_eff = _supply_terms(sys, w, storage)
     if W is None:
-        W = canonical_w(rhat_eff, tol_c)
+        # clipped: an indefinite Rhat_eff fails (c) by at least |lambda_min|
+        W = numerics.psd_sqrt(rhat_eff, np.inf)
     W = np.atleast_2d(np.asarray(W, dtype=float))
     if W.shape[1] != sys.m:
         raise DimensionMismatchError(f"W must have {sys.m} columns")
@@ -299,26 +300,57 @@ class FactorizationResult:
     rank: int
 
 
-def factor_dissipation(sys, w: SupplyRate, storage, pair,
-                       rank_tol: float = 1e-9) -> FactorizationResult:
-    """Assemble the (m+1) x (m+1) dissipation matrix
-
-        D = [[a, (b(x)-b(xb))ᵀ], [b(x)-b(xb), Rhat_eff]]
-
-    at one pair and report its PSD margin.  ``storage`` is a
-    StorageGenerator in continuous time or a PSD matrix P in discrete time.
-    """
+def _dissipation_stack(sys, w: SupplyRate, storage, pairs) -> np.ndarray:
+    """The (N, m+1, m+1) stack of dissipation matrices
+    D = [[a, cᵀ], [c, Rhat_eff]], a = ΔhᵀQΔh - s, one per pair.  A pair
+    passes (a)-(c) with the best W and ell exactly when its D is PSD."""
     if sys.discrete:
         storage = numerics.symmetrize(np.atleast_2d(np.asarray(storage, dtype=float)))
     qjs, rhat_eff = _supply_terms(sys, w, storage)
-    dH, s, C = _pair_terms(sys, qjs, storage, *_stack_pairs([pair], sys.n))
-    dh, bdiff = dH[0], C[0]
-    a = float(dh @ w.Q @ dh) - float(s[0])
-    D = np.block([[np.array([[a]]), bdiff[None, :]], [bdiff[:, None], rhat_eff]])
+    dH, s, C = _pair_terms(sys, qjs, storage, *_stack_pairs(pairs, sys.n))
+    D = np.empty((len(C), sys.m + 1, sys.m + 1))
+    D[:, 0, 0] = np.einsum("ij,jk,ik->i", dH, w.Q, dH) - s
+    D[:, 0, 1:] = D[:, 1:, 0] = C
+    D[:, 1:, 1:] = rhat_eff
+    return D
+
+
+def factor_dissipation(sys, w: SupplyRate, storage, pair,
+                       rank_tol: float = 1e-9) -> FactorizationResult:
+    """The dissipation matrix D = [[a, (b(x)-b(xb))ᵀ], [b(x)-b(xb), Rhat_eff]]
+    at one pair, the one-pair read of :func:`_dissipation_stack`, and its PSD
+    margin.  ``storage`` is a StorageGenerator in continuous time or a PSD
+    matrix P in discrete time."""
+    D = _dissipation_stack(sys, w, storage, [pair])[0]
     eig = numerics.sym_eigen(D)
     rank = int(np.sum(eig.eigenvalues > rank_tol * max(abs(eig.max), 1.0)))
-    return FactorizationResult(a=a, b_difference=bdiff, rhat_eff=rhat_eff,
+    return FactorizationResult(a=float(D[0, 0]), b_difference=D[1:, 0], rhat_eff=D[1:, 1:],
                                D=D, psd_margin=eig.min, rank=rank)
+
+
+def supply_margin(sys, w0: SupplyRate, w1: SupplyRate, storage, pairs):
+    """The largest theta in [0, 1] at which (1-theta) w0 + theta w1 has D ⪰ 0
+    on every pair, and the index in ``pairs`` of the binding pair: ``(None,
+    worst pair)`` if w0 fails, ``(1.0, None)`` if w1 passes.  D is affine in
+    theta, so the feasible theta form an interval; its end is bisected on the
+    stack's smallest eigenvalue, with a per-pair rounding slack of
+    1e-12 (1 + max|D0| + max|dD|), and rounded down to a multiple of 2⁻³⁰.
+    ``storage`` is as for :func:`factor_dissipation`.
+    """
+    D0 = _dissipation_stack(sys, w0, storage, pairs)
+    dD = _dissipation_stack(sys, w1, storage, pairs) - D0
+    slack = 1e-12 * (1.0 + np.abs(D0).max(axis=(1, 2)) + np.abs(dD).max(axis=(1, 2)))
+    margin = lambda theta: np.linalg.eigvalsh(D0 + theta * dD)[:, 0] + slack
+    at_zero = margin(0.0)
+    if at_zero.min() < 0:
+        return None, int(np.argmin(at_zero))
+    if margin(1.0).min() >= 0:
+        return 1.0, None
+    lo, hi = 0.0, 1.0
+    for _ in range(30):  # each midpoint, so lo, is a multiple of 2⁻³⁰
+        mid = 0.5 * (lo + hi)
+        lo, hi = (mid, hi) if margin(mid).min() >= 0 else (lo, mid)
+    return lo, int(np.argmin(margin(hi)))
 
 
 def sector_supply(bounds: SectorBounds) -> SupplyRate:

@@ -56,6 +56,8 @@ def _parse_supply(spec: dict) -> SupplyRate:
         return SupplyRate.output_strict(float(spec["a"]), m)
     if kind == "input_feedforward":
         return SupplyRate.input_feedforward(float(spec["nu"]), m)
+    if kind is not None:
+        raise ConfigError(f"unknown supply type {kind!r}")
     return SupplyRate(spec["Q"], spec["S"], spec["R"], warn_definite=False)
 
 

@@ -119,6 +119,14 @@ class StorageGenerator:
     mu: float = 0.0
     name: str = "storage"
 
+    def _grad_rowwise(self, n: int) -> bool:
+        """Whether ``grad_V`` only takes one state, so that (N, n) stacks go
+        row by row; probed once per gradient callable and state dimension."""
+        fn, probe = self.grad_V, getattr(self, "_grad_probe", None)
+        if probe is None or probe[:2] != (fn, n):
+            probe = self._grad_probe = (fn, n, not _maps_stacks(fn, n))
+        return probe[2]
+
     def validate(self, region, probes: int = 1000, seed: int = 0,
                  grad_rtol: float = 1e-5) -> dict:
         """Sampled consistency checks inside a box region (lo, hi).

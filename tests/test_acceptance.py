@@ -15,11 +15,11 @@ from eidlab.certify import (
     check_sector,
     factor_dissipation,
     sample_pairs,
+    supply_margin,
     verify_eid_ct,
     verify_eid_dt,
 )
 from eidlab.equilibria import EquilibriumMap, check_relation_dissipativity
-from eidlab.errors import RhatNotPsdError
 from eidlab.gains import (
     FeasibleRegion,
     dt_gradient_gain,
@@ -120,10 +120,7 @@ def test_acceptance_3_feasible_region_is_sharp():
 
     def certifies(nu, rho):
         w = SupplyRate([[-rho]], [[0.5]], [[-nu]], warn_definite=False)
-        try:
-            return verify_eid_ct(sys, w, sys.storage, pairs).passed
-        except RhatNotPsdError:
-            return False
+        return verify_eid_ct(sys, w, sys.storage, pairs).passed
 
     rng = np.random.default_rng(11)
     inside = outside = 0
@@ -138,6 +135,14 @@ def test_acceptance_3_feasible_region_is_sharp():
         inside += certifies(nu, rho_in)
         outside += not certifies(nu, rho_out)
     assert inside == 20 and outside == 20
+
+    # the boundary curve itself: the largest certifiable rho along each nu
+    for nu in (0.0, 0.2, 0.4, 0.6, 0.8):
+        rho_hi = reg.rho_max_feedthrough(nu)
+        theta, _ = supply_margin(sys, SupplyRate([[0.0]], [[0.5]], [[-nu]], warn_definite=False),
+                                 SupplyRate([[-rho_hi]], [[0.5]], [[-nu]], warn_definite=False),
+                                 sys.storage, pairs)
+        assert theta * rho_hi == pytest.approx(reg.rho_max_curvature(nu), rel=1e-8)
     print("\nACCEPTANCE 3: PASS — region intercepts exact to 1e-9; 20/20 "
           "interior points certify, 20/20 exterior points fail")
 

@@ -20,6 +20,7 @@ from eidlab import (
     factor_dissipation,
     sample_pairs,
     sector_supply,
+    supply_margin,
     verify_eid_ct,
     verify_eid_dt,
     verify_kyp_lti,
@@ -204,6 +205,19 @@ def test_dt_rejects_w_with_wrong_column_count():
     with pytest.raises(DimensionMismatchError):
         verify_eid_dt(sys, SupplyRate.passivity(1), sys.meta["P"], pairs,
                       W=np.ones((1, 2)))
+
+
+def test_infeasible_rhat_fails_instead_of_raising():
+    # Rhat = -nu + 2 j/2 - j² rho = -3.75e-3 < 0: no W satisfies (c), which
+    # is a fail verdict; canonical_w and an indefinite P still raise
+    sys = catalog_build("gradient_ff", {"mu": 2.0, "g": 1.0, "j": 0.9, "n": 1})
+    pairs = sample_pairs(sys, (-np.ones(1), np.ones(1)), count=60, seed=11)
+    w = SupplyRate([[-0.375]], [[0.5]], [[-0.6]], warn_definite=False)
+    cert = verify_eid_ct(sys, w, sys.storage, pairs)
+    assert not cert.passed
+    assert cert.stats.c_residual >= 3.75e-3 * (1 - 1e-12)
+    with pytest.raises(RhatNotPsdError, match=r"-3\.750e-03"):
+        canonical_w(w.rhat(sys.J))
 
 
 def test_dt_rejects_indefinite_p():
@@ -513,7 +527,6 @@ def test_verify_call_counts_do_not_grow_with_pairs(ph):
 
     sys = catalog_build("port_hamiltonian", PH_PARAMS)
     sys.f, sys.h = counting("f", sys.f), counting("h", sys.h)
-    gen = StorageGenerator(V=ph.storage.V, grad_V=counting("grad_V", ph.storage.grad_V))
     dti = catalog_build("dt_integrator", {"alpha": 0.5, "n": 2})
     dti.f, dti.h = counting("dt_f", dti.f), counting("dt_h", dti.h)
     ifp = SupplyRate(np.zeros((2, 2)), 0.5 * np.eye(2), 0.25 * np.eye(2), warn_definite=False)
@@ -521,9 +534,80 @@ def test_verify_call_counts_do_not_grow_with_pairs(ph):
     for count in (200, 2000):
         ct_pairs = sample_pairs(ph, (-np.ones(4), np.ones(4)), count=count, seed=2)
         dt_pairs = sample_pairs(dti, (-np.ones(2), np.ones(2)), count=count, seed=2)
+        # a fresh generator each time, so both counts include its stack probe
+        gen = StorageGenerator(V=ph.storage.V, grad_V=counting("grad_V", ph.storage.grad_V))
         counts.clear()
         verify_eid_ct(sys, SupplyRate.passivity(2), gen, ct_pairs)
         verify_eid_dt(dti, ifp, dti.meta["P"], dt_pairs)
         seen.append(dict(counts))
     assert seen[0] == seen[1]
     assert all(v <= 8 for v in seen[0].values()), seen[0]
+
+
+def test_second_verification_reuses_the_stack_probe(ph, ph_pairs):
+    # the generator's stack capability is probed once (four grad_V calls);
+    # every later verification makes one grad_V call on X and one on X̄
+    calls = []
+
+    def grad_V(x):
+        calls.append(np.shape(x))
+        return ph.storage.grad_V(x)
+
+    gen = StorageGenerator(V=ph.storage.V, grad_V=grad_V)
+    first = verify_eid_ct(ph, SupplyRate.passivity(2), gen, ph_pairs)
+    assert len(calls) == 6
+    calls.clear()
+    second = verify_eid_ct(ph, SupplyRate.output_strict(0.1, 2), gen, ph_pairs)
+    assert calls == [(len(ph_pairs), 4)] * 2
+    assert first.passed and second.passed
+
+
+# ---------------------------------------------------------------------------
+# supply margins
+
+
+def _lti_dt():
+    # x+ = x/2 + u, y = x with storage 2|x - xb|²: D = [[|Δx|²/2, -Δx],
+    # [-Δx, γ² - 2]] is PSD iff γ >= 2
+    sys = catalog_build("lti", {"F": [[0.5]], "G": [[1.0]], "discrete": True})
+    return sys, sample_pairs(sys, (-np.ones(1), np.ones(1)), count=200, seed=1)
+
+
+def test_supply_margin_dt_l2_gain_oracle():
+    sys, pairs = _lti_dt()
+    theta, binding = supply_margin(sys, SupplyRate.l2_gain(5.0, 1, 1),
+                                   SupplyRate.l2_gain(1.5, 1, 1), 2.0 * np.eye(1), pairs)
+    assert theta * 2**30 == int(theta * 2**30)
+    gamma = np.sqrt((1 - theta) * 5.0**2 + theta * 1.5**2)
+    assert gamma == pytest.approx(2.0, abs=1e-8)
+    assert 0 <= binding < len(pairs)
+
+
+def test_supply_margin_ends_of_the_family():
+    sys, pairs = _lti_dt()
+    P = 2.0 * np.eye(1)
+    l2 = lambda gamma: SupplyRate.l2_gain(gamma, 1, 1)
+    assert supply_margin(sys, l2(3.0), l2(2.5), P, pairs) == (1.0, None)
+    theta, worst = supply_margin(sys, l2(1.9), l2(3.0), P, pairs)
+    assert theta is None
+    dx = abs(pairs[worst][0] - pairs[worst][1].x)[0]
+    assert dx == max(abs(x - eq.x)[0] for x, eq in pairs)
+
+
+def test_verify_passes_at_the_margin_and_fails_beyond_it():
+    sys, pairs = _lti_dt()
+    # (1 - t) l2_gain(5) + t l2_gain(1.5)
+    l2 = lambda t: SupplyRate(-np.eye(1), np.zeros((1, 1)), [[25.0 - 22.75 * t]],
+                              warn_definite=False)
+    P = 2.0 * np.eye(1)
+    theta, _ = supply_margin(sys, l2(0.0), l2(1.0), P, pairs)
+    assert verify_eid_dt(sys, l2(theta), P, pairs).passed
+    assert not verify_eid_dt(sys, l2(theta + 1e-3), P, pairs).passed
+
+    so = catalog_build("second_order", {"mu": 1.0, "c": 0.5})
+    so_pairs = sample_pairs(so, (-np.ones(2), np.ones(2)), count=300, seed=4)
+    osp = lambda a: SupplyRate.output_strict(a, 1)
+    theta, binding = supply_margin(so, osp(0.0), osp(2.0), so.storage, so_pairs)
+    assert 0 < theta < 1 and binding is not None
+    assert verify_eid_ct(so, osp(2.0 * theta), so.storage, so_pairs).passed
+    assert not verify_eid_ct(so, osp(2.0 * (theta + 1e-3)), so.storage, so_pairs).passed

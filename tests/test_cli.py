@@ -393,6 +393,13 @@ def test_missing_config_key_names_the_key(runner, tmp_path):
     assert _error(result) == "error: missing key 'x0'"
 
 
+def test_unknown_supply_type_is_named(runner, tmp_path):
+    # a misspelt type used to be read as a raw Q/S/R spec: "missing key 'Q'"
+    cfg = _write(tmp_path, "cfg.json", {"w1": {"type": "passivity"}, "w2": {"type": "pasivity"}})
+    result = runner.invoke(main, ["compose", "--config", cfg, "--out", str(tmp_path)])
+    assert _error(result) == "error: unknown supply type 'pasivity'"
+
+
 def test_non_object_config_is_a_config_error(runner, tmp_path):
     cfg = _write(tmp_path, "cfg.json", [1, 2])
     result = runner.invoke(main, ["region", "--config", cfg, "--out", str(tmp_path)])

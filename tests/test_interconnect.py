@@ -16,6 +16,7 @@ from eidlab import (
     sample_pairs,
     solve_monotone_inclusion,
     static_feedback,
+    verify_eid_ct,
 )
 from eidlab.equilibria import EquilibriumMap
 from eidlab.errors import (
@@ -192,6 +193,25 @@ def test_kappa_search_verdict_monotone_in_tol():
     assert kappa_search(w_osp, w_osp, tol=1e-12)["passed"]
 
 
+def test_kappa_search_matches_dense_reference_grid():
+    # lambda_max of Q_cl(kappa) from the compose formula on 20,001 log-spaced
+    # kappas; the search may not end above the best of them (the bound is
+    # relative because lambda reaches 1e3 here, where one rounding is ~1e-13)
+    rng = np.random.default_rng(0)
+    kappas = np.geomspace(1e-4, 1e4, 20_001)[:, None, None]
+    for _ in range(60):
+        m = int(rng.integers(1, 3))
+        sym = lambda: (lambda A: A + A.T)(rng.normal(size=(m, m)))
+        w1, w2 = (SupplyRate(sym(), rng.normal(size=(m, m)), sym(), warn_definite=False)
+                  for _ in range(2))
+        q_cl = np.block([[w1.Q + kappas * w2.R, -w1.S + kappas * w2.S.T],
+                         [-w1.S.T + kappas * w2.S, w1.R + kappas * w2.Q]])
+        ref = np.linalg.eigvalsh(q_cl)[:, -1].min()
+        res = kappa_search(w1, w2)
+        assert res["lambda_max_q"] <= ref + 1e-12 * (1.0 + abs(ref))
+        assert res["lambda_max_q"] == compose_supply(w1, w2, res["kappa"]).lambda_max_q
+
+
 def test_kappa_search_rejects_bad_range():
     w = SupplyRate.passivity(1)
     with pytest.raises(ValueError):
@@ -247,14 +267,31 @@ def test_loop_transform_input_requirements():
 
 def test_circle_scalar_linear_oracle():
     # xdot = -x + u, y = x, sector [0, 1]: the transformed conditions close
-    # iff eps <= 1/2 (scalar algebra), so the certified value sits just
-    # below 1/2 on the search grid
+    # iff eps <= 1/2 (scalar algebra), so the certified value is 1/2 up to
+    # the 2⁻³⁰ resolution of the margin
     sys = catalog_build("lti", {"F": [[-1.0]], "G": [[1.0]], "H": [[1.0]]})
     gen = StorageGenerator.quadratic(np.eye(1))
     pairs = sample_pairs(sys, (-np.ones(1), np.ones(1)), count=200, seed=5)
     res = circle_criterion(sys, SectorBounds.scalar(0.0, 1.0), gen, pairs)
     assert res["passed"]
-    assert 0.3 <= res["certified_eps"] <= 0.5
+    assert 0.5 - 2**-30 <= res["certified_eps"] <= 0.5
+    assert 0 <= res["binding_pair"] < len(pairs) and "scan" not in res
+
+
+def test_circle_margin_agrees_with_verification():
+    # the certified eps passes verify_eid_ct on the transformed system and
+    # eps + 1e-3 fails, on the SMIB pairs of acceptance 6
+    sys = catalog_build("smib", {"M": 1.0, "D": 1.0, "b": 1.0, "V": 1.0, "P_m": 0.2})
+    pairs = sample_pairs(sys, (np.array([-1.2, -0.5]), np.array([1.2, 0.5])), count=400, seed=3)
+    res = circle_criterion(sys, SectorBounds.scalar(0.0, 1.0), sys.storage, pairs)
+    eps = res["certified_eps"]
+    assert res["passed"] and 0.3 <= eps <= 0.5
+    verify = lambda e: verify_eid_ct(res["transformed"], SupplyRate.output_strict(e, 1),
+                                     sys.storage, pairs).passed
+    assert verify(eps) and not verify(eps + 1e-3)
+    bad = circle_criterion(sys, SectorBounds.scalar(-1.5, 1.0), sys.storage, pairs)
+    assert bad["certified_eps"] is None and not bad["passed"]
+    assert 0 <= bad["binding_pair"] < len(pairs)
 
 
 def test_circle_unstable_sector_fails():
