@@ -42,22 +42,24 @@ def bregman(generator: StorageGenerator, xbar, x) -> float:
 
 @dataclass
 class BregmanStorage:
-    """Storage function anchored at one equilibrium state."""
+    """Storage function anchored at one equilibrium state, at one state (a
+    float) or on an (N, n) stack; V(xb) and ∇V(xb) are computed once."""
 
     generator: StorageGenerator
     xbar: np.ndarray
 
     def __post_init__(self):
         self.xbar = np.atleast_1d(np.asarray(self.xbar, dtype=float))
-        self._gbar = np.asarray(self.generator.grad_V(self.xbar), dtype=float)
+        self._vbar = self.generator._values("V", self.xbar)
+        self._gbar = self.generator._values("grad_V", self.xbar)
 
-    def __call__(self, x) -> float:
+    def __call__(self, x):
         x = np.atleast_1d(np.asarray(x, dtype=float))
-        return float(self.generator.V(x) - self.generator.V(self.xbar)
-                     - self._gbar @ (x - self.xbar))
+        v = self.generator._values("V", x) - self._vbar - (x - self.xbar) @ self._gbar
+        return float(v) if x.ndim < 2 else v
 
     def grad(self, x) -> np.ndarray:
-        return np.asarray(self.generator.grad_V(x), dtype=float) - self._gbar
+        return self.generator._values("grad_V", x) - self._gbar
 
 
 def sample_pairs(sys, region, count: int = DEFAULT_PAIR_COUNT, seed: int = 0,
@@ -151,27 +153,33 @@ def _stack_pairs(pairs, n: int):
     return X.reshape(-1, n), Xbar.reshape(-1, n)
 
 
-def _pair_terms(sys, qjs, storage, X, Xbar):
-    """ΔH, the storage terms s and the b-differences C at each row of the
-    (N, n) pair stacks X, X̄.
+def _checked_p(P) -> np.ndarray:
+    """A discrete-time storage matrix P, symmetrised; RhatNotPsdError unless PSD."""
+    P = numerics.symmetrize(np.atleast_2d(np.asarray(P, dtype=float)))
+    if numerics.sym_eigen(P).min < -1e-10:
+        raise RhatNotPsdError("P must be positive semidefinite")
+    return P
+
+
+def _pair_terms(sys, storage, X, Xbar):
+    """The supply-independent terms at each row of the (N, n) pair stacks
+    X, X̄: ΔH, the storage terms s and the storage part Cs of the
+    b-differences C = ΔH (QJ+S) - Cs.
 
     ``storage`` is a StorageGenerator in continuous time, where
-    s = Δ∇Vᵀ Δf and c = qjsᵀΔh - ½ GᵀΔ∇V, and a symmetric PSD matrix P in
-    discrete time, where s = ΔfᵀPΔf - ΔxᵀPΔx and c = qjsᵀΔh - GᵀPΔf, with
-    qjs = QJ+S.  Condition (a) reads s <= ΔhᵀQΔh - ||ell||², (b) Wᵀ ell = c.
+    s = Δ∇Vᵀ Δf and Cs = ½ Δ∇Vᵀ G, and a symmetric PSD matrix P in discrete
+    time, where s = ΔfᵀPΔf - ΔxᵀPΔx and Cs = ΔfᵀPG.  Condition (a) reads
+    s <= ΔhᵀQΔh - ||ell||², (b) Wᵀ ell = c.
     """
     dF = sys.f(X) - sys.f(Xbar)
     dH = sys.h(X) - sys.h(Xbar)
-    qjs_dh = dH @ qjs
     if sys.discrete:
         dX = X - Xbar
         s = (np.einsum("ij,jk,ik->i", dF, storage, dF)
              - np.einsum("ij,jk,ik->i", dX, storage, dX))
-        return dH, s, qjs_dh - (dF @ storage) @ sys.G
-    rowwise = storage._grad_rowwise(sys.n)
-    dgrad = (systems._evaluate(storage.grad_V, rowwise, X)
-             - systems._evaluate(storage.grad_V, rowwise, Xbar))
-    return dH, np.einsum("ij,ij->i", dgrad, dF), qjs_dh - 0.5 * dgrad @ sys.G
+        return dH, s, (dF @ storage) @ sys.G
+    dgrad = storage._values("grad_V", X) - storage._values("grad_V", Xbar)
+    return dH, np.einsum("ij,ij->i", dgrad, dF), 0.5 * dgrad @ sys.G
 
 
 def _supply_terms(sys, w: SupplyRate, storage):
@@ -186,17 +194,16 @@ def _supply_terms(sys, w: SupplyRate, storage):
 def _residuals(sys, w: SupplyRate, qjs, storage, X, Xbar, W, ell, mode):
     """The (a) violations and (b) residuals at each row of the (N, n) pair
     stacks X, X̄, with one min-norm solve or one ``ell`` call for all rows."""
-    dH, s, C = _pair_terms(sys, qjs, storage, X, Xbar)
+    dH, s, Cs = _pair_terms(sys, storage, X, Xbar)
+    C = dH @ qjs - Cs
     if ell is None:
         # minimum-norm solution of Wᵀ ell = c: any kernel component of Wᵀ
         # only makes condition (a) harder, so this is the favourable choice
         L = np.linalg.lstsq(W.T, C.T, rcond=None)[0].T
     else:
-        # ell(x, xb) on the (N, 2n) stack [X, X̄], or row by row if, like a
-        # generator that only takes one state, it only takes one pair
-        pair_ell = lambda Z: ell(Z[..., :sys.n], Z[..., sys.n:])
-        L = systems._evaluate(pair_ell, not systems._maps_stacks(pair_ell, 2 * sys.n),
-                              np.concatenate([X, Xbar], axis=1))
+        # ell(x, xb) on the (N, 2n) stack [X, X̄], or row by row on one pair
+        L = systems._evaluate_stack(lambda Z: ell(Z[..., :sys.n], Z[..., sys.n:]),
+                                    np.concatenate([X, Xbar], axis=1))
         if L.shape[-1] < W.shape[0]:
             raise DimensionMismatchError(
                 f"ell has {L.shape[-1]} components but W has {W.shape[0]} rows")
@@ -278,10 +285,7 @@ def verify_eid_dt(
     ``V_xb(x) = ||x - xb||_P²`` for a PSD matrix P."""
     if not sys.discrete:
         raise DimensionMismatchError("verify_eid_dt expects a discrete-time system")
-    P = numerics.symmetrize(np.atleast_2d(np.asarray(P, dtype=float)))
-    if numerics.sym_eigen(P).min < -1e-10:
-        raise RhatNotPsdError("P must be positive semidefinite")
-    return _verify_eid(sys, w, P, pairs, W, ell, mode, tol_a, tol_b, tol_c, seed)
+    return _verify_eid(sys, w, _checked_p(P), pairs, W, ell, mode, tol_a, tol_b, tol_c, seed)
 
 
 @dataclass
@@ -300,28 +304,31 @@ class FactorizationResult:
     rank: int
 
 
-def _dissipation_stack(sys, w: SupplyRate, storage, pairs) -> np.ndarray:
-    """The (N, m+1, m+1) stack of dissipation matrices
-    D = [[a, cᵀ], [c, Rhat_eff]], a = ΔhᵀQΔh - s, one per pair.  A pair
-    passes (a)-(c) with the best W and ell exactly when its D is PSD."""
+def _dissipation_stacks(sys, storage, pairs, *supplies) -> list:
+    """Per supply, the (N, m+1, m+1) stack of dissipation matrices D = [[a, cᵀ],
+    [c, Rhat_eff]], a = ΔhᵀQΔh - s, from one evaluation of the pair terms.
+    A pair passes (a)-(c) with the best W and ell exactly when its D is PSD."""
     if sys.discrete:
-        storage = numerics.symmetrize(np.atleast_2d(np.asarray(storage, dtype=float)))
-    qjs, rhat_eff = _supply_terms(sys, w, storage)
-    dH, s, C = _pair_terms(sys, qjs, storage, *_stack_pairs(pairs, sys.n))
-    D = np.empty((len(C), sys.m + 1, sys.m + 1))
-    D[:, 0, 0] = np.einsum("ij,jk,ik->i", dH, w.Q, dH) - s
-    D[:, 0, 1:] = D[:, 1:, 0] = C
-    D[:, 1:, 1:] = rhat_eff
-    return D
+        storage = _checked_p(storage)
+    dH, s, Cs = _pair_terms(sys, storage, *_stack_pairs(pairs, sys.n))
+    stacks = []
+    for w in supplies:
+        qjs, rhat_eff = _supply_terms(sys, w, storage)
+        D = np.empty((len(s), sys.m + 1, sys.m + 1))
+        D[:, 0, 0] = np.einsum("ij,jk,ik->i", dH, w.Q, dH) - s
+        D[:, 0, 1:] = D[:, 1:, 0] = dH @ qjs - Cs
+        D[:, 1:, 1:] = rhat_eff
+        stacks.append(D)
+    return stacks
 
 
 def factor_dissipation(sys, w: SupplyRate, storage, pair,
                        rank_tol: float = 1e-9) -> FactorizationResult:
     """The dissipation matrix D = [[a, (b(x)-b(xb))ᵀ], [b(x)-b(xb), Rhat_eff]]
-    at one pair, the one-pair read of :func:`_dissipation_stack`, and its PSD
+    at one pair, the one-pair read of :func:`_dissipation_stacks`, and its PSD
     margin.  ``storage`` is a StorageGenerator in continuous time or a PSD
     matrix P in discrete time."""
-    D = _dissipation_stack(sys, w, storage, [pair])[0]
+    D = _dissipation_stacks(sys, storage, [pair], w)[0][0]
     eig = numerics.sym_eigen(D)
     rank = int(np.sum(eig.eigenvalues > rank_tol * max(abs(eig.max), 1.0)))
     return FactorizationResult(a=float(D[0, 0]), b_difference=D[1:, 0], rhat_eff=D[1:, 1:],
@@ -337,8 +344,8 @@ def supply_margin(sys, w0: SupplyRate, w1: SupplyRate, storage, pairs):
     1e-12 (1 + max|D0| + max|dD|), and rounded down to a multiple of 2⁻³⁰.
     ``storage`` is as for :func:`factor_dissipation`.
     """
-    D0 = _dissipation_stack(sys, w0, storage, pairs)
-    dD = _dissipation_stack(sys, w1, storage, pairs) - D0
+    D0, D1 = _dissipation_stacks(sys, storage, pairs, w0, w1)
+    dD = D1 - D0
     slack = 1e-12 * (1.0 + np.abs(D0).max(axis=(1, 2)) + np.abs(dD).max(axis=(1, 2)))
     margin = lambda theta: np.linalg.eigvalsh(D0 + theta * dD)[:, 0] + slack
     at_zero = margin(0.0)
@@ -366,9 +373,9 @@ def check_sector(psi: StaticNonlinearity, bounds: SectorBounds, probes,
     Evaluates the incremental dissipation form :func:`sector_supply` on
     each probe pair and reports the minimum margin.
     """
-    dz = np.array([np.atleast_1d(z2) - np.atleast_1d(z1) for z1, z2 in probes], dtype=float)
-    dpsi = np.array([psi(z2) - psi(z1) for z1, z2 in probes])
-    margins = sector_supply(bounds).evaluate(dz, dpsi)
+    Z = np.asarray(probes, dtype=float).reshape(len(probes), 2, -1)
+    Psi = systems._evaluate_stack(psi, Z.reshape(-1, Z.shape[-1])).reshape(Z.shape)
+    margins = sector_supply(bounds).evaluate(Z[:, 1] - Z[:, 0], Psi[:, 1] - Psi[:, 0])
     violations = int(np.sum(margins < -tol))
     return {"min_margin": float(margins.min()), "violations": violations,
             "holds": violations == 0}

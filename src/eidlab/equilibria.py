@@ -17,7 +17,7 @@ import numpy as np
 
 from . import numerics
 from .errors import NotAssignableError
-from .systems import SupplyRate
+from .systems import SupplyRate, _evaluate_stack
 
 DEFAULT_RESIDUAL_TOL = 1e-8
 
@@ -199,11 +199,8 @@ class RelationSamples:
         if not self.samples:
             raise ValueError("no samples to export")
         s0 = self.samples[0]
-        header = (
-            [f"x_{i+1}" for i in range(s0.x.size)]
-            + [f"u_{i+1}" for i in range(s0.u.size)]
-            + [f"y_{i+1}" for i in range(s0.y.size)]
-        )
+        header = [f"{v}_{i+1}" for v, a in (("x", s0.x), ("u", s0.u), ("y", s0.y))
+                  for i in range(a.size)]
         with open(path, "w", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(header)
@@ -274,7 +271,7 @@ def maximality_conditions(sys, samples: Optional[RelationSamples] = None,
     if samples is not None and len(samples) >= 2:
         report["cocoercive_sampled"] = cocoercivity_check(samples, rho)["holds"]
     X = np.random.default_rng(seed).uniform(-box, box, size=(probes, sys.n))
-    Jf = (np.array([np.atleast_2d(sys.f_jac(x)) for x in X]) if sys.f_jac is not None
+    Jf = (_evaluate_stack(sys.f_jac, X, 2) if sys.f_jac is not None
           else numerics.fd_jacobian(sys.f, X))
     if sys.discrete:
         Jf = Jf - np.eye(sys.n)

@@ -27,7 +27,8 @@ from .errors import (
     NonSquareError,
     NonzeroFeedthroughError,
 )
-from .systems import CtSystem, DtSystem, SectorBounds, StorageGenerator, SupplyRate
+from .systems import (CtSystem, DtSystem, SectorBounds, StorageGenerator, SupplyRate,
+                      _evaluate, _maps_stacks)
 
 WELLPOSED_COND_MAX = 1e8
 
@@ -261,25 +262,21 @@ def solve_monotone_inclusion(k1_inverse: Callable, k2: Callable,
         raise ConditionsNotMetError(
             "need R2 + Q1 or R1 + Q2 negative definite on the relation supplies"
         )
-    F = lambda y: (np.atleast_1d(np.asarray(k1_inverse(y), dtype=float))
-                   + np.atleast_1d(np.asarray(k2(v2 + y), dtype=float)))
-
-    rng = np.random.default_rng(seed)
-    L_est = mu
-    base = v1.copy()
-    for _ in range(32):
-        za = base + rng.normal(size=v1.size)
-        zb = base + rng.normal(size=v1.size)
-        dz = np.linalg.norm(za - zb)
-        if dz > 1e-12:
-            L_est = max(L_est, np.linalg.norm(F(za) - F(zb)) / dz)
-    eta = mu / (L_est**2)
+    k1_rows, k2_rows = (not _maps_stacks(k, v1.size) for k in (k1_inverse, k2))
+    K2 = lambda y: _evaluate(k2, k2_rows, v2 + y)
+    F = lambda y: _evaluate(k1_inverse, k1_rows, y) + K2(y)
+    # L_est on 32 pairs around v1, drawn as one (32, 2, size) block
+    Z = v1 + np.random.default_rng(seed).normal(size=(32, 2, v1.size))
+    FZ = F(Z.reshape(-1, v1.size)).reshape(Z.shape)
+    dz = np.linalg.norm(Z[:, 0] - Z[:, 1], axis=1)
+    dF = np.linalg.norm(FZ[:, 0] - FZ[:, 1], axis=1)
+    eta = mu / np.max(dF[dz > 1e-12] / dz[dz > 1e-12], initial=mu) ** 2
 
     y = v1.copy()
     for _ in range(max_iter):
         r = F(y) - v1
         if np.linalg.norm(r) <= tol:
-            return y, np.atleast_1d(np.asarray(k2(v2 + y), dtype=float))
+            return y, K2(y)
         y = y - eta * r
     raise NoConvergenceError(
         f"monotone inclusion iteration stalled, residual {np.linalg.norm(F(y) - v1):.3e}"

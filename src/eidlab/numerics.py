@@ -138,17 +138,18 @@ def fd_jacobian(F, x) -> np.ndarray:
     h = np.maximum(1e-6, 1e-6 * np.abs(x))
     columns = []
     for i in range(x.shape[-1]):
-        xp = x.copy()
-        xm = x.copy()
-        xp[..., i] += h[..., i]
-        xm[..., i] -= h[..., i]
-        columns.append((np.atleast_1d(F(xp)) - np.atleast_1d(F(xm))) / (2.0 * h[..., i, None]))
+        step = np.zeros_like(x)
+        step[..., i] = h[..., i]
+        columns.append((np.atleast_1d(F(x + step)) - np.atleast_1d(F(x - step)))
+                       / (2.0 * h[..., i, None]))
     return np.stack(columns, axis=-1)
 
 
 def fd_gradient(V, x) -> np.ndarray:
-    """Central-difference gradient of a scalar function."""
-    return fd_jacobian(lambda z: np.array([V(z)]), x)[0]
+    """Central-difference gradient of a scalar function at ``x``, or the
+    (N, n) stack of gradients at each row of an (N, n) stack ``x`` for a
+    ``V`` that maps stacks, as for :func:`fd_jacobian`."""
+    return fd_jacobian(lambda z: np.asarray(V(z), dtype=float)[..., None], x)[..., 0, :]
 
 
 def newton_root(

@@ -11,11 +11,11 @@ from __future__ import annotations
 
 import csv
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 
-from . import numerics
+from . import numerics, systems
 from .errors import NonFiniteError
 
 # tolerance constants: base audit slack plus an O(dt^4) RK4 allowance per
@@ -56,9 +56,8 @@ class Trajectory:
     def to_csv(self, path):
         if self.states.ndim != 2:
             raise ValueError("to_csv writes a single trajectory, not a batch")
-        n, m, p = self.states.shape[1], self.inputs.shape[1], self.outputs.shape[1]
-        header = (["t"] + [f"x_{i+1}" for i in range(n)]
-                  + [f"u_{i+1}" for i in range(m)] + [f"y_{i+1}" for i in range(p)])
+        columns = {"x": self.states, "u": self.inputs, "y": self.outputs}
+        header = ["t"] + [f"{v}_{i+1}" for v, a in columns.items() for i in range(a.shape[1])]
         with open(path, "w", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(header)
@@ -127,8 +126,7 @@ def simulate_ct(sys, x0, u=None, T: float = 1.0, dt: float = 1e-3) -> Trajectory
 
     ``x0`` is one state (n,) or an (N, n) stack of initial states that are
     integrated together as one batched trajectory; ``sys.f`` and ``sys.h``
-    then see the whole stack per evaluation (user callables that only take
-    one state are evaluated row by row, which is correct but slower).
+    then see the whole stack per evaluation.
 
     ``u`` may be None (zero input), a callable of time returning one input
     or per-row inputs, a constant (m,) or per-row (N, m) array, or per-step
@@ -151,10 +149,9 @@ def simulate_ct(sys, x0, u=None, T: float = 1.0, dt: float = 1e-3) -> Trajectory
 def simulate_dt(sys, x0, u=None, steps: int = 1) -> Trajectory:
     """Exact iteration of a discrete-time system.
 
-    Takes the same one-state or (N, n) stack ``x0`` (with the same row by
-    row fallback for user callables) and the same forms of ``u`` as
-    :func:`simulate_ct`, with time counted in steps; per-step input values
-    must cover all ``steps``.  Divergence is handled as there.
+    Takes the same one-state or (N, n) stack ``x0`` and the same forms of
+    ``u`` as :func:`simulate_ct`, with time counted in steps; per-step input
+    values must cover all ``steps``.  Divergence is handled as there.
     """
     if steps < 1:
         raise ValueError("steps must be >= 1")
@@ -189,27 +186,19 @@ class DissipationAudit:
                                  self.supply_series[k], self.violations[k]])
 
 
-def _storage_callable(storage, xbar) -> Callable:
-    if callable(storage):
-        return storage
-    P = numerics.symmetrize(np.atleast_2d(np.asarray(storage, dtype=float)))
-    xbar = np.atleast_1d(np.asarray(xbar, dtype=float))
-    return lambda x: float((np.atleast_1d(x) - xbar) @ P @ (np.atleast_1d(x) - xbar))
-
-
 def audit_dissipation(traj: Trajectory, storage, supply, ubar, ybar,
                       xbar=None, tol: Optional[float] = None) -> DissipationAudit:
     """Audit the dissipation inequality along one trajectory.
 
-    ``storage`` is a callable V(x), or a matrix P (with ``xbar``) for the
-    discrete-time quadratic family.  Supply is compared per step: trapezoid
-    of w(u - ubar, y - ybar) in continuous time, the pointwise value in
-    discrete time.  Positive entries of ``violations`` beyond ``tol`` fail
-    the audit; per-step comparison localizes where the inequality breaks.
+    ``storage`` is a callable V(x), evaluated on all states as one stack,
+    or a matrix P (with ``xbar``) for the discrete-time quadratic family.
+    Supply is compared per step: trapezoid of w(u - ubar, y - ybar) in
+    continuous time, the pointwise value in discrete time.  Positive
+    entries of ``violations`` beyond ``tol`` fail the audit; per-step
+    comparison localizes where the inequality breaks.
     """
     if traj.states.ndim != 2:
         raise ValueError("audit_dissipation audits a single trajectory, not a batch")
-    V = _storage_callable(storage, xbar)
     ubar = np.atleast_1d(np.asarray(ubar, dtype=float))
     ybar = np.atleast_1d(np.asarray(ybar, dtype=float))
     N = len(traj) - 1
@@ -217,7 +206,12 @@ def audit_dissipation(traj: Trajectory, storage, supply, ubar, ybar,
         horizon = traj.times[-1] if traj.dt is not None else 1.0
         tol = ct_audit_tol(traj.dt, horizon) if traj.dt is not None else DT_AUDIT_TOL
 
-    Vs = np.array([V(traj.states[k]) for k in range(N + 1)])
+    if callable(storage):
+        Vs = systems._evaluate_stack(storage, traj.states, 0)
+    else:
+        P = numerics.symmetrize(np.atleast_2d(np.asarray(storage, dtype=float)))
+        D = traj.states - np.atleast_1d(np.asarray(xbar, dtype=float))
+        Vs = np.einsum("ij,jk,ik->i", D, P, D)
     w = supply.evaluate(traj.inputs - ubar, traj.outputs - ybar)
     if traj.dt is not None:
         supplied = 0.5 * traj.dt * (w[:-1] + w[1:])
@@ -257,9 +251,7 @@ def stability_experiment(sys, xbar, ubar=None, radius: float = 0.1,
     """Simulate from a shell of probe states with the input held at the
     equilibrium value and report convergence statistics.
 
-    All probes are integrated together as one (probes, n) stack, so the
-    system's ``f`` and ``h`` see stacks; user callables that only take one
-    state still work through the slower row by row fallback.
+    All probes are integrated together as one (probes, n) stack.
     ``conv_tol`` defaults to 5% of the probe radius.  Diverging trajectories
     (non-finite states) count as non-converged with an infinite final
     distance; ``nonconverged`` lists the probe indices that did not

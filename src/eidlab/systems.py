@@ -119,13 +119,18 @@ class StorageGenerator:
     mu: float = 0.0
     name: str = "storage"
 
-    def _grad_rowwise(self, n: int) -> bool:
-        """Whether ``grad_V`` only takes one state, so that (N, n) stacks go
-        row by row; probed once per gradient callable and state dimension."""
-        fn, probe = self.grad_V, getattr(self, "_grad_probe", None)
-        if probe is None or probe[:2] != (fn, n):
-            probe = self._grad_probe = (fn, n, not _maps_stacks(fn, n))
-        return probe[2]
+    def _values(self, attr: str, x) -> np.ndarray:
+        """``V`` or ``grad_V`` (by name) at one state or on an (N, n) stack,
+        each callable probed once per state dimension for stacks."""
+        fn, x = getattr(self, attr), np.asarray(x, dtype=float)
+        ndim = 0 if attr == "V" else 1
+        if x.ndim < 2:
+            return _evaluate(fn, False, x, ndim)
+        probes = self.__dict__.setdefault("_stack_probes", {})
+        key = (attr, x.shape[-1])
+        if key not in probes or probes[key][0] is not fn:
+            probes[key] = (fn, not _maps_stacks(fn, x.shape[-1], ndim))
+        return _evaluate(fn, probes[key][1], x, ndim)
 
     def validate(self, region, probes: int = 1000, seed: int = 0,
                  grad_rtol: float = 1e-5) -> dict:
@@ -133,24 +138,20 @@ class StorageGenerator:
 
         Checks the analytic gradient against finite differences and, for a
         declared strongly convex generator, the secant inequality
-        [∇V(x)-∇V(z)]ᵀ(x-z) >= mu ||x-z||² on random pairs.
+        [∇V(x)-∇V(z)]ᵀ(x-z) >= mu ||x-z||² on one (probes, 2, n) block of
+        random pairs.
         """
         lo, hi = (np.asarray(b, dtype=float) for b in region)
         rng = np.random.default_rng(seed)
-        n = lo.size
-        worst_grad = 0.0
-        worst_secant = np.inf
-        for _ in range(probes):
-            x = rng.uniform(lo, hi, size=n)
-            g = np.asarray(self.grad_V(x), dtype=float)
-            g_fd = numerics.fd_gradient(self.V, x)
-            scale = max(np.linalg.norm(g), 1.0)
-            worst_grad = max(worst_grad, np.linalg.norm(g - g_fd) / scale)
-            z = rng.uniform(lo, hi, size=n)
-            d = np.linalg.norm(x - z) ** 2
-            if d > 1e-16:
-                gz = np.asarray(self.grad_V(z), dtype=float)
-                worst_secant = min(worst_secant, float((g - gz) @ (x - z)) / d)
+        X, Z = rng.uniform(lo, hi, size=(probes, 2, lo.size)).transpose(1, 0, 2)
+        g = self._values("grad_V", X)
+        g_fd = numerics.fd_gradient(lambda x: self._values("V", x), X)
+        mismatch = np.linalg.norm(g - g_fd, axis=1) / np.maximum(np.linalg.norm(g, axis=1), 1.0)
+        worst_grad = float(np.max(mismatch, initial=0.0))
+        d = np.linalg.norm(X - Z, axis=1) ** 2
+        apart = d > 1e-16
+        secant = np.einsum("ij,ij->i", g - self._values("grad_V", Z), X - Z)[apart] / d[apart]
+        worst_secant = float(np.min(secant, initial=np.inf))
         mu_req = self.mu if self.convexity_class == "strongly_convex" else 0.0
         return {
             "grad_consistent": worst_grad <= grad_rtol,
@@ -229,14 +230,16 @@ class SeparableConvex:
 # systems
 
 
-def _maps_stacks(fn, n: int) -> bool:
+def _maps_stacks(fn, n: int, ndim: int = 1) -> bool:
     """Whether ``fn`` maps a fixed 3-row stack of states to the stack of its
-    values on each row.  Raising, a wrong shape or a wrong value all say no."""
+    values on each row, read as by :func:`_evaluate`.  Raising, a wrong
+    shape or a wrong value all say no.  With :func:`_evaluate` this is the
+    one rule for every user callable evaluated on stacks."""
     X = np.linspace(-0.5, 0.7, 3 * n).reshape(3, n)
     try:
         with warnings.catch_warnings(), np.errstate(all="ignore"):
             warnings.simplefilter("ignore")
-            rows = _evaluate(fn, True, X)
+            rows = _evaluate(fn, True, X, ndim)
             stacked = np.asarray(fn(X), dtype=float)
     except Exception:
         return False
@@ -247,23 +250,35 @@ def _maps_stacks(fn, n: int) -> bool:
     return bool(err <= 1e-12 * (1.0 + np.max(np.abs(rows), initial=0.0)))
 
 
-def _evaluate(fn, rowwise: bool, x) -> np.ndarray:
-    """``fn`` at one state or on a stack, looping over rows if ``rowwise``."""
+_AS_VALUE = (lambda v: v.reshape(()), np.atleast_1d, np.atleast_2d)
+
+
+def _evaluate(fn, rowwise: bool, x, ndim: int = 1) -> np.ndarray:
+    """``fn`` at one state or on a stack, looping over rows if ``rowwise``.
+    Each value has ``ndim`` dimensions: 0 for a scalar, 1 for a vector (a
+    scalar becomes length 1) and 2 for a matrix."""
     x = np.asarray(x, dtype=float)
-    if rowwise and x.ndim > 1:
-        out = np.array([np.atleast_1d(np.asarray(fn(r), dtype=float))
+    if x.ndim < 2:
+        return _AS_VALUE[ndim](np.asarray(fn(x), dtype=float))
+    if rowwise:
+        out = np.array([_AS_VALUE[ndim](np.asarray(fn(r), dtype=float))
                         for r in x.reshape(-1, x.shape[-1])])
-        return out.reshape(x.shape[:-1] + out.shape[-1:])
-    return np.atleast_1d(np.asarray(fn(x), dtype=float))
+        return out.reshape(x.shape[:-1] + out.shape[1:])
+    return np.asarray(fn(x), dtype=float)
+
+
+def _evaluate_stack(fn, x, ndim: int = 1) -> np.ndarray:
+    """``fn`` on the (N, k) stack ``x`` under the rule of :func:`_maps_stacks`,
+    probed on this call: for callables with no owner to keep the probe."""
+    x = np.asarray(x, dtype=float)
+    return _evaluate(fn, not _maps_stacks(fn, x.shape[-1], ndim), x, ndim)
 
 
 class _ControlAffine:
     """Shared implementation for CT and DT control-affine systems.
 
-    ``f`` and ``h`` accept one state or an (N, n) stack of states.  The
-    catalog's callables handle stacks natively; any other callable is
-    checked once at construction and, if it only handles single states,
-    evaluated row by row on stacks (correct, but slower).
+    ``f`` and ``h`` accept one state or an (N, n) stack of states; whether
+    the callables take stacks is probed once, at construction.
     """
 
     discrete: bool = False
@@ -273,7 +288,7 @@ class _ControlAffine:
         self.G = np.atleast_2d(np.asarray(G, dtype=float))
         self.n, self.m = self.G.shape
         if J is None:
-            J = np.zeros((self._infer_p(h), self.m))
+            J = np.zeros((_evaluate(h, False, np.zeros(self.n)).size, self.m))
         self.J = np.atleast_2d(np.asarray(J, dtype=float))
         self.p = self.J.shape[0]
         if self.J.shape != (self.p, self.m):
@@ -293,10 +308,6 @@ class _ControlAffine:
         self.meta = dict(meta or {})
         self._f_rowwise = not _maps_stacks(f, self.n)
         self._h_rowwise = not _maps_stacks(h, self.n)
-
-    def _infer_p(self, h):
-        probe = np.atleast_1d(np.asarray(h(np.zeros(self.n)), dtype=float))
-        return probe.size
 
     def f(self, x) -> np.ndarray:
         """Drift at one state (n,) or at each row of an (N, n) stack."""
@@ -579,8 +590,7 @@ def _build_dt_integrator(params: dict):
     n = int(params.get("n", 1))
     if alpha <= 0:
         raise ValueError("alpha must be positive")
-    f = lambda x: np.atleast_1d(np.asarray(x, dtype=float))
-    h = lambda x: np.atleast_1d(np.asarray(x, dtype=float))
+    f = h = lambda x: np.atleast_1d(np.asarray(x, dtype=float))
     G = alpha * np.eye(n)
     gen = StorageGenerator.quadratic(np.eye(n) / alpha, name="scaled quadratic")
     meta = {"family": "dt_integrator", "alpha": alpha, "f_is_identity": True,
@@ -668,31 +678,24 @@ def validate_system(sys, probes: int = 20, seed: int = 0, box: float = 2.0) -> d
 
     Failures are recorded in the report, never raised.
     """
-    rng = np.random.default_rng(seed)
     checks = {}
     sv = np.linalg.svd(sys.G, compute_uv=False)
     checks["G_full_column_rank"] = bool(sv.size >= sys.m and sv[sys.m - 1] > 1e-10)
-    finite = True
-    jac_ok = True
+    X = np.random.default_rng(seed).uniform(-box, box, size=(probes, sys.n))
     worst_jac = 0.0
-    for _ in range(probes):
-        x = rng.uniform(-box, box, size=sys.n)
-        try:
-            fx = sys.f(x)
-            hx = sys.h(x)
-            finite &= bool(np.all(np.isfinite(fx)) and np.all(np.isfinite(hx)))
-        except Exception:
-            finite = False
-            continue
+    try:
+        checks["f_h_finite"] = bool(np.isfinite(sys.f(X)).all() and np.isfinite(sys.h(X)).all())
+    except Exception:
+        checks["f_h_finite"] = False
+    else:
         if sys.f_jac is not None:
-            Ja = np.atleast_2d(sys.f_jac(x))
-            Jn = numerics.fd_jacobian(sys.f, x)
-            scale = max(np.linalg.norm(Jn), 1.0)
-            worst_jac = max(worst_jac, np.linalg.norm(Ja - Jn) / scale)
-            jac_ok &= worst_jac <= 1e-4
-    checks["f_h_finite"] = finite
+            Jn = numerics.fd_jacobian(sys.f, X)
+            mismatch = (np.linalg.norm(_evaluate_stack(sys.f_jac, X, 2) - Jn, axis=(1, 2))
+                        / np.maximum(np.linalg.norm(Jn, axis=(1, 2)), 1.0))
+            # fmax passes over the NaN of a non-finite row, which f_h_finite reports
+            worst_jac = float(np.fmax.reduce(mismatch, initial=0.0))
     if sys.f_jac is not None:
-        checks["jacobian_consistent"] = bool(jac_ok)
+        checks["jacobian_consistent"] = worst_jac <= 1e-4
         checks["max_jacobian_mismatch"] = worst_jac
     checks["ok"] = all(v for k, v in checks.items() if isinstance(v, bool))
     return checks

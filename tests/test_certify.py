@@ -226,6 +226,21 @@ def test_dt_rejects_indefinite_p():
         verify_eid_dt(sys, SupplyRate.passivity(1), -np.eye(1), [])
 
 
+def test_every_dt_path_rejects_indefinite_p():
+    # one check for all three: an unchecked P = -I once gave a fake "w0
+    # fails" margin and a negative psd_margin instead of an error
+    sys = catalog_build("dt_integrator", {"alpha": 0.5, "n": 2})
+    pairs = sample_pairs(sys, (-np.ones(2), np.ones(2)), count=50, seed=0)
+    w0, w1 = SupplyRate.l2_gain(5.0, 2, 2), SupplyRate.l2_gain(1.0, 2, 2)
+    P = -np.eye(2)
+    with pytest.raises(RhatNotPsdError):
+        verify_eid_dt(sys, w0, P, pairs)
+    with pytest.raises(RhatNotPsdError):
+        supply_margin(sys, w0, w1, P, pairs)
+    with pytest.raises(RhatNotPsdError):
+        factor_dissipation(sys, w0, P, pairs[1])
+
+
 # ---------------------------------------------------------------------------
 # dissipation matrix factorization
 
@@ -611,3 +626,35 @@ def test_verify_passes_at_the_margin_and_fails_beyond_it():
     assert 0 < theta < 1 and binding is not None
     assert verify_eid_ct(so, osp(2.0 * theta), so.storage, so_pairs).passed
     assert not verify_eid_ct(so, osp(2.0 * (theta + 1e-3)), so.storage, so_pairs).passed
+
+
+def test_supply_margin_computes_the_pair_terms_once(monkeypatch):
+    # the supply-independent pair terms serve both supplies: one stacking
+    # of the pairs and, as in one verification, one f and one grad_V call
+    # on each of X and X̄
+    from eidlab import certify
+
+    counts = {"f": 0, "grad_V": 0, "stack": 0}
+
+    def counting(name, fn):
+        def wrapped(*args):
+            counts[name] += 1
+            return fn(*args)
+        return wrapped
+
+    smib = catalog_build("smib", {"M": 1.0, "D": 1.0, "b": 1.0, "V": 1.0, "P_m": 0.2})
+    pairs = sample_pairs(smib, (-0.8 * np.ones(2), 0.8 * np.ones(2)), count=400, seed=3)
+    smib.f = counting("f", smib.f)
+    gen = StorageGenerator(V=smib.storage.V, grad_V=counting("grad_V", smib.storage.grad_V))
+    monkeypatch.setattr(certify, "_stack_pairs", counting("stack", certify._stack_pairs))
+    osp = lambda a: SupplyRate.output_strict(a, 1)
+    verify_eid_ct(smib, osp(0.0), gen, pairs)  # probes the generator once
+    for key in counts:
+        counts[key] = 0
+    verify_eid_ct(smib, osp(0.0), gen, pairs)
+    assert counts == {"f": 2, "grad_V": 2, "stack": 1}
+    for key in counts:
+        counts[key] = 0
+    theta, binding = supply_margin(smib, osp(0.0), osp(2.0), gen, pairs)
+    assert counts == {"f": 2, "grad_V": 2, "stack": 1}
+    assert (theta, binding) == supply_margin(smib, osp(0.0), osp(2.0), smib.storage, pairs)

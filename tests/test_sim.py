@@ -16,7 +16,7 @@ from eidlab.sim import (
     stability_experiment,
 )
 from eidlab.interconnect import static_feedback
-from eidlab.systems import CtSystem, SupplyRate, catalog_build
+from eidlab.systems import CtSystem, StorageGenerator, SupplyRate, catalog_build
 
 
 # ---------------------------------------------------------------------------
@@ -142,6 +142,28 @@ def test_audit_detects_wrong_storage():
     audit = audit_dissipation(traj, bad, w, eq.u, eq.y)
     assert not audit.passed
     assert audit.max_violation > 1e-3
+
+
+def test_audit_evaluates_the_storage_once_on_all_states():
+    sys = catalog_build("port_hamiltonian", {
+        "J": [[0.0, 1.0], [-1.0, 0.0]], "R": [[0.5, 0.0], [0.0, 0.2]], "G": [[1.0], [0.0]],
+        "hamiltonian": {"c": [0.3, 0.1]}})
+    shapes = []
+
+    def V(x):
+        shapes.append(np.shape(x))
+        return sys.storage.V(x)
+
+    gen = StorageGenerator(V=V, grad_V=sys.storage.grad_V)
+    eq = EquilibriumMap(sys).ku_ky(np.zeros(2))
+    traj = simulate_ct(sys, np.array([0.4, -0.3]), u=eq.u, T=1.0, dt=1e-3)
+    audit = audit_dissipation(traj, BregmanStorage(gen, eq.x), SupplyRate.passivity(1),
+                              eq.u, eq.y)
+    assert audit.passed
+    # one stacked call on all 1001 states; the rest are the anchor value and
+    # the stack probes, whose number does not grow with the trajectory
+    assert shapes.count(traj.states.shape) == 1
+    assert len(shapes) <= 10
 
 
 def test_audit_dt_pointwise_and_matrix_storage():

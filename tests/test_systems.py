@@ -1,9 +1,12 @@
+import functools
 import json
 
 import numpy as np
 import pytest
 
-from eidlab import systems
+from eidlab import numerics, systems
+from eidlab.certify import BregmanStorage, check_sector, sector_supply
+from eidlab.equilibria import EquilibriumMap, maximality_conditions
 from eidlab.errors import (
     ConfigError,
     DimensionMismatchError,
@@ -11,6 +14,8 @@ from eidlab.errors import (
     NonSymmetricError,
     UnknownSystemError,
 )
+from eidlab.interconnect import solve_monotone_inclusion
+from eidlab.sim import audit_dissipation, ct_audit_tol, simulate_ct, simulate_dt
 from eidlab.systems import (
     SectorBounds,
     SeparableConvex,
@@ -375,6 +380,21 @@ def test_catalog_storage_generators_map_stacks(family):
     assert isinstance(gen.V(X[0]), float)
 
 
+def test_maps_stacks_reads_scalar_values():
+    # a stack-capable V maps a (3, n) stack to (3,), the shape of its three
+    # row values read as scalars
+    for family, params in sorted(FAMILIES.items()):
+        sys = catalog_build(family, params)
+        if sys.storage is not None:
+            assert systems._maps_stacks(sys.storage.V, sys.n, ndim=0), family
+    assert not systems._maps_stacks(lambda x: float(x[0] ** 2 + x[1]), 2, ndim=0)
+    # the generator keeps one probe per callable and state dimension
+    gen = catalog_build("second_order", FAMILIES["second_order"]).storage
+    X = np.random.default_rng(0).uniform(-1.0, 1.0, size=(5, 2))
+    np.testing.assert_allclose(gen._values("V", X), [gen.V(x) for x in X], rtol=0, atol=1e-12)
+    assert gen._stack_probes[("V", 2)] == (gen.V, False)
+
+
 def test_quadratic_generator_maps_square_stacks_row_by_row():
     # P @ X on an (n, n) stack runs without error but mixes the rows
     P = np.array([[2.0, 0.5, 0.0], [0.5, 1.0, 0.3], [0.0, 0.3, 1.5]])
@@ -384,3 +404,211 @@ def test_quadratic_generator_maps_square_stacks_row_by_row():
     np.testing.assert_allclose(gen.V(X), 0.5 * np.einsum("ij,jk,ik->i", X, P, X),
                                rtol=0, atol=1e-12)
     assert gen.V(X[1]) == pytest.approx(0.5 * X[1] @ P @ X[1])
+
+
+# ---------------------------------------------------------------------------
+# the one stack rule: every function that evaluates a user callable on a
+# stack of samples, against a per-row reference loop
+
+
+def _validate_ref(gen, region, probes, seed):
+    lo, hi = region
+    rng = np.random.default_rng(seed)
+    worst_grad, worst_secant = 0.0, np.inf
+    for _ in range(probes):
+        x = rng.uniform(lo, hi, size=lo.size)
+        g = np.asarray(gen.grad_V(x), dtype=float)
+        g_fd = numerics.fd_gradient(gen.V, x)
+        worst_grad = max(worst_grad, np.linalg.norm(g - g_fd) / max(np.linalg.norm(g), 1.0))
+        z = rng.uniform(lo, hi, size=lo.size)
+        d = np.linalg.norm(x - z) ** 2
+        if d > 1e-16:
+            gz = np.asarray(gen.grad_V(z), dtype=float)
+            worst_secant = min(worst_secant, float((g - gz) @ (x - z)) / d)
+    mu_req = gen.mu if gen.convexity_class == "strongly_convex" else 0.0
+    return {"grad_consistent": worst_grad <= 1e-5, "max_grad_mismatch": worst_grad,
+            "min_secant_ratio": worst_secant, "secant_ok": worst_secant >= mu_req - 1e-9}
+
+
+def _validate_system_ref(sys, probes=20, seed=0, box=2.0):
+    rng = np.random.default_rng(seed)
+    finite, worst_jac = True, 0.0
+    for _ in range(probes):
+        x = rng.uniform(-box, box, size=sys.n)
+        finite &= bool(np.all(np.isfinite(sys.f(x))) and np.all(np.isfinite(sys.h(x))))
+        if sys.f_jac is not None:
+            Jn = numerics.fd_jacobian(sys.f, x)
+            worst_jac = max(worst_jac, np.linalg.norm(np.atleast_2d(sys.f_jac(x)) - Jn)
+                            / max(np.linalg.norm(Jn), 1.0))
+    rep = {"f_h_finite": finite}
+    if sys.f_jac is not None:
+        rep.update(jacobian_consistent=worst_jac <= 1e-4, max_jacobian_mismatch=worst_jac)
+    return rep
+
+
+def _maximality_ref(sys, seed=0, probes=20, box=2.0):
+    X = np.random.default_rng(seed).uniform(-box, box, size=(probes, sys.n))
+    Jf = np.array([np.atleast_2d(sys.f_jac(x)) for x in X])
+    if sys.discrete:
+        Jf = Jf - np.eye(sys.n)
+    return {"f_homeomorphism_hint":
+            bool(np.all(np.linalg.svd(Jf, compute_uv=False)[:, -1] > 1e-8))}
+
+
+def _sector_ref(psi, bounds, probes, tol=1e-9):
+    dz = np.array([np.atleast_1d(z2) - np.atleast_1d(z1) for z1, z2 in probes])
+    dpsi = np.array([psi(z2) - psi(z1) for z1, z2 in probes])
+    margins = sector_supply(bounds).evaluate(dz, dpsi)
+    return {"min_margin": float(margins.min()), "violations": int(np.sum(margins < -tol)),
+            "holds": bool(np.all(margins >= -tol))}
+
+
+def _audit_ref(traj, storage, supply, ubar, ybar, xbar=None, tol=None):
+    if callable(storage):
+        Vs = np.array([storage(x) for x in traj.states])
+    else:
+        Vs = np.array([(x - xbar) @ storage @ (x - xbar) for x in traj.states])
+    w = supply.evaluate(traj.inputs - ubar, traj.outputs - ybar)
+    supplied = 0.5 * traj.dt * (w[:-1] + w[1:]) if traj.dt is not None else w[:-1]
+    violations = np.diff(Vs) - supplied
+    return {"storage_series": Vs, "violations": violations,
+            "passed": bool(violations.max() <= tol)}
+
+
+def _inclusion_ref(k1_inverse, k2, v1, v2, mu, tol=1e-10):
+    F = lambda y: np.atleast_1d(k1_inverse(y)) + np.atleast_1d(k2(v2 + y))
+    rng = np.random.default_rng(0)
+    L_est = mu
+    for _ in range(32):
+        za = v1 + rng.normal(size=v1.size)
+        zb = v1 + rng.normal(size=v1.size)
+        L_est = max(L_est, np.linalg.norm(F(za) - F(zb)) / np.linalg.norm(za - zb))
+    y = v1.copy()
+    while np.linalg.norm(F(y) - v1) > tol:
+        y = y - mu / L_est**2 * (F(y) - v1)
+    return y, np.atleast_1d(k2(v2 + y))
+
+
+# ---------------------------------------------------------------------------
+# cases: (converted call, reference call), each a thunk
+
+
+def _row_generator():
+    # float() and component indexing only take one state
+    return StorageGenerator(V=lambda x: float(x[0] ** 2 + 0.5 * x[1] ** 2 + np.cos(x[0])),
+                            grad_V=lambda x: np.array([2.0 * x[0] - np.sin(x[0]), x[1]]),
+                            convexity_class="strongly_convex", mu=1.0)
+
+
+def _row_system():
+    # a pendulum with row-only f, h and f_jac; square (m = p = 1)
+    return systems.CtSystem(lambda x: np.array([x[1], -np.sin(x[0]) - x[1]]),
+                            lambda x: np.array([x[1]]), [[0.0], [1.0]],
+                            f_jac=lambda x: np.array([[0.0, 1.0], [-np.cos(x[0]), -1.0]]))
+
+
+@functools.lru_cache(maxsize=None)
+def _audit_args():
+    """Audit arguments (traj, storage, supply, ubar, ybar, xbar, tol) by case,
+    simulated once when first asked for."""
+    ph = catalog_build("port_hamiltonian", FAMILIES["port_hamiltonian"])
+    emap = EquilibriumMap(ph)
+    eq = emap.ku_ky(emap.project(np.array([0.3, 0.1, -0.2, 0.4])))
+    traj = simulate_ct(ph, eq.x + np.array([0.3, -0.2, 0.1, 0.2]), u=eq.u, T=2.0, dt=1e-3)
+    so = catalog_build("second_order", {"mu": 1.0})
+    so_traj = simulate_ct(so, np.array([0.3, 1.5]), T=2.0, dt=1e-3)
+    dg = catalog_build("dt_gradient", FAMILIES["dt_gradient"])
+    dt_traj = simulate_dt(dg, np.array([1.5, -0.7]), steps=100)
+    tol = ct_audit_tol(1e-3, 2.0)
+    z1, z2 = np.zeros(1), np.zeros(2)
+    return {
+        "bregman": (traj, BregmanStorage(ph.storage, eq.x), SupplyRate.passivity(2),
+                    eq.u, eq.y, None, tol),
+        # float() only takes one state
+        "row-only": (so_traj, lambda x: float(x[0] ** 2 + x[1] ** 2), SupplyRate.passivity(1),
+                     z1, z1, None, tol),
+        "dt-matrix": (dt_traj, np.diag([1.0, 2.0]), SupplyRate.passivity(2), z2, z2,
+                      np.array([0.1, -0.1]), 1e-12),
+    }
+
+
+def _cases():
+    cases = {}
+    box = lambda n: (-np.ones(n), np.ones(n))
+    for family, params in sorted(FAMILIES.items()):
+        sys = catalog_build(family, params)
+        cases[f"validate_system/{family}"] = (lambda s=sys: validate_system(s, seed=3),
+                                              lambda s=sys: _validate_system_ref(s, seed=3))
+        if sys.storage is not None:
+            gen, region = sys.storage, box(sys.n)
+            cases[f"validate/{family}"] = (lambda g=gen, r=region: g.validate(r, 300, seed=1),
+                                           lambda g=gen, r=region: _validate_ref(g, r, 300, 1))
+    cases["validate/row-only"] = (lambda: _row_generator().validate(box(2), 300, seed=1),
+                                  lambda: _validate_ref(_row_generator(), box(2), 300, 1))
+    cases["validate_system/row-only"] = (lambda: validate_system(_row_system(), seed=3),
+                                         lambda: _validate_system_ref(_row_system(), seed=3))
+
+    lti = catalog_build("lti", {"F": [[-1.0, 2.0], [0.5, -3.0]], "G": np.eye(2).tolist()})
+    dlti = catalog_build("lti", {"F": [[0.5, 0.1], [0.0, 1.0]], "G": np.eye(2).tolist(),
+                                 "discrete": True})
+    for name, sys in (("lti", lti), ("lti_dt", dlti), ("row-only", _row_system())):
+        cases[f"maximality/{name}"] = (lambda s=sys: maximality_conditions(s, seed=2),
+                                       lambda s=sys: _maximality_ref(s, seed=2))
+
+    rng = np.random.default_rng(0)
+    scalar_probes = [tuple(rng.uniform(-3.0, 3.0, size=(2, 1))) for _ in range(300)]
+    plane_probes = [tuple(rng.uniform(-2.0, 2.0, size=(2, 2))) for _ in range(200)]
+    tanh = StaticNonlinearity(np.tanh)
+    # indexing z[0], z[1] only takes one point
+    row_psi = StaticNonlinearity(
+        lambda z: np.array([np.tanh(z[0]), 0.5 * z[1] + 0.2 * np.sin(z[1])]), m=2)
+    for name, psi, bounds, probes in (
+            ("tanh", tanh, SectorBounds.scalar(0.0, 1.0), scalar_probes),
+            ("tanh-narrow", tanh, SectorBounds.scalar(0.5, 1.0), scalar_probes),
+            ("row-only", row_psi, SectorBounds(np.zeros((2, 2)), np.eye(2)), plane_probes)):
+        cases[f"check_sector/{name}"] = (lambda a=(psi, bounds, probes): check_sector(*a),
+                                         lambda a=(psi, bounds, probes): _sector_ref(*a))
+
+    for name in ("bregman", "row-only", "dt-matrix"):
+        cases[f"audit_dissipation/{name}"] = (
+            lambda k=name: audit_dissipation(*_audit_args()[k]).__dict__,
+            lambda k=name: _audit_ref(*_audit_args()[k]))
+
+    phi = SeparableConvex([1.0, 2.0], [0.5, 0.3])
+    w1, w2 = SupplyRate.output_strict(1.0, 2), SupplyRate.input_feedforward(0.0, 2)
+    row_k1 = lambda y: np.array([y[0] + 0.1 * np.tanh(y[1]), y[1]])
+    v1, v2 = np.array([0.5, -1.0]), np.array([0.2, 0.1])
+    for name, k1 in (("stacks", lambda y: y), ("row-only", row_k1)):
+        cases[f"solve_monotone_inclusion/{name}"] = (
+            lambda k=k1: solve_monotone_inclusion(k, phi.grad, v1, v2, w1, w2),
+            lambda k=k1: _inclusion_ref(k, phi.grad, v1, v2, 1.0))
+    return cases
+
+
+CASES = _cases()
+
+
+def _assert_same(got, ref, where=""):
+    if isinstance(ref, dict):
+        for key in ref:
+            _assert_same(got[key], ref[key], f"{where}/{key}")
+    elif isinstance(ref, tuple):
+        for k, (g, r) in enumerate(zip(got, ref)):
+            _assert_same(g, r, f"{where}[{k}]")
+    elif isinstance(ref, (bool, np.bool_)):
+        assert isinstance(got, (bool, np.bool_)) and got == ref, where
+    else:
+        np.testing.assert_allclose(got, ref, rtol=0, atol=1e-12, err_msg=where)
+
+
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_stacked_path_matches_per_row_reference(case):
+    converted, reference = CASES[case]
+    got, ref = converted(), reference()
+    if case == "validate_system/lti":
+        # a finite-difference Jacobian divides f's last-bit rounding, which
+        # differs between a stacked and a one-row matmul, by its 2e-6 step;
+        # the mismatch is that noise (~1e-10), so it agrees to ~1e-11
+        np.testing.assert_allclose(got.pop("max_jacobian_mismatch"),
+                                   ref.pop("max_jacobian_mismatch"), rtol=0, atol=1e-9)
+    _assert_same(got, ref)
