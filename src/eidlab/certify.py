@@ -26,7 +26,7 @@ import numpy as np
 
 from . import numerics, systems
 from .equilibria import EquilibriumMap, IoSample
-from .errors import DimensionMismatchError, RhatNotPsdError
+from .errors import DimensionMismatchError
 from .systems import SectorBounds, StaticNonlinearity, StorageGenerator, SupplyRate
 
 DEFAULT_TOL_A = 1e-7
@@ -62,22 +62,22 @@ class BregmanStorage:
         return self.generator._values("grad_V", x) - self._gbar
 
 
-def sample_pairs(sys, region, count: int = DEFAULT_PAIR_COUNT, seed: int = 0,
-                 emap: Optional[EquilibriumMap] = None):
-    """Sample (x, equilibrium) pairs for certificate checks.
+def sample_pairs(sys, region, count: int = DEFAULT_PAIR_COUNT, seed: int = 0):
+    """Sample ``count`` >= 1 (x, equilibrium) pairs for certificate checks.
 
     States x are uniform in the box; equilibria are projected into the
     assignable set.  The degenerate pair x == xb is always included first —
     it forces a = 0 and b-difference = 0 and catches sign errors cheaply.
     """
-    emap = emap or EquilibriumMap(sys)
+    if count < 1:
+        raise ValueError(f"need at least one pair, got count={count}")
     lo, hi = (np.asarray(b, dtype=float) for b in region)
     rng = np.random.default_rng(seed)
-    eqs = emap.sample_io_relation(region, max(2, count // 8), seed=seed + 1)
+    eqs = EquilibriumMap(sys).sample_io_relation(region, max(2, count // 8), seed=seed + 1)
     if len(eqs) == 0:
         raise ValueError("no equilibria found in the sampling region")
     eq_list = list(eqs)
-    X = rng.uniform(lo, hi, size=(max(count - 1, 0), sys.n))
+    X = rng.uniform(lo, hi, size=(count - 1, sys.n))
     picks = rng.integers(len(eq_list), size=len(X))
     return [(eq_list[0].x.copy(), eq_list[0])] + [(x, eq_list[k]) for x, k in zip(X, picks)]
 
@@ -153,14 +153,6 @@ def _stack_pairs(pairs, n: int):
     return X.reshape(-1, n), Xbar.reshape(-1, n)
 
 
-def _checked_p(P) -> np.ndarray:
-    """A discrete-time storage matrix P, symmetrised; RhatNotPsdError unless PSD."""
-    P = numerics.symmetrize(np.atleast_2d(np.asarray(P, dtype=float)))
-    if numerics.sym_eigen(P).min < -1e-10:
-        raise RhatNotPsdError("P must be positive semidefinite")
-    return P
-
-
 def _pair_terms(sys, storage, X, Xbar):
     """The supply-independent terms at each row of the (N, n) pair stacks
     X, X̄: ΔH, the storage terms s and the storage part Cs of the
@@ -168,8 +160,7 @@ def _pair_terms(sys, storage, X, Xbar):
 
     ``storage`` is a StorageGenerator in continuous time, where
     s = Δ∇Vᵀ Δf and Cs = ½ Δ∇Vᵀ G, and a symmetric PSD matrix P in discrete
-    time, where s = ΔfᵀPΔf - ΔxᵀPΔx and Cs = ΔfᵀPG.  Condition (a) reads
-    s <= ΔhᵀQΔh - ||ell||², (b) Wᵀ ell = c.
+    time, where s = ΔfᵀPΔf - ΔxᵀPΔx and Cs = ΔfᵀPG.
     """
     dF = sys.f(X) - sys.f(Xbar)
     dH = sys.h(X) - sys.h(Xbar)
@@ -182,20 +173,39 @@ def _pair_terms(sys, storage, X, Xbar):
     return dH, np.einsum("ij,ij->i", dgrad, dF), 0.5 * dgrad @ sys.G
 
 
-def _supply_terms(sys, w: SupplyRate, storage):
-    """The pair-independent terms: QJ+S, and the right-hand side of
-    condition (c), Rhat_eff = Rhat (less GᵀPG in discrete time)."""
-    rhat = w.rhat(sys.J)
+def _dissipation_stacks(sys, storage, X, Xbar, *supplies) -> list:
+    """Per supply, Rhat_eff = Rhat (less GᵀPG in discrete time) and the
+    (N, m+1, m+1) stack of dissipation matrices D = [[a, cᵀ], [c, Rhat_eff]]
+    at the rows of the (N, n) pair stacks X, X̄, with a = ΔhᵀQΔh - s and
+    c = (QJ+S)ᵀΔh - Cs, from one evaluation of the pair terms.  A pair passes
+    (a)-(c) with the best W and ell exactly when its D is PSD.  ``storage``
+    is a StorageGenerator in continuous time or a PSD matrix P in discrete
+    time."""
     if sys.discrete:
-        rhat = rhat - sys.G.T @ storage @ sys.G
-    return w.Q @ sys.J + w.S, rhat
+        storage = numerics.psd_storage(storage)
+    if len(X):
+        dH, s, Cs = _pair_terms(sys, storage, X, Xbar)
+    else:
+        dH, s, Cs = np.zeros((0, sys.p)), np.zeros(0), np.zeros((0, sys.m))
+    stacks = []
+    for w in supplies:
+        rhat_eff = w.rhat(sys.J)
+        if sys.discrete:
+            rhat_eff = rhat_eff - sys.G.T @ storage @ sys.G
+        D = np.empty((len(s), sys.m + 1, sys.m + 1))
+        D[:, 0, 0] = np.einsum("ij,jk,ik->i", dH, w.Q, dH) - s
+        D[:, 0, 1:] = D[:, 1:, 0] = dH @ (w.Q @ sys.J + w.S) - Cs
+        D[:, 1:, 1:] = rhat_eff
+        stacks.append((rhat_eff, D))
+    return stacks
 
 
-def _residuals(sys, w: SupplyRate, qjs, storage, X, Xbar, W, ell, mode):
-    """The (a) violations and (b) residuals at each row of the (N, n) pair
-    stacks X, X̄, with one min-norm solve or one ``ell`` call for all rows."""
-    dH, s, Cs = _pair_terms(sys, storage, X, Xbar)
-    C = dH @ qjs - Cs
+def _residuals(sys, D, X, Xbar, W, ell, mode):
+    """The (a) violations and (b) residuals at each row of the dissipation
+    stack D of the pairs X, X̄: condition (a) is the gap ||ell||² - a, (b)
+    the residual ||Wᵀ ell - c||, with one min-norm solve or one ``ell``
+    call for all rows."""
+    C = D[:, 0, 1:]
     if ell is None:
         # minimum-norm solution of Wᵀ ell = c: any kernel component of Wᵀ
         # only makes condition (a) harder, so this is the favourable choice
@@ -209,17 +219,18 @@ def _residuals(sys, w: SupplyRate, qjs, storage, X, Xbar, W, ell, mode):
                 f"ell has {L.shape[-1]} components but W has {W.shape[0]} rows")
     # a longer ell pads W with zero rows, which leave WᵀW unchanged
     b_res = np.linalg.norm(L[:, :W.shape[0]] @ W - C, axis=1)
-    gap = s - (np.einsum("ij,jk,ik->i", dH, w.Q, dH) - np.einsum("ij,ij->i", L, L))
+    gap = np.einsum("ij,ij->i", L, L) - D[:, 0, 0]
     return (np.abs(gap) if mode == "equality" else np.maximum(gap, 0.0)), b_res
 
 
 def _verify_eid(sys, w: SupplyRate, storage, pairs, W, ell, mode,
                 tol_a, tol_b, tol_c, seed) -> EidCertificate:
-    """Conditions (a)-(c) on every pair, for either time domain, with all
-    pairs evaluated as one stack."""
+    """Conditions (a)-(c) on every pair, for either time domain, read from
+    the pairs' dissipation stack."""
     if mode not in ("equality", "inequality"):
         raise ValueError(f"unknown mode {mode!r}")
-    qjs, rhat_eff = _supply_terms(sys, w, storage)
+    X, Xbar = _stack_pairs(pairs, sys.n)
+    rhat_eff, D = _dissipation_stacks(sys, storage, X, Xbar, w)[0]
     if W is None:
         # clipped: an indefinite Rhat_eff fails (c) by at least |lambda_min|
         W = numerics.psd_sqrt(rhat_eff, np.inf)
@@ -230,8 +241,7 @@ def _verify_eid(sys, w: SupplyRate, storage, pairs, W, ell, mode,
 
     stats = ResidualStats(c_residual=c_res)
     if len(pairs):
-        a_viol, b_res = _residuals(sys, w, qjs, storage, *_stack_pairs(pairs, sys.n), W, ell,
-                                   mode)
+        a_viol, b_res = _residuals(sys, D, X, Xbar, W, ell, mode)
         stats.worst_a_index, stats.worst_b_index = int(np.argmax(a_viol)), int(np.argmax(b_res))
         stats.max_a_violation, stats.max_b_residual = float(a_viol.max()), float(b_res.max())
     passed = (stats.max_a_violation <= tol_a and stats.max_b_residual <= tol_b
@@ -285,7 +295,7 @@ def verify_eid_dt(
     ``V_xb(x) = ||x - xb||_P²`` for a PSD matrix P."""
     if not sys.discrete:
         raise DimensionMismatchError("verify_eid_dt expects a discrete-time system")
-    return _verify_eid(sys, w, _checked_p(P), pairs, W, ell, mode, tol_a, tol_b, tol_c, seed)
+    return _verify_eid(sys, w, P, pairs, W, ell, mode, tol_a, tol_b, tol_c, seed)
 
 
 @dataclass
@@ -304,34 +314,16 @@ class FactorizationResult:
     rank: int
 
 
-def _dissipation_stacks(sys, storage, pairs, *supplies) -> list:
-    """Per supply, the (N, m+1, m+1) stack of dissipation matrices D = [[a, cᵀ],
-    [c, Rhat_eff]], a = ΔhᵀQΔh - s, from one evaluation of the pair terms.
-    A pair passes (a)-(c) with the best W and ell exactly when its D is PSD."""
-    if sys.discrete:
-        storage = _checked_p(storage)
-    dH, s, Cs = _pair_terms(sys, storage, *_stack_pairs(pairs, sys.n))
-    stacks = []
-    for w in supplies:
-        qjs, rhat_eff = _supply_terms(sys, w, storage)
-        D = np.empty((len(s), sys.m + 1, sys.m + 1))
-        D[:, 0, 0] = np.einsum("ij,jk,ik->i", dH, w.Q, dH) - s
-        D[:, 0, 1:] = D[:, 1:, 0] = dH @ qjs - Cs
-        D[:, 1:, 1:] = rhat_eff
-        stacks.append(D)
-    return stacks
-
-
-def factor_dissipation(sys, w: SupplyRate, storage, pair,
-                       rank_tol: float = 1e-9) -> FactorizationResult:
+def factor_dissipation(sys, w: SupplyRate, storage, pair) -> FactorizationResult:
     """The dissipation matrix D = [[a, (b(x)-b(xb))ᵀ], [b(x)-b(xb), Rhat_eff]]
-    at one pair, the one-pair read of :func:`_dissipation_stacks`, and its PSD
-    margin.  ``storage`` is a StorageGenerator in continuous time or a PSD
-    matrix P in discrete time."""
-    D = _dissipation_stacks(sys, storage, [pair], w)[0][0]
+    at one pair, the one-pair read of :func:`_dissipation_stacks`, its PSD
+    margin and its rank (eigenvalues above 1e-9 relative to the largest).
+    ``storage`` is a StorageGenerator in continuous time or a PSD matrix P in
+    discrete time."""
+    rhat_eff, (D,) = _dissipation_stacks(sys, storage, *_stack_pairs([pair], sys.n), w)[0]
     eig = numerics.sym_eigen(D)
-    rank = int(np.sum(eig.eigenvalues > rank_tol * max(abs(eig.max), 1.0)))
-    return FactorizationResult(a=float(D[0, 0]), b_difference=D[1:, 0], rhat_eff=D[1:, 1:],
+    rank = int(np.sum(eig.eigenvalues > 1e-9 * max(abs(eig.max), 1.0)))
+    return FactorizationResult(a=float(D[0, 0]), b_difference=D[1:, 0], rhat_eff=rhat_eff,
                                D=D, psd_margin=eig.min, rank=rank)
 
 
@@ -344,7 +336,7 @@ def supply_margin(sys, w0: SupplyRate, w1: SupplyRate, storage, pairs):
     1e-12 (1 + max|D0| + max|dD|), and rounded down to a multiple of 2⁻³⁰.
     ``storage`` is as for :func:`factor_dissipation`.
     """
-    D0, D1 = _dissipation_stacks(sys, storage, pairs, w0, w1)
+    (_, D0), (_, D1) = _dissipation_stacks(sys, storage, *_stack_pairs(pairs, sys.n), w0, w1)
     dD = D1 - D0
     slack = 1e-12 * (1.0 + np.abs(D0).max(axis=(1, 2)) + np.abs(dD).max(axis=(1, 2)))
     margin = lambda theta: np.linalg.eigvalsh(D0 + theta * dD)[:, 0] + slack

@@ -49,10 +49,10 @@ class IoSample:
 
 @dataclass
 class EquilibriumMap:
-    """Equilibrium machinery bound to one system."""
+    """Equilibrium machinery bound to one system.  A state is assignable
+    when its annihilator residual is at most DEFAULT_RESIDUAL_TOL."""
 
     system: object
-    tol: float = DEFAULT_RESIDUAL_TOL
     G_perp: np.ndarray = field(init=False)
 
     def __post_init__(self):
@@ -65,34 +65,35 @@ class EquilibriumMap:
 
     # residuals --------------------------------------------------------------
 
+    def _gu_at(self, x) -> np.ndarray:
+        """What G u must equal for x to be a forced equilibrium with input u:
+        -f(x), or x - f(x) in discrete time, at one state or each row of a
+        stack."""
+        x = np.asarray(x, dtype=float)
+        return x - self.system.f(x) if self.system.discrete else -self.system.f(x)
+
     def _constraint(self, x) -> np.ndarray:
-        """G_perp f(x), or G_perp (x - f(x)) in discrete time, row by row."""
-        sys = self.system
-        if sys.discrete:
-            return (x - sys.f(x)) @ self.G_perp.T
-        return sys.f(x) @ self.G_perp.T
+        """G_perp times the required G u, row by row: zero exactly at the
+        assignable states."""
+        return self._gu_at(x) @ self.G_perp.T
 
     def assignability_residual(self, x) -> float:
         return float(np.linalg.norm(self._constraint(np.atleast_1d(x))))
 
     def equilibrium_residual(self, x, u) -> float:
         """Residual of the full equilibrium equation at (x, u)."""
-        sys = self.system
-        r = sys.f(x) + sys.G @ np.atleast_1d(u)
-        if sys.discrete:
-            r = r - np.atleast_1d(x)
-        return float(np.linalg.norm(r))
+        return float(np.linalg.norm(self.system.G @ np.atleast_1d(u) - self._gu_at(x)))
 
     # equilibrium maps -------------------------------------------------------
 
     def _assign(self, X):
-        """Inputs, outputs, and residuals of the equilibrium equation G u = D
-        and of the assignability constraint, at each row of an (N, n) stack."""
+        """Least-squares inputs of G u = D, D the required G u, with the
+        outputs and the residuals of that equation and of the assignability
+        constraint, at each row of an (N, n) stack."""
         sys = self.system
-        F = sys.f(X)
-        D = X - F if sys.discrete else -F
+        D = self._gu_at(X)
         U = (D @ sys.G) @ self._gram_inv.T
-        Y = sys.h(X) + U @ sys.J.T
+        Y = sys.output(X, U)
         residual = np.linalg.norm(U @ sys.G.T - D, axis=-1)
         return U, Y, residual, np.linalg.norm(D @ self.G_perp.T, axis=-1)
 
@@ -101,39 +102,34 @@ class EquilibriumMap:
         NotAssignableError when the annihilator residual exceeds the tolerance."""
         xbar = np.atleast_1d(np.asarray(xbar, dtype=float))
         u, y, residual, res = (a[0] for a in self._assign(xbar[None]))
-        if res > self.tol:
+        if res > DEFAULT_RESIDUAL_TOL:
             raise NotAssignableError(
                 f"state is not an assignable equilibrium (residual {res:.3e})"
             )
         return IoSample(x=xbar, u=u, y=y, residual=float(residual))
 
-    def solve_equilibrium(self, ubar, x0, tol: float = 1e-11,
-                          max_iter: int = 80) -> np.ndarray:
-        """Newton solve of the forced equilibrium equation for given input."""
-        sys = self.system
-        ubar = np.atleast_1d(np.asarray(ubar, dtype=float))
-        if sys.discrete:
-            F = lambda x: sys.f(x) + sys.G @ ubar - x
-        else:
-            F = lambda x: sys.f(x) + sys.G @ ubar
-        return numerics.newton_root(F, x0, tol=tol, max_iter=max_iter)
+    def solve_equilibrium(self, ubar, x0) -> np.ndarray:
+        """Newton solve of the forced equilibrium equation for given input,
+        to a residual of 1e-11 in at most 80 steps."""
+        Gu = self.system.G @ np.atleast_1d(np.asarray(ubar, dtype=float))
+        return numerics.newton_root(lambda x: Gu - self._gu_at(x), x0, tol=1e-11, max_iter=80)
 
-    def project(self, x0, tol: float = 1e-11, max_iter: int = 60) -> np.ndarray:
+    def project(self, x0) -> np.ndarray:
         """Minimum-norm Gauss-Newton projection of a state candidate, or of
         each row of an (N, n) stack, onto the assignable-equilibrium set
-        {G_perp f = 0}, all rows iterating together.  A row fails on a
-        non-finite residual or Jacobian, a rank-deficient Jacobian or
-        ``max_iter`` steps: in a stack it comes back NaN, alone it raises
-        NoConvergenceError."""
+        {G_perp f = 0}, all rows iterating together until the residual is at
+        most 1e-11.  A row fails on a non-finite residual or Jacobian, a
+        rank-deficient Jacobian or 60 steps: in a stack it comes back NaN,
+        alone it raises NoConvergenceError."""
         x0 = np.asarray(x0, dtype=float)
         X = np.atleast_2d(x0).copy()
         active = np.arange(0 if self.fully_actuated else len(X))
         with np.errstate(all="ignore"):
-            for _ in range(max_iter):
+            for _ in range(60):
                 if not active.size:
                     break
                 R = self._constraint(X[active])
-                moving = ~(np.linalg.norm(R, axis=1) <= tol)  # keeps NaN rows for the step to fail
+                moving = ~(np.linalg.norm(R, axis=1) <= 1e-11)  # keeps NaN rows for the step to fail
                 active, R = active[moving], R[moving]
                 if not active.size:
                     break
@@ -162,7 +158,7 @@ class EquilibriumMap:
         samples = []
         if len(X):
             U, Y, residual, res = self._assign(X)
-            keep = res <= self.tol
+            keep = res <= DEFAULT_RESIDUAL_TOL
             samples = [IoSample(x=x, u=u, y=y, residual=float(r)) for x, u, y, r
                        in zip(X[keep], U[keep], Y[keep], residual[keep])]
         return RelationSamples(samples=samples, projection_failures=count - len(samples),

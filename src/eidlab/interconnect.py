@@ -92,18 +92,16 @@ def compose_closed_loop(loop: FeedbackLoop):
                meta={"family": "feedback_loop", "n1": n1, "n2": n2})
 
 
-def static_feedback(sys, psi, channel_sign: float = -1.0):
-    """Close a system against a memoryless map: u = v + sign * psi(y).
-
-    The default sign -1 is the negative-feedback convention used in the
-    absolute-stability setup.  Requires J = 0 so the loop is trivially
-    well posed.
+def static_feedback(sys, psi):
+    """Close a system against a memoryless map in negative feedback,
+    u = v - psi(y), the convention of the absolute-stability setup.
+    Requires J = 0 so the loop is trivially well posed.
     """
     if not np.all(sys.J == 0.0):
         raise NonzeroFeedthroughError("static feedback requires J = 0")
     if sys.p != sys.m:
         raise NonSquareError("static feedback requires a square system")
-    f_cl = lambda x: sys.f(x) + channel_sign * (psi(sys.h(x)) @ sys.G.T)
+    f_cl = lambda x: sys.f(x) - psi(sys.h(x)) @ sys.G.T
     cls = DtSystem if sys.discrete else CtSystem
     return cls(f_cl, sys.h, sys.G, name=f"{sys.name}+static",
                storage=sys.storage, meta=dict(sys.meta))

@@ -126,6 +126,16 @@ def psd_sqrt(A, tol: float = DEFAULT_PSD_TOL) -> np.ndarray:
     return V @ np.diag(np.sqrt(vals)) @ V.T
 
 
+def psd_storage(P) -> np.ndarray:
+    """A discrete-time storage matrix P, symmetrised; RhatNotPsdError unless
+    it is positive semidefinite to within 1e-10.  Every use of a P checks it
+    here: certificates, margins and trajectory audits."""
+    P = symmetrize(np.atleast_2d(np.asarray(P, dtype=float)))
+    if sym_eigen(P).min < -1e-10:
+        raise RhatNotPsdError("P must be positive semidefinite")
+    return P
+
+
 def fd_jacobian(F, x) -> np.ndarray:
     """Central-difference Jacobian of ``F`` at ``x``, or the (N, k, n) stack
     of Jacobians at each row of an (N, n) stack ``x`` for an ``F`` that maps

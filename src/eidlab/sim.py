@@ -191,11 +191,12 @@ def audit_dissipation(traj: Trajectory, storage, supply, ubar, ybar,
     """Audit the dissipation inequality along one trajectory.
 
     ``storage`` is a callable V(x), evaluated on all states as one stack,
-    or a matrix P (with ``xbar``) for the discrete-time quadratic family.
-    Supply is compared per step: trapezoid of w(u - ubar, y - ybar) in
-    continuous time, the pointwise value in discrete time.  Positive
-    entries of ``violations`` beyond ``tol`` fail the audit; per-step
-    comparison localizes where the inequality breaks.
+    or a matrix P (with ``xbar``) for the discrete-time quadratic family,
+    which raises RhatNotPsdError unless P is PSD.  Supply is compared per
+    step: trapezoid of w(u - ubar, y - ybar) in continuous time, the
+    pointwise value in discrete time.  Positive entries of ``violations``
+    beyond ``tol`` fail the audit; per-step comparison localizes where the
+    inequality breaks.
     """
     if traj.states.ndim != 2:
         raise ValueError("audit_dissipation audits a single trajectory, not a batch")
@@ -209,7 +210,7 @@ def audit_dissipation(traj: Trajectory, storage, supply, ubar, ybar,
     if callable(storage):
         Vs = systems._evaluate_stack(storage, traj.states, 0)
     else:
-        P = numerics.symmetrize(np.atleast_2d(np.asarray(storage, dtype=float)))
+        P = numerics.psd_storage(storage)
         D = traj.states - np.atleast_1d(np.asarray(xbar, dtype=float))
         Vs = np.einsum("ij,jk,ik->i", D, P, D)
     w = supply.evaluate(traj.inputs - ubar, traj.outputs - ybar)
@@ -246,23 +247,23 @@ def sphere_probes(n: int, count: int = 32, radius: float = 1.0,
 
 def stability_experiment(sys, xbar, ubar=None, radius: float = 0.1,
                          probes: int = 32, horizon: float = 20.0,
-                         dt: float = 1e-3, steps: int = 2000,
-                         conv_tol: Optional[float] = None) -> dict:
-    """Simulate from a shell of probe states with the input held at the
-    equilibrium value and report convergence statistics.
+                         dt: float = 1e-3, steps: int = 2000) -> dict:
+    """Simulate from a shell of ``probes`` >= 1 probe states with the input
+    held at the equilibrium value and report convergence statistics.
 
-    All probes are integrated together as one (probes, n) stack.
-    ``conv_tol`` defaults to 5% of the probe radius.  Diverging trajectories
-    (non-finite states) count as non-converged with an infinite final
-    distance; ``nonconverged`` lists the probe indices that did not
-    converge and ``n_diverged`` counts those that diverged.
+    All probes are integrated together as one (probes, n) stack.  A probe
+    converges when it ends within ``conv_tol``, 5% of the probe radius.
+    Diverging trajectories (non-finite states) count as non-converged with
+    an infinite final distance; ``nonconverged`` lists the probe indices
+    that did not converge and ``n_diverged`` counts those that diverged.
     """
+    if probes < 1:
+        raise ValueError(f"need at least one probe, got probes={probes}")
     xbar = np.atleast_1d(np.asarray(xbar, dtype=float))
     if ubar is None:
         ubar = np.zeros(sys.m)
     ubar = np.atleast_1d(np.asarray(ubar, dtype=float))
-    if conv_tol is None:
-        conv_tol = 0.05 * radius
+    conv_tol = 0.05 * radius
     x0 = xbar + sphere_probes(sys.n, probes, radius)
     if sys.discrete:
         traj = simulate_dt(sys, x0, ubar, steps=steps)

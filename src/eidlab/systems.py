@@ -132,14 +132,13 @@ class StorageGenerator:
             probes[key] = (fn, not _maps_stacks(fn, x.shape[-1], ndim))
         return _evaluate(fn, probes[key][1], x, ndim)
 
-    def validate(self, region, probes: int = 1000, seed: int = 0,
-                 grad_rtol: float = 1e-5) -> dict:
+    def validate(self, region, probes: int = 1000, seed: int = 0) -> dict:
         """Sampled consistency checks inside a box region (lo, hi).
 
-        Checks the analytic gradient against finite differences and, for a
-        declared strongly convex generator, the secant inequality
-        [∇V(x)-∇V(z)]ᵀ(x-z) >= mu ||x-z||² on one (probes, 2, n) block of
-        random pairs.
+        Checks the analytic gradient against finite differences (to 1e-5
+        relative) and, for a declared strongly convex generator, the secant
+        inequality [∇V(x)-∇V(z)]ᵀ(x-z) >= mu ||x-z||² on one (probes, 2, n)
+        block of random pairs.
         """
         lo, hi = (np.asarray(b, dtype=float) for b in region)
         rng = np.random.default_rng(seed)
@@ -154,7 +153,7 @@ class StorageGenerator:
         worst_secant = float(np.min(secant, initial=np.inf))
         mu_req = self.mu if self.convexity_class == "strongly_convex" else 0.0
         return {
-            "grad_consistent": worst_grad <= grad_rtol,
+            "grad_consistent": worst_grad <= 1e-5,
             "max_grad_mismatch": worst_grad,
             "min_secant_ratio": worst_secant,
             "secant_ok": worst_secant >= mu_req - 1e-9,

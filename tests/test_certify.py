@@ -27,6 +27,7 @@ from eidlab import (
 )
 from eidlab.equilibria import IoSample
 from eidlab.errors import DimensionMismatchError, RhatNotPsdError
+from eidlab.sim import audit_dissipation, simulate_dt
 
 
 PH_PARAMS = {
@@ -227,8 +228,9 @@ def test_dt_rejects_indefinite_p():
 
 
 def test_every_dt_path_rejects_indefinite_p():
-    # one check for all three: an unchecked P = -I once gave a fake "w0
-    # fails" margin and a negative psd_margin instead of an error
+    # one check for all four: an unchecked P = -I once gave a fake "w0
+    # fails" margin, a negative psd_margin and a passing audit instead of
+    # an error
     sys = catalog_build("dt_integrator", {"alpha": 0.5, "n": 2})
     pairs = sample_pairs(sys, (-np.ones(2), np.ones(2)), count=50, seed=0)
     w0, w1 = SupplyRate.l2_gain(5.0, 2, 2), SupplyRate.l2_gain(1.0, 2, 2)
@@ -239,6 +241,9 @@ def test_every_dt_path_rejects_indefinite_p():
         supply_margin(sys, w0, w1, P, pairs)
     with pytest.raises(RhatNotPsdError):
         factor_dissipation(sys, w0, P, pairs[1])
+    traj = simulate_dt(sys, np.array([0.5, -0.2]), steps=10)
+    with pytest.raises(RhatNotPsdError):
+        audit_dissipation(traj, P, w0, np.zeros(2), np.zeros(2), xbar=np.zeros(2))
 
 
 # ---------------------------------------------------------------------------
@@ -420,6 +425,14 @@ def test_sample_pairs_contract(ph):
     assert np.allclose(pairs[5][0], again[5][0])
 
 
+@pytest.mark.parametrize("count", [0, -3])
+def test_sample_pairs_needs_a_positive_count(ph, count):
+    # any count below 1 used to return only the degenerate pair x == xb,
+    # which passes every certificate
+    with pytest.raises(ValueError, match="at least one pair"):
+        sample_pairs(ph, (-np.ones(4), np.ones(4)), count=count, seed=0)
+
+
 # ---------------------------------------------------------------------------
 # the stacked kernel against the per-pair loop it replaced
 
@@ -499,9 +512,9 @@ def test_stacked_kernel_matches_per_pair_reference(case, mode):
     verify = verify_eid_dt if sys.discrete else verify_eid_ct
     cert = verify(sys, w, storage, pairs, ell=ell, mode=mode)
     a_ref, b_ref = _reference_residuals(sys, w, storage, pairs, cert.W, ell, mode)
-    qjs = w.Q @ sys.J + w.S
     X, Xbar = certify._stack_pairs(pairs, sys.n)
-    a_viol, b_res = certify._residuals(sys, w, qjs, storage, X, Xbar, cert.W, ell, mode)
+    _, D = certify._dissipation_stacks(sys, storage, X, Xbar, w)[0]
+    a_viol, b_res = certify._residuals(sys, D, X, Xbar, cert.W, ell, mode)
     np.testing.assert_allclose(a_viol, a_ref, rtol=0, atol=1e-12)
     np.testing.assert_allclose(b_res, b_ref, rtol=0, atol=1e-12)
     ref_passed = (a_ref.max() <= cert.tolerances["tol_a"]

@@ -425,3 +425,31 @@ def test_dt_audit_without_storage_matrix_says_so(runner, tmp_path):
     result = runner.invoke(main, ["audit", "--system", sys_path, "--config", cfg,
                                   "--out", str(tmp_path)])
     assert _error(result) == "error: no storage matrix P given or known for this system"
+
+
+def test_dt_audit_rejects_indefinite_storage_matrix(runner, tmp_path):
+    # an indefinite P used to pass the audit (max_violation -0.325)
+    sys_path = _write(tmp_path, "sys.json", {
+        "schema": 1, "family": "dt_integrator", "params": {"alpha": 0.5, "n": 2},
+    })
+    cfg = _write(tmp_path, "cfg.json", {"xbar": [0, 0], "x0": [0.5, -0.2], "steps": 10,
+                                        "P": (-np.eye(2)).tolist()})
+    result = runner.invoke(main, ["audit", "--system", sys_path, "--config", cfg,
+                                  "--out", str(tmp_path)])
+    assert _error(result) == "error: P must be positive semidefinite"
+
+
+@pytest.mark.parametrize("command,system,config,message", [
+    # pairs: 0 used to certify on the degenerate pair alone (pass, n_pairs 1)
+    ("certify", "second_order", {"supply": {"type": "output_strict", "a": 0.5}, "pairs": 0},
+     "error: need at least one pair, got count=0"),
+    # probes: 0 used to die with a ZeroDivisionError traceback
+    ("stability", "smib", {"xbar": [0.2, 0.0], "probes": 0, "horizon": 0.1},
+     "error: need at least one probe, got probes=0"),
+])
+def test_empty_sample_counts_are_errors(runner, tmp_path, command, system, config, message):
+    sys_path = _write(tmp_path, "sys.json", {"schema": 1, **_SYSTEMS[system]})
+    cfg = _write(tmp_path, "cfg.json", config)
+    result = runner.invoke(main, [command, "--system", sys_path, "--config", cfg,
+                                  "--out", str(tmp_path)])
+    assert _error(result) == message

@@ -67,6 +67,28 @@ def test_solve_equilibrium_matches_ku_ky():
     assert np.allclose(eq.u, ubar, atol=1e-8)
 
 
+def test_underactuated_discrete_time_equilibria():
+    # x+ = Fx + Gu with m = 1 < n = 2: the forced equilibria are the line
+    # (F - I)x + Gu = 0, so every DT path below runs a real projection
+    F, G = np.array([[0.5, 0.2], [-0.1, 0.3]]), np.array([[1.0], [0.5]])
+    sys = catalog_build("lti", {"F": F.tolist(), "G": G.tolist(), "discrete": True})
+    emap = EquilibriumMap(sys)
+    assert not emap.fully_actuated
+    eq_res = lambda x, u: np.linalg.norm((F - np.eye(2)) @ x + G @ np.atleast_1d(u))
+    x = emap.project(np.array([0.7, -0.4]))
+    eq = emap.ku_ky(x)
+    assert eq_res(x, eq.u) <= 1e-10
+    assert emap.equilibrium_residual(x, eq.u) <= 1e-10
+    samples = emap.sample_io_relation((-np.ones(2), np.ones(2)), 30, seed=2)
+    assert len(samples) == 30
+    for s in samples:
+        assert eq_res(s.x, s.u) <= 1e-10
+        assert emap.equilibrium_residual(s.x, s.u) <= 1e-10
+    xbar = emap.solve_equilibrium([0.3], np.zeros(2))
+    np.testing.assert_allclose(xbar, np.linalg.solve(np.eye(2) - F, G[:, 0] * 0.3),
+                               rtol=0, atol=1e-9)
+
+
 def test_project_onto_smib_equilibrium_set():
     sys = catalog_build("smib", {"M": 1.0, "D": 1.0, "b": 1.0, "V": 1.0, "P_m": 0.2})
     emap = EquilibriumMap(sys)

@@ -217,6 +217,13 @@ def test_stability_experiment_converging_and_diverging():
         rep["max_final_distance"] > rep["conv_tol"]
 
 
+def test_stability_experiment_needs_a_probe():
+    # probes=0 used to die with ZeroDivisionError
+    sys = catalog_build("dt_gradient", {"mu": 1.0, "alpha": 0.5})
+    with pytest.raises(ValueError, match="at least one probe"):
+        stability_experiment(sys, np.zeros(1), probes=0, steps=10)
+
+
 @pytest.mark.filterwarnings("ignore:overflow")
 def test_simulate_rejects_nonfinite_trajectories():
     sys = catalog_build("lti", {"F": [[5.0]], "G": [[1.0]], "H": [[1.0]]})
