@@ -24,10 +24,10 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from . import numerics, systems
+from . import numerics
 from .equilibria import EquilibriumMap, IoSample
 from .errors import DimensionMismatchError
-from .systems import SectorBounds, StaticNonlinearity, StorageGenerator, SupplyRate
+from .systems import SectorBounds, StaticNonlinearity, StorageGenerator, SupplyRate, _Stacked
 
 DEFAULT_TOL_A = 1e-7
 DEFAULT_TOL_B = 1e-7
@@ -82,25 +82,25 @@ def sample_pairs(sys, region, count: int = DEFAULT_PAIR_COUNT, seed: int = 0):
     return [(eq_list[0].x.copy(), eq_list[0])] + [(x, eq_list[k]) for x, k in zip(X, picks)]
 
 
-def canonical_w(rhat, tol: float = DEFAULT_TOL_C) -> np.ndarray:
+def canonical_w(rhat) -> np.ndarray:
     """Symmetric PSD square root of Rhat, the canonical constant factor.
 
     Any other valid W differs from this one by a left orthogonal factor, so
     nothing is lost by the choice.  Raises RhatNotPsdError when Rhat has an
-    eigenvalue below -tol (no constant W exists).
+    eigenvalue below -DEFAULT_TOL_C (no constant W exists).
     """
-    return numerics.psd_sqrt(rhat, max(tol, 1e-12))
+    return numerics.psd_sqrt(rhat, DEFAULT_TOL_C)
 
 
 @dataclass
 class ResidualStats:
     """Largest residuals; each worst index names the pair attaining it."""
 
-    max_a_violation: float = 0.0
-    max_b_residual: float = 0.0
-    c_residual: float = 0.0
-    worst_a_index: int = -1
-    worst_b_index: int = -1
+    max_a_violation: float
+    max_b_residual: float
+    c_residual: float
+    worst_a_index: int
+    worst_b_index: int
 
     def as_dict(self) -> dict:
         return asdict(self)
@@ -180,13 +180,12 @@ def _dissipation_stacks(sys, storage, X, Xbar, *supplies) -> list:
     c = (QJ+S)ᵀΔh - Cs, from one evaluation of the pair terms.  A pair passes
     (a)-(c) with the best W and ell exactly when its D is PSD.  ``storage``
     is a StorageGenerator in continuous time or a PSD matrix P in discrete
-    time."""
+    time, whose check comes first; an empty pair set is a ValueError."""
     if sys.discrete:
         storage = numerics.psd_storage(storage)
-    if len(X):
-        dH, s, Cs = _pair_terms(sys, storage, X, Xbar)
-    else:
-        dH, s, Cs = np.zeros((0, sys.p)), np.zeros(0), np.zeros((0, sys.m))
+    if not len(X):
+        raise ValueError("need at least one pair")
+    dH, s, Cs = _pair_terms(sys, storage, X, Xbar)
     stacks = []
     for w in supplies:
         rhat_eff = w.rhat(sys.J)
@@ -211,9 +210,8 @@ def _residuals(sys, D, X, Xbar, W, ell, mode):
         # only makes condition (a) harder, so this is the favourable choice
         L = np.linalg.lstsq(W.T, C.T, rcond=None)[0].T
     else:
-        # ell(x, xb) on the (N, 2n) stack [X, X̄], or row by row on one pair
-        L = systems._evaluate_stack(lambda Z: ell(Z[..., :sys.n], Z[..., sys.n:]),
-                                    np.concatenate([X, Xbar], axis=1))
+        # ell(x, xb) on the stacks X, X̄, or row by row on one pair
+        L = _Stacked(ell)(X, Xbar)
         if L.shape[-1] < W.shape[0]:
             raise DimensionMismatchError(
                 f"ell has {L.shape[-1]} components but W has {W.shape[0]} rows")
@@ -239,11 +237,10 @@ def _verify_eid(sys, w: SupplyRate, storage, pairs, W, ell, mode,
         raise DimensionMismatchError(f"W must have {sys.m} columns")
     c_res = float(np.linalg.norm(W.T @ W - rhat_eff))
 
-    stats = ResidualStats(c_residual=c_res)
-    if len(pairs):
-        a_viol, b_res = _residuals(sys, D, X, Xbar, W, ell, mode)
-        stats.worst_a_index, stats.worst_b_index = int(np.argmax(a_viol)), int(np.argmax(b_res))
-        stats.max_a_violation, stats.max_b_residual = float(a_viol.max()), float(b_res.max())
+    a_viol, b_res = _residuals(sys, D, X, Xbar, W, ell, mode)
+    stats = ResidualStats(max_a_violation=float(a_viol.max()), max_b_residual=float(b_res.max()),
+                          c_residual=c_res, worst_a_index=int(np.argmax(a_viol)),
+                          worst_b_index=int(np.argmax(b_res)))
     passed = (stats.max_a_violation <= tol_a and stats.max_b_residual <= tol_b
               and c_res <= tol_c)
     return EidCertificate(
@@ -363,10 +360,12 @@ def check_sector(psi: StaticNonlinearity, bounds: SectorBounds, probes,
     """Validate a declared incremental sector by sampling pairs.
 
     Evaluates the incremental dissipation form :func:`sector_supply` on
-    each probe pair and reports the minimum margin.
+    each of at least one probe pair and reports the minimum margin.
     """
+    if len(probes) < 1:
+        raise ValueError("need at least one probe pair")
     Z = np.asarray(probes, dtype=float).reshape(len(probes), 2, -1)
-    Psi = systems._evaluate_stack(psi, Z.reshape(-1, Z.shape[-1])).reshape(Z.shape)
+    Psi = _Stacked(psi)(Z.reshape(-1, Z.shape[-1])).reshape(Z.shape)
     margins = sector_supply(bounds).evaluate(Z[:, 1] - Z[:, 0], Psi[:, 1] - Psi[:, 0])
     violations = int(np.sum(margins < -tol))
     return {"min_margin": float(margins.min()), "violations": violations,

@@ -17,7 +17,7 @@ import numpy as np
 
 from . import numerics
 from .errors import NotAssignableError
-from .systems import SupplyRate, _evaluate_stack
+from .systems import SupplyRate, _Stacked
 
 DEFAULT_RESIDUAL_TOL = 1e-8
 
@@ -237,28 +237,28 @@ def check_relation_dissipativity(samples, w: SupplyRate, tol: float = 1e-9) -> d
     }
 
 
-def cocoercivity_check(samples, rho: float, tol: float = 1e-9) -> dict:
+def cocoercivity_check(samples, rho: float) -> dict:
     """Sampled test of (y-y')ᵀ(u-u') >= rho ||y-y'||² over all pairs: the
-    relation check with the output-strict supply (-rho I, I/2, 0)."""
+    relation check with the output-strict supply (-rho I, I/2, 0) at its
+    default tolerance."""
     items = list(samples)
     if len(items) < 2:
         raise ValueError("need at least two samples")
-    rep = check_relation_dissipativity(
-        items, SupplyRate.output_strict(rho, items[0].u.size), tol)
+    rep = check_relation_dissipativity(items, SupplyRate.output_strict(rho, items[0].u.size))
     return {"min_margin": rep["min_pair_value"], "violations": len(rep["violations"]),
             "holds": rep["monotone"]}
 
 
 def maximality_conditions(sys, samples: Optional[RelationSamples] = None,
-                          rho: float = 1.0, seed: int = 0,
-                          probes: int = 20, box: float = 2.0) -> dict:
+                          rho: float = 1.0, seed: int = 0) -> dict:
     """Numerically checkable sufficient conditions for maximal monotonicity
     of the equilibrium I/O relation of a square system.
 
     - ``cocoercive_sampled``: the cocoercivity form evaluated on sample pairs
       (requires ``samples``);
     - ``f_homeomorphism_hint``: drift Jacobian (f, or f - id in discrete
-      time) nonsingular at random probes — a hint only, not a proof;
+      time) nonsingular at 20 random probes in the box [-2, 2]ⁿ — a hint
+      only, not a proof;
     - ``f_zero_or_identity``: exact test on catalog metadata.
     """
     if not sys.square:
@@ -266,8 +266,8 @@ def maximality_conditions(sys, samples: Optional[RelationSamples] = None,
     report = {}
     if samples is not None and len(samples) >= 2:
         report["cocoercive_sampled"] = cocoercivity_check(samples, rho)["holds"]
-    X = np.random.default_rng(seed).uniform(-box, box, size=(probes, sys.n))
-    Jf = (_evaluate_stack(sys.f_jac, X, 2) if sys.f_jac is not None
+    X = np.random.default_rng(seed).uniform(-2.0, 2.0, size=(20, sys.n))
+    Jf = (_Stacked(sys.f_jac, 2)(X) if sys.f_jac is not None
           else numerics.fd_jacobian(sys.f, X))
     if sys.discrete:
         Jf = Jf - np.eye(sys.n)

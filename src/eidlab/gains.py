@@ -171,10 +171,11 @@ def gaussian_disturbances(count: int, m: int, steps: int, seed: int = 0,
 
 
 def sinusoid_disturbances(count: int, m: int, steps: int, dt: float = 1.0,
-                          seed: int = 0, scale: float = 1.0,
-                          support: float = 0.6):
+                          seed: int = 0, scale: float = 1.0):
+    """Random sinusoids, active on the first 60% of the horizon as for
+    :func:`gaussian_disturbances`."""
     rng = np.random.default_rng(seed)
-    active = max(1, int(support * steps))
+    active = max(1, int(0.6 * steps))
     t = np.arange(active) * dt
     out = []
     for _ in range(count):
@@ -188,11 +189,12 @@ def sinusoid_disturbances(count: int, m: int, steps: int, dt: float = 1.0,
 
 def _signal_norms(traj, ybar, dt: Optional[float]):
     """||y - ybar|| and ||u|| of each row of a batched trajectory: sums in
-    discrete time, trapezoid integrals in continuous time."""
+    discrete time, where the input sum runs over the applied steps (the last
+    row repeats the one before it), trapezoid integrals in continuous time."""
     dy2 = np.sum((traj.outputs - ybar) ** 2, axis=-1)
     du2 = np.sum(traj.inputs**2, axis=-1)
     if dt is None:
-        return np.sqrt(np.sum(dy2, axis=-1)), np.sqrt(np.sum(du2, axis=-1))
+        return np.sqrt(np.sum(dy2, axis=-1)), np.sqrt(np.sum(du2[..., :-1], axis=-1))
     return (np.sqrt(np.trapezoid(dy2, dx=dt, axis=-1)),
             np.sqrt(np.trapezoid(du2, dx=dt, axis=-1)))
 
@@ -224,6 +226,9 @@ def empirical_gain(sys, xbar, disturbances, horizon: Optional[float] = None,
         x0 = np.tile(xbar, (len(group), 1))
         if sys.discrete:
             traj = simulate_dt(sys, x0, V, steps=length)
+            # the repeated last input row is not applied, so the last
+            # output is h(x_N) without its feedthrough
+            traj.outputs[:, -1] -= traj.inputs[:, -1] @ sys.J.T
             num, den = _signal_norms(traj, ybar, None)
         else:
             T = horizon if horizon is not None else length * dt
@@ -256,12 +261,9 @@ def power_iterate_disturbance(sys, xbar, v0, rounds: int = 5, dt: float = 1e-3):
     if energy <= 0:
         raise ValueError("seed disturbance must have positive energy")
     for _ in range(rounds):
-        if sys.discrete:
-            traj = simulate_dt(sys, xbar, v, steps=v.shape[0])
-            dy = traj.outputs - ybar[None, :]
-        else:
-            traj = simulate_ct(sys, xbar, v, T=v.shape[0] * dt, dt=dt)
-            dy = traj.outputs[: v.shape[0]] - ybar[None, :]
+        traj = (simulate_dt(sys, xbar, v, steps=len(v)) if sys.discrete
+                else simulate_ct(sys, xbar, v, T=len(v) * dt, dt=dt))
+        dy = traj.outputs[:len(v)] - ybar
         if dy.shape[1] != v.shape[1]:
             break  # non-square channel; keep the current iterate
         cand = dy[::-1]

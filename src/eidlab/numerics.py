@@ -31,16 +31,17 @@ def require_finite(a, what: str = "array") -> np.ndarray:
     return a
 
 
-def symmetrize(A, rtol: float = SYMMETRY_RTOL) -> np.ndarray:
-    """Check A is symmetric to within ``rtol`` (relative) and return (A+Aᵀ)/2."""
+def symmetrize(A) -> np.ndarray:
+    """Check A is symmetric to within SYMMETRY_RTOL (relative) and return
+    (A+Aᵀ)/2."""
     A = require_finite(A, "matrix")
     if A.ndim != 2 or A.shape[0] != A.shape[1]:
         raise NonSymmetricError(f"expected a square matrix, got shape {A.shape}")
     scale = max(np.linalg.norm(A), 1.0)
     asym = np.linalg.norm(A - A.T)
-    if asym > rtol * scale:
+    if asym > SYMMETRY_RTOL * scale:
         raise NonSymmetricError(
-            f"matrix asymmetry {asym:.3e} exceeds {rtol:.1e} * {scale:.3e}"
+            f"matrix asymmetry {asym:.3e} exceeds {SYMMETRY_RTOL:.1e} * {scale:.3e}"
         )
     return 0.5 * (A + A.T)
 
@@ -65,14 +66,13 @@ class EigenResult:
         return float(self.eigenvalues[-1])
 
 
-def sym_eigen(A, rtol: float = SYMMETRY_RTOL) -> EigenResult:
+def sym_eigen(A) -> EigenResult:
     """Full spectral decomposition of a symmetric matrix.
 
     Raises NonSymmetricError if the relative asymmetry of ``A`` exceeds
-    ``rtol``.  Ordering is deterministic (ascending eigenvalues).
+    SYMMETRY_RTOL.  Ordering is deterministic (ascending eigenvalues).
     """
-    As = symmetrize(A, rtol)
-    vals, vecs = np.linalg.eigh(As)
+    vals, vecs = np.linalg.eigh(symmetrize(A))
     return EigenResult(eigenvalues=vals, eigenvectors=vecs)
 
 

@@ -15,8 +15,9 @@ from typing import Optional
 
 import numpy as np
 
-from . import numerics, systems
+from . import numerics
 from .errors import NonFiniteError
+from .systems import _Stacked
 
 # tolerance constants: base audit slack plus an O(dt^4) RK4 allowance per
 # unit horizon in continuous time
@@ -208,7 +209,7 @@ def audit_dissipation(traj: Trajectory, storage, supply, ubar, ybar,
         tol = ct_audit_tol(traj.dt, horizon) if traj.dt is not None else DT_AUDIT_TOL
 
     if callable(storage):
-        Vs = systems._evaluate_stack(storage, traj.states, 0)
+        Vs = _Stacked(storage, 0)(traj.states)
     else:
         P = numerics.psd_storage(storage)
         D = traj.states - np.atleast_1d(np.asarray(xbar, dtype=float))
@@ -228,19 +229,17 @@ def audit_dissipation(traj: Trajectory, storage, supply, ubar, ybar,
     )
 
 
-def sphere_probes(n: int, count: int = 32, radius: float = 1.0,
-                  seed: int = 12345) -> np.ndarray:
+def sphere_probes(n: int, count: int = 32, radius: float = 1.0) -> np.ndarray:
     """Deterministic probe directions on a sphere.
 
-    Evenly spaced angles for n = 2; normalized fixed-seed Gaussian
-    directions otherwise.  Reproducible by construction.
+    Evenly spaced angles for n = 2; normalized Gaussian directions from the
+    fixed seed 12345 otherwise.  Reproducible by construction.
     """
     if n == 2:
         ang = 2.0 * np.pi * np.arange(count) / count
         dirs = np.column_stack([np.cos(ang), np.sin(ang)])
     else:
-        rng = np.random.default_rng(seed)
-        dirs = rng.normal(size=(count, n))
+        dirs = np.random.default_rng(12345).normal(size=(count, n))
         dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
     return radius * dirs
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 import warnings
+from contextlib import suppress
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
@@ -118,19 +119,17 @@ class StorageGenerator:
     convexity_class: str = "convex"
     mu: float = 0.0
     name: str = "storage"
+    _stacked: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def _values(self, attr: str, x) -> np.ndarray:
         """``V`` or ``grad_V`` (by name) at one state or on an (N, n) stack,
-        each callable probed once per state dimension for stacks."""
-        fn, x = getattr(self, attr), np.asarray(x, dtype=float)
-        ndim = 0 if attr == "V" else 1
-        if x.ndim < 2:
-            return _evaluate(fn, False, x, ndim)
-        probes = self.__dict__.setdefault("_stack_probes", {})
-        key = (attr, x.shape[-1])
-        if key not in probes or probes[key][0] is not fn:
-            probes[key] = (fn, not _maps_stacks(fn, x.shape[-1], ndim))
-        return _evaluate(fn, probes[key][1], x, ndim)
+        through one stack rule per field, rebuilt when the field's callable
+        is replaced."""
+        fn = getattr(self, attr)
+        rule = self._stacked.get(attr)
+        if rule is None or rule.fn is not fn:
+            rule = self._stacked[attr] = _Stacked(fn, 0 if attr == "V" else 1)
+        return rule(x)
 
     def validate(self, region, probes: int = 1000, seed: int = 0) -> dict:
         """Sampled consistency checks inside a box region (lo, hi).
@@ -138,8 +137,10 @@ class StorageGenerator:
         Checks the analytic gradient against finite differences (to 1e-5
         relative) and, for a declared strongly convex generator, the secant
         inequality [∇V(x)-∇V(z)]ᵀ(x-z) >= mu ||x-z||² on one (probes, 2, n)
-        block of random pairs.
+        block of random pairs, ``probes`` >= 1.
         """
+        if probes < 1:
+            raise ValueError(f"need at least one probe, got probes={probes}")
         lo, hi = (np.asarray(b, dtype=float) for b in region)
         rng = np.random.default_rng(seed)
         X, Z = rng.uniform(lo, hi, size=(probes, 2, lo.size)).transpose(1, 0, 2)
@@ -229,55 +230,78 @@ class SeparableConvex:
 # systems
 
 
-def _maps_stacks(fn, n: int, ndim: int = 1) -> bool:
-    """Whether ``fn`` maps a fixed 3-row stack of states to the stack of its
-    values on each row, read as by :func:`_evaluate`.  Raising, a wrong
-    shape or a wrong value all say no.  With :func:`_evaluate` this is the
-    one rule for every user callable evaluated on stacks."""
-    X = np.linspace(-0.5, 0.7, 3 * n).reshape(3, n)
-    try:
-        with warnings.catch_warnings(), np.errstate(all="ignore"):
-            warnings.simplefilter("ignore")
-            rows = _evaluate(fn, True, X, ndim)
-            stacked = np.asarray(fn(X), dtype=float)
-    except Exception:
-        return False
-    if stacked.shape != rows.shape:
-        return False
-    # a stacked matmul may round differently from a single-row one
-    err = np.max(np.abs(stacked - rows), initial=0.0)
-    return bool(err <= 1e-12 * (1.0 + np.max(np.abs(rows), initial=0.0)))
-
-
 _AS_VALUE = (lambda v: v.reshape(()), np.atleast_1d, np.atleast_2d)
 
 
-def _evaluate(fn, rowwise: bool, x, ndim: int = 1) -> np.ndarray:
-    """``fn`` at one state or on a stack, looping over rows if ``rowwise``.
-    Each value has ``ndim`` dimensions: 0 for a scalar, 1 for a vector (a
-    scalar becomes length 1) and 2 for a matrix."""
-    x = np.asarray(x, dtype=float)
-    if x.ndim < 2:
-        return _AS_VALUE[ndim](np.asarray(fn(x), dtype=float))
-    if rowwise:
-        out = np.array([_AS_VALUE[ndim](np.asarray(fn(r), dtype=float))
-                        for r in x.reshape(-1, x.shape[-1])])
-        return out.reshape(x.shape[:-1] + out.shape[1:])
-    return np.asarray(fn(x), dtype=float)
+class _Stacked:
+    """The one stack rule for a user callable of one or more states: ``fn``
+    at one point, or on one (N, k) stack per argument.  On the first stack
+    of each argument width (a tuple of widths for several arguments), a
+    fixed 3-row probe decides whether ``fn`` maps stacks to the stack of its
+    row values; raising, a wrong shape or a wrong value all say no, and such
+    stacks go row by row.  Each value has ``ndim`` dimensions: 0, 1 (a
+    scalar becomes length 1) or 2.  On the row path an empty stack takes
+    the value shape of a probe row; if no probe row evaluates, the value
+    axes have size 0.
+    """
 
+    def __init__(self, fn, ndim: int = 1):
+        self.fn = fn
+        self.ndim = ndim
+        self._stacks = set()  # argument widths on which fn maps stacks
+        self._rows = {}       # the other probed widths -> shape of one value
 
-def _evaluate_stack(fn, x, ndim: int = 1) -> np.ndarray:
-    """``fn`` on the (N, k) stack ``x`` under the rule of :func:`_maps_stacks`,
-    probed on this call: for callables with no owner to keep the probe."""
-    x = np.asarray(x, dtype=float)
-    return _evaluate(fn, not _maps_stacks(fn, x.shape[-1], ndim), x, ndim)
+    def __call__(self, x, *more) -> np.ndarray:
+        x = np.asarray(x, dtype=float)
+        if more:
+            more = [np.asarray(m, dtype=float) for m in more]
+        elif x.ndim == 2 and x.shape[1] in self._stacks:
+            # f and h run in every RK4 stage: a one-state stack of a width
+            # known to map stacks goes straight to fn
+            return np.asarray(self.fn(x), dtype=float)
+        if x.ndim < 2:
+            value = self.fn(x, *more) if more else self.fn(x)
+            return _AS_VALUE[self.ndim](np.asarray(value, dtype=float))
+        key = (x.shape[-1],) + tuple(m.shape[-1] for m in more) if more else x.shape[-1]
+        if self.maps_stacks(key):
+            return np.asarray(self.fn(x, *more), dtype=float)
+        # the callable at each row; no rows keep the value shape
+        out = np.array([self(*r) for r in zip(*(a.reshape(-1, a.shape[-1]) for a in (x, *more)))])
+        return out.reshape(x.shape[:-1] + (out.shape[1:] if len(out) else self._rows[key]))
+
+    def maps_stacks(self, key) -> bool:
+        """Whether ``fn`` maps stacks of argument width ``key``, probed on
+        the first call for each key."""
+        if key in self._stacks or key in self._rows:
+            return key in self._stacks
+        widths = key if isinstance(key, tuple) else (key,)
+        Z = np.linspace(-0.5, 0.7, 3 * sum(widths)).reshape(3, -1)
+        X = np.split(Z, np.cumsum(widths)[:-1], axis=1)
+        rows, maps = [], False
+        with warnings.catch_warnings(), np.errstate(all="ignore"):
+            warnings.simplefilter("ignore")
+            for r in zip(*X):
+                with suppress(Exception):
+                    rows.append(self(*r))
+            with suppress(Exception):
+                if len(rows) == 3:
+                    rows, stacked = np.array(rows), np.asarray(self.fn(*X), dtype=float)
+                    # a stacked matmul may round differently from a single-row one
+                    maps = stacked.shape == rows.shape and bool(
+                        np.max(np.abs(stacked - rows), initial=0.0)
+                        <= 1e-12 * (1.0 + np.max(np.abs(rows), initial=0.0)))
+        if maps:
+            self._stacks.add(key)
+        else:
+            self._rows[key] = rows[-1].shape if len(rows) else (0,) * self.ndim
+        return maps
 
 
 class _ControlAffine:
     """Shared implementation for CT and DT control-affine systems.
 
-    ``f`` and ``h`` accept one state or an (N, n) stack of states; whether
-    the callables take stacks is probed once, at construction.
+    ``f`` and ``h`` accept one state or an (N, n) stack of states, each
+    through its own stack rule (:class:`_Stacked`).
     """
 
     discrete: bool = False
@@ -286,8 +310,10 @@ class _ControlAffine:
                  storage: Optional[StorageGenerator] = None, meta: Optional[dict] = None):
         self.G = np.atleast_2d(np.asarray(G, dtype=float))
         self.n, self.m = self.G.shape
+        self._f = _Stacked(f)
+        self._h = _Stacked(h)
         if J is None:
-            J = np.zeros((_evaluate(h, False, np.zeros(self.n)).size, self.m))
+            J = np.zeros((self._h(np.zeros(self.n)).size, self.m))
         self.J = np.atleast_2d(np.asarray(J, dtype=float))
         self.p = self.J.shape[0]
         if self.J.shape != (self.p, self.m):
@@ -299,22 +325,20 @@ class _ControlAffine:
         sv = np.linalg.svd(self.G, compute_uv=False)
         if sv.size < self.m or sv[self.m - 1] <= 1e-10:
             raise DimensionMismatchError("G must have full column rank")
-        self._f = f
-        self._h = h
         self.f_jac = f_jac
         self.name = name
         self.storage = storage
         self.meta = dict(meta or {})
-        self._f_rowwise = not _maps_stacks(f, self.n)
-        self._h_rowwise = not _maps_stacks(h, self.n)
 
+    # f and h run in every RK4 stage; calling the rule's __call__ by name
+    # skips the slower dispatch of calling the rule object itself
     def f(self, x) -> np.ndarray:
         """Drift at one state (n,) or at each row of an (N, n) stack."""
-        return _evaluate(self._f, self._f_rowwise, x)
+        return self._f.__call__(x)
 
     def h(self, x) -> np.ndarray:
         """Output map at one state (n,) or at each row of an (N, n) stack."""
-        return _evaluate(self._h, self._h_rowwise, x)
+        return self._h.__call__(x)
 
     def output(self, x, u) -> np.ndarray:
         return self.h(x) + np.atleast_1d(u) @ self.J.T
@@ -671,16 +695,19 @@ def load_system(source):
 # validation
 
 
-def validate_system(sys, probes: int = 20, seed: int = 0, box: float = 2.0) -> dict:
+def validate_system(sys, probes: int = 20, seed: int = 0) -> dict:
     """Sampled sanity report for a system: rank(G), finiteness of f and h at
-    random probes, and consistency of an analytic Jacobian when present.
+    ``probes`` >= 1 random states in [-2, 2]ⁿ, and consistency of an
+    analytic Jacobian when present.
 
     Failures are recorded in the report, never raised.
     """
+    if probes < 1:
+        raise ValueError(f"need at least one probe, got probes={probes}")
     checks = {}
     sv = np.linalg.svd(sys.G, compute_uv=False)
     checks["G_full_column_rank"] = bool(sv.size >= sys.m and sv[sys.m - 1] > 1e-10)
-    X = np.random.default_rng(seed).uniform(-box, box, size=(probes, sys.n))
+    X = np.random.default_rng(seed).uniform(-2.0, 2.0, size=(probes, sys.n))
     worst_jac = 0.0
     try:
         checks["f_h_finite"] = bool(np.isfinite(sys.f(X)).all() and np.isfinite(sys.h(X)).all())
@@ -689,7 +716,7 @@ def validate_system(sys, probes: int = 20, seed: int = 0, box: float = 2.0) -> d
     else:
         if sys.f_jac is not None:
             Jn = numerics.fd_jacobian(sys.f, X)
-            mismatch = (np.linalg.norm(_evaluate_stack(sys.f_jac, X, 2) - Jn, axis=(1, 2))
+            mismatch = (np.linalg.norm(_Stacked(sys.f_jac, 2)(X) - Jn, axis=(1, 2))
                         / np.maximum(np.linalg.norm(Jn, axis=(1, 2)), 1.0))
             # fmax passes over the NaN of a non-finite row, which f_h_finite reports
             worst_jac = float(np.fmax.reduce(mismatch, initial=0.0))

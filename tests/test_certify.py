@@ -227,6 +227,23 @@ def test_dt_rejects_indefinite_p():
         verify_eid_dt(sys, SupplyRate.passivity(1), -np.eye(1), [])
 
 
+def test_empty_pair_sets_are_errors():
+    # with no pairs, (c) alone decided the verdict: this system is output
+    # strict only up to a = 1, yet a = 50 passed
+    from eidlab.interconnect import circle_criterion
+
+    so = catalog_build("second_order", {"mu": 1.0, "c": 0.5})
+    smib = catalog_build("smib", {"M": 1.0, "D": 1.0, "b": 1.0, "V": 1.0})
+    dti = catalog_build("dt_integrator", {"alpha": 0.5})
+    osp = SupplyRate.output_strict
+    for run in (lambda: verify_eid_ct(so, osp(50.0, 1), so.storage, []),
+                lambda: verify_eid_dt(dti, SupplyRate.passivity(1), dti.meta["P"], []),
+                lambda: supply_margin(so, osp(0.0, 1), osp(1.0, 1), so.storage, []),
+                lambda: circle_criterion(smib, SectorBounds.scalar(0.0, 1.0), smib.storage, [])):
+        with pytest.raises(ValueError, match="need at least one pair"):
+            run()
+
+
 def test_every_dt_path_rejects_indefinite_p():
     # one check for all four: an unchecked P = -I once gave a fake "w0
     # fails" margin, a negative psd_margin and a passing audit instead of
@@ -529,14 +546,13 @@ def test_stacked_kernel_matches_per_pair_reference(case, mode):
 
 
 def test_equivalence_cases_take_the_intended_paths():
-    from eidlab.systems import _maps_stacks
+    from eidlab.systems import _Stacked
 
     cases = _equivalence_cases()
-    assert _maps_stacks(cases["ph/min-norm"][3].grad_V, 4)
-    assert not _maps_stacks(cases["ph/row-storage"][3].grad_V, 4)
-    pair_map = lambda ell: (lambda Z: ell(Z[..., :4], Z[..., 4:]))
-    assert not _maps_stacks(pair_map(cases["ph/row-ell"][4]), 8)
-    assert _maps_stacks(pair_map(cases["ph/stack-ell"][4]), 8)
+    assert _Stacked(cases["ph/min-norm"][3].grad_V).maps_stacks(4)
+    assert not _Stacked(cases["ph/row-storage"][3].grad_V).maps_stacks(4)
+    assert not _Stacked(cases["ph/row-ell"][4]).maps_stacks((4, 4))
+    assert _Stacked(cases["ph/stack-ell"][4]).maps_stacks((4, 4))
     verdicts = {name: verify_eid_ct(sys, w, gen, sample_pairs(sys, region, 100, seed=1),
                                     ell=ell).passed
                 for name, (sys, region, w, gen, ell) in cases.items() if not sys.discrete}

@@ -168,6 +168,15 @@ def test_cocoercivity_check():
         cocoercivity_check(list(samples)[:1], 0.0)
 
 
+def test_maximality_conditions_reads_sampled_cocoercivity():
+    # at equilibrium u = 2x and y = x + 0.9 u = 2.8x, so the relation is
+    # cocoercive exactly for rho <= 5.6 / 2.8² ≈ 0.71
+    sys = catalog_build("gradient_ff", {"mu": 2.0, "g": 1.0, "j": 0.9, "n": 1})
+    samples = EquilibriumMap(sys).sample_io_relation((-np.ones(1), np.ones(1)), 40, seed=0)
+    assert maximality_conditions(sys, samples, rho=0.0)["cocoercive_sampled"]
+    assert not maximality_conditions(sys, samples=samples, rho=100.0)["cocoercive_sampled"]
+
+
 def test_maximality_conditions_dt_integrator():
     sys = catalog_build("dt_integrator", {"alpha": 0.5, "n": 2})
     rep = maximality_conditions(sys)

@@ -186,6 +186,30 @@ def test_power_iteration_does_not_decrease_gain():
     assert refined >= base - 1e-9
 
 
+def test_dt_power_iteration_keeps_the_signal_length():
+    # the DT trajectory has one output row more than the signal; feeding it
+    # back whole lengthened the signal by one row per round
+    sys = catalog_build("dt_gradient", {"mu": 1.0, "alpha": 0.5})
+    v = power_iterate_disturbance(sys, np.zeros(1), np.ones((50, 1)), rounds=5)
+    assert v.shape == (50, 1)
+    assert np.sum(v**2) == pytest.approx(50.0, rel=1e-12)
+
+
+def test_dt_empirical_gain_counts_each_input_once():
+    # x+ = x/2 + v/2 from 0 under v = 1 for 3 steps: y = 0, 1/2, 3/4, 7/8,
+    # so ||y||² = 1.578125 against ||v||² = 3 (the repeated last input row
+    # of the trajectory is not applied)
+    sys = catalog_build("dt_gradient", {"mu": 1.0, "alpha": 0.5})
+    rep = empirical_gain(sys, np.zeros(1), [np.ones((3, 1))])
+    assert rep["gain"] == pytest.approx(np.sqrt(1.578125 / 3.0), rel=1e-12)
+    # y_k = v_k: one unit step gives ||y||² = ||v||² = 1, so the gain is 1;
+    # the repeated last input row must not reach y through J either
+    sys = catalog_build("lti", {"F": [[0.0]], "G": [[1.0]], "H": [[0.0]], "J": [[1.0]],
+                                "discrete": True})
+    rep = empirical_gain(sys, np.zeros(1), [np.ones((1, 1))])
+    assert rep["gain"] == pytest.approx(1.0, rel=1e-12)
+
+
 def _ahu_system():
     sys = catalog_build("ahu_saddle", {
         "mu": [1.0] * 4, "A": [[1.0, 0.0, 1.0, 0.0], [0.0, 1.0, 0.0, 1.0]], "b": [1.0, -0.5],
@@ -201,8 +225,10 @@ def _per_signal_gain(sys, xbar, sigs, dt=None, horizon=None):
     for v in sigs:
         if sys.discrete:
             traj = simulate_dt(sys, xbar, v, steps=v.shape[0])
-            num = np.sqrt(np.sum((traj.outputs - ybar) ** 2))
-            den = np.sqrt(np.sum(traj.inputs**2))
+            y = traj.outputs.copy()
+            y[-1] = sys.h(traj.states[-1])  # no input is applied after the signal
+            num = np.sqrt(np.sum((y - ybar) ** 2))
+            den = np.sqrt(np.sum(v**2))
         else:
             T = horizon if horizon is not None else v.shape[0] * dt
             traj = simulate_ct(sys, xbar, v, T=T, dt=dt)

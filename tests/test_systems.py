@@ -1,5 +1,6 @@
 import functools
 import json
+import math
 
 import numpy as np
 import pytest
@@ -334,7 +335,7 @@ def _assert_stack_matches_rows(sys, rows=7, seed=0):
 def test_catalog_stack_evaluation_matches_rows(family):
     sys = catalog_build(family, FAMILIES[family])
     # every catalog family maps stacks natively, without the row fallback
-    assert not sys._f_rowwise and not sys._h_rowwise
+    assert sys._f.maps_stacks(sys.n) and sys._h.maps_stacks(sys.n)
     _assert_stack_matches_rows(sys)
 
 
@@ -352,7 +353,7 @@ def test_interconnect_closures_stack_evaluation_matches_rows():
         compose_closed_loop(FeedbackLoop(smib, g2)),
     ]
     for sys in closures:
-        assert not sys._f_rowwise and not sys._h_rowwise, sys.name
+        assert sys._f.maps_stacks(sys.n) and sys._h.maps_stacks(sys.n), sys.name
         _assert_stack_matches_rows(sys)
 
 
@@ -363,17 +364,43 @@ def test_row_only_callables_take_the_row_fallback():
     three = systems.CtSystem(lambda x: np.array([x[1], -x[0], -x[2]]), lambda x: x[:1],
                              [[0.0], [1.0], [0.0]])
     for sys in (two, three):
-        assert sys._f_rowwise and sys._h_rowwise
+        assert not sys._f.maps_stacks(sys.n) and not sys._h.maps_stacks(sys.n)
         _assert_stack_matches_rows(sys)
     X = np.array([[1.0, 2.0], [3.0, 4.0]])
     np.testing.assert_array_equal(two.f(X), [[2.0, -1.0], [4.0, -3.0]])
+
+
+def test_row_only_callables_keep_the_value_shape_on_empty_stacks():
+    sys = systems.CtSystem(lambda x: np.array([x[1], -x[0]]), lambda x: np.array([x[1]]),
+                           [[1.0], [0.0]])
+    assert sys.f(np.zeros((0, 2))).shape == (0, 2)
+    assert sys.h(np.zeros((0, 2))).shape == (0, 1)
+    jac = systems._Stacked(lambda x: np.array([[0.0, 1.0], [-1.0, 0.0]]) * x[0], 2)
+    assert jac(np.zeros((0, 2))).shape == (0, 2, 2)
+    # a callable that raises on some probe rows still gives the value shape
+    root = systems._Stacked(lambda x: np.array([math.sqrt(x[0]), math.log(x[1]), 0.0]))
+    assert root(np.zeros((0, 2))).shape == (0, 3)
+
+
+@pytest.mark.parametrize("validator", ["storage", "system", "sector"])
+def test_validators_need_at_least_one_sample(validator):
+    # with no samples every sampled check would hold vacuously
+    sys = catalog_build("second_order", FAMILIES["second_order"])
+    run = {
+        "storage": lambda: sys.storage.validate((-np.ones(2), np.ones(2)), probes=0),
+        "system": lambda: validate_system(sys, probes=0),
+        "sector": lambda: check_sector(StaticNonlinearity(np.tanh), SectorBounds.scalar(0.0, 1.0),
+                                       []),
+    }[validator]
+    with pytest.raises(ValueError, match="at least one probe"):
+        run()
 
 
 @pytest.mark.parametrize("family", sorted(f for f in FAMILIES if f != "lti"))
 def test_catalog_storage_generators_map_stacks(family):
     sys = catalog_build(family, FAMILIES[family])
     gen, n = sys.storage, sys.n
-    assert systems._maps_stacks(gen.grad_V, n)
+    assert systems._Stacked(gen.grad_V).maps_stacks(n)
     X = np.random.default_rng(1).uniform(-1.5, 1.5, size=(n, n))  # N = n
     for fn in (gen.V, gen.grad_V):
         np.testing.assert_allclose(fn(X), np.array([fn(x) for x in X]), rtol=0, atol=1e-12)
@@ -386,13 +413,13 @@ def test_maps_stacks_reads_scalar_values():
     for family, params in sorted(FAMILIES.items()):
         sys = catalog_build(family, params)
         if sys.storage is not None:
-            assert systems._maps_stacks(sys.storage.V, sys.n, ndim=0), family
-    assert not systems._maps_stacks(lambda x: float(x[0] ** 2 + x[1]), 2, ndim=0)
+            assert systems._Stacked(sys.storage.V, 0).maps_stacks(sys.n), family
+    assert not systems._Stacked(lambda x: float(x[0] ** 2 + x[1]), 0).maps_stacks(2)
     # the generator keeps one probe per callable and state dimension
     gen = catalog_build("second_order", FAMILIES["second_order"]).storage
     X = np.random.default_rng(0).uniform(-1.0, 1.0, size=(5, 2))
     np.testing.assert_allclose(gen._values("V", X), [gen.V(x) for x in X], rtol=0, atol=1e-12)
-    assert gen._stack_probes[("V", 2)] == (gen.V, False)
+    assert gen._stacked["V"].fn is gen.V and 2 in gen._stacked["V"]._stacks
 
 
 def test_quadratic_generator_maps_square_stacks_row_by_row():
