@@ -73,10 +73,10 @@ def sample_pairs(sys, region, count: int = DEFAULT_PAIR_COUNT, seed: int = 0):
         raise ValueError(f"need at least one pair, got count={count}")
     lo, hi = (np.asarray(b, dtype=float) for b in region)
     rng = np.random.default_rng(seed)
-    eqs = EquilibriumMap(sys).sample_io_relation(region, max(2, count // 8), seed=seed + 1)
-    if len(eqs) == 0:
+    eq_list = EquilibriumMap(sys).sample_io_relation(
+        region, max(2, count // 8), seed=seed + 1).samples
+    if not eq_list:
         raise ValueError("no equilibria found in the sampling region")
-    eq_list = list(eqs)
     X = rng.uniform(lo, hi, size=(count - 1, sys.n))
     picks = rng.integers(len(eq_list), size=len(X))
     return [(eq_list[0].x.copy(), eq_list[0])] + [(x, eq_list[k]) for x, k in zip(X, picks)]
@@ -101,9 +101,6 @@ class ResidualStats:
     c_residual: float
     worst_a_index: int
     worst_b_index: int
-
-    def as_dict(self) -> dict:
-        return asdict(self)
 
 
 @dataclass
@@ -132,7 +129,7 @@ class EidCertificate:
             "W": self.W.tolist(),
             "mode": self.mode,
             "tolerances": self.tolerances,
-            "residuals": self.stats.as_dict(),
+            "residuals": asdict(self.stats),
             "n_pairs": self.n_pairs,
             "seed": self.seed,
             "verdict": self.verdict,

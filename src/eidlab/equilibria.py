@@ -16,10 +16,11 @@ from typing import Optional
 import numpy as np
 
 from . import numerics
-from .errors import NotAssignableError
+from .errors import DimensionMismatchError, NotAssignableError
 from .systems import SupplyRate, _Stacked
 
 DEFAULT_RESIDUAL_TOL = 1e-8
+_SCREEN_BLOCK = 8192  # pair values screened at once by the relation check
 
 
 def annihilator(G) -> np.ndarray:
@@ -209,29 +210,55 @@ def check_relation_dissipativity(samples, w: SupplyRate, tol: float = 1e-9) -> d
 
     The monotone (incrementally passive) check is the special case
     (Q, S, R) = (0, I/2, 0).  Reports the minimum pair value and the
-    violating pairs; a sampled check, not a proof.  Pairs are evaluated one
-    row at a time, so memory stays linear in the sample count.
+    violating pairs; a sampled check, not a proof.  With z = [y; u] and
+    M = ``w.block()`` a pair's value is d_i + d_j - 2 z_iᵀ M z_j,
+    d_i = z_iᵀ M z_i: one matrix product screens a block of about
+    _SCREEN_BLOCK pairs (a row at least), so memory stays linear in the
+    sample count.  Only pairs that may lie below ``-tol`` or be the minimum
+    within a rounding bound, or whose screen is not finite, are evaluated
+    exactly as ``w.evaluate(u_i - u_j, y_i - y_j)``; ties go to the first
+    pair in row-major order.
     """
     items = list(samples)
     if len(items) < 2:
         raise ValueError("need at least two samples")
     U = np.array([s.u for s in items])
     Y = np.array([s.y for s in items])
-    min_value = np.inf
-    argmin = None
-    violations = []
-    for i in range(len(items) - 1):
-        vals = w.evaluate(U[i] - U[i + 1:], Y[i] - Y[i + 1:])
-        j = int(np.argmin(vals))
-        if vals[j] < min_value:
-            min_value = float(vals[j])
-            argmin = (i, i + 1 + j)
-        violations += [(i, i + 1 + int(k), float(vals[k]))
-                       for k in np.flatnonzero(vals < -tol)]
+    if (Y.shape[1], U.shape[1]) != (w.p, w.m):
+        raise DimensionMismatchError(f"sample (p, m) {Y.shape[1], U.shape[1]} != supply {w.p, w.m}")
+    Z, M = np.hstack([Y, U]), w.block()
+    n, k = Z.shape
+    best, argmin, violations = np.inf, None, []
+    cap = np.inf  # least finite upper bound on a pair value screened so far
+    with np.errstate(all="ignore"):
+        # both forms round within (4k+8) eps sum|M| (|z_i|_1 + |z_j|_1)² plus a
+        # floor for underflow, taken as (r_i + r_j)² so it cannot underflow itself
+        floor = 2 * k * k * np.finfo(float).eps * np.finfo(float).tiny
+        slack = (4 * k + 8) * np.finfo(float).eps * np.abs(M).sum() + floor
+        ZM = Z @ M
+        d, r = np.sum(ZM * Z, axis=1), np.sqrt(slack) * np.abs(Z).sum(axis=1) + np.sqrt(floor)
+        i0 = 0
+        while i0 < n - 1:
+            i1 = min(n - 1, i0 + max(1, _SCREEN_BLOCK // (n - 1 - i0)))
+            screen = d[i0:i1, None] + d[None, i0 + 1:] - 2.0 * (ZM[i0:i1] @ Z[i0 + 1:].T)
+            bound = (r[i0:i1, None] + r[None, i0 + 1:]) ** 2
+            upper, lower = screen + bound, screen - bound
+            pair = np.arange(i0 + 1, n) > np.arange(i0, i1)[:, None]
+            finite = pair & np.isfinite(upper)
+            cap = min(cap, np.min(upper, where=finite, initial=np.inf))
+            ii, jj = np.nonzero(pair & ~(finite & (lower > max(cap, -tol))))
+            ii, jj, i0 = ii + i0, jj + i0 + 1, i1
+            if ii.size:
+                vals = w.evaluate(U[ii] - U[jj], Y[ii] - Y[jj])
+                low = np.argmin(np.where(np.isnan(vals), np.inf, vals))
+                if vals[low] < best:
+                    best, argmin = float(vals[low]), (int(ii[low]), int(jj[low]))
+                bad = vals < -tol
+                violations += zip(ii[bad].tolist(), jj[bad].tolist(), vals[bad].tolist())
     return {
-        "min_pair_value": float(min_value),
+        "min_pair_value": float(best),
         "argmin_pair": argmin,
-        "n_pairs": len(items) * (len(items) - 1) // 2,
+        "n_pairs": n * (n - 1) // 2,
         "violations": violations,
         "monotone": len(violations) == 0,
     }
@@ -242,9 +269,8 @@ def cocoercivity_check(samples, rho: float) -> dict:
     relation check with the output-strict supply (-rho I, I/2, 0) at its
     default tolerance."""
     items = list(samples)
-    if len(items) < 2:
-        raise ValueError("need at least two samples")
-    rep = check_relation_dissipativity(items, SupplyRate.output_strict(rho, items[0].u.size))
+    w = SupplyRate.output_strict(rho, items[0].u.size if items else 0)
+    rep = check_relation_dissipativity(items, w)
     return {"min_margin": rep["min_pair_value"], "violations": len(rep["violations"]),
             "holds": rep["monotone"]}
 
@@ -272,8 +298,6 @@ def maximality_conditions(sys, samples: Optional[RelationSamples] = None,
     if sys.discrete:
         Jf = Jf - np.eye(sys.n)
     report["f_homeomorphism_hint"] = bool(np.all(np.linalg.svd(Jf, compute_uv=False)[:, -1] > 1e-8))
-    if sys.discrete:
-        report["f_zero_or_identity"] = bool(sys.meta.get("f_is_identity", False))
-    else:
-        report["f_zero_or_identity"] = bool(sys.meta.get("f_is_zero", False))
+    flag = "f_is_identity" if sys.discrete else "f_is_zero"
+    report["f_zero_or_identity"] = bool(sys.meta.get(flag, False))
     return report

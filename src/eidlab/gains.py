@@ -160,43 +160,35 @@ def gaussian_disturbances(count: int, m: int, steps: int, seed: int = 0,
                           scale: float = 1.0, support: float = 0.6):
     """Truncated random Gaussian signals: active on an initial fraction of
     the horizon so the trajectory has time to settle back."""
-    rng = np.random.default_rng(seed)
     active = max(1, int(support * steps))
-    out = []
-    for _ in range(count):
-        sig = np.zeros((steps, m))
-        sig[:active] = scale * rng.normal(size=(active, m))
-        out.append(sig)
-    return out
+    sig = np.zeros((count, steps, m))
+    sig[:, :active] = scale * np.random.default_rng(seed).normal(size=(count, active, m))
+    return list(sig)
 
 
 def sinusoid_disturbances(count: int, m: int, steps: int, dt: float = 1.0,
                           seed: int = 0, scale: float = 1.0):
     """Random sinusoids, active on the first 60% of the horizon as for
     :func:`gaussian_disturbances`."""
-    rng = np.random.default_rng(seed)
     active = max(1, int(0.6 * steps))
+    freq, phase = np.random.default_rng(seed).uniform(
+        [[0.05], [0.0]], [[2.0], [2.0 * np.pi]], size=(count, 2, m)).transpose(1, 0, 2)
     t = np.arange(active) * dt
-    out = []
-    for _ in range(count):
-        freq = rng.uniform(0.05, 2.0, size=m)
-        phase = rng.uniform(0.0, 2.0 * np.pi, size=m)
-        sig = np.zeros((steps, m))
-        sig[:active] = scale * np.sin(np.outer(t, freq) + phase)
-        out.append(sig)
-    return out
+    sig = np.zeros((count, steps, m))
+    sig[:, :active] = scale * np.sin(t[:, None] * freq[:, None] + phase[:, None])
+    return list(sig)
 
 
 def _signal_norms(traj, ybar, dt: Optional[float]):
-    """||y - ybar|| and ||u|| of each row of a batched trajectory: sums in
-    discrete time, where the input sum runs over the applied steps (the last
-    row repeats the one before it), trapezoid integrals in continuous time."""
+    """||y - ybar|| and ||v|| of each row of a batched trajectory: sums in
+    discrete time; in continuous time a trapezoid integral of the output and
+    dt |u_k|² per held input.  The input sum runs over the applied steps
+    (the last row repeats the one before it)."""
     dy2 = np.sum((traj.outputs - ybar) ** 2, axis=-1)
-    du2 = np.sum(traj.inputs**2, axis=-1)
+    du2 = np.sum(np.sum(traj.inputs**2, axis=-1)[..., :-1], axis=-1)
     if dt is None:
-        return np.sqrt(np.sum(dy2, axis=-1)), np.sqrt(np.sum(du2[..., :-1], axis=-1))
-    return (np.sqrt(np.trapezoid(dy2, dx=dt, axis=-1)),
-            np.sqrt(np.trapezoid(du2, dx=dt, axis=-1)))
+        return np.sqrt(np.sum(dy2, axis=-1)), np.sqrt(du2)
+    return np.sqrt(np.trapezoid(dy2, dx=dt, axis=-1)), np.sqrt(dt * du2)
 
 
 def empirical_gain(sys, xbar, disturbances, horizon: Optional[float] = None,

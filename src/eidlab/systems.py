@@ -455,9 +455,8 @@ def _build_second_order(params: dict):
         mu=min(U.mu, 1.0),
         name="mechanical energy",
     )
-    sys = CtSystem(f, h, G, name="second_order", storage=gen,
-                   meta={"family": "second_order", "U": U})
-    return sys
+    return CtSystem(f, h, G, name="second_order", storage=gen,
+                    meta={"family": "second_order", "U": U})
 
 
 def _build_port_hamiltonian(params: dict):

@@ -1,6 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from eidlab import equilibria
 from eidlab.equilibria import (
     EquilibriumMap,
     IoSample,
@@ -10,7 +13,7 @@ from eidlab.equilibria import (
     maximality_conditions,
 )
 from eidlab import numerics
-from eidlab.errors import NoConvergenceError, NotAssignableError
+from eidlab.errors import DimensionMismatchError, NoConvergenceError, NotAssignableError
 from eidlab.systems import CtSystem, SupplyRate, catalog_build
 
 
@@ -134,6 +137,39 @@ def test_relation_violations_detected():
     assert rep["argmin_pair"] is not None
 
 
+def _double_loop(samples, w, tol=1e-9):
+    """Reference: every pair (i, j), i < j, in row-major order, each row's
+    values in one ``w.evaluate`` of the differences; the minimum goes to the
+    first pair attaining it, and the violations are those below -tol."""
+    U = np.array([s.u for s in samples])
+    Y = np.array([s.y for s in samples])
+    best, argmin, violations = np.inf, None, []
+    for i in range(len(samples) - 1):
+        vals = w.evaluate(U[i] - U[i + 1:], Y[i] - Y[i + 1:])
+        for j, val in enumerate(vals.tolist(), start=i + 1):
+            if val < best:
+                best, argmin = val, (i, j)
+            if val < -tol:
+                violations.append((i, j, val))
+    return best, argmin, violations
+
+
+def _assert_matches_double_loop(samples, w, tol=1e-9):
+    best, argmin, violations = _double_loop(samples, w, tol)
+    rep = check_relation_dissipativity(samples, w, tol)
+    assert rep["argmin_pair"] == argmin
+    assert rep["monotone"] == (not violations)
+    assert [v[:2] for v in rep["violations"]] == [v[:2] for v in violations]
+    np.testing.assert_allclose([v[2] for v in rep["violations"]], [v[2] for v in violations],
+                               rtol=1e-12, atol=0.0)
+    assert rep["min_pair_value"] == pytest.approx(best, rel=1e-12, abs=0.0)
+    return rep
+
+
+def _io_samples(Z, p):
+    return [IoSample(x=np.zeros(1), u=z[p:], y=z[:p]) for z in Z]
+
+
 def test_relation_check_matches_double_loop():
     rng = np.random.default_rng(3)
     samples = [IoSample(x=np.zeros(2), u=rng.normal(size=2), y=rng.normal(size=2))
@@ -156,6 +192,93 @@ def test_relation_check_matches_double_loop():
     assert [v[:2] for v in rep["violations"]] == [v[:2] for v in violations]
     assert np.allclose([v[2] for v in rep["violations"]], [v[2] for v in violations],
                        rtol=0.0, atol=1e-12)
+
+
+@st.composite
+def _relations(draw):
+    p, m, n = draw(st.integers(1, 3)), draw(st.integers(1, 3)), draw(st.integers(2, 60))
+    scale = 10.0 ** draw(st.integers(-6, 4))
+    offset = draw(st.sampled_from([0.0, 1.0, 1e4]))
+    return p, m, n, scale, offset, draw(st.integers(0, 2**32 - 1))
+
+
+@settings(derandomize=True, deadline=None, max_examples=60)
+@given(_relations())
+def test_relation_screen_matches_double_loop(case):
+    # random indefinite supplies on samples of scale 1e-6 to 1e4, some far
+    # from the origin, where the Gram form cancels
+    p, m, n, scale, offset, seed = case
+    rng = np.random.default_rng(seed)
+    A = rng.normal(size=(p + m, p + m))
+    A = A + A.T
+    w = SupplyRate(A[:p, :p], A[:p, p:], A[p:, p:], warn_definite=False)
+    _assert_matches_double_loop(_io_samples(offset + scale * rng.normal(size=(n, p + m)), p), w)
+
+
+def test_relation_screen_spans_several_row_blocks():
+    rng = np.random.default_rng(5)
+    n = 260
+    assert n * (n - 1) // 2 > 3 * equilibria._SCREEN_BLOCK
+    Z = rng.normal(size=(n, 4))
+    for w in (SupplyRate.passivity(2), SupplyRate.output_strict(0.5, 2)):
+        _assert_matches_double_loop(_io_samples(Z, 2), w)
+
+
+def test_relation_screen_re_evaluates_cancelling_pairs():
+    # samples 1e4 from the origin whose pair values Δy·Δu lie within a few
+    # 1e-9 of -tol: the Gram terms are 1e8, so their rounding alone (~1e-8)
+    # would move pairs across -tol and change the minimum
+    rng = np.random.default_rng(11)
+    Z = 1e4 + 3e-5 * rng.uniform(-1.0, 1.0, size=(40, 2))
+    rep = _assert_matches_double_loop(_io_samples(Z, 1), SupplyRate.passivity(1))
+    vals = np.array([v[2] for v in rep["violations"]])
+    assert len(vals) and np.any(vals > -2e-9)
+
+
+def test_relation_screen_bounds_products_that_underflow():
+    # at 1e-161 every product is subnormal and off by up to half its
+    # spacing; pairs near zero must still be sorted against tol = 0 exactly
+    rng = np.random.default_rng(0)
+    A = rng.normal(size=(3, 3))
+    A = A + A.T
+    w = SupplyRate(A[:1, :1], A[:1, 1:], A[1:, 1:], warn_definite=False)
+    _assert_matches_double_loop(_io_samples(1e-161 * rng.normal(size=(40, 3)), 1), w, tol=0.0)
+
+
+def test_relation_screen_breaks_exact_ties_in_row_major_order():
+    # y = 2u is monotone; sample i + 100 repeats sample i, so the pairs
+    # (i, i + 100) have value exactly zero, in rows of different blocks, and
+    # the first of them in row-major order is the minimum
+    u = np.tile(np.random.default_rng(2).normal(size=100), 2)
+    samples = _io_samples(np.column_stack([2.0 * u, u]), 1)
+    rep = _assert_matches_double_loop(samples, SupplyRate.passivity(1))
+    assert rep["argmin_pair"] == (0, 100) and rep["min_pair_value"] == 0.0
+    assert rep["monotone"]
+
+
+def test_relation_check_of_two_samples():
+    samples = _io_samples(np.array([[1.0, 2.0], [3.0, 1.0]]), 1)
+    rep = _assert_matches_double_loop(samples, SupplyRate.passivity(1))
+    assert rep["argmin_pair"] == (0, 1) and rep["min_pair_value"] == -2.0
+    assert rep["n_pairs"] == 1 and rep["violations"] == [(0, 1, -2.0)]
+
+
+def test_relation_check_rejects_a_supply_of_other_dimensions():
+    # (p, m) = (2, 1) samples against a (1, 2) supply: z has the right length
+    # for the Gram screen, so only the shapes can catch it
+    samples = _io_samples(np.arange(12.0).reshape(4, 3), 2)
+    w = SupplyRate(np.zeros((1, 1)), 0.5 * np.ones((1, 2)), np.zeros((2, 2)), warn_definite=False)
+    with pytest.raises(DimensionMismatchError):
+        check_relation_dissipativity(samples, w)
+
+
+def test_relation_minimum_passes_over_nan_pairs_only():
+    # a NaN sample makes its pairs NaN, which neither violate nor win the
+    # minimum; the other pairs of those rows still count
+    Z = np.array([[0.0, 0.0], [1.0, 0.5], [2.0, 3.0], [np.nan, 1.0]])
+    rep = check_relation_dissipativity(_io_samples(Z, 1), SupplyRate.passivity(1))
+    assert rep["argmin_pair"] == (0, 1) and rep["min_pair_value"] == 0.5
+    assert rep["monotone"]
 
 
 def test_cocoercivity_check():

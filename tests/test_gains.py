@@ -4,6 +4,7 @@ import pytest
 from eidlab.errors import DomainError, RankDeficientError
 from eidlab.gains import (
     FeasibleRegion,
+    _signal_norms,
     ahu_gain,
     dt_gradient_gain,
     empirical_gain,
@@ -233,7 +234,8 @@ def _per_signal_gain(sys, xbar, sigs, dt=None, horizon=None):
             T = horizon if horizon is not None else v.shape[0] * dt
             traj = simulate_ct(sys, xbar, v, T=T, dt=dt)
             num = np.sqrt(np.trapezoid(np.sum((traj.outputs - ybar) ** 2, axis=1), dx=dt))
-            den = np.sqrt(np.trapezoid(np.sum(traj.inputs**2, axis=1), dx=dt))
+            # each input row but the repeated last one is held over one step
+            den = np.sqrt(dt * np.sum(traj.inputs[:-1] ** 2))
         best = max(best, num / den)
     return best
 
@@ -246,6 +248,19 @@ def test_empirical_gain_applies_each_signal_sample_once():
     rep = empirical_gain(sys, xbar, sigs, dt=0.04)
     assert rep["gain"] == pytest.approx(_per_signal_gain(sys, xbar, sigs, dt=0.04),
                                         rel=1e-12, abs=1e-12)
+
+
+def test_ct_input_energy_counts_each_held_sample_once():
+    # a zero-order hold applies u_k over one step, so the input energy is
+    # dt Σ|u_k|² = 1.51388; the trapezoid rule read 1.50539 (dt u_0²/2 short)
+    sys = catalog_build("gradient_ff", {"mu": 2.0, "g": 1.0, "j": 0.9})
+    v = gaussian_disturbances(1, 1, 50, seed=4)[0]
+    traj = simulate_ct(sys, np.zeros((1, 1)), v[None], T=2.0, dt=0.04)
+    num, den = _signal_norms(traj, sys.h(np.zeros(1)), 0.04)
+    assert den[0] ** 2 == pytest.approx(0.04 * np.sum(v**2), rel=1e-12)
+    assert den[0] ** 2 == pytest.approx(1.51388, abs=5e-6)
+    rep = empirical_gain(sys, np.zeros(1), [v], dt=0.04)
+    assert rep["gain"] == pytest.approx(num[0] / den[0], rel=1e-12)
 
 
 def test_batched_empirical_gain_matches_per_signal_runs():
