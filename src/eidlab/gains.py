@@ -179,18 +179,6 @@ def sinusoid_disturbances(count: int, m: int, steps: int, dt: float = 1.0,
     return list(sig)
 
 
-def _signal_norms(traj, ybar, dt: Optional[float]):
-    """||y - ybar|| and ||v|| of each row of a batched trajectory: sums in
-    discrete time; in continuous time a trapezoid integral of the output and
-    dt |u_k|² per held input.  The input sum runs over the applied steps
-    (the last row repeats the one before it)."""
-    dy2 = np.sum((traj.outputs - ybar) ** 2, axis=-1)
-    du2 = np.sum(np.sum(traj.inputs**2, axis=-1)[..., :-1], axis=-1)
-    if dt is None:
-        return np.sqrt(np.sum(dy2, axis=-1)), np.sqrt(du2)
-    return np.sqrt(np.trapezoid(dy2, dx=dt, axis=-1)), np.sqrt(dt * du2)
-
-
 def empirical_gain(sys, xbar, disturbances, horizon: Optional[float] = None,
                    dt: float = 1e-3) -> dict:
     """Empirical L2 (ell2) gain from an equilibrium: max over the disturbance
@@ -199,9 +187,11 @@ def empirical_gain(sys, xbar, disturbances, horizon: Optional[float] = None,
 
     Signals of equal length are simulated together as one batch, each as
     per-step input values (a continuous-time run longer than a signal holds
-    its last value).  A lower bound on the true gain by construction.  The
-    report flags truncation when the final state has not settled back to
-    the equilibrium.
+    its last value; a discrete-time signal is followed by one zero input,
+    so the response h(x_N) to its last sample counts).  Both energies are
+    ``Trajectory.per_step`` sums.  A lower bound on the true gain by
+    construction.  The report flags truncation when the final state has not
+    settled back to the equilibrium.
     """
     disturbances = [np.atleast_2d(np.asarray(v, dtype=float)) for v in disturbances]
     if not disturbances:
@@ -217,15 +207,12 @@ def empirical_gain(sys, xbar, disturbances, horizon: Optional[float] = None,
         V = np.stack(group)
         x0 = np.tile(xbar, (len(group), 1))
         if sys.discrete:
-            traj = simulate_dt(sys, x0, V, steps=length)
-            # the repeated last input row is not applied, so the last
-            # output is h(x_N) without its feedthrough
-            traj.outputs[:, -1] -= traj.inputs[:, -1] @ sys.J.T
-            num, den = _signal_norms(traj, ybar, None)
+            traj = simulate_dt(sys, x0, np.pad(V, ((0, 0), (0, 1), (0, 0))), steps=length + 1)
         else:
             T = horizon if horizon is not None else length * dt
             traj = simulate_ct(sys, x0, V, T=T, dt=dt)
-            num, den = _signal_norms(traj, ybar, dt)
+        num = np.sqrt(traj.per_step(lambda u, y: np.sum((y - ybar) ** 2, axis=-1)).sum(axis=-1))
+        den = np.sqrt(traj.per_step(lambda u, y: np.sum(u**2, axis=-1)).sum(axis=-1))
         if traj.diverged.any():
             raise NonFiniteError("trajectory states became non-finite")
         live = den > 1e-14
@@ -255,7 +242,7 @@ def power_iterate_disturbance(sys, xbar, v0, rounds: int = 5, dt: float = 1e-3):
     for _ in range(rounds):
         traj = (simulate_dt(sys, xbar, v, steps=len(v)) if sys.discrete
                 else simulate_ct(sys, xbar, v, T=len(v) * dt, dt=dt))
-        dy = traj.outputs[:len(v)] - ybar
+        dy = traj.outputs[:-1] - ybar
         if dy.shape[1] != v.shape[1]:
             break  # non-square channel; keep the current iterate
         cand = dy[::-1]

@@ -31,11 +31,11 @@ def ct_audit_tol(dt: float, horizon: float = 1.0) -> float:
 
 @dataclass
 class Trajectory:
-    """Sampled trajectory with aligned time, state, input and output arrays.
+    """Sampled trajectory: what the simulator applied and what it saw.
 
-    ``inputs`` holds the zero-order-hold value active on the step starting
-    at each sample; the final row repeats the last applied input so all
-    arrays share one length.
+    ``times``, ``states`` and ``outputs`` hold the N + 1 samples of N steps,
+    ``inputs`` the N inputs u_0 ... u_{N-1}, each held over its step.  The
+    outputs are y_k = h(x_k) + J u_k, with u_{N-1} still held at t_N.
 
     A run from an (N, n) stack of initial states is one batched trajectory:
     ``states``, ``inputs`` and ``outputs`` gain a leading batch axis,
@@ -54,17 +54,29 @@ class Trajectory:
     def __len__(self):
         return self.times.size
 
+    def per_step(self, g) -> np.ndarray:
+        """g(u, y) integrated over each step with that step's input held:
+        g(u_k, y_k) in discrete time, dt/2 [g(u_k, y_k) + g(u_k, y_{k+1})]
+        in continuous time, for ``g`` mapping (..., N, m) and (..., N, p)
+        stacks to (..., N) values.  The recorded y_{k+1} carries J u_{k+1}."""
+        u, y = self.inputs, self.outputs
+        if self.dt is None:
+            return g(u, y[..., :-1, :])
+        return 0.5 * self.dt * (g(u, y[..., :-1, :]) + g(u, y[..., 1:, :]))
+
     def to_csv(self, path):
+        """One row per sample; the last has no input and empty ``u_*`` cells."""
         if self.states.ndim != 2:
             raise ValueError("to_csv writes a single trajectory, not a batch")
         columns = {"x": self.states, "u": self.inputs, "y": self.outputs}
         header = ["t"] + [f"{v}_{i+1}" for v, a in columns.items() for i in range(a.shape[1])]
+        no_input = [""] * self.inputs.shape[1]
         with open(path, "w", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(header)
             for k in range(len(self)):
-                writer.writerow([self.times[k], *self.states[k],
-                                 *self.inputs[k], *self.outputs[k]])
+                u = self.inputs[k] if k < len(self.inputs) else no_input
+                writer.writerow([self.times[k], *self.states[k], *u, *self.outputs[k]])
 
 
 def _input_at(u, x0: np.ndarray, m: int, dt: float, min_steps: int = 0):
@@ -92,8 +104,7 @@ def _integrate(sys, x0: np.ndarray, u_at, steps: int, advance,
     x = x0
     lead = x.shape[:-1]
     states = np.empty(lead + (steps + 1, sys.n))
-    inputs = np.empty(lead + (steps + 1, sys.m))
-    outputs = np.empty(lead + (steps + 1, sys.p))
+    inputs = np.empty(lead + (steps, sys.m))
     diverged = np.zeros(lead, dtype=bool)
     frozen = False
     states[..., 0, :] = x
@@ -103,7 +114,6 @@ def _integrate(sys, x0: np.ndarray, u_at, steps: int, advance,
         for k in range(steps):
             uk = u_at(k)
             inputs[..., k, :] = uk
-            outputs[..., k, :] = sys.output(x, uk)
             nxt = advance(x, uk)
             if not np.isfinite(nxt).all():
                 if x.ndim == 1:
@@ -115,8 +125,11 @@ def _integrate(sys, x0: np.ndarray, u_at, steps: int, advance,
                 nxt[diverged] = x[diverged]
             x = nxt
             states[..., k + 1, :] = x
-        inputs[..., steps, :] = inputs[..., steps - 1, :]
-        outputs[..., steps, :] = sys.output(x, inputs[..., steps, :])
+        # y_k = h(x_k) + J u_k with u_{N-1} still held at t_N: one call on
+        # all states as one 2-D stack, the only shape a stack rule probes
+        held = inputs[..., np.minimum(np.arange(steps + 1), steps - 1), :]
+        outputs = sys.output(states.reshape(-1, sys.n), held.reshape(-1, sys.m))
+    outputs = outputs.reshape(lead + (steps + 1, sys.p))
     times = np.arange(steps + 1) * (1.0 if dt is None else dt)
     return Trajectory(times=times, states=states, inputs=inputs, outputs=outputs,
                       dt=dt, diverged=diverged if lead else None)
@@ -194,10 +207,10 @@ def audit_dissipation(traj: Trajectory, storage, supply, ubar, ybar,
     ``storage`` is a callable V(x), evaluated on all states as one stack,
     or a matrix P (with ``xbar``) for the discrete-time quadratic family,
     which raises RhatNotPsdError unless P is PSD.  Supply is compared per
-    step: trapezoid of w(u - ubar, y - ybar) in continuous time, the
-    pointwise value in discrete time.  Positive entries of ``violations``
-    beyond ``tol`` fail the audit; per-step comparison localizes where the
-    inequality breaks.
+    step with its input held (:meth:`Trajectory.per_step` of w(u - ubar,
+    y - ybar)): a trapezoid in continuous time, w(u_k, y_k) in discrete
+    time.  Positive entries of ``violations`` beyond ``tol`` fail the
+    audit; per-step comparison localizes where the inequality breaks.
     """
     if traj.states.ndim != 2:
         raise ValueError("audit_dissipation audits a single trajectory, not a batch")
@@ -214,11 +227,7 @@ def audit_dissipation(traj: Trajectory, storage, supply, ubar, ybar,
         P = numerics.psd_storage(storage)
         D = traj.states - np.atleast_1d(np.asarray(xbar, dtype=float))
         Vs = np.einsum("ij,jk,ik->i", D, P, D)
-    w = supply.evaluate(traj.inputs - ubar, traj.outputs - ybar)
-    if traj.dt is not None:
-        supplied = 0.5 * traj.dt * (w[:-1] + w[1:])
-    else:
-        supplied = w[:-1]
+    supplied = traj.per_step(lambda u, y: supply.evaluate(u - ubar, y - ybar))
     violations = np.diff(Vs) - supplied
     worst = int(np.argmax(violations)) if N > 0 else 0
     max_v = float(violations[worst]) if N > 0 else 0.0

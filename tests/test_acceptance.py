@@ -292,7 +292,7 @@ def test_acceptance_8_composed_loop_certificate():
         x = xb + rng.uniform(-1.0, 1.0, size=1)
         states = np.empty((steps + 1, 1))
         outputs = np.empty((steps + 1, 2))
-        inputs = np.empty((steps + 1, 2))
+        inputs = np.empty((steps, 2))
         states[0] = x
         for k in range(steps):
             y2 = phi.grad(v[k, 1:] + x)
@@ -300,7 +300,7 @@ def test_acceptance_8_composed_loop_certificate():
             outputs[k] = [x[0], y2[0]]
             x = x + alpha * (v[k, :1] - y2)
             states[k + 1] = x
-        inputs[-1] = inputs[-2]
+        # u_{N-1} is still held at the final sample
         outputs[-1] = [x[0], phi.grad(inputs[-1, 1:] + x)[0]]
         traj = Trajectory(times=np.arange(steps + 1, dtype=float),
                           states=states, inputs=inputs, outputs=outputs,

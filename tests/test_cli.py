@@ -214,8 +214,11 @@ def test_simulate_writes_trajectory(runner, tmp_path):
                                   "--config", cfg, "--out", str(tmp_path)])
     assert result.exit_code == 0, result.output
     lines = (tmp_path / "trajectory.csv").read_text().splitlines()
-    assert lines[0].startswith("t,x_1")
+    assert lines[0] == "t,x_1,x_2,u_1,y_1"
     assert len(lines) == 102
+    # 100 steps, 101 samples; the last sample has no input of its own
+    assert _report(result)["metrics"]["samples"] == 101
+    assert lines[-1].split(",")[3] == ""
 
 
 def test_audit_pass(runner, tmp_path):

@@ -4,7 +4,6 @@ import pytest
 from eidlab.errors import DomainError, RankDeficientError
 from eidlab.gains import (
     FeasibleRegion,
-    _signal_norms,
     ahu_gain,
     dt_gradient_gain,
     empirical_gain,
@@ -198,13 +197,13 @@ def test_dt_power_iteration_keeps_the_signal_length():
 
 def test_dt_empirical_gain_counts_each_input_once():
     # x+ = x/2 + v/2 from 0 under v = 1 for 3 steps: y = 0, 1/2, 3/4, 7/8,
-    # so ||y||² = 1.578125 against ||v||² = 3 (the repeated last input row
-    # of the trajectory is not applied)
+    # so ||y||² = 1.578125 against ||v||² = 3 (y_3 = h(x_3) answers the
+    # last sample and is counted)
     sys = catalog_build("dt_gradient", {"mu": 1.0, "alpha": 0.5})
     rep = empirical_gain(sys, np.zeros(1), [np.ones((3, 1))])
     assert rep["gain"] == pytest.approx(np.sqrt(1.578125 / 3.0), rel=1e-12)
     # y_k = v_k: one unit step gives ||y||² = ||v||² = 1, so the gain is 1;
-    # the repeated last input row must not reach y through J either
+    # the zero input after the signal adds nothing to y through J
     sys = catalog_build("lti", {"F": [[0.0]], "G": [[1.0]], "H": [[0.0]], "J": [[1.0]],
                                 "discrete": True})
     rep = empirical_gain(sys, np.zeros(1), [np.ones((1, 1))])
@@ -234,8 +233,8 @@ def _per_signal_gain(sys, xbar, sigs, dt=None, horizon=None):
             T = horizon if horizon is not None else v.shape[0] * dt
             traj = simulate_ct(sys, xbar, v, T=T, dt=dt)
             num = np.sqrt(np.trapezoid(np.sum((traj.outputs - ybar) ** 2, axis=1), dx=dt))
-            # each input row but the repeated last one is held over one step
-            den = np.sqrt(dt * np.sum(traj.inputs[:-1] ** 2))
+            # each input row is held over one step
+            den = np.sqrt(dt * np.sum(traj.inputs**2))
         best = max(best, num / den)
     return best
 
@@ -256,7 +255,9 @@ def test_ct_input_energy_counts_each_held_sample_once():
     sys = catalog_build("gradient_ff", {"mu": 2.0, "g": 1.0, "j": 0.9})
     v = gaussian_disturbances(1, 1, 50, seed=4)[0]
     traj = simulate_ct(sys, np.zeros((1, 1)), v[None], T=2.0, dt=0.04)
-    num, den = _signal_norms(traj, sys.h(np.zeros(1)), 0.04)
+    ybar = sys.h(np.zeros(1))
+    num, den = (np.sqrt(traj.per_step(g).sum(axis=-1)) for g in (
+        lambda u, y: np.sum((y - ybar) ** 2, axis=-1), lambda u, y: np.sum(u**2, axis=-1)))
     assert den[0] ** 2 == pytest.approx(0.04 * np.sum(v**2), rel=1e-12)
     assert den[0] ** 2 == pytest.approx(1.51388, abs=5e-6)
     rep = empirical_gain(sys, np.zeros(1), [v], dt=0.04)
@@ -279,3 +280,86 @@ def test_batched_empirical_gain_matches_per_signal_runs():
     rep = empirical_gain(dtg, np.zeros(1), sigs)
     assert rep["gain"] == pytest.approx(_per_signal_gain(dtg, np.zeros(1), sigs),
                                         rel=1e-12, abs=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# an independent L2-gain oracle for LTI systems
+
+
+def _sigma_max(F, G, H, J, points):
+    """Largest singular value of H (zI - F)^-1 G + J over the points z."""
+    eye = np.eye(F.shape[0])
+    return max(np.linalg.svd(H @ np.linalg.solve(z * eye - F, G) + J, compute_uv=False)[0]
+               for z in points)
+
+
+def _hinf_ct(F, G, H, J, rtol=1e-9):
+    """H-infinity norm of a Hurwitz CT system by bisection on gamma: gamma is
+    above the norm iff it exceeds σ_max(J) and the Hamiltonian matrix below
+    has no eigenvalue on the imaginary axis (Boyd and Balakrishnan 1990)."""
+    def crosses(gamma):
+        Ri = np.linalg.inv(gamma**2 * np.eye(J.shape[1]) - J.T @ J)
+        A = F + G @ Ri @ J.T @ H
+        M = np.block([[A, G @ Ri @ G.T],
+                      [-H.T @ (np.eye(J.shape[0]) + J @ Ri @ J.T) @ H, -A.T]])
+        lam = np.linalg.eigvals(M)
+        return bool(np.any(np.abs(lam.real) <= 1e-9 * (1.0 + np.abs(lam))))
+
+    lo = max(np.linalg.svd(J, compute_uv=False)[0], _sigma_max(F, G, H, J, [0.0]))
+    hi = 2.0 * lo + 1.0
+    while crosses(hi):
+        lo, hi = hi, 2.0 * hi
+    while hi - lo > rtol * hi:
+        mid = 0.5 * (lo + hi)
+        lo, hi = (mid, hi) if crosses(mid) else (lo, mid)
+    return 0.5 * (lo + hi)
+
+
+def _hinf_dt(F, G, H, J, points=20001):
+    """ell2 gain of a Schur-stable DT system on a dense unit-circle grid."""
+    return _sigma_max(F, G, H, J, np.exp(1j * np.linspace(0.0, np.pi, points)))
+
+
+def _linear_parts(sys):
+    """(F, G, H, J) of a system whose f and h are affine."""
+    eye, zero = np.eye(sys.n), np.zeros((1, sys.n))
+    return (sys.f(eye) - sys.f(zero)).T, sys.G, (sys.h(eye) - sys.h(zero)).T, sys.J
+
+
+def test_lti_gain_oracle_agrees_with_a_frequency_grid():
+    F, G, H, J = (np.array([[0.0, 1.0], [-2.0, -0.4]]), np.array([[0.0], [1.0]]),
+                  np.array([[1.0, 0.0]]), np.array([[0.3]]))
+    oracle = _hinf_ct(F, G, H, J)
+    grid = _sigma_max(F, G, H, J, 1j * np.linspace(0.0, 20.0, 20001))
+    assert grid <= oracle * (1.0 + 1e-8)
+    assert grid == pytest.approx(oracle, rel=1e-4)
+
+
+@pytest.mark.parametrize("discrete", [False, True], ids=["ct", "dt"])
+def test_empirical_gain_stays_below_the_lti_oracle(discrete):
+    # a lightly damped resonance with feedthrough: white noise barely
+    # excites it, the power-iterated signal comes close
+    if discrete:
+        params = {"F": [[0.5, 0.4], [-0.4, 0.6]], "G": [[0.0], [1.0]], "H": [[1.0, 0.5]],
+                  "J": [[0.7]], "discrete": True}
+        sigs, kw = gaussian_disturbances(8, 1, 200, seed=2, support=1.0), {}
+    else:
+        params = {"F": [[0.0, 1.0], [-2.0, -0.4]], "G": [[0.0], [1.0]], "H": [[1.0, 0.0]],
+                  "J": [[0.3]]}
+        sigs, kw = gaussian_disturbances(8, 1, 400, seed=1), {"dt": 0.05}
+    sys = catalog_build("lti", params)
+    oracle = (_hinf_dt if discrete else _hinf_ct)(*_linear_parts(sys))
+    v = power_iterate_disturbance(sys, np.zeros(2), sigs[0], rounds=8, **kw)
+    noise = empirical_gain(sys, np.zeros(2), sigs, **kw)["gain"]
+    refined = empirical_gain(sys, np.zeros(2), [v], **kw)["gain"]
+    assert 0.0 < noise <= 1.01 * oracle
+    assert 0.8 * oracle <= refined <= 1.01 * oracle
+
+
+def test_closed_form_gains_bound_the_lti_oracle():
+    # quadratic phi makes both families LTI; the closed forms are upper bounds
+    dtg = catalog_build("dt_gradient", {"mu": 1.0, "alpha": 0.5})
+    assert dt_gradient_gain(1.0, 0.5).gamma >= _hinf_dt(*_linear_parts(dtg)) * (1.0 - 1e-6)
+    sys, _ = _ahu_system()
+    bound = ahu_gain(np.eye(4), sys.meta["A"], sys.meta["K"]).gamma
+    assert bound >= _hinf_ct(*_linear_parts(sys)) * (1.0 - 1e-6)

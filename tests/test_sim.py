@@ -85,6 +85,52 @@ def test_trajectory_csv(tmp_path):
     lines = path.read_text().splitlines()
     assert lines[0] == "t,x_1,x_2,u_1,y_1"
     assert len(lines) == len(traj) + 1
+    # every sample has a row; the final one has no input of its own
+    assert lines[-2].split(",")[3] == "0.0"
+    assert lines[-1].split(",")[3] == ""
+
+
+# ---------------------------------------------------------------------------
+# the trajectory record
+
+
+def _gradient_ff_with_h(shapes):
+    """gradient_ff (J = 0.9) with an h that records the shape of each call."""
+    sys = catalog_build("gradient_ff", {"mu": 2.0, "g": 1.5, "j": 0.9})
+
+    def h(x):
+        shapes.append(np.shape(x))
+        return 1.5 * np.atleast_1d(x)
+
+    return CtSystem(sys.f, h, sys.G, J=sys.J)
+
+
+def test_outputs_use_the_input_held_at_each_sample():
+    sys = _gradient_ff_with_h([])
+    v = np.random.default_rng(5).normal(size=(20, 1))
+    for x0, u in ((np.array([0.3]), v), (np.array([[0.3], [-0.2]]), np.stack([v, -v]))):
+        traj = simulate_ct(sys, x0, u, T=0.2, dt=0.01)
+        X, U, Y = traj.states, traj.inputs, traj.outputs
+        # y_k = h(x_k) + J u_k on the steps, and u_{N-1} still held at t_N
+        np.testing.assert_allclose(Y[..., :-1, :], 1.5 * X[..., :-1, :] + 0.9 * U,
+                                   rtol=0, atol=1e-15)
+        np.testing.assert_allclose(Y[..., -1, :], 1.5 * X[..., -1, :] + 0.9 * U[..., -1, :],
+                                   rtol=0, atol=1e-15)
+
+
+def test_outputs_take_one_h_call_on_all_states():
+    calls = {}
+    for steps in (10, 200):
+        shapes = calls[steps] = []
+        sys = _gradient_ff_with_h(shapes)
+        traj = simulate_ct(sys, np.zeros((3, 1)), np.ones((3, steps, 1)), T=steps * 0.01,
+                           dt=0.01)
+        # the states reach h as one 2-D stack; the other calls are the stack
+        # probes, whose number does not grow with the run
+        assert shapes.count((3 * (steps + 1), 1)) == 1
+        assert all(len(s) <= 2 for s in shapes)
+        assert traj.outputs.shape == (3, steps + 1, 1)
+    assert len(calls[10]) == len(calls[200]) <= 6
 
 
 # ---------------------------------------------------------------------------
@@ -123,6 +169,21 @@ def test_audit_off_equilibrium_passivity():
     audit = audit_dissipation(traj, storage, SupplyRate.passivity(1), eq.u, eq.y)
     assert audit.passed
     assert audit.violations.size == len(traj) - 1
+
+
+def test_audit_holds_each_steps_input_on_a_lossless_system():
+    # x1' = x2, x2' = -x1 + u, y = x2 with V = |x|²/2 is lossless: dV/dt = u y.
+    # Under a square wave the trapezoid that paired the end of step k with
+    # u_{k+1} read a violation of 1.0e-3 at each switch; holding u_k over
+    # its whole step leaves only the quadrature error, 7.9e-9
+    sys = catalog_build("lti", {"F": [[0.0, 1.0], [-1.0, 0.0]], "G": [[0.0], [1.0]],
+                                "H": [[0.0, 1.0]]})
+    u = np.where(np.arange(400) // 10 % 2 == 0, 1.0, -1.0)[:, None]
+    traj = simulate_ct(sys, np.zeros(2), u, T=4.0, dt=1e-2)
+    storage = BregmanStorage(StorageGenerator.quadratic(np.eye(2)), np.zeros(2))
+    audit = audit_dissipation(traj, storage, SupplyRate.passivity(1), np.zeros(1), np.zeros(1))
+    assert audit.tol == ct_audit_tol(1e-2, 4.0)
+    assert audit.passed and audit.max_violation < 1e-7
 
 
 def test_audit_detects_wrong_storage():
@@ -243,7 +304,7 @@ def test_batched_ct_trajectory_layout_and_rows():
     traj = simulate_ct(sys, X0, U, T=0.5, dt=0.01)  # 50 steps: the last input row is held
     assert traj.times.shape == (51,)
     assert traj.states.shape == (5, 51, 2)
-    assert traj.inputs.shape == (5, 51, 1) and traj.outputs.shape == (5, 51, 1)
+    assert traj.inputs.shape == (5, 50, 1) and traj.outputs.shape == (5, 51, 1)
     assert traj.diverged.shape == (5,) and not traj.diverged.any()
     for i in range(5):
         one = simulate_ct(sys, X0[i], U[i], T=0.5, dt=0.01)
@@ -251,6 +312,8 @@ def test_batched_ct_trajectory_layout_and_rows():
         np.testing.assert_allclose(traj.states[i], one.states, rtol=0, atol=1e-12)
         np.testing.assert_allclose(traj.outputs[i], one.outputs, rtol=0, atol=1e-12)
         np.testing.assert_array_equal(traj.inputs[i], one.inputs)
+    # the 50 applied inputs: the 40 given rows, then the last one held
+    np.testing.assert_array_equal(traj.inputs[:, :40], U)
     np.testing.assert_array_equal(traj.inputs[:, 45], U[:, -1])
 
 
@@ -259,6 +322,8 @@ def test_batched_dt_per_row_constant_and_callable_inputs():
     X0 = np.array([[1.0, -1.0], [0.5, 2.0], [0.0, 0.0]])
     V = np.array([[0.1, 0.2], [-0.3, 0.0], [0.5, 0.5]])
     traj = simulate_dt(sys, X0, V, steps=30)
+    assert traj.inputs.shape == (3, 30, 2) and traj.outputs.shape == (3, 31, 2)
+    np.testing.assert_array_equal(traj.inputs, np.broadcast_to(V[:, None], (3, 30, 2)))
     by_time = simulate_dt(sys, X0, lambda t: V, steps=30)
     np.testing.assert_array_equal(traj.states, by_time.states)
     for i in range(3):

@@ -495,8 +495,11 @@ def _audit_ref(traj, storage, supply, ubar, ybar, xbar=None, tol=None):
         Vs = np.array([storage(x) for x in traj.states])
     else:
         Vs = np.array([(x - xbar) @ storage @ (x - xbar) for x in traj.states])
-    w = supply.evaluate(traj.inputs - ubar, traj.outputs - ybar)
-    supplied = 0.5 * traj.dt * (w[:-1] + w[1:]) if traj.dt is not None else w[:-1]
+    # each step's input u_k is held over it: w at (u_k, y_k) in discrete
+    # time, the trapezoid of w at (u_k, y_k) and (u_k, y_{k+1}) in continuous
+    w = lambda k, j: supply.evaluate(traj.inputs[k] - ubar, traj.outputs[j] - ybar)
+    supplied = np.array([w(k, k) if traj.dt is None else 0.5 * traj.dt * (w(k, k) + w(k, k + 1))
+                         for k in range(len(traj.inputs))])
     violations = np.diff(Vs) - supplied
     return {"storage_series": Vs, "violations": violations,
             "passed": bool(violations.max() <= tol)}
