@@ -217,7 +217,9 @@ def check_relation_dissipativity(samples, w: SupplyRate, tol: float = 1e-9) -> d
     sample count.  Only pairs that may lie below ``-tol`` or be the minimum
     within a rounding bound, or whose screen is not finite, are evaluated
     exactly as ``w.evaluate(u_i - u_j, y_i - y_j)``; ties go to the first
-    pair in row-major order.
+    pair in row-major order.  A pair whose exact value is not finite (a NaN
+    or Inf sample) neither violates nor wins the minimum; such pairs are
+    counted in ``nonfinite_pairs``.
     """
     items = list(samples)
     if len(items) < 2:
@@ -228,7 +230,7 @@ def check_relation_dissipativity(samples, w: SupplyRate, tol: float = 1e-9) -> d
         raise DimensionMismatchError(f"sample (p, m) {Y.shape[1], U.shape[1]} != supply {w.p, w.m}")
     Z, M = np.hstack([Y, U]), w.block()
     n, k = Z.shape
-    best, argmin, violations = np.inf, None, []
+    best, argmin, violations, nonfinite = np.inf, None, [], 0
     cap = np.inf  # least finite upper bound on a pair value screened so far
     with np.errstate(all="ignore"):
         # both forms round within (4k+8) eps sum|M| (|z_i|_1 + |z_j|_1)² plus a
@@ -250,6 +252,7 @@ def check_relation_dissipativity(samples, w: SupplyRate, tol: float = 1e-9) -> d
             ii, jj, i0 = ii + i0, jj + i0 + 1, i1
             if ii.size:
                 vals = w.evaluate(U[ii] - U[jj], Y[ii] - Y[jj])
+                nonfinite += int(np.sum(~np.isfinite(vals)))
                 low = np.argmin(np.where(np.isnan(vals), np.inf, vals))
                 if vals[low] < best:
                     best, argmin = float(vals[low]), (int(ii[low]), int(jj[low]))
@@ -261,6 +264,7 @@ def check_relation_dissipativity(samples, w: SupplyRate, tol: float = 1e-9) -> d
         "n_pairs": n * (n - 1) // 2,
         "violations": violations,
         "monotone": len(violations) == 0,
+        "nonfinite_pairs": nonfinite,
     }
 
 
@@ -272,7 +276,7 @@ def cocoercivity_check(samples, rho: float) -> dict:
     w = SupplyRate.output_strict(rho, items[0].u.size if items else 0)
     rep = check_relation_dissipativity(items, w)
     return {"min_margin": rep["min_pair_value"], "violations": len(rep["violations"]),
-            "holds": rep["monotone"]}
+            "holds": rep["monotone"], "nonfinite_pairs": rep["nonfinite_pairs"]}
 
 
 def maximality_conditions(sys, samples: Optional[RelationSamples] = None,

@@ -35,7 +35,9 @@ class Trajectory:
 
     ``times``, ``states`` and ``outputs`` hold the N + 1 samples of N steps,
     ``inputs`` the N inputs u_0 ... u_{N-1}, each held over its step.  The
-    outputs are y_k = h(x_k) + J u_k, with u_{N-1} still held at t_N.
+    outputs are y_k = h(x_k) + J u_k, with u_{N-1} still held at t_N.  In
+    continuous time ``end_outputs`` holds each step's end with its input
+    held, h(x_{k+1}) + J u_k; None reads ``outputs[1:]``, equal when J = 0.
 
     A run from an (N, n) stack of initial states is one batched trajectory:
     ``states``, ``inputs`` and ``outputs`` gain a leading batch axis,
@@ -50,19 +52,21 @@ class Trajectory:
     outputs: np.ndarray
     dt: Optional[float] = None  # None for discrete time
     diverged: Optional[np.ndarray] = None
+    end_outputs: Optional[np.ndarray] = None
 
     def __len__(self):
         return self.times.size
 
     def per_step(self, g) -> np.ndarray:
         """g(u, y) integrated over each step with that step's input held:
-        g(u_k, y_k) in discrete time, dt/2 [g(u_k, y_k) + g(u_k, y_{k+1})]
-        in continuous time, for ``g`` mapping (..., N, m) and (..., N, p)
-        stacks to (..., N) values.  The recorded y_{k+1} carries J u_{k+1}."""
+        g(u_k, y_k) in discrete time, dt/2 [g(u_k, y_k) + g(u_k, y_{k+1}⁻)]
+        in continuous time with y_{k+1}⁻ from ``end_outputs``, for ``g``
+        mapping (..., N, m) and (..., N, p) stacks to (..., N) values."""
         u, y = self.inputs, self.outputs
         if self.dt is None:
             return g(u, y[..., :-1, :])
-        return 0.5 * self.dt * (g(u, y[..., :-1, :]) + g(u, y[..., 1:, :]))
+        ends = y[..., 1:, :] if self.end_outputs is None else self.end_outputs
+        return 0.5 * self.dt * (g(u, y[..., :-1, :]) + g(u, ends))
 
     def to_csv(self, path):
         """One row per sample; the last has no input and empty ``u_*`` cells."""
@@ -125,14 +129,15 @@ def _integrate(sys, x0: np.ndarray, u_at, steps: int, advance,
                 nxt[diverged] = x[diverged]
             x = nxt
             states[..., k + 1, :] = x
-        # y_k = h(x_k) + J u_k with u_{N-1} still held at t_N: one call on
+        # y_k = h(x_k) + J u_k with u_{N-1} still held at t_N: one h call on
         # all states as one 2-D stack, the only shape a stack rule probes
-        held = inputs[..., np.minimum(np.arange(steps + 1), steps - 1), :]
-        outputs = sys.output(states.reshape(-1, sys.n), held.reshape(-1, sys.m))
-    outputs = outputs.reshape(lead + (steps + 1, sys.p))
+        hx = sys.h(states.reshape(-1, sys.n)).reshape(lead + (steps + 1, sys.p))
+        feed = inputs @ sys.J.T
+        outputs = hx + feed[..., np.minimum(np.arange(steps + 1), steps - 1), :]
+        ends = None if dt is None else hx[..., 1:, :] + feed
     times = np.arange(steps + 1) * (1.0 if dt is None else dt)
     return Trajectory(times=times, states=states, inputs=inputs, outputs=outputs,
-                      dt=dt, diverged=diverged if lead else None)
+                      dt=dt, diverged=diverged if lead else None, end_outputs=ends)
 
 
 def simulate_ct(sys, x0, u=None, T: float = 1.0, dt: float = 1e-3) -> Trajectory:
@@ -156,8 +161,9 @@ def simulate_ct(sys, x0, u=None, T: float = 1.0, dt: float = 1e-3) -> Trajectory
         raise ValueError("need dt > 0 and T > 0")
     steps = max(1, int(round(T / dt)))
     x0 = np.atleast_1d(np.asarray(x0, dtype=float))
-    return _integrate(sys, x0, _input_at(u, x0, sys.m, dt), steps,
-                      lambda x, uk: numerics.rk4_step(sys.rhs, x, uk, dt), dt)
+    forced = lambda z, g: sys.f(z) + g  # sys.rhs, with g = u_k Gᵀ formed once per step
+    advance = lambda x, uk: numerics.rk4_step(forced, x, np.atleast_1d(uk) @ sys.G.T, dt)
+    return _integrate(sys, x0, _input_at(u, x0, sys.m, dt), steps, advance, dt)
 
 
 def simulate_dt(sys, x0, u=None, steps: int = 1) -> Trajectory:

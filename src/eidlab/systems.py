@@ -435,6 +435,14 @@ def _phi_from_params(params: dict, n_key: str = "n") -> SeparableConvex:
     return SeparableConvex(params["mu"], params.get("c"), n=params.get(n_key))
 
 
+def _matrix_drift(A, B, d=0.0):
+    """The drift x A + tanh(x) B + d at one state or on an (N, n) stack, from
+    matrices formed once at build time; a zero B leaves out the tanh term."""
+    if np.any(B):
+        return lambda x: np.atleast_1d(x) @ A + np.tanh(np.atleast_1d(x)) @ B + d
+    return lambda x: np.atleast_1d(x) @ A + d
+
+
 def _build_second_order(params: dict):
     # xdot1 = x2, xdot2 = -U'(x1) - x2 + u, y = x2, with U strictly convex
     U = _phi_from_params({**params, "n": 1})
@@ -488,9 +496,9 @@ def _build_port_hamiltonian(params: dict):
     gen = StorageGenerator(V=H, grad_V=grad_H,
                            convexity_class="strongly_convex" if mu > 1e-12 else "convex",
                            mu=mu, name="hamiltonian")
-    A = Jm - Rm
-    At = A.T
-    f = lambda x: grad_H(x) @ At + d
+    At = (Jm - Rm).T
+    # grad_H(x) Aᵀ + d = x PᵀAᵀ + tanh(x) diag(c) Aᵀ + d
+    f = _matrix_drift(Pt @ At, c[:, None] * At, d)
     h = lambda x: grad_H(x) @ G
     sqR = numerics.psd_sqrt(Rm)
     meta = {"family": "port_hamiltonian", "R": Rm, "Jmat": Jm, "sqrt_R": sqR,
@@ -511,7 +519,7 @@ def _build_gradient_ff(params: dict):
     if np.any(tau <= 0):
         raise ValueError("tau must be positive")
     tinv = 1.0 / tau
-    f = lambda x: -tinv * phi.grad(x)
+    f = _matrix_drift(np.diag(-tinv * phi.mu_vec), np.diag(-tinv * phi.c_vec))
     h = lambda x: g * np.atleast_1d(x)
     G = np.diag(tinv) * g
     J = j * np.eye(n)
@@ -540,13 +548,10 @@ def _build_ahu_saddle(params: dict):
     lam_min = numerics.sym_eigen(M_plus).min
     alpha = float(params.get("alpha", 2.0 / lam_min if lam_min > 0 else 1.0))
 
-    At = A.T
-
-    def f(x):
-        z, lam = x[..., :n1], x[..., n1:]
-        res = z @ At - b
-        return np.concatenate([-phi.grad(z) - (res @ K + lam) @ A, res], axis=-1)
-
+    # [-grad phi(z) - (res K + lam) A, res] with res = z Aᵀ - b, in x = [z, lam]
+    Af = np.block([[-np.diag(phi.mu_vec) - A.T @ K @ A, A.T], [-A, np.zeros((n2, n2))]])
+    f = _matrix_drift(Af, np.diag(np.concatenate([-phi.c_vec, np.zeros(n2)])),
+                      np.concatenate([b @ K @ A, -b]))
     h = lambda x: x[..., :n1]
     G = np.vstack([np.eye(n1), np.zeros((n2, n1))])
     gen = StorageGenerator.quadratic(
@@ -597,7 +602,7 @@ def _build_dt_gradient(params: dict):
     if alpha <= 0:
         raise ValueError("alpha must be positive")
     n = phi.n
-    f = lambda x: np.atleast_1d(x) - alpha * phi.grad(x)
+    f = _matrix_drift(np.eye(n) - alpha * np.diag(phi.mu_vec), np.diag(-alpha * phi.c_vec))
     h = lambda x: np.atleast_1d(x)
     G = alpha * np.eye(n)
     gen = StorageGenerator.quadratic(np.eye(n) / alpha, name="scaled quadratic")

@@ -140,24 +140,27 @@ def test_relation_violations_detected():
 def _double_loop(samples, w, tol=1e-9):
     """Reference: every pair (i, j), i < j, in row-major order, each row's
     values in one ``w.evaluate`` of the differences; the minimum goes to the
-    first pair attaining it, and the violations are those below -tol."""
+    first pair attaining it, the violations are those below -tol, and the
+    non-finite values are counted."""
     U = np.array([s.u for s in samples])
     Y = np.array([s.y for s in samples])
-    best, argmin, violations = np.inf, None, []
+    best, argmin, violations, nonfinite = np.inf, None, [], 0
     for i in range(len(samples) - 1):
         vals = w.evaluate(U[i] - U[i + 1:], Y[i] - Y[i + 1:])
+        nonfinite += int(np.sum(~np.isfinite(vals)))
         for j, val in enumerate(vals.tolist(), start=i + 1):
             if val < best:
                 best, argmin = val, (i, j)
             if val < -tol:
                 violations.append((i, j, val))
-    return best, argmin, violations
+    return best, argmin, violations, nonfinite
 
 
 def _assert_matches_double_loop(samples, w, tol=1e-9):
-    best, argmin, violations = _double_loop(samples, w, tol)
+    best, argmin, violations, nonfinite = _double_loop(samples, w, tol)
     rep = check_relation_dissipativity(samples, w, tol)
     assert rep["argmin_pair"] == argmin
+    assert rep["nonfinite_pairs"] == nonfinite
     assert rep["monotone"] == (not violations)
     assert [v[:2] for v in rep["violations"]] == [v[:2] for v in violations]
     np.testing.assert_allclose([v[2] for v in rep["violations"]], [v[2] for v in violations],
@@ -274,11 +277,13 @@ def test_relation_check_rejects_a_supply_of_other_dimensions():
 
 def test_relation_minimum_passes_over_nan_pairs_only():
     # a NaN sample makes its pairs NaN, which neither violate nor win the
-    # minimum; the other pairs of those rows still count
+    # minimum but are counted; the other pairs of those rows still count
     Z = np.array([[0.0, 0.0], [1.0, 0.5], [2.0, 3.0], [np.nan, 1.0]])
-    rep = check_relation_dissipativity(_io_samples(Z, 1), SupplyRate.passivity(1))
+    rep = _assert_matches_double_loop(_io_samples(Z, 1), SupplyRate.passivity(1))
     assert rep["argmin_pair"] == (0, 1) and rep["min_pair_value"] == 0.5
-    assert rep["monotone"]
+    assert rep["monotone"] and rep["nonfinite_pairs"] == 3
+    coco = cocoercivity_check(_io_samples(Z, 1), 0.0)
+    assert coco["holds"] and coco["nonfinite_pairs"] == 3
 
 
 def test_cocoercivity_check():

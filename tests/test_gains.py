@@ -363,3 +363,16 @@ def test_closed_form_gains_bound_the_lti_oracle():
     sys, _ = _ahu_system()
     bound = ahu_gain(np.eye(4), sys.meta["A"], sys.meta["K"]).gamma
     assert bound >= _hinf_ct(*_linear_parts(sys)) * (1.0 - 1e-6)
+
+
+def test_ifp_osp_gain_is_tight_on_a_linear_gradient_flow():
+    # quadratic phi (c = 0) makes gradient_ff LTI: x' = -2x + u, y = x + 0.9u,
+    # whose gain 1/2 + 0.9 = 1.4 is reached at ω = 0.  At nu = 0 the
+    # curvature budget allows rho* = 5/7, and the completion bound 1/rho* is
+    # that gain exactly
+    sys = catalog_build("gradient_ff", {"mu": 2.0, "g": 1.0, "j": 0.9, "c": 0.0, "n": 1})
+    rho = FeasibleRegion(2.0, 1.0, 0.9).rho_max_curvature(0.0)
+    assert rho == pytest.approx(5.0 / 7.0, rel=1e-15)
+    gamma = ifp_osp_gain(rho, 0.0).gamma
+    assert gamma == pytest.approx(1.4, rel=1e-12)
+    assert gamma == pytest.approx(_hinf_ct(*_linear_parts(sys)), rel=1e-6)

@@ -3,6 +3,7 @@ import warnings
 import numpy as np
 import pytest
 
+from eidlab import numerics
 from eidlab.certify import BregmanStorage
 from eidlab.equilibria import EquilibriumMap
 from eidlab.errors import NonFiniteError
@@ -186,6 +187,21 @@ def test_audit_holds_each_steps_input_on_a_lossless_system():
     assert audit.passed and audit.max_violation < 1e-7
 
 
+def test_audit_holds_each_steps_input_through_the_feedthrough():
+    # the same lossless system with y = x2 + u/2 is lossless for the supply
+    # uᵀy - uᵀu/2; the end of step k must read h(x_{k+1}) + J u_k, not the
+    # J u_{k+1} recorded at the next sample, which read 5.0e-3 at each switch
+    sys = catalog_build("lti", {"F": [[0.0, 1.0], [-1.0, 0.0]], "G": [[0.0], [1.0]],
+                                "H": [[0.0, 1.0]], "J": [[0.5]]})
+    u = np.where(np.arange(400) // 10 % 2 == 0, 1.0, -1.0)[:, None]
+    traj = simulate_ct(sys, np.zeros(2), u, T=4.0, dt=1e-2)
+    np.testing.assert_array_equal(traj.end_outputs, traj.states[1:, 1:] + 0.5 * traj.inputs)
+    storage = BregmanStorage(StorageGenerator.quadratic(np.eye(2)), np.zeros(2))
+    audit = audit_dissipation(traj, storage, SupplyRate.input_feedforward(0.5, 1),
+                              np.zeros(1), np.zeros(1))
+    assert audit.passed and audit.max_violation < 1e-7
+
+
 def test_audit_detects_wrong_storage():
     # the unshifted energy difference V(x) - V(xbar) omits the gradient
     # correction and is not a valid storage away from the origin
@@ -315,6 +331,36 @@ def test_batched_ct_trajectory_layout_and_rows():
     # the 50 applied inputs: the 40 given rows, then the last one held
     np.testing.assert_array_equal(traj.inputs[:, :40], U)
     np.testing.assert_array_equal(traj.inputs[:, 45], U[:, -1])
+
+
+def _count_calls(sys):
+    """Count the calls of ``sys.f`` and ``sys.h`` by shadowing the methods."""
+    calls = {"f": 0, "h": 0}
+    for name in calls:
+        def counted(x, _fn=getattr(sys, name), _name=name):
+            calls[_name] += 1
+            return _fn(x)
+        setattr(sys, name, counted)
+    return calls
+
+
+def test_stacked_rk4_makes_four_f_calls_per_step_and_one_h_call():
+    # the held forcing u_k Gᵀ is formed once per step, so each stage is one
+    # f call and one add, with the floats of a loop of rk4_step on rhs
+    smib = catalog_build("smib", {"M": 1.0, "D": 1.0, "b": 1.0, "V": 1.0, "P_m": 0.2})
+    lti = catalog_build("lti", {"F": [[-1.0, 2.0], [0.5, -3.0]], "G": [[1.0], [0.5]],
+                                "H": [[1.0, 1.0]], "J": [[0.3]]})
+    rng = np.random.default_rng(3)
+    X0 = rng.uniform(-0.5, 0.5, size=(6, 2))
+    U = rng.normal(size=(6, 25, 1))
+    for sys in (lti, smib, static_feedback(smib, np.tanh)):
+        calls = _count_calls(sys)
+        traj = simulate_ct(sys, X0, U, T=0.5, dt=0.02)
+        assert calls == {"f": 4 * 25, "h": 1}
+        x = X0
+        for k in range(25):
+            x = numerics.rk4_step(sys.rhs, x, U[:, k], 0.02)
+            np.testing.assert_array_equal(traj.states[:, k + 1], x)
 
 
 def test_batched_dt_per_row_constant_and_callable_inputs():

@@ -339,6 +339,53 @@ def test_catalog_stack_evaluation_matches_rows(family):
     _assert_stack_matches_rows(sys)
 
 
+DRIFT_CASES = {
+    "port_hamiltonian": PH_PARAMS,
+    "port_hamiltonian/c=0": {**PH_PARAMS, "hamiltonian": {"P": PH_PARAMS["hamiltonian"]["P"]}},
+    "gradient_ff": FAMILIES["gradient_ff"],
+    "gradient_ff/c=0": {**FAMILIES["gradient_ff"], "c": 0.0},
+    "ahu_saddle": FAMILIES["ahu_saddle"],
+    "ahu_saddle/c=0,K=0": {k: v for k, v in FAMILIES["ahu_saddle"].items() if k not in ("c", "K")},
+    "dt_gradient": FAMILIES["dt_gradient"],
+    "dt_gradient/c=0": {**FAMILIES["dt_gradient"], "c": 0.0},
+}
+
+
+def _composed_drift(family, params, meta):
+    """The drift composed as the model reads: ∇H Aᵀ + d, -tinv ∇φ, the
+    saddle's [-∇φ(z) - (res K + λ) A, res], and x - α ∇φ."""
+    if family == "port_hamiltonian":
+        At, d = (meta["Jmat"] - meta["R"]).T, np.asarray(params.get("d", 0.0))
+        return lambda x: meta["grad_H"](x) @ At + d
+    phi = meta["phi"]
+    if family == "gradient_ff":
+        tinv = 1.0 / meta["tau"]
+        return lambda x: -tinv * phi.grad(x)
+    if family == "dt_gradient":
+        return lambda x: x - meta["alpha"] * phi.grad(x)
+    A, b, K, n1 = meta["A"], meta["b"], meta["K"], meta["n1"]
+
+    def f(x):
+        z, lam = x[..., :n1], x[..., n1:]
+        res = z @ A.T - b
+        return np.concatenate([-phi.grad(z) - (res @ K + lam) @ A, res], axis=-1)
+    return f
+
+
+@pytest.mark.parametrize("case", sorted(DRIFT_CASES))
+def test_matrix_drifts_match_the_composed_drift(case):
+    family = case.split("/")[0]
+    sys = catalog_build(family, DRIFT_CASES[case])
+    ref = _composed_drift(family, DRIFT_CASES[case], sys.meta)
+    rng = np.random.default_rng(4)
+    for shape in ((sys.n,), (1, sys.n), (7, sys.n), (sys.n, sys.n)):
+        X = rng.uniform(-2.0, 2.0, size=shape)
+        got, want = sys.f(X), ref(X)
+        assert got.shape == want.shape
+        assert np.max(np.abs(got - want)) <= 1e-12 * max(1.0, np.max(np.abs(want)))
+    assert systems._Stacked(sys._f.fn).maps_stacks(sys.n)
+
+
 def test_interconnect_closures_stack_evaluation_matches_rows():
     from eidlab.interconnect import (FeedbackLoop, compose_closed_loop, loop_transform,
                                      static_feedback)
