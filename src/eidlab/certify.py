@@ -25,7 +25,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from . import numerics
-from .equilibria import EquilibriumMap, IoSample
+from .equilibria import EquilibriumMap
 from .errors import DimensionMismatchError
 from .systems import SectorBounds, StaticNonlinearity, StorageGenerator, SupplyRate, _Stacked
 
@@ -62,24 +62,23 @@ class BregmanStorage:
         return self.generator._values("grad_V", x) - self._gbar
 
 
-def sample_pairs(sys, region, count: int = DEFAULT_PAIR_COUNT, seed: int = 0):
-    """Sample ``count`` >= 1 (x, equilibrium) pairs for certificate checks.
+def sample_pairs(sys, region, count: int = DEFAULT_PAIR_COUNT, seed: int = 0) -> np.ndarray:
+    """Sample ``count`` >= 1 pairs as the (count, 2, n) array of rows (x_k, x̄_k).
 
-    States x are uniform in the box; equilibria are projected into the
-    assignable set.  The degenerate pair x == xb is always included first —
+    States x are uniform in the box; the equilibria x̄ are projected into
+    the assignable set.  Row 0 is always the degenerate pair (x̄₀, x̄₀) —
     it forces a = 0 and b-difference = 0 and catches sign errors cheaply.
     """
     if count < 1:
         raise ValueError(f"need at least one pair, got count={count}")
     lo, hi = (np.asarray(b, dtype=float) for b in region)
     rng = np.random.default_rng(seed)
-    eq_list = EquilibriumMap(sys).sample_io_relation(
-        region, max(2, count // 8), seed=seed + 1).samples
-    if not eq_list:
+    eq = EquilibriumMap(sys).sample_io_relation(region, max(2, count // 8), seed=seed + 1).x
+    if not len(eq):
         raise ValueError("no equilibria found in the sampling region")
     X = rng.uniform(lo, hi, size=(count - 1, sys.n))
-    picks = rng.integers(len(eq_list), size=len(X))
-    return [(eq_list[0].x.copy(), eq_list[0])] + [(x, eq_list[k]) for x, k in zip(X, picks)]
+    picks = rng.integers(len(eq), size=len(X))
+    return np.stack([np.vstack([eq[:1], X]), eq[np.r_[0, picks]]], axis=1)
 
 
 def canonical_w(rhat) -> np.ndarray:
@@ -94,13 +93,15 @@ def canonical_w(rhat) -> np.ndarray:
 
 @dataclass
 class ResidualStats:
-    """Largest residuals; each worst index names the pair attaining it."""
+    """Largest residuals; each worst index and worst pair [x, x̄] names the pair attaining it."""
 
     max_a_violation: float
     max_b_residual: float
     c_residual: float
     worst_a_index: int
     worst_b_index: int
+    worst_a_pair: list
+    worst_b_pair: list
 
 
 @dataclass
@@ -144,10 +145,11 @@ class EidCertificate:
 
 
 def _stack_pairs(pairs, n: int):
-    """The (N, n) stacks X, X̄ of (x, xb) pairs, xb an IoSample or a state."""
-    X = np.array([x for x, _ in pairs], dtype=float)
-    Xbar = np.array([eq.x if isinstance(eq, IoSample) else eq for _, eq in pairs], dtype=float)
-    return X.reshape(-1, n), Xbar.reshape(-1, n)
+    """The (N, n) stacks X, X̄ of an (N, 2, n) pair set, or a DimensionMismatchError."""
+    P = np.asarray(pairs, dtype=float)
+    if P.size != 2 * n * len(P):
+        raise DimensionMismatchError(f"pairs of shape {P.shape} are not (N, 2, {n})")
+    return P.reshape(len(P), 2, n).transpose(1, 0, 2)
 
 
 def _pair_terms(sys, storage, X, Xbar):
@@ -235,15 +237,17 @@ def _verify_eid(sys, w: SupplyRate, storage, pairs, W, ell, mode,
     c_res = float(np.linalg.norm(W.T @ W - rhat_eff))
 
     a_viol, b_res = _residuals(sys, D, X, Xbar, W, ell, mode)
+    ia, ib = int(np.argmax(a_viol)), int(np.argmax(b_res))
     stats = ResidualStats(max_a_violation=float(a_viol.max()), max_b_residual=float(b_res.max()),
-                          c_residual=c_res, worst_a_index=int(np.argmax(a_viol)),
-                          worst_b_index=int(np.argmax(b_res)))
+                          c_residual=c_res, worst_a_index=ia, worst_b_index=ib,
+                          worst_a_pair=[X[ia].tolist(), Xbar[ia].tolist()],
+                          worst_b_pair=[X[ib].tolist(), Xbar[ib].tolist()])
     passed = (stats.max_a_violation <= tol_a and stats.max_b_residual <= tol_b
               and c_res <= tol_c)
     return EidCertificate(
         system_name=sys.name, supply=w, W=W, mode=mode,
         tolerances={"tol_a": tol_a, "tol_b": tol_b, "tol_c": tol_c},
-        stats=stats, n_pairs=len(pairs), passed=passed, seed=seed,
+        stats=stats, n_pairs=len(X), passed=passed, seed=seed,
     )
 
 
@@ -262,10 +266,10 @@ def verify_eid_ct(
 ) -> EidCertificate:
     """Check the continuous-time EID conditions on sampled (x, xb) pairs.
 
-    ``pairs`` is a sequence of (x, IoSample) tuples with the sample drawn
-    from the equilibrium set.  ``mode="inequality"`` accepts condition (a)
-    as LHS <= RHS + tol, which is how all the worked examples establish
-    EID; ``mode="equality"`` is for exact certificates.
+    ``pairs`` is the (N, 2, n) array of rows (x_k, x̄_k) that :func:`sample_pairs`
+    returns.  ``mode="inequality"`` accepts condition (a) as LHS <= RHS + tol,
+    which is how all the worked examples establish EID; ``mode="equality"`` is
+    for exact certificates.
     """
     if sys.discrete:
         raise DimensionMismatchError("verify_eid_ct expects a continuous-time system")

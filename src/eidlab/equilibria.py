@@ -156,14 +156,9 @@ class EquilibriumMap:
         rng = np.random.default_rng(seed)
         X = self.project(rng.uniform(lo, hi, size=(count, self.system.n)))
         X = X[~np.isnan(X[:, 0])]
-        samples = []
-        if len(X):
-            U, Y, residual, res = self._assign(X)
-            keep = res <= DEFAULT_RESIDUAL_TOL
-            samples = [IoSample(x=x, u=u, y=y, residual=float(r)) for x, u, y, r
-                       in zip(X[keep], U[keep], Y[keep], residual[keep])]
-        return RelationSamples(samples=samples, projection_failures=count - len(samples),
-                               seed=seed)
+        U, Y, _, res = self._assign(X)
+        keep = res <= DEFAULT_RESIDUAL_TOL
+        return RelationSamples(X[keep], U[keep], Y[keep], count - int(keep.sum()))
 
 
 def _min_norm_step(J, R):
@@ -181,32 +176,33 @@ def _min_norm_step(J, R):
 
 @dataclass
 class RelationSamples:
-    samples: list
+    """A sampled equilibrium I/O relation as columns: row k of ``x`` (N, n),
+    ``u`` (N, m) and ``y`` (N, p) is one equilibrium configuration, and
+    ``projection_failures`` counts the candidates dropped."""
+
+    x: np.ndarray
+    u: np.ndarray
+    y: np.ndarray
     projection_failures: int = 0
-    seed: int = 0
 
     def __len__(self):
-        return len(self.samples)
-
-    def __iter__(self):
-        return iter(self.samples)
+        return len(self.x)
 
     def to_csv(self, path):
         """Columns x_1..x_n, u_1..u_m, y_1..y_p."""
-        if not self.samples:
+        if not len(self):
             raise ValueError("no samples to export")
-        s0 = self.samples[0]
-        header = [f"{v}_{i+1}" for v, a in (("x", s0.x), ("u", s0.u), ("y", s0.y))
-                  for i in range(a.size)]
+        header = [f"{v}_{i+1}" for v, a in (("x", self.x), ("u", self.u), ("y", self.y))
+                  for i in range(a.shape[1])]
         with open(path, "w", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(header)
-            for s in self.samples:
-                writer.writerow(list(s.x) + list(s.u) + list(s.y))
+            writer.writerows(np.hstack([self.x, self.u, self.y]))
 
 
 def check_relation_dissipativity(samples, w: SupplyRate, tol: float = 1e-9) -> dict:
-    """Evaluate the supply-rate quadratic form on all pairs of I/O samples.
+    """Evaluate the supply-rate quadratic form on all pairs of rows of a
+    :class:`RelationSamples`.
 
     The monotone (incrementally passive) check is the special case
     (Q, S, R) = (0, I/2, 0).  Reports the minimum pair value and the
@@ -221,11 +217,9 @@ def check_relation_dissipativity(samples, w: SupplyRate, tol: float = 1e-9) -> d
     or Inf sample) neither violates nor wins the minimum; such pairs are
     counted in ``nonfinite_pairs``.
     """
-    items = list(samples)
-    if len(items) < 2:
+    if len(samples) < 2:
         raise ValueError("need at least two samples")
-    U = np.array([s.u for s in items])
-    Y = np.array([s.y for s in items])
+    U, Y = samples.u, samples.y
     if (Y.shape[1], U.shape[1]) != (w.p, w.m):
         raise DimensionMismatchError(f"sample (p, m) {Y.shape[1], U.shape[1]} != supply {w.p, w.m}")
     Z, M = np.hstack([Y, U]), w.block()
@@ -272,9 +266,7 @@ def cocoercivity_check(samples, rho: float) -> dict:
     """Sampled test of (y-y')ᵀ(u-u') >= rho ||y-y'||² over all pairs: the
     relation check with the output-strict supply (-rho I, I/2, 0) at its
     default tolerance."""
-    items = list(samples)
-    w = SupplyRate.output_strict(rho, items[0].u.size if items else 0)
-    rep = check_relation_dissipativity(items, w)
+    rep = check_relation_dissipativity(samples, SupplyRate.output_strict(rho, samples.u.shape[1]))
     return {"min_margin": rep["min_pair_value"], "violations": len(rep["violations"]),
             "holds": rep["monotone"], "nonfinite_pairs": rep["nonfinite_pairs"]}
 

@@ -10,6 +10,7 @@ also be loaded from JSON files.
 from __future__ import annotations
 
 import json
+import os
 import warnings
 from contextlib import suppress
 from dataclasses import dataclass, field
@@ -670,13 +671,13 @@ def load_system(source):
     """Load a system from a JSON file path, JSON string, or parsed dict.
 
     A dict is used as is, a string whose first non-blank character is ``{``
-    is JSON text, and anything else is a path.  Schema: {"schema": 1,
-    "family": "<name>", "params": {...}} with matrices as row-major nested
-    arrays.  Unknown top-level keys are rejected.
+    is JSON text, and any other ``str`` or ``os.PathLike`` is a path.  Schema:
+    {"schema": 1, "family": "<name>", "params": {...}} with matrices as
+    row-major nested arrays.  Any other source, a document or ``params``
+    that is not a JSON object, and unknown top-level keys are ConfigErrors.
     """
-    if isinstance(source, dict):
-        doc = source
-    else:
+    doc = source
+    if isinstance(source, (str, os.PathLike)):
         text = source
         try:
             if not (isinstance(source, str) and source.lstrip().startswith("{")):
@@ -685,6 +686,8 @@ def load_system(source):
             doc = json.loads(text)
         except (OSError, json.JSONDecodeError) as exc:
             raise ConfigError(f"cannot load system description: {exc}") from exc
+    if not isinstance(doc, dict):
+        raise ConfigError(f"system description must be a JSON object, got {type(doc).__name__}")
     unknown = set(doc) - {"schema", "family", "params"}
     if unknown:
         raise ConfigError(f"unknown keys in system file: {sorted(unknown)}")
@@ -692,7 +695,10 @@ def load_system(source):
         raise ConfigError(f"unsupported schema {doc.get('schema')!r}, expected {SCHEMA_VERSION}")
     if "family" not in doc:
         raise ConfigError("system file missing 'family'")
-    return catalog_build(doc["family"], doc.get("params", {}))
+    params = doc.get("params", {})
+    if not isinstance(params, dict):
+        raise ConfigError("system 'params' must be a JSON object")
+    return catalog_build(doc["family"], params)
 
 
 # ---------------------------------------------------------------------------

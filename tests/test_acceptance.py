@@ -333,7 +333,7 @@ def test_acceptance_9_property_sweeps():
         key = x.tobytes()
         if key not in cache:
             cache[key] = factor_dissipation(ph, w, ph.storage,
-                                            (x, anchor)).b_difference
+                                            (x, anchor.x)).b_difference
         return cache[key]
 
     for _ in range(1000):

@@ -25,7 +25,6 @@ from eidlab import (
     verify_eid_dt,
     verify_kyp_lti,
 )
-from eidlab.equilibria import IoSample
 from eidlab.errors import DimensionMismatchError, RhatNotPsdError
 from eidlab.sim import audit_dissipation, simulate_dt
 
@@ -151,8 +150,12 @@ def test_worst_pair_indices_are_per_condition():
     assert cert.stats.worst_b_index == 0
     assert cert.stats.max_a_violation == pytest.approx(2.9**2)
     assert cert.stats.max_b_residual == pytest.approx(3.0)
-    residuals = cert.to_dict()["residuals"]
+    assert cert.stats.worst_a_pair == [[1.0], [-1.9]]
+    assert cert.stats.worst_b_pair == [[2.0], [0.0]]
+    residuals = json.loads(cert.to_json())["residuals"]
     assert (residuals["worst_a_index"], residuals["worst_b_index"]) == (1, 0)
+    assert residuals["worst_a_pair"] == cert.stats.worst_a_pair
+    assert residuals["worst_b_pair"] == cert.stats.worst_b_pair
 
 
 def test_certificate_serialization(ph, ph_pairs, tmp_path):
@@ -244,6 +247,20 @@ def test_empty_pair_sets_are_errors():
             run()
 
 
+def test_pairs_of_another_state_width_are_errors():
+    # (N, 2, 2) pairs on an n = 1 system were read as 2N mixed-component
+    # pairs: verify_eid_ct passed with n_pairs 50 after evaluating 100 rows
+    gff = catalog_build("gradient_ff", {"mu": 2.0, "g": 1.0, "j": 0.9, "n": 1})
+    so = catalog_build("second_order", {"mu": 1.0, "c": 0.5})
+    pairs = sample_pairs(so, (-np.ones(2), np.ones(2)), count=50, seed=0)
+    osp = SupplyRate.output_strict
+    for run in (lambda: verify_eid_ct(gff, osp(0.1, 1), gff.storage, pairs),
+                lambda: supply_margin(gff, osp(0.0, 1), osp(1.0, 1), gff.storage, pairs),
+                lambda: factor_dissipation(gff, osp(0.1, 1), gff.storage, pairs[1])):
+        with pytest.raises(DimensionMismatchError, match=r"not \(N, 2, 1\)"):
+            run()
+
+
 def test_every_dt_path_rejects_indefinite_p():
     # one check for all four: an unchecked P = -I once gave a fake "w0
     # fails" margin, a negative psd_margin and a passing audit instead of
@@ -276,8 +293,8 @@ def test_factor_dissipation_psd_on_certified_system(ph, ph_pairs):
 
 
 def test_factor_dissipation_degenerate_pair(ph, ph_pairs):
-    eq = ph_pairs[0][1]
-    res = factor_dissipation(ph, SupplyRate.passivity(2), ph.storage, (eq.x, eq))
+    xb = ph_pairs[0][1]
+    res = factor_dissipation(ph, SupplyRate.passivity(2), ph.storage, (xb, xb))
     assert res.a == pytest.approx(0.0, abs=1e-14)
     assert np.allclose(res.b_difference, 0.0, atol=1e-14)
 
@@ -291,7 +308,7 @@ def test_factor_cocycle_identity(ph):
     anchor = emap.ku_ky(emap.project(np.zeros(4)))
 
     def b_of(x):
-        return factor_dissipation(ph, w, ph.storage, (x, anchor)).b_difference
+        return factor_dissipation(ph, w, ph.storage, (x, anchor.x)).b_difference
 
     for _ in range(50):
         x1, x2, x3 = rng.uniform(-1, 1, size=(3, 4))
@@ -306,7 +323,7 @@ def test_factor_detects_violation():
     w = SupplyRate.output_strict(10.0, 1)
     emap = EquilibriumMap(sys)
     eq = emap.ku_ky(np.array([0.5]))
-    res = factor_dissipation(sys, w, sys.storage, (np.array([1.5]), eq))
+    res = factor_dissipation(sys, w, sys.storage, (np.array([1.5]), eq.x))
     assert res.psd_margin < -1e-6
 
 
@@ -435,9 +452,9 @@ def test_kyp_dimension_check():
 
 def test_sample_pairs_contract(ph):
     pairs = sample_pairs(ph, (-np.ones(4), np.ones(4)), count=64, seed=9)
-    assert len(pairs) == 64
-    x0, eq0 = pairs[0]
-    assert np.allclose(x0, eq0.x)  # degenerate pair first
+    assert pairs.shape == (64, 2, 4)
+    x0, xb0 = pairs[0]
+    assert np.array_equal(x0, xb0)  # degenerate pair first
     again = sample_pairs(ph, (-np.ones(4), np.ones(4)), count=64, seed=9)
     assert np.allclose(pairs[5][0], again[5][0])
 
@@ -458,9 +475,9 @@ def _reference_residuals(sys, w, storage, pairs, W, ell, mode):
     """Conditions (a) and (b) one pair at a time, with one lstsq per pair."""
     qjs = w.Q @ sys.J + w.S
     a_viol, b_res = [], []
-    for x, eq in pairs:
+    for x, xb in pairs:
         x = np.atleast_1d(np.asarray(x, dtype=float))
-        xb = eq.x if isinstance(eq, IoSample) else np.atleast_1d(np.asarray(eq, dtype=float))
+        xb = np.atleast_1d(np.asarray(xb, dtype=float))
         df = sys.f(x) - sys.f(xb)
         dh = sys.h(x) - sys.h(xb)
         if sys.discrete:
@@ -634,8 +651,8 @@ def test_supply_margin_ends_of_the_family():
     assert supply_margin(sys, l2(3.0), l2(2.5), P, pairs) == (1.0, None)
     theta, worst = supply_margin(sys, l2(1.9), l2(3.0), P, pairs)
     assert theta is None
-    dx = abs(pairs[worst][0] - pairs[worst][1].x)[0]
-    assert dx == max(abs(x - eq.x)[0] for x, eq in pairs)
+    dx = abs(pairs[:, 0, 0] - pairs[:, 1, 0])
+    assert dx[worst] == dx.max()
 
 
 def test_verify_passes_at_the_margin_and_fails_beyond_it():

@@ -54,6 +54,8 @@ def test_certify_pass_and_report(runner, tmp_path):
     assert (tmp_path / "certify_report.json").exists()
     on_disk = json.loads((tmp_path / "certify_report.json").read_text())
     assert on_disk["config_hash"] == rep["config_hash"]
+    residuals = rep["metrics"]["residuals"]
+    assert [len(residuals[k]) for k in ("worst_a_pair", "worst_b_pair")] == [2, 2]
 
 
 def test_certify_fail_exits_2(runner, tmp_path):
@@ -407,6 +409,13 @@ def test_non_object_config_is_a_config_error(runner, tmp_path):
     cfg = _write(tmp_path, "cfg.json", [1, 2])
     result = runner.invoke(main, ["region", "--config", cfg, "--out", str(tmp_path)])
     assert _error(result) == "error: configuration must be a JSON object"
+
+
+def test_non_object_system_file_is_a_config_error(runner, tmp_path):
+    # a null system file used to die with a TypeError traceback
+    sys_path = _write(tmp_path, "sys.json", None)
+    result = runner.invoke(main, ["certify", "--system", sys_path, "--out", str(tmp_path)])
+    assert _error(result) == "error: system description must be a JSON object, got NoneType"
 
 
 def test_audit_without_storage_generator_is_an_error(runner, tmp_path):

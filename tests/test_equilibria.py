@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 from eidlab import equilibria
 from eidlab.equilibria import (
     EquilibriumMap,
-    IoSample,
+    RelationSamples,
     annihilator,
     check_relation_dissipativity,
     cocoercivity_check,
@@ -84,9 +84,9 @@ def test_underactuated_discrete_time_equilibria():
     assert emap.equilibrium_residual(x, eq.u) <= 1e-10
     samples = emap.sample_io_relation((-np.ones(2), np.ones(2)), 30, seed=2)
     assert len(samples) == 30
-    for s in samples:
-        assert eq_res(s.x, s.u) <= 1e-10
-        assert emap.equilibrium_residual(s.x, s.u) <= 1e-10
+    for x, u in zip(samples.x, samples.u):
+        assert eq_res(x, u) <= 1e-10
+        assert emap.equilibrium_residual(x, u) <= 1e-10
     xbar = emap.solve_equilibrium([0.3], np.zeros(2))
     np.testing.assert_allclose(xbar, np.linalg.solve(np.eye(2) - F, G[:, 0] * 0.3),
                                rtol=0, atol=1e-9)
@@ -107,8 +107,7 @@ def test_sample_io_relation_deterministic_and_csv(tmp_path):
     s1 = emap.sample_io_relation(region, 10, seed=3)
     s2 = emap.sample_io_relation(region, 10, seed=3)
     assert len(s1) == len(s2) > 0
-    for a, b in zip(s1, s2):
-        assert np.allclose(a.x, b.x)
+    assert np.allclose(s1.x, s2.x)
     path = tmp_path / "io.csv"
     s1.to_csv(path)
     header = path.read_text().splitlines()[0]
@@ -142,8 +141,7 @@ def _double_loop(samples, w, tol=1e-9):
     values in one ``w.evaluate`` of the differences; the minimum goes to the
     first pair attaining it, the violations are those below -tol, and the
     non-finite values are counted."""
-    U = np.array([s.u for s in samples])
-    Y = np.array([s.y for s in samples])
+    U, Y = samples.u, samples.y
     best, argmin, violations, nonfinite = np.inf, None, [], 0
     for i in range(len(samples) - 1):
         vals = w.evaluate(U[i] - U[i + 1:], Y[i] - Y[i + 1:])
@@ -170,19 +168,19 @@ def _assert_matches_double_loop(samples, w, tol=1e-9):
 
 
 def _io_samples(Z, p):
-    return [IoSample(x=np.zeros(1), u=z[p:], y=z[:p]) for z in Z]
+    return RelationSamples(np.zeros((len(Z), 1)), Z[:, p:], Z[:, :p])
 
 
 def test_relation_check_matches_double_loop():
     rng = np.random.default_rng(3)
-    samples = [IoSample(x=np.zeros(2), u=rng.normal(size=2), y=rng.normal(size=2))
-               for _ in range(25)]
+    UY = rng.normal(size=(25, 2, 2))  # each sample's u, then its y
+    samples = RelationSamples(np.zeros((25, 2)), UY[:, 0], UY[:, 1])
     Q = rng.normal(size=(2, 2))
     w = SupplyRate(Q + Q.T, rng.normal(size=(2, 2)), np.eye(2), warn_definite=False)
     best, argmin, violations = np.inf, None, []
     for i in range(len(samples)):
         for j in range(i + 1, len(samples)):
-            z = np.concatenate([samples[i].y - samples[j].y, samples[i].u - samples[j].u])
+            z = np.concatenate([samples.y[i] - samples.y[j], samples.u[i] - samples.u[j]])
             val = float(z @ w.block() @ z)
             if val < best:
                 best, argmin = val, (i, j)
@@ -293,7 +291,7 @@ def test_cocoercivity_check():
     assert cocoercivity_check(samples, 0.0)["holds"]
     assert not cocoercivity_check(samples, 100.0)["holds"]
     with pytest.raises(ValueError):
-        cocoercivity_check(list(samples)[:1], 0.0)
+        cocoercivity_check(RelationSamples(samples.x[:1], samples.u[:1], samples.y[:1]), 0.0)
 
 
 def test_maximality_conditions_reads_sampled_cocoercivity():
@@ -365,13 +363,13 @@ def test_batched_projection_matches_per_candidate_reference(family, params, n):
         samples = emap.sample_io_relation(region, 60, seed=seed)
         xs, failures = _reference_sample(emap, region, 60, seed)
         assert (len(samples), samples.projection_failures) == (len(xs), failures)
-        X = np.array([s.x for s in samples])
+        X = samples.x
         # the FD step makes a projection move by ~1e-10 when its start moves
         # by rounding, so the stacked and per-row paths agree to 1e-9, not 1e-12
         np.testing.assert_allclose(X, xs, rtol=0, atol=1e-9)
-        for s in list(samples)[:5]:
-            ref = emap.ku_ky(s.x)
-            np.testing.assert_allclose(np.concatenate([s.u, s.y]), np.concatenate([ref.u, ref.y]),
+        for x, u, y in zip(samples.x[:5], samples.u[:5], samples.y[:5]):
+            ref = emap.ku_ky(x)
+            np.testing.assert_allclose(np.concatenate([u, y]), np.concatenate([ref.u, ref.y]),
                                        rtol=0, atol=1e-12)
 
 
@@ -388,8 +386,8 @@ def test_non_finite_candidates_are_counted_not_raised(capfd):
     samples = emap.sample_io_relation(region, 40, seed=0)
     assert samples.projection_failures > 0 and len(samples) > 0
     assert len(samples) + samples.projection_failures == 40
-    for s in samples:
-        assert emap.assignability_residual(s.x) <= 1e-11
+    for x in samples.x:
+        assert emap.assignability_residual(x) <= 1e-11
     with pytest.raises(NoConvergenceError):
         emap.project(np.array([0.0, 19.0]))
     assert capfd.readouterr().err == ""

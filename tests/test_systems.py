@@ -1,6 +1,7 @@
 import functools
 import json
 import math
+import os
 
 import numpy as np
 import pytest
@@ -267,6 +268,33 @@ def test_load_system_rejects_bad_docs(tmp_path):
     bad.write_text("{not json")
     with pytest.raises(ConfigError):
         load_system(str(bad))
+
+
+def _pipe_holding(text):
+    read_end, write_end = os.pipe()
+    os.write(write_end, text.encode())
+    os.close(write_end)
+    return read_end
+
+
+def _file_holding(path, text):
+    path.write_text(text)
+    return path
+
+
+@pytest.mark.parametrize("make_source", [
+    lambda tmp: _pipe_holding("{}"),
+    lambda tmp: _file_holding(tmp / "null.json", "null"),
+    lambda tmp: {"schema": 1, "family": "dt_integrator", "params": [1]},
+], ids=["int", "null_document", "params_list"])
+def test_load_system_rejects_other_sources(tmp_path, make_source):
+    # an int was read as a file descriptor and closed; a null document and
+    # a params list raised TypeError
+    source = make_source(tmp_path)
+    with pytest.raises(ConfigError):
+        load_system(source)
+    if isinstance(source, int):
+        os.close(source)  # still open
 
 
 def test_validate_system_reports_nonfinite():
