@@ -209,8 +209,9 @@ def _residuals(sys, D, X, Xbar, W, ell, mode):
         # only makes condition (a) harder, so this is the favourable choice
         L = np.linalg.lstsq(W.T, C.T, rcond=None)[0].T
     else:
-        # ell(x, xb) on the stacks X, X̄, or row by row on one pair
-        L = _Stacked(ell)(X, Xbar)
+        # ell(x, xb) on the stacks X, X̄ as one (N, 2n) stack, or row by row
+        n = X.shape[1]
+        L = _Stacked(lambda Z: ell(Z[..., :n], Z[..., n:]))(np.hstack([X, Xbar]))
         if L.shape[-1] < W.shape[0]:
             raise DimensionMismatchError(
                 f"ell has {L.shape[-1]} components but W has {W.shape[0]} rows")

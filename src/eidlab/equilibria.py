@@ -116,31 +116,12 @@ class EquilibriumMap:
         return numerics.newton_root(lambda x: Gu - self._gu_at(x), x0, tol=1e-11, max_iter=80)
 
     def project(self, x0) -> np.ndarray:
-        """Minimum-norm Gauss-Newton projection of a state candidate, or of
-        each row of an (N, n) stack, onto the assignable-equilibrium set
-        {G_perp f = 0}, all rows iterating together until the residual is at
-        most 1e-11.  A row fails on a non-finite residual or Jacobian, a
-        rank-deficient Jacobian or 60 steps: in a stack it comes back NaN,
-        alone it raises NoConvergenceError."""
-        x0 = np.asarray(x0, dtype=float)
-        X = np.atleast_2d(x0).copy()
-        active = np.arange(0 if self.fully_actuated else len(X))
-        with np.errstate(all="ignore"):
-            for _ in range(60):
-                if not active.size:
-                    break
-                R = self._constraint(X[active])
-                moving = ~(np.linalg.norm(R, axis=1) <= 1e-11)  # keeps NaN rows for the step to fail
-                active, R = active[moving], R[moving]
-                if not active.size:
-                    break
-                step = _min_norm_step(numerics.fd_jacobian(self._constraint, X[active]), R)
-                X[active] -= step  # a failed row turns NaN and leaves the loop
-                active = active[~np.isnan(step[:, 0])]
-        X[active] = np.nan
-        if x0.ndim == 1 and np.isnan(X[0, 0]):
-            raise numerics.NoConvergenceError("projection onto equilibrium set failed")
-        return X if x0.ndim > 1 else X[0]
+        """Projection of a state candidate, or of each row of an (N, n)
+        stack, onto the assignable-equilibrium set {G_perp f = 0}:
+        :func:`numerics.newton_root` on the constraint, to a residual of
+        1e-11 in at most 60 steps.  A failed row of a stack comes back NaN;
+        one candidate alone raises that solver's error."""
+        return numerics.newton_root(self._constraint, x0, tol=1e-11, max_iter=60)
 
     # sampling ---------------------------------------------------------------
 
@@ -159,19 +140,6 @@ class EquilibriumMap:
         U, Y, _, res = self._assign(X)
         keep = res <= DEFAULT_RESIDUAL_TOL
         return RelationSamples(X[keep], U[keep], Y[keep], count - int(keep.sum()))
-
-
-def _min_norm_step(J, R):
-    """Minimum-norm solutions s_k of J_k s_k = r_k for a (K, q, n) stack of
-    Jacobians, q < n, by one batched SVD with lstsq's rank cutoff; NaN rows
-    where J_k or r_k is not finite or J_k is not of full row rank."""
-    ok = np.isfinite(J).all(axis=(1, 2)) & np.isfinite(R).all(axis=1)
-    step = np.full((len(J), J.shape[2]), np.nan)
-    U, s, Vt = np.linalg.svd(J[ok], full_matrices=False)
-    full = s[:, -1:] > np.finfo(float).eps * max(J.shape[1:]) * s[:, :1]
-    coef = np.einsum("kji,kj->ki", U, R[ok]) / s
-    step[ok] = np.where(full, np.einsum("kin,ki->kn", Vt, coef), np.nan)
-    return step
 
 
 @dataclass

@@ -162,46 +162,60 @@ def fd_gradient(V, x) -> np.ndarray:
     return fd_jacobian(lambda z: np.asarray(V(z), dtype=float)[..., None], x)[..., 0, :]
 
 
-def newton_root(
-    F,
-    x0,
-    tol: float = 1e-10,
-    max_iter: int = 50,
-    jac=None,
-) -> np.ndarray:
-    """Newton's method for ``F(x) = 0`` on small dense systems.
+def _min_norm_step(J, R):
+    """Minimum-norm least-squares solutions s_k of J_k s_k = r_k for a
+    (K, q, n) stack of Jacobians, by one batched SVD with lstsq's rank
+    cutoff; NaN rows where J_k or r_k is not finite or J_k is not of full
+    rank."""
+    ok = np.isfinite(J).all(axis=(1, 2)) & np.isfinite(R).all(axis=1)
+    step = np.full((len(J), J.shape[2]), np.nan)
+    U, s, Vt = np.linalg.svd(J[ok], full_matrices=False)
+    full = s[:, -1:] > np.finfo(float).eps * max(J.shape[1:]) * s[:, :1]
+    coef = np.einsum("kji,kj->ki", U, R[ok]) / s
+    step[ok] = np.where(full, np.einsum("kin,ki->kn", Vt, coef), np.nan)
+    return step
 
-    Uses ``jac`` if supplied, otherwise central finite differences.  Raises
-    SingularJacobianError when the Newton step cannot be computed and
-    NoConvergenceError after ``max_iter`` iterations.
+
+def newton_root(F, x0, tol: float = 1e-10, max_iter: int = 50, jac=None) -> np.ndarray:
+    """Gauss-Newton for ``F(x) = 0`` from one state or from each row of an
+    (N, n) stack, all rows stepping together with minimum-norm steps
+    (:func:`_min_norm_step`) until |F| <= ``tol``, checked once more after
+    the last of ``max_iter`` steps.
+
+    On a stack, ``F`` maps (N, n) to (N, q) and ``jac`` (if supplied; central
+    finite differences otherwise) to (N, q, n).  A row whose residual or
+    Jacobian goes non-finite, whose Jacobian loses rank or which does not
+    converge comes back NaN.  One state alone raises NonFiniteError,
+    SingularJacobianError or NoConvergenceError instead.
     """
-    x = np.atleast_1d(np.asarray(x0, dtype=float)).copy()
-    for _ in range(max_iter):
-        r = np.atleast_1d(np.asarray(F(x), dtype=float))
-        if not np.all(np.isfinite(r)):
+    x0 = np.asarray(x0, dtype=float)
+    if x0.ndim < 2:  # one state: F and jac see the state itself
+        F1, jac1 = F, jac
+        F = lambda X: np.atleast_1d(np.asarray(F1(X[0]), dtype=float))[None]
+        jac = None if jac1 is None else (lambda X: np.atleast_2d(jac1(X[0]))[None])
+    X = np.atleast_2d(x0).copy()
+    active = np.arange(len(X))
+    with np.errstate(all="ignore"):
+        for k in range(max_iter + 1):
+            if not active.size:
+                break
+            R = F(X[active])
+            moving = ~(np.linalg.norm(R, axis=1) <= tol)  # keeps NaN rows for the step to fail
+            active, R = active[moving], R[moving]
+            if not active.size or k == max_iter:
+                break
+            step = _min_norm_step(fd_jacobian(F, X[active]) if jac is None else jac(X[active]), R)
+            X[active] -= step  # a failed row turns NaN and leaves the loop
+            active = active[~np.isnan(step[:, 0])]
+    X[active] = np.nan
+    if x0.ndim < 2 and np.isnan(X[0, 0]):
+        if active.size:
+            raise NoConvergenceError(
+                f"no convergence after {max_iter} iterations, |F| = {np.linalg.norm(R):.3e}")
+        if not np.isfinite(R).all():
             raise NonFiniteError("residual became non-finite during Newton solve")
-        if np.linalg.norm(r) <= tol:
-            return x
-        J = np.atleast_2d(jac(x) if jac is not None else fd_jacobian(F, x))
-        try:
-            if J.shape[0] == J.shape[1]:
-                cond = np.linalg.cond(J)
-                if not np.isfinite(cond) or cond > 1e14:
-                    raise SingularJacobianError(
-                        f"Jacobian condition number {cond:.2e}"
-                    )
-                step = np.linalg.solve(J, r)
-            else:
-                step, *_ = np.linalg.lstsq(J, r, rcond=None)
-        except np.linalg.LinAlgError as exc:
-            raise SingularJacobianError(str(exc)) from exc
-        x = x - step
-    r = np.atleast_1d(F(x))
-    if np.linalg.norm(r) <= tol:
-        return x
-    raise NoConvergenceError(
-        f"no convergence after {max_iter} iterations, |F| = {np.linalg.norm(r):.3e}"
-    )
+        raise SingularJacobianError("Newton step from a non-finite or rank-deficient Jacobian")
+    return X if x0.ndim > 1 else X[0]
 
 
 def rk4_step(f, x, u, dt: float) -> np.ndarray:

@@ -195,6 +195,9 @@ class SeparableConvex:
 
     def __init__(self, mu, c=None, n: Optional[int] = None):
         mu = np.atleast_1d(np.asarray(mu, dtype=float))
+        if n is not None and (n < 1 or mu.size not in (1, n)):
+            raise DimensionMismatchError(f"need n >= 1 and 1 or n entries in mu, got n = {n}"
+                                         f" and {mu.size}")
         if n is not None and mu.size == 1:
             mu = np.full(n, mu[0])
         if c is None:
@@ -235,9 +238,8 @@ _AS_VALUE = (lambda v: v.reshape(()), np.atleast_1d, np.atleast_2d)
 
 
 class _Stacked:
-    """The one stack rule for a user callable of one or more states: ``fn``
-    at one point, or on one (N, k) stack per argument.  On the first stack
-    of each argument width (a tuple of widths for several arguments), a
+    """The one stack rule for a user callable of one state: ``fn`` at one
+    point, or on an (N, k) stack.  On the first stack of each width k, a
     fixed 3-row probe decides whether ``fn`` maps stacks to the stack of its
     row values; raising, a wrong shape or a wrong value all say no, and such
     stacks go row by row.  Each value has ``ndim`` dimensions: 0, 1 (a
@@ -249,52 +251,47 @@ class _Stacked:
     def __init__(self, fn, ndim: int = 1):
         self.fn = fn
         self.ndim = ndim
-        self._stacks = set()  # argument widths on which fn maps stacks
+        self._stacks = set()  # widths on which fn maps stacks
         self._rows = {}       # the other probed widths -> shape of one value
 
-    def __call__(self, x, *more) -> np.ndarray:
+    def __call__(self, x) -> np.ndarray:
         x = np.asarray(x, dtype=float)
-        if more:
-            more = [np.asarray(m, dtype=float) for m in more]
-        elif x.ndim == 2 and x.shape[1] in self._stacks:
-            # f and h run in every RK4 stage: a one-state stack of a width
-            # known to map stacks goes straight to fn
+        if x.ndim == 2 and x.shape[1] in self._stacks:
+            # f and h run in every RK4 stage: a stack of a width known to
+            # map stacks goes straight to fn
             return np.asarray(self.fn(x), dtype=float)
         if x.ndim < 2:
-            value = self.fn(x, *more) if more else self.fn(x)
-            return _AS_VALUE[self.ndim](np.asarray(value, dtype=float))
-        key = (x.shape[-1],) + tuple(m.shape[-1] for m in more) if more else x.shape[-1]
-        if self.maps_stacks(key):
-            return np.asarray(self.fn(x, *more), dtype=float)
+            return _AS_VALUE[self.ndim](np.asarray(self.fn(x), dtype=float))
+        k = x.shape[-1]
+        if self.maps_stacks(k):
+            return np.asarray(self.fn(x), dtype=float)
         # the callable at each row; no rows keep the value shape
-        out = np.array([self(*r) for r in zip(*(a.reshape(-1, a.shape[-1]) for a in (x, *more)))])
-        return out.reshape(x.shape[:-1] + (out.shape[1:] if len(out) else self._rows[key]))
+        out = np.array([self(r) for r in x.reshape(-1, k)])
+        return out.reshape(x.shape[:-1] + (out.shape[1:] if len(out) else self._rows[k]))
 
-    def maps_stacks(self, key) -> bool:
-        """Whether ``fn`` maps stacks of argument width ``key``, probed on
-        the first call for each key."""
-        if key in self._stacks or key in self._rows:
-            return key in self._stacks
-        widths = key if isinstance(key, tuple) else (key,)
-        Z = np.linspace(-0.5, 0.7, 3 * sum(widths)).reshape(3, -1)
-        X = np.split(Z, np.cumsum(widths)[:-1], axis=1)
+    def maps_stacks(self, k) -> bool:
+        """Whether ``fn`` maps stacks of width ``k``, probed on the first
+        call for each width."""
+        if k in self._stacks or k in self._rows:
+            return k in self._stacks
+        X = np.linspace(-0.5, 0.7, 3 * k).reshape(3, k)
         rows, maps = [], False
         with warnings.catch_warnings(), np.errstate(all="ignore"):
             warnings.simplefilter("ignore")
-            for r in zip(*X):
+            for r in X:
                 with suppress(Exception):
-                    rows.append(self(*r))
+                    rows.append(self(r))
             with suppress(Exception):
                 if len(rows) == 3:
-                    rows, stacked = np.array(rows), np.asarray(self.fn(*X), dtype=float)
+                    rows, stacked = np.array(rows), np.asarray(self.fn(X), dtype=float)
                     # a stacked matmul may round differently from a single-row one
                     maps = stacked.shape == rows.shape and bool(
                         np.max(np.abs(stacked - rows), initial=0.0)
                         <= 1e-12 * (1.0 + np.max(np.abs(rows), initial=0.0)))
         if maps:
-            self._stacks.add(key)
+            self._stacks.add(k)
         else:
-            self._rows[key] = rows[-1].shape if len(rows) else (0,) * self.ndim
+            self._rows[k] = rows[-1].shape if len(rows) else (0,) * self.ndim
         return maps
 
 
@@ -410,12 +407,10 @@ class SectorBounds:
 
 @dataclass
 class StaticNonlinearity:
-    """Memoryless map psi: R^m -> R^m with an optional declared sector."""
+    """Memoryless map psi: R^m -> R^m."""
 
     psi: Callable[[np.ndarray], np.ndarray]
     m: int = 1
-    bounds: Optional[SectorBounds] = None
-    name: str = "psi"
 
     def __call__(self, z) -> np.ndarray:
         return np.atleast_1d(np.asarray(self.psi(np.atleast_1d(z)), dtype=float))
@@ -616,8 +611,8 @@ def _build_dt_integrator(params: dict):
     _require(params, "alpha")
     alpha = float(params["alpha"])
     n = int(params.get("n", 1))
-    if alpha <= 0:
-        raise ValueError("alpha must be positive")
+    if alpha <= 0 or n < 1:
+        raise ValueError("need alpha > 0 and n >= 1")
     f = h = lambda x: np.atleast_1d(np.asarray(x, dtype=float))
     G = alpha * np.eye(n)
     gen = StorageGenerator.quadratic(np.eye(n) / alpha, name="scaled quadratic")

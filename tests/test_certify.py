@@ -568,8 +568,9 @@ def test_equivalence_cases_take_the_intended_paths():
     cases = _equivalence_cases()
     assert _Stacked(cases["ph/min-norm"][3].grad_V).maps_stacks(4)
     assert not _Stacked(cases["ph/row-storage"][3].grad_V).maps_stacks(4)
-    assert not _Stacked(cases["ph/row-ell"][4]).maps_stacks((4, 4))
-    assert _Stacked(cases["ph/stack-ell"][4]).maps_stacks((4, 4))
+    pair = lambda ell: (lambda Z: ell(Z[..., :4], Z[..., 4:]))  # as _residuals calls ell
+    assert not _Stacked(pair(cases["ph/row-ell"][4])).maps_stacks(8)
+    assert _Stacked(pair(cases["ph/stack-ell"][4])).maps_stacks(8)
     verdicts = {name: verify_eid_ct(sys, w, gen, sample_pairs(sys, region, 100, seed=1),
                                     ell=ell).passed
                 for name, (sys, region, w, gen, ell) in cases.items() if not sys.discrete}

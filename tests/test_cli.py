@@ -465,3 +465,12 @@ def test_empty_sample_counts_are_errors(runner, tmp_path, command, system, confi
     result = runner.invoke(main, [command, "--system", sys_path, "--config", cfg,
                                   "--out", str(tmp_path)])
     assert _error(result) == message
+
+
+def test_empty_integrator_is_an_error(runner, tmp_path):
+    # n: 0 used to escape as an IndexError traceback
+    sys_path = _write(tmp_path, "sys.json", {
+        "schema": 1, "family": "dt_integrator", "params": {"alpha": 0.5, "n": 0},
+    })
+    result = runner.invoke(main, ["certify-dt", "--system", sys_path, "--out", str(tmp_path)])
+    assert _error(result) == "error: need alpha > 0 and n >= 1"

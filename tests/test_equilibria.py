@@ -13,7 +13,8 @@ from eidlab.equilibria import (
     maximality_conditions,
 )
 from eidlab import numerics
-from eidlab.errors import DimensionMismatchError, NoConvergenceError, NotAssignableError
+from eidlab.errors import (DimensionMismatchError, NonFiniteError, NotAssignableError,
+                           SingularJacobianError)
 from eidlab.systems import CtSystem, SupplyRate, catalog_build
 
 
@@ -388,7 +389,7 @@ def test_non_finite_candidates_are_counted_not_raised(capfd):
     assert len(samples) + samples.projection_failures == 40
     for x in samples.x:
         assert emap.assignability_residual(x) <= 1e-11
-    with pytest.raises(NoConvergenceError):
+    with pytest.raises(NonFiniteError):
         emap.project(np.array([0.0, 19.0]))
     assert capfd.readouterr().err == ""
 
@@ -399,7 +400,7 @@ def test_rank_deficient_jacobian_fails_the_row():
                                    lambda x: x[:1], [[1.0], [0.0]]))
     X = emap.project(np.array([[0.0, 0.3], [0.5, 0.3]]))
     assert np.isnan(X).all()
-    with pytest.raises(NoConvergenceError):
+    with pytest.raises(SingularJacobianError):
         emap.project(np.array([0.0, 0.3]))
 
 

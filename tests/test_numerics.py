@@ -157,6 +157,37 @@ def test_newton_no_convergence_raises():
         numerics.newton_root(lambda x: np.cbrt(x), [1.0], max_iter=5)
 
 
+def _stack_residual(X):
+    # x0² + exp(40 x1) - 1: overflows at x1 = 19, has the rank-0 Jacobian
+    # (0, 0) at (0, -30), and needs about 200 steps from x1 = 5
+    return (X[..., 0] ** 2 + np.exp(40.0 * X[..., 1]) - 1.0)[..., None]
+
+
+def test_newton_stack_rows_equal_one_state_solves():
+    circle = lambda X: np.stack([X[..., 0] ** 2 + X[..., 1] ** 2 - 1.0,
+                                 X[..., 0] * X[..., 1] - 0.25], axis=-1)
+    for F in (circle, _stack_residual):
+        X0 = np.random.default_rng(0).uniform(0.2, 1.5, size=(12, 2)) * [1.0, 0.05]
+        X = numerics.newton_root(F, X0)
+        assert not np.isnan(X).any()
+        for x, x0 in zip(X, X0):
+            np.testing.assert_allclose(x, numerics.newton_root(F, x0), rtol=0, atol=1e-12)
+            assert np.linalg.norm(F(x)) <= 1e-10
+
+
+def test_newton_failed_rows_are_nan_in_a_stack():
+    X0 = np.array([[0.5, 0.0], [0.0, 19.0], [0.0, -30.0], [0.0, 5.0], [0.8, 0.01]])
+    X = numerics.newton_root(_stack_residual, X0)
+    assert np.isnan(X[1:4]).all()
+    for i in (0, 4):
+        assert np.abs(_stack_residual(X[i])).max() <= 1e-10
+        np.testing.assert_allclose(X[i], numerics.newton_root(_stack_residual, X0[i]),
+                                   rtol=0, atol=1e-12)
+    for x0, error in zip(X0[1:4], (NonFiniteError, SingularJacobianError, NoConvergenceError)):
+        with pytest.raises(error):
+            numerics.newton_root(_stack_residual, x0)
+
+
 def test_rk4_exact_linear_decay():
     x = np.array([1.0])
     for _ in range(1000):

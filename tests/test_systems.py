@@ -130,6 +130,9 @@ def test_separable_convex_rejects_bad_params():
         SeparableConvex([0.0])
     with pytest.raises(DimensionMismatchError):
         SeparableConvex([1.0, 1.0], [0.1, 0.1, 0.1])
+    for mu, n in (([1.0, 2.0], 3), (1.0, 0)):
+        with pytest.raises(DimensionMismatchError):
+            SeparableConvex(mu, n=n)
 
 
 # ---------------------------------------------------------------------------
@@ -166,6 +169,27 @@ def test_catalog_unknown_family():
 def test_catalog_missing_params():
     with pytest.raises(MissingParamError):
         catalog_build("smib", {"M": 1.0})
+
+
+@pytest.mark.parametrize("family,params", [
+    # each used to build a system of another width, or (second_order) a
+    # storage whose V read mu = [1, 3] while grad_V and the drift read mu_0
+    ("gradient_ff", {"mu": [1.0, 2.0], "g": 1.0, "j": 0.5, "n": 3}),
+    ("dt_gradient", {"mu": [1.0, 2.0], "alpha": 0.1, "n": 5}),
+    ("second_order", {"mu": [1.0, 3.0]}),
+    # and these raised IndexError
+    ("gradient_ff", {"mu": 1.0, "g": 1.0, "j": 0.5, "n": 0}),
+    ("dt_gradient", {"mu": 1.0, "alpha": 0.1, "n": 0}),
+])
+def test_catalog_n_must_fit_mu(family, params):
+    with pytest.raises(DimensionMismatchError):
+        catalog_build(family, params)
+
+
+def test_empty_integrator_is_an_error():
+    # n = 0 used to raise IndexError from the feedthrough probe
+    with pytest.raises(ValueError):
+        catalog_build("dt_integrator", {"alpha": 0.5, "n": 0})
 
 
 def test_second_order_shapes_and_drift():
