@@ -17,7 +17,7 @@ import numpy as np
 
 from . import numerics
 from .errors import DimensionMismatchError, NotAssignableError
-from .systems import SupplyRate, _Stacked
+from .systems import SupplyRate
 
 DEFAULT_RESIDUAL_TOL = 1e-8
 _SCREEN_BLOCK = 8192  # pair values screened at once by the relation check
@@ -69,9 +69,17 @@ class EquilibriumMap:
     def _gu_at(self, x) -> np.ndarray:
         """What G u must equal for x to be a forced equilibrium with input u:
         -f(x), or x - f(x) in discrete time, at one state or each row of a
-        stack."""
+        stack; DimensionMismatchError for a state of another width than n."""
         x = np.asarray(x, dtype=float)
+        if x.shape[-1:] != (self.system.n,):
+            raise DimensionMismatchError(f"state shape {x.shape}, system n = {self.system.n}")
         return x - self.system.f(x) if self.system.discrete else -self.system.f(x)
+
+    def _jac(self, M):
+        """x -> M times the Jacobian -J_f (I - J_f in discrete time) of
+        :meth:`_gu_at`, or None without an ``f_jac`` (finite differences)."""
+        f_jac, I = self.system.f_jac, np.eye(self.system.n) * self.system.discrete
+        return None if f_jac is None else (lambda x: M @ (I - f_jac(x)))
 
     def _constraint(self, x) -> np.ndarray:
         """G_perp times the required G u, row by row: zero exactly at the
@@ -104,16 +112,15 @@ class EquilibriumMap:
         xbar = np.atleast_1d(np.asarray(xbar, dtype=float))
         u, y, residual, res = (a[0] for a in self._assign(xbar[None]))
         if res > DEFAULT_RESIDUAL_TOL:
-            raise NotAssignableError(
-                f"state is not an assignable equilibrium (residual {res:.3e})"
-            )
+            raise NotAssignableError(f"state is not an assignable equilibrium (residual {res:.3e})")
         return IoSample(x=xbar, u=u, y=y, residual=float(residual))
 
     def solve_equilibrium(self, ubar, x0) -> np.ndarray:
         """Newton solve of the forced equilibrium equation for given input,
         to a residual of 1e-11 in at most 80 steps."""
         Gu = self.system.G @ np.atleast_1d(np.asarray(ubar, dtype=float))
-        return numerics.newton_root(lambda x: Gu - self._gu_at(x), x0, tol=1e-11, max_iter=80)
+        return numerics.newton_root(lambda x: Gu - self._gu_at(x), x0, tol=1e-11, max_iter=80,
+                                    jac=self._jac(-np.eye(self.system.n)))
 
     def project(self, x0) -> np.ndarray:
         """Projection of a state candidate, or of each row of an (N, n)
@@ -121,7 +128,8 @@ class EquilibriumMap:
         :func:`numerics.newton_root` on the constraint, to a residual of
         1e-11 in at most 60 steps.  A failed row of a stack comes back NaN;
         one candidate alone raises that solver's error."""
-        return numerics.newton_root(self._constraint, x0, tol=1e-11, max_iter=60)
+        return numerics.newton_root(self._constraint, x0, tol=1e-11, max_iter=60,
+                                    jac=self._jac(self.G_perp))
 
     # sampling ---------------------------------------------------------------
 
@@ -257,10 +265,8 @@ def maximality_conditions(sys, samples: Optional[RelationSamples] = None,
     if samples is not None and len(samples) >= 2:
         report["cocoercive_sampled"] = cocoercivity_check(samples, rho)["holds"]
     X = np.random.default_rng(seed).uniform(-2.0, 2.0, size=(20, sys.n))
-    Jf = (_Stacked(sys.f_jac, 2)(X) if sys.f_jac is not None
-          else numerics.fd_jacobian(sys.f, X))
-    if sys.discrete:
-        Jf = Jf - np.eye(sys.n)
+    Jf = numerics.fd_jacobian(sys.f, X) if sys.f_jac is None else sys.f_jac(X)
+    Jf = Jf - np.eye(sys.n) * sys.discrete
     report["f_homeomorphism_hint"] = bool(np.all(np.linalg.svd(Jf, compute_uv=False)[:, -1] > 1e-8))
     flag = "f_is_identity" if sys.discrete else "f_is_zero"
     report["f_zero_or_identity"] = bool(sys.meta.get(flag, False))

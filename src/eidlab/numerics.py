@@ -12,6 +12,7 @@ from enum import Enum
 import numpy as np
 
 from .errors import (
+    DimensionMismatchError,
     NoConvergenceError,
     NonFiniteError,
     NonSymmetricError,
@@ -41,8 +42,7 @@ def symmetrize(A) -> np.ndarray:
     asym = np.linalg.norm(A - A.T)
     if asym > SYMMETRY_RTOL * scale:
         raise NonSymmetricError(
-            f"matrix asymmetry {asym:.3e} exceeds {SYMMETRY_RTOL:.1e} * {scale:.3e}"
-        )
+            f"matrix asymmetry {asym:.3e} exceeds {SYMMETRY_RTOL:.1e} * {scale:.3e}")
     return 0.5 * (A + A.T)
 
 
@@ -88,9 +88,7 @@ def psd_check(A, tol: float = DEFAULT_PSD_TOL) -> Definiteness:
     """Classify a symmetric matrix by its eigenvalue range against ±tol.
 
     A matrix with all |eigenvalues| <= tol (e.g. the zero matrix) is both
-    PSD and NSD; this function reports PSD for that case, and the
-    predicates :func:`is_psd` / :func:`is_nsd` can be used when the
-    one-sided question is all that matters.
+    PSD and NSD; this function reports PSD for that case.
     """
     eig = sym_eigen(A)
     lo, hi = eig.min, eig.max
@@ -103,14 +101,6 @@ def psd_check(A, tol: float = DEFAULT_PSD_TOL) -> Definiteness:
     if hi <= tol:
         return Definiteness.NSD
     return Definiteness.INDEFINITE
-
-
-def is_psd(A, tol: float = DEFAULT_PSD_TOL) -> bool:
-    return sym_eigen(A).min >= -tol
-
-
-def is_nsd(A, tol: float = DEFAULT_PSD_TOL) -> bool:
-    return sym_eigen(A).max <= tol
 
 
 def psd_sqrt(A, tol: float = DEFAULT_PSD_TOL) -> np.ndarray:
@@ -141,8 +131,9 @@ def fd_jacobian(F, x) -> np.ndarray:
     of Jacobians at each row of an (N, n) stack ``x`` for an ``F`` that maps
     stacks: 2n calls of ``F`` either way.
 
-    Step per coordinate is h_i = max(1e-6, 1e-6 * |x_i|); every equilibrium
-    solve in the package ultimately depends on this choice.
+    Step per coordinate is h_i = max(1e-6, 1e-6 * |x_i|).  It is the Jacobian
+    of :func:`newton_root` calls without ``jac``: among the equilibrium
+    solves, those of systems without an ``f_jac``.
     """
     x = np.asarray(x, dtype=float)
     h = np.maximum(1e-6, 1e-6 * np.abs(x))
@@ -163,16 +154,21 @@ def fd_gradient(V, x) -> np.ndarray:
 
 
 def _min_norm_step(J, R):
-    """Minimum-norm least-squares solutions s_k of J_k s_k = r_k for a
-    (K, q, n) stack of Jacobians, by one batched SVD with lstsq's rank
-    cutoff; NaN rows where J_k or r_k is not finite or J_k is not of full
-    rank."""
+    """Minimum-norm solutions s_k = J_kᵀ(J_k J_kᵀ)⁻¹ r_k of J_k s_k = r_k, by
+    one batched ``eigh`` of the q x q Gram matrices of a (K, q, n) stack,
+    q <= n (else DimensionMismatchError).  Rank rule: NaN rows where J_k or
+    r_k is not finite or the Gram's least eigenvalue is at most eps·max(q, n)
+    times its largest, i.e. cond(J_k) >= 1/sqrt(eps·max(q, n)), ~5e7 at 2."""
+    K, q, n = J.shape
+    if q > n:
+        raise DimensionMismatchError(f"{q} equations in {n} unknowns: overdetermined")
     ok = np.isfinite(J).all(axis=(1, 2)) & np.isfinite(R).all(axis=1)
-    step = np.full((len(J), J.shape[2]), np.nan)
-    U, s, Vt = np.linalg.svd(J[ok], full_matrices=False)
-    full = s[:, -1:] > np.finfo(float).eps * max(J.shape[1:]) * s[:, :1]
-    coef = np.einsum("kji,kj->ki", U, R[ok]) / s
-    step[ok] = np.where(full, np.einsum("kin,ki->kn", Vt, coef), np.nan)
+    J, R = J[ok], R[ok]
+    lam, V = np.linalg.eigh(J @ J.transpose(0, 2, 1))
+    full = lam[:, :1] > np.finfo(float).eps * max(q, n) * lam[:, -1:]
+    y = np.einsum("kij,kj->ki", V, np.einsum("kji,kj->ki", V, R) / np.where(full, lam, np.inf))
+    step = np.full((K, n), np.nan)
+    step[ok] = np.where(full, np.einsum("kqn,kq->kn", J, y), np.nan)
     return step
 
 

@@ -44,8 +44,7 @@ class SupplyRate:
         p, m = self.S.shape
         if self.Q.shape != (p, p) or self.R.shape != (m, m):
             raise DimensionMismatchError(
-                f"incompatible supply blocks Q{self.Q.shape} S{self.S.shape} R{self.R.shape}"
-            )
+                f"incompatible supply blocks Q{self.Q.shape} S{self.S.shape} R{self.R.shape}")
         self.p = p
         self.m = m
         if warn_definite:
@@ -298,8 +297,8 @@ class _Stacked:
 class _ControlAffine:
     """Shared implementation for CT and DT control-affine systems.
 
-    ``f`` and ``h`` accept one state or an (N, n) stack of states, each
-    through its own stack rule (:class:`_Stacked`).
+    ``f``, ``h`` and an optional ``f_jac`` accept one state or an (N, n)
+    stack of states, each through its own stack rule (:class:`_Stacked`).
     """
 
     discrete: bool = False
@@ -317,13 +316,11 @@ class _ControlAffine:
         if self.J.shape != (self.p, self.m):
             raise DimensionMismatchError("J must be p x m")
         if self.m > self.n or self.p > self.n:
-            raise DimensionMismatchError(
-                f"require m, p <= n, got n={self.n}, m={self.m}, p={self.p}"
-            )
+            raise DimensionMismatchError(f"require m, p <= n; n={self.n}, m={self.m}, p={self.p}")
         sv = np.linalg.svd(self.G, compute_uv=False)
         if sv.size < self.m or sv[self.m - 1] <= 1e-10:
             raise DimensionMismatchError("G must have full column rank")
-        self.f_jac = f_jac
+        self.f_jac = None if f_jac is None else _Stacked(f_jac, 2)
         self.name = name
         self.storage = storage
         self.meta = dict(meta or {})
@@ -433,23 +430,21 @@ def _phi_from_params(params: dict, n_key: str = "n") -> SeparableConvex:
 
 def _matrix_drift(A, B, d=0.0):
     """The drift x A + tanh(x) B + d at one state or on an (N, n) stack, from
-    matrices formed once at build time; a zero B leaves out the tanh term."""
+    matrices formed once at build time (a zero B leaves out the tanh term),
+    and its Jacobian Aᵀ + Bᵀ diag(sech² x), one matrix per row."""
+    At, Bt = A.T, B.T
+    jac = lambda x: At + Bt * (1.0 - np.tanh(np.atleast_1d(x)) ** 2)[..., None, :]
     if np.any(B):
-        return lambda x: np.atleast_1d(x) @ A + np.tanh(np.atleast_1d(x)) @ B + d
-    return lambda x: np.atleast_1d(x) @ A + d
+        return lambda x: np.atleast_1d(x) @ A + np.tanh(np.atleast_1d(x)) @ B + d, jac
+    return lambda x: np.atleast_1d(x) @ A + d, jac
 
 
 def _build_second_order(params: dict):
-    # xdot1 = x2, xdot2 = -U'(x1) - x2 + u, y = x2, with U strictly convex
+    # xdot1 = x2, xdot2 = -U'(x1) - x2 + u, y = x2, with U strictly convex;
+    # U'(z) = mu z + c tanh z makes the drift a matrix form
     U = _phi_from_params({**params, "n": 1})
-
-    def f(x):
-        # components are read from x.T and the result transposed back, which
-        # handles an (N, n) stack and costs one state no more than np.array
-        xt = x.T
-        v = xt[1]
-        return np.array([v, -U.grad(xt[:1])[0] - v]).T
-
+    (mu,), (c,) = U.mu_vec, U.c_vec
+    f, f_jac = _matrix_drift(np.array([[0.0, -mu], [1.0, -1.0]]), np.array([[0.0, -c], [0.0, 0.0]]))
     h = lambda x: x[..., 1:]
     G = np.array([[0.0], [1.0]])
     gen = StorageGenerator(
@@ -459,7 +454,7 @@ def _build_second_order(params: dict):
         mu=min(U.mu, 1.0),
         name="mechanical energy",
     )
-    return CtSystem(f, h, G, name="second_order", storage=gen,
+    return CtSystem(f, h, G, f_jac=f_jac, name="second_order", storage=gen,
                     meta={"family": "second_order", "U": U})
 
 
@@ -494,12 +489,12 @@ def _build_port_hamiltonian(params: dict):
                            mu=mu, name="hamiltonian")
     At = (Jm - Rm).T
     # grad_H(x) Aᵀ + d = x PᵀAᵀ + tanh(x) diag(c) Aᵀ + d
-    f = _matrix_drift(Pt @ At, c[:, None] * At, d)
+    f, f_jac = _matrix_drift(Pt @ At, c[:, None] * At, d)
     h = lambda x: grad_H(x) @ G
     sqR = numerics.psd_sqrt(Rm)
     meta = {"family": "port_hamiltonian", "R": Rm, "Jmat": Jm, "sqrt_R": sqR,
             "grad_H": grad_H}
-    return CtSystem(f, h, G, name="port_hamiltonian", storage=gen, meta=meta)
+    return CtSystem(f, h, G, f_jac=f_jac, name="port_hamiltonian", storage=gen, meta=meta)
 
 
 def _build_gradient_ff(params: dict):
@@ -515,13 +510,13 @@ def _build_gradient_ff(params: dict):
     if np.any(tau <= 0):
         raise ValueError("tau must be positive")
     tinv = 1.0 / tau
-    f = _matrix_drift(np.diag(-tinv * phi.mu_vec), np.diag(-tinv * phi.c_vec))
+    f, f_jac = _matrix_drift(np.diag(-tinv * phi.mu_vec), np.diag(-tinv * phi.c_vec))
     h = lambda x: g * np.atleast_1d(x)
     G = np.diag(tinv) * g
     J = j * np.eye(n)
     gen = StorageGenerator.quadratic(np.diag(tau), name="tau-weighted quadratic")
     meta = {"family": "gradient_ff", "phi": phi, "g": g, "j": j, "tau": tau}
-    return CtSystem(f, h, G, J=J, name="gradient_ff", storage=gen, meta=meta)
+    return CtSystem(f, h, G, J=J, f_jac=f_jac, name="gradient_ff", storage=gen, meta=meta)
 
 
 def _build_ahu_saddle(params: dict):
@@ -546,7 +541,7 @@ def _build_ahu_saddle(params: dict):
 
     # [-grad phi(z) - (res K + lam) A, res] with res = z Aᵀ - b, in x = [z, lam]
     Af = np.block([[-np.diag(phi.mu_vec) - A.T @ K @ A, A.T], [-A, np.zeros((n2, n2))]])
-    f = _matrix_drift(Af, np.diag(np.concatenate([-phi.c_vec, np.zeros(n2)])),
+    f, f_jac = _matrix_drift(Af, np.diag(np.concatenate([-phi.c_vec, np.zeros(n2)])),
                       np.concatenate([b @ K @ A, -b]))
     h = lambda x: x[..., :n1]
     G = np.vstack([np.eye(n1), np.zeros((n2, n1))])
@@ -556,7 +551,7 @@ def _build_ahu_saddle(params: dict):
     )
     meta = {"family": "ahu_saddle", "phi": phi, "A": A, "b": b, "K": K,
             "alpha": alpha, "n1": n1, "n2": n2}
-    return CtSystem(f, h, G, name="ahu_saddle", storage=gen, meta=meta)
+    return CtSystem(f, h, G, f_jac=f_jac, name="ahu_saddle", storage=gen, meta=meta)
 
 
 def _build_smib(params: dict):
@@ -572,9 +567,14 @@ def _build_smib(params: dict):
     bv2 = bcoef * Vbus**2
 
     def f(x):
-        xt = x.T  # see _build_second_order
+        xt = x.T  # read by component and transposed back: one state or a stack
         omega = xt[1]
         return np.array([omega, (Pm - bv2 * np.sin(xt[0]) - D * omega) / M]).T
+
+    def f_jac(x):
+        J = np.zeros(x.shape[:-1] + (2, 2))
+        J[..., 0, 1], J[..., 1, 0], J[..., 1, 1] = 1.0, -bv2 / M * np.cos(x[..., 0]), -D / M
+        return J
 
     h = lambda x: x[..., 1:]
     G = np.array([[0.0], [1.0 / M]])
@@ -587,7 +587,7 @@ def _build_smib(params: dict):
         name="smib energy",
     )
     meta = {"family": "smib", "M": M, "D": D, "b": bcoef, "V": Vbus, "P_m": Pm}
-    return CtSystem(f, h, G, name="smib", storage=gen, meta=meta)
+    return CtSystem(f, h, G, f_jac=f_jac, name="smib", storage=gen, meta=meta)
 
 
 def _build_dt_gradient(params: dict):
@@ -598,13 +598,13 @@ def _build_dt_gradient(params: dict):
     if alpha <= 0:
         raise ValueError("alpha must be positive")
     n = phi.n
-    f = _matrix_drift(np.eye(n) - alpha * np.diag(phi.mu_vec), np.diag(-alpha * phi.c_vec))
+    f, f_jac = _matrix_drift(np.eye(n) - alpha * np.diag(phi.mu_vec), np.diag(-alpha * phi.c_vec))
     h = lambda x: np.atleast_1d(x)
     G = alpha * np.eye(n)
     gen = StorageGenerator.quadratic(np.eye(n) / alpha, name="scaled quadratic")
     meta = {"family": "dt_gradient", "phi": phi, "alpha": alpha,
             "P": np.eye(n) / (2.0 * alpha)}
-    return DtSystem(f, h, G, name="dt_gradient", storage=gen, meta=meta)
+    return DtSystem(f, h, G, f_jac=f_jac, name="dt_gradient", storage=gen, meta=meta)
 
 
 def _build_dt_integrator(params: dict):
@@ -614,11 +614,12 @@ def _build_dt_integrator(params: dict):
     if alpha <= 0 or n < 1:
         raise ValueError("need alpha > 0 and n >= 1")
     f = h = lambda x: np.atleast_1d(np.asarray(x, dtype=float))
+    f_jac = lambda x: np.broadcast_to(np.eye(n), np.shape(x)[:-1] + (n, n))
     G = alpha * np.eye(n)
     gen = StorageGenerator.quadratic(np.eye(n) / alpha, name="scaled quadratic")
     meta = {"family": "dt_integrator", "alpha": alpha, "f_is_identity": True,
             "P": np.eye(n) / (2.0 * alpha)}
-    return DtSystem(f, h, G, name="dt_integrator", storage=gen, meta=meta)
+    return DtSystem(f, h, G, f_jac=f_jac, name="dt_integrator", storage=gen, meta=meta)
 
 
 def _build_lti(params: dict):
@@ -629,12 +630,11 @@ def _build_lti(params: dict):
     H = np.atleast_2d(np.asarray(params.get("H", np.eye(n)), dtype=float))
     J = np.atleast_2d(np.asarray(params["J"], dtype=float)) if "J" in params else None
     discrete = bool(params.get("discrete", False))
-    Ft, Ht = F.T, H.T
-    f = lambda x: np.atleast_1d(x) @ Ft
-    h = lambda x: np.atleast_1d(x) @ Ht
+    f, f_jac = _matrix_drift(F.T, 0.0 * F)  # f_jac broadcasts F over a stack
+    h = lambda x: np.atleast_1d(x) @ H.T
     meta = {"family": "lti", "F": F, "H": H, "f_is_zero": bool(np.all(F == 0))}
     cls = DtSystem if discrete else CtSystem
-    return cls(f, h, G, J=J, f_jac=lambda x: F, name="lti", meta=meta)
+    return cls(f, h, G, J=J, f_jac=f_jac, name="lti", meta=meta)
 
 
 _FAMILIES = {
@@ -656,9 +656,7 @@ def catalog_build(name: str, params: Optional[dict] = None):
     smib, dt_gradient, dt_integrator, lti.
     """
     if name not in _FAMILIES:
-        raise UnknownSystemError(
-            f"unknown family {name!r}; known: {sorted(_FAMILIES)}"
-        )
+        raise UnknownSystemError(f"unknown family {name!r}; known: {sorted(_FAMILIES)}")
     return _FAMILIES[name](dict(params or {}))
 
 
@@ -721,7 +719,7 @@ def validate_system(sys, probes: int = 20, seed: int = 0) -> dict:
     else:
         if sys.f_jac is not None:
             Jn = numerics.fd_jacobian(sys.f, X)
-            mismatch = (np.linalg.norm(_Stacked(sys.f_jac, 2)(X) - Jn, axis=(1, 2))
+            mismatch = (np.linalg.norm(sys.f_jac(X) - Jn, axis=(1, 2))
                         / np.maximum(np.linalg.norm(Jn, axis=(1, 2)), 1.0))
             # fmax passes over the NaN of a non-finite row, which f_h_finite reports
             worst_jac = float(np.fmax.reduce(mismatch, initial=0.0))

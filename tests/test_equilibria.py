@@ -365,8 +365,9 @@ def test_batched_projection_matches_per_candidate_reference(family, params, n):
         xs, failures = _reference_sample(emap, region, 60, seed)
         assert (len(samples), samples.projection_failures) == (len(xs), failures)
         X = samples.x
-        # the FD step makes a projection move by ~1e-10 when its start moves
-        # by rounding, so the stacked and per-row paths agree to 1e-9, not 1e-12
+        # the reference steps with a finite-difference Jacobian and the library
+        # with the analytic one, whose projections differ by up to ~3e-10, so
+        # the two agree to 1e-9, not 1e-12
         np.testing.assert_allclose(X, xs, rtol=0, atol=1e-9)
         for x, u, y in zip(samples.x[:5], samples.u[:5], samples.y[:5]):
             ref = emap.ku_ky(x)
@@ -404,15 +405,28 @@ def test_rank_deficient_jacobian_fails_the_row():
         emap.project(np.array([0.0, 0.3]))
 
 
+def test_states_of_another_width_are_errors():
+    emap = EquilibriumMap(catalog_build("second_order", {"mu": 1.0}))
+    for call in (lambda: emap.solve_equilibrium([0.5], np.zeros(3)),
+                 lambda: emap.project(np.zeros(3)), lambda: emap.project(np.zeros((4, 3))),
+                 lambda: emap.ku_ky(np.zeros(3))):
+        with pytest.raises(DimensionMismatchError):
+            call()
+
+
 def test_projection_f_calls_do_not_grow_with_candidates():
     seen = []
-    for count in (10, 400):
-        sys = catalog_build("port_hamiltonian", _PH)
-        f, calls = sys.f, []
-        sys.f = lambda x, f=f, calls=calls: calls.append(len(x)) or f(x)
-        EquilibriumMap(sys).sample_io_relation((-np.ones(4), np.ones(4)), count, seed=1)
-        assert calls[0] == count  # every candidate in one stack
-        seen.append(len(calls))
-    # 4 Gauss-Newton steps of 2n + 1 calls each, the last residual check
-    # and the assignment, whatever the candidate count
-    assert seen == [38, 38]
+    for analytic in (False, True):
+        for count in (10, 400):
+            sys = catalog_build("port_hamiltonian", _PH)
+            if not analytic:  # the same drift, with no f_jac to read
+                sys = CtSystem(sys.f, sys.h, sys.G)
+            f, calls = sys.f, []
+            sys.f = lambda x, f=f, calls=calls: calls.append(len(x)) or f(x)
+            EquilibriumMap(sys).sample_io_relation((-np.ones(4), np.ones(4)), count, seed=1)
+            assert calls[0] == count  # every candidate in one stack
+            seen.append(len(calls))
+    # 4 Gauss-Newton steps of one residual call, plus 2n finite-difference
+    # calls each without f_jac, the last residual check and the assignment,
+    # whatever the candidate count
+    assert seen == [38, 38, 6, 6]

@@ -3,6 +3,7 @@ import pytest
 
 from eidlab import numerics
 from eidlab.errors import (
+    DimensionMismatchError,
     NoConvergenceError,
     NonFiniteError,
     NonSymmetricError,
@@ -78,7 +79,8 @@ def test_psd_check_constructed_cases():
     assert numerics.psd_check(np.diag([-1.0, 0.0])) == "NSD"
     assert numerics.psd_check(np.diag([1.0, -1.0])) == "Indefinite"
     assert numerics.psd_check(np.zeros((2, 2))) == "PSD"
-    assert numerics.is_psd(np.zeros((2, 2))) and numerics.is_nsd(np.zeros((2, 2)))
+    # eigenvalues within ±tol of zero are both PSD and NSD, reported as PSD
+    assert numerics.psd_check(np.diag([1e-9, -1e-9])) == "PSD"
 
 
 def test_psd_check_against_quadratic_form_oracle():
@@ -186,6 +188,33 @@ def test_newton_failed_rows_are_nan_in_a_stack():
     for x0, error in zip(X0[1:4], (NonFiniteError, SingularJacobianError, NoConvergenceError)):
         with pytest.raises(error):
             numerics.newton_root(_stack_residual, x0)
+
+
+def test_gram_step_rank_rule_threshold():
+    # rank-deficient when the Gram's least eigenvalue s² is at most
+    # 2 eps times its largest, 1: s above about 2.1e-8 keeps full rank
+    r = np.array([[1.0, 1.0]])
+    for s, full in ((1e-7, True), (1e-8, False), (0.0, False)):
+        step = numerics._min_norm_step(np.diag([1.0, s])[None], r)
+        if full:
+            np.testing.assert_allclose(step, [[1.0, 1.0 / s]], rtol=1e-8)
+        else:
+            assert np.isnan(step).all()
+    wide = numerics._min_norm_step(np.array([[[3.0, 4.0]], [[0.0, 0.0]]]), np.ones((2, 1)))
+    np.testing.assert_allclose(wide[0], [0.12, 0.16], rtol=1e-14)
+    assert np.isnan(wide[1]).all()
+    with pytest.raises(DimensionMismatchError):
+        numerics._min_norm_step(np.ones((1, 2, 1)), np.ones((1, 2)))
+
+
+@pytest.mark.parametrize("c", [1e5, 1e6, 1e7])
+def test_newton_converges_on_ill_conditioned_full_rank_jacobians(c):
+    scale = np.array([1.0, 1.0 / c])
+    b = np.tanh([0.3, -0.5]) * scale
+    F = lambda x: np.tanh(x) * scale - b
+    for jac in (None, lambda x: np.diag(scale / np.cosh(x) ** 2)):
+        root = numerics.newton_root(F, np.zeros(2), jac=jac)
+        np.testing.assert_allclose(root, [0.3, -0.5], rtol=0, atol=1e-9)
 
 
 def test_rk4_exact_linear_decay():

@@ -17,10 +17,8 @@ ROOT = Path(__file__).resolve().parents[1]
 
 # (function name, parameter) that stay settable without a caller
 ALLOWED = {
-    # the definiteness predicates take a caller's tolerance by specification
+    # the definiteness check takes a caller's tolerance by specification
     ("psd_check", "tol"),
-    ("is_psd", "tol"),
-    ("is_nsd", "tol"),
     # its continuous-time step must match the empirical_gain(dt=) that the
     # caller measures the refined signal with
     ("power_iterate_disturbance", "dt"),

@@ -367,6 +367,17 @@ FAMILIES = {
 }
 
 
+@pytest.mark.parametrize("family", sorted(FAMILIES))
+def test_catalog_jacobians_match_finite_differences(family):
+    sys = catalog_build(family, FAMILIES[family])
+    rep = validate_system(sys, probes=50, seed=1)
+    assert rep["ok"] and rep["jacobian_consistent"] and rep["max_jacobian_mismatch"] <= 1e-7
+    X = np.random.default_rng(2).uniform(-2.0, 2.0, size=(6, sys.n))
+    assert sys.f_jac(X[0]).shape == (sys.n, sys.n)
+    np.testing.assert_allclose(sys.f_jac(X), np.array([sys.f_jac(x) for x in X]),
+                               rtol=0, atol=1e-12)
+
+
 def _assert_stack_matches_rows(sys, rows=7, seed=0):
     X = np.random.default_rng(seed).uniform(-1.5, 1.5, size=(rows, sys.n))
     for fn, width in ((sys.f, sys.n), (sys.h, sys.p)):
@@ -734,7 +745,7 @@ def _assert_same(got, ref, where=""):
 def test_stacked_path_matches_per_row_reference(case):
     converted, reference = CASES[case]
     got, ref = converted(), reference()
-    if case == "validate_system/lti":
+    if case in ("validate_system/lti", "validate_system/port_hamiltonian"):
         # a finite-difference Jacobian divides f's last-bit rounding, which
         # differs between a stacked and a one-row matmul, by its 2e-6 step;
         # the mismatch is that noise (~1e-10), so it agrees to ~1e-11
