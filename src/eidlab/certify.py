@@ -93,7 +93,8 @@ def canonical_w(rhat) -> np.ndarray:
 
 @dataclass
 class ResidualStats:
-    """Largest residuals; each worst index and worst pair [x, x̄] names the pair attaining it."""
+    """Largest residuals; each worst index and worst pair [x, x̄] names the pair
+    attaining it, and ``nonfinite_pairs`` counts pairs with a non-finite residual."""
 
     max_a_violation: float
     max_b_residual: float
@@ -102,6 +103,7 @@ class ResidualStats:
     worst_b_index: int
     worst_a_pair: list
     worst_b_pair: list
+    nonfinite_pairs: int
 
 
 @dataclass
@@ -154,37 +156,47 @@ def _stack_pairs(pairs, n: int):
 
 def _pair_terms(sys, storage, X, Xbar):
     """The supply-independent terms at each row of the (N, n) pair stacks
-    X, X̄: ΔH, the storage terms s and the storage part Cs of the
-    b-differences C = ΔH (QJ+S) - Cs.
+    X, X̄: ΔH, the storage terms s, the storage part Cs of the
+    b-differences C = ΔH (QJ+S) - Cs and the size t of the terms of s.
 
-    ``storage`` is a StorageGenerator in continuous time, where
-    s = Δ∇Vᵀ Δf and Cs = ½ Δ∇Vᵀ G, and a symmetric PSD matrix P in discrete
-    time, where s = ΔfᵀPΔf - ΔxᵀPΔx and Cs = ΔfᵀPG.
+    ``storage`` is a StorageGenerator in continuous time, where s = Δ∇Vᵀ Δf,
+    Cs = ½ Δ∇Vᵀ G and t = |Δ∇V| |Δf|, and a symmetric PSD matrix P in
+    discrete time, where s = ΔfᵀPΔf - ΔxᵀPΔx, Cs = ΔfᵀPG and
+    t = ‖P‖ (|Δf|² + |Δx|²).
     """
     dF = sys.f(X) - sys.f(Xbar)
     dH = sys.h(X) - sys.h(Xbar)
+    ff = np.vecdot(dF, dF)
     if sys.discrete:
         dX = X - Xbar
         s = (np.einsum("ij,jk,ik->i", dF, storage, dF)
              - np.einsum("ij,jk,ik->i", dX, storage, dX))
-        return dH, s, (dF @ storage) @ sys.G
+        t = np.linalg.norm(storage) * (ff + np.vecdot(dX, dX))
+        return dH, s, (dF @ storage) @ sys.G, t
     dgrad = storage._values("grad_V", X) - storage._values("grad_V", Xbar)
-    return dH, np.einsum("ij,ij->i", dgrad, dF), 0.5 * dgrad @ sys.G
+    t = np.sqrt(np.vecdot(dgrad, dgrad)) * np.sqrt(ff)
+    return dH, np.einsum("ij,ij->i", dgrad, dF), 0.5 * dgrad @ sys.G, t
 
 
+@np.errstate(over="ignore", invalid="ignore")  # a non-finite pair is reported, not warned
 def _dissipation_stacks(sys, storage, X, Xbar, *supplies) -> list:
-    """Per supply, Rhat_eff = Rhat (less GᵀPG in discrete time) and the
+    """Per supply, Rhat_eff = Rhat (less GᵀPG in discrete time), the
     (N, m+1, m+1) stack of dissipation matrices D = [[a, cᵀ], [c, Rhat_eff]]
     at the rows of the (N, n) pair stacks X, X̄, with a = ΔhᵀQΔh - s and
-    c = (QJ+S)ᵀΔh - Cs, from one evaluation of the pair terms.  A pair passes
-    (a)-(c) with the best W and ell exactly when its D is PSD.  ``storage``
-    is a StorageGenerator in continuous time or a PSD matrix P in discrete
-    time, whose check comes first; an empty pair set is a ValueError."""
+    c = (QJ+S)ᵀΔh - Cs, and the pair scales σ = t + ‖Q‖ |Δh|² + |c|, from
+    one evaluation of the pair terms.  A pair passes (a)-(c) with the best
+    W and ell exactly when its D is PSD, which every verdict judges up to
+    rounding relative to 1 + σ, the size of the terms D is formed from.  A
+    pair whose σ is not finite has D all NaN, the worst value of every
+    verdict.  ``storage`` is a StorageGenerator in continuous time or a PSD
+    matrix P in discrete time, whose check comes first; an empty pair set
+    is a ValueError."""
     if sys.discrete:
         storage = numerics.psd_storage(storage)
     if not len(X):
         raise ValueError("need at least one pair")
-    dH, s, Cs = _pair_terms(sys, storage, X, Xbar)
+    dH, s, Cs, t = _pair_terms(sys, storage, X, Xbar)
+    hh = np.vecdot(dH, dH)
     stacks = []
     for w in supplies:
         rhat_eff = w.rhat(sys.J)
@@ -192,9 +204,13 @@ def _dissipation_stacks(sys, storage, X, Xbar, *supplies) -> list:
             rhat_eff = rhat_eff - sys.G.T @ storage @ sys.G
         D = np.empty((len(s), sys.m + 1, sys.m + 1))
         D[:, 0, 0] = np.einsum("ij,jk,ik->i", dH, w.Q, dH) - s
-        D[:, 0, 1:] = D[:, 1:, 0] = dH @ (w.Q @ sys.J + w.S) - Cs
+        D[:, 0, 1:] = D[:, 1:, 0] = C = dH @ (w.Q @ sys.J + w.S) - Cs
         D[:, 1:, 1:] = rhat_eff
-        stacks.append((rhat_eff, D))
+        # ‖Q‖ is the Frobenius norm, a bound on the spectral one
+        sigma = t + np.vdot(w.Q, w.Q) ** 0.5 * hh + np.sqrt(np.vecdot(C, C))
+        if not np.isfinite(sigma).all():  # all of D: eigvalsh may ignore a NaN a
+            D[~np.isfinite(sigma)] = np.nan
+        stacks.append((rhat_eff, D, sigma))
     return stacks
 
 
@@ -224,11 +240,11 @@ def _residuals(sys, D, X, Xbar, W, ell, mode):
 def _verify_eid(sys, w: SupplyRate, storage, pairs, W, ell, mode,
                 tol_a, tol_b, tol_c, seed) -> EidCertificate:
     """Conditions (a)-(c) on every pair, for either time domain, read from
-    the pairs' dissipation stack."""
+    the pairs' dissipation stack and scales."""
     if mode not in ("equality", "inequality"):
         raise ValueError(f"unknown mode {mode!r}")
     X, Xbar = _stack_pairs(pairs, sys.n)
-    rhat_eff, D = _dissipation_stacks(sys, storage, X, Xbar, w)[0]
+    rhat_eff, D, sigma = _dissipation_stacks(sys, storage, X, Xbar, w)[0]
     if W is None:
         # clipped: an indefinite Rhat_eff fails (c) by at least |lambda_min|
         W = numerics.psd_sqrt(rhat_eff, np.inf)
@@ -238,13 +254,17 @@ def _verify_eid(sys, w: SupplyRate, storage, pairs, W, ell, mode,
     c_res = float(np.linalg.norm(W.T @ W - rhat_eff))
 
     a_viol, b_res = _residuals(sys, D, X, Xbar, W, ell, mode)
-    ia, ib = int(np.argmax(a_viol)), int(np.argmax(b_res))
-    stats = ResidualStats(max_a_violation=float(a_viol.max()), max_b_residual=float(b_res.max()),
+    # argmax takes the first NaN as the largest value: finite maxima, finite pairs
+    ia, ib = int(a_viol.argmax()), int(b_res.argmax())
+    finite = np.isfinite(a_viol[ia] + b_res[ib])
+    stats = ResidualStats(max_a_violation=float(a_viol[ia]), max_b_residual=float(b_res[ib]),
                           c_residual=c_res, worst_a_index=ia, worst_b_index=ib,
                           worst_a_pair=[X[ia].tolist(), Xbar[ia].tolist()],
-                          worst_b_pair=[X[ib].tolist(), Xbar[ib].tolist()])
-    passed = (stats.max_a_violation <= tol_a and stats.max_b_residual <= tol_b
-              and c_res <= tol_c)
+                          worst_b_pair=[X[ib].tolist(), Xbar[ib].tolist()],
+                          nonfinite_pairs=0 if finite else int(np.sum(~np.isfinite(a_viol + b_res))))
+    # 1 + σ >= 1, so a worst residual within its tolerance needs no scale
+    within = lambda r, i, tol: r[i] <= tol or (r / (1.0 + sigma)).max() <= tol
+    passed = bool(c_res <= tol_c and within(a_viol, ia, tol_a) and within(b_res, ib, tol_b))
     return EidCertificate(
         system_name=sys.name, supply=w, W=W, mode=mode,
         tolerances={"tol_a": tol_a, "tol_b": tol_b, "tol_c": tol_c},
@@ -252,44 +272,32 @@ def _verify_eid(sys, w: SupplyRate, storage, pairs, W, ell, mode,
     )
 
 
-def verify_eid_ct(
-    sys,
-    w: SupplyRate,
-    gen: StorageGenerator,
-    pairs,
-    W: Optional[np.ndarray] = None,
-    ell: Optional[Callable] = None,
-    mode: str = "inequality",
-    tol_a: float = DEFAULT_TOL_A,
-    tol_b: float = DEFAULT_TOL_B,
-    tol_c: float = DEFAULT_TOL_C,
-    seed: Optional[int] = None,
-) -> EidCertificate:
+def verify_eid_ct(sys, w: SupplyRate, gen: StorageGenerator, pairs,
+                  W: Optional[np.ndarray] = None, ell: Optional[Callable] = None,
+                  mode: str = "inequality", tol_a: float = DEFAULT_TOL_A,
+                  tol_b: float = DEFAULT_TOL_B, tol_c: float = DEFAULT_TOL_C,
+                  seed: Optional[int] = None) -> EidCertificate:
     """Check the continuous-time EID conditions on sampled (x, xb) pairs.
 
     ``pairs`` is the (N, 2, n) array of rows (x_k, x̄_k) that :func:`sample_pairs`
     returns.  ``mode="inequality"`` accepts condition (a) as LHS <= RHS + tol,
     which is how all the worked examples establish EID; ``mode="equality"`` is
-    for exact certificates.
+    for exact certificates.  Pair k passes (a) and (b) when its residuals are
+    at most ``tol_a`` and ``tol_b`` times 1 + σ_k, σ_k the size of the terms
+    its dissipation matrix is formed from; ``tol_c`` is absolute.  A residual
+    that is not finite is the worst one, is counted in ``nonfinite_pairs``
+    and fails the certificate.
     """
     if sys.discrete:
         raise DimensionMismatchError("verify_eid_ct expects a continuous-time system")
     return _verify_eid(sys, w, gen, pairs, W, ell, mode, tol_a, tol_b, tol_c, seed)
 
 
-def verify_eid_dt(
-    sys,
-    w: SupplyRate,
-    P,
-    pairs,
-    W: Optional[np.ndarray] = None,
-    ell: Optional[Callable] = None,
-    mode: str = "inequality",
-    tol_a: float = DEFAULT_TOL_A,
-    tol_b: float = DEFAULT_TOL_B,
-    tol_c: float = DEFAULT_TOL_C,
-    seed: Optional[int] = None,
-) -> EidCertificate:
+def verify_eid_dt(sys, w: SupplyRate, P, pairs,
+                  W: Optional[np.ndarray] = None, ell: Optional[Callable] = None,
+                  mode: str = "inequality", tol_a: float = DEFAULT_TOL_A,
+                  tol_b: float = DEFAULT_TOL_B, tol_c: float = DEFAULT_TOL_C,
+                  seed: Optional[int] = None) -> EidCertificate:
     """Discrete-time analogue of :func:`verify_eid_ct` with storage
     ``V_xb(x) = ||x - xb||_P²`` for a PSD matrix P."""
     if not sys.discrete:
@@ -318,8 +326,8 @@ def factor_dissipation(sys, w: SupplyRate, storage, pair) -> FactorizationResult
     at one pair, the one-pair read of :func:`_dissipation_stacks`, its PSD
     margin and its rank (eigenvalues above 1e-9 relative to the largest).
     ``storage`` is a StorageGenerator in continuous time or a PSD matrix P in
-    discrete time."""
-    rhat_eff, (D,) = _dissipation_stacks(sys, storage, *_stack_pairs([pair], sys.n), w)[0]
+    discrete time.  A pair that is not finite raises NonFiniteError."""
+    rhat_eff, (D,), _ = _dissipation_stacks(sys, storage, *_stack_pairs([pair], sys.n), w)[0]
     eig = numerics.sym_eigen(D)
     rank = int(np.sum(eig.eigenvalues > 1e-9 * max(abs(eig.max), 1.0)))
     return FactorizationResult(a=float(D[0, 0]), b_difference=D[1:, 0], rhat_eff=rhat_eff,
@@ -329,18 +337,19 @@ def factor_dissipation(sys, w: SupplyRate, storage, pair) -> FactorizationResult
 def supply_margin(sys, w0: SupplyRate, w1: SupplyRate, storage, pairs):
     """The largest theta in [0, 1] at which (1-theta) w0 + theta w1 has D ⪰ 0
     on every pair, and the index in ``pairs`` of the binding pair: ``(None,
-    worst pair)`` if w0 fails, ``(1.0, None)`` if w1 passes.  D is affine in
-    theta, so the feasible theta form an interval; its end is bisected on the
-    stack's smallest eigenvalue, with a per-pair rounding slack of
-    1e-12 (1 + max|D0| + max|dD|), and rounded down to a multiple of 2⁻³⁰.
-    ``storage`` is as for :func:`factor_dissipation`.
+    worst pair)`` if w0 fails or a pair is not finite, ``(1.0, None)`` if w1
+    passes.  D is affine in theta, so the feasible theta form an interval;
+    its end is bisected on the stack's smallest eigenvalue, with a rounding
+    slack of 1e-12 (1 + σ) per pair, σ the larger of its scales under w0 and
+    w1, and rounded down to a multiple of 2⁻³⁰.  ``storage`` is as for
+    :func:`factor_dissipation`.
     """
-    (_, D0), (_, D1) = _dissipation_stacks(sys, storage, *_stack_pairs(pairs, sys.n), w0, w1)
-    dD = D1 - D0
-    slack = 1e-12 * (1.0 + np.abs(D0).max(axis=(1, 2)) + np.abs(dD).max(axis=(1, 2)))
+    (_, D0, s0), (_, D1, s1) = _dissipation_stacks(sys, storage, *_stack_pairs(pairs, sys.n),
+                                                   w0, w1)
+    dD, slack = D1 - D0, 1e-12 * (1.0 + np.maximum(s0, s1))
     margin = lambda theta: np.linalg.eigvalsh(D0 + theta * dD)[:, 0] + slack
     at_zero = margin(0.0)
-    if at_zero.min() < 0:
+    if not at_zero.min() >= 0:
         return None, int(np.argmin(at_zero))
     if margin(1.0).min() >= 0:
         return 1.0, None
@@ -362,16 +371,22 @@ def check_sector(psi: StaticNonlinearity, bounds: SectorBounds, probes,
     """Validate a declared incremental sector by sampling pairs.
 
     Evaluates the incremental dissipation form :func:`sector_supply` on
-    each of at least one probe pair and reports the minimum margin.
+    each of at least one probe pair of width ``bounds.m`` and reports the
+    minimum margin; the sector holds when it is at least ``-tol``.  A margin
+    that is not finite is counted in ``nonfinite_pairs`` and makes the
+    minimum NaN, which does not hold.
     """
     if len(probes) < 1:
         raise ValueError("need at least one probe pair")
     Z = np.asarray(probes, dtype=float).reshape(len(probes), 2, -1)
+    if Z.shape[-1] != bounds.m:
+        raise DimensionMismatchError(f"probe width {Z.shape[-1]} != sector m = {bounds.m}")
     Psi = _Stacked(psi)(Z.reshape(-1, Z.shape[-1])).reshape(Z.shape)
     margins = sector_supply(bounds).evaluate(Z[:, 1] - Z[:, 0], Psi[:, 1] - Psi[:, 0])
-    violations = int(np.sum(margins < -tol))
-    return {"min_margin": float(margins.min()), "violations": violations,
-            "holds": violations == 0}
+    nonfinite = ~np.isfinite(margins)
+    margins[nonfinite] = np.nan  # the worst margin, which no tolerance passes
+    return {"min_margin": float(margins.min()), "violations": int(np.sum(margins < -tol)),
+            "holds": bool(margins.min() >= -tol), "nonfinite_pairs": int(nonfinite.sum())}
 
 
 def verify_kyp_lti(F, G, H, J, w: SupplyRate, P, tol: float = 1e-9) -> dict:
@@ -381,11 +396,8 @@ def verify_kyp_lti(F, G, H, J, w: SupplyRate, P, tol: float = 1e-9) -> dict:
     [H J; 0 I] and passes iff λ_max(M) <= tol — equivalent to the existence
     of an (L, W) factor completing the linear matrix equality.
     """
-    F = np.atleast_2d(np.asarray(F, dtype=float))
-    G = np.atleast_2d(np.asarray(G, dtype=float))
-    H = np.atleast_2d(np.asarray(H, dtype=float))
-    J = np.atleast_2d(np.asarray(J, dtype=float))
-    P = numerics.symmetrize(np.atleast_2d(np.asarray(P, dtype=float)))
+    F, G, H, J, P = (np.atleast_2d(np.asarray(A, dtype=float)) for A in (F, G, H, J, P))
+    P = numerics.symmetrize(P)
     n, m = G.shape
     p = H.shape[0]
     if F.shape != (n, n) or H.shape[1] != n or J.shape != (p, m) or P.shape != (n, n):

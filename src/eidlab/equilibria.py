@@ -191,7 +191,7 @@ def check_relation_dissipativity(samples, w: SupplyRate, tol: float = 1e-9) -> d
     exactly as ``w.evaluate(u_i - u_j, y_i - y_j)``; ties go to the first
     pair in row-major order.  A pair whose exact value is not finite (a NaN
     or Inf sample) neither violates nor wins the minimum; such pairs are
-    counted in ``nonfinite_pairs``.
+    counted in ``nonfinite_pairs``, and any leaves the relation not ``monotone``.
     """
     if len(samples) < 2:
         raise ValueError("need at least two samples")
@@ -233,7 +233,7 @@ def check_relation_dissipativity(samples, w: SupplyRate, tol: float = 1e-9) -> d
         "argmin_pair": argmin,
         "n_pairs": n * (n - 1) // 2,
         "violations": violations,
-        "monotone": len(violations) == 0,
+        "monotone": not violations and nonfinite == 0,
         "nonfinite_pairs": nonfinite,
     }
 
@@ -241,7 +241,7 @@ def check_relation_dissipativity(samples, w: SupplyRate, tol: float = 1e-9) -> d
 def cocoercivity_check(samples, rho: float) -> dict:
     """Sampled test of (y-y')ᵀ(u-u') >= rho ||y-y'||² over all pairs: the
     relation check with the output-strict supply (-rho I, I/2, 0) at its
-    default tolerance."""
+    default tolerance, which does not hold over a pair that is not finite."""
     rep = check_relation_dissipativity(samples, SupplyRate.output_strict(rho, samples.u.shape[1]))
     return {"min_margin": rep["min_pair_value"], "violations": len(rep["violations"]),
             "holds": rep["monotone"], "nonfinite_pairs": rep["nonfinite_pairs"]}

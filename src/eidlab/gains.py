@@ -80,9 +80,8 @@ def ahu_gain(M, A, K) -> GainBound:
     A and PSD K; also returns the certifying output-strictness coefficient
     alpha = 2 gamma^2 lambda_min.
     """
-    M = np.atleast_2d(np.asarray(M, dtype=float))
-    A = np.atleast_2d(np.asarray(A, dtype=float))
-    K = numerics.symmetrize(np.atleast_2d(np.asarray(K, dtype=float)))
+    M, A, K = (np.atleast_2d(np.asarray(B, dtype=float)) for B in (M, A, K))
+    K = numerics.symmetrize(K)
     if np.any(M - np.diag(np.diagonal(M)) != 0.0) or np.any(np.diagonal(M) <= 0):
         raise DomainError("M must be diagonal with positive entries")
     if np.linalg.matrix_rank(A) < A.shape[0]:

@@ -137,18 +137,10 @@ def compose_supply(w1: SupplyRate, w2: SupplyRate, kappa: float) -> ComposedSupp
     if w1.m != w2.p or w2.m != w1.p:
         raise DimensionMismatchError("supply dimensions do not match the loop")
     k = float(kappa)
-    Q_cl = np.block([
-        [w1.Q + k * w2.R, -w1.S + k * w2.S.T],
-        [-w1.S.T + k * w2.S, w1.R + k * w2.Q],
-    ])
-    S_cl = np.block([
-        [w1.S, k * w2.R],
-        [-w1.R, k * w2.S],
-    ])
-    R_cl = np.block([
-        [w1.R, np.zeros((w1.m, w2.m))],
-        [np.zeros((w2.m, w1.m)), k * w2.R],
-    ])
+    Q_cl = np.block([[w1.Q + k * w2.R, -w1.S + k * w2.S.T],
+                     [-w1.S.T + k * w2.S, w1.R + k * w2.Q]])
+    S_cl = np.block([[w1.S, k * w2.R], [-w1.R, k * w2.S]])
+    R_cl = np.block([[w1.R, np.zeros((w1.m, w2.m))], [np.zeros((w2.m, w1.m)), k * w2.R]])
     return ComposedSupply(Q_cl=numerics.symmetrize(Q_cl), S_cl=S_cl,
                           R_cl=numerics.symmetrize(R_cl), kappa=k)
 
@@ -218,10 +210,11 @@ def circle_criterion(sys: CtSystem, bounds: SectorBounds,
     Applies the loop transformation and finds, with :func:`supply_margin`,
     the largest eps in [0, 1] at which the transformed system has D ⪰ 0 on
     every pair with supply (-eps I, I/2, 0): the sampled supremum, rounded
-    down to a multiple of 2⁻³⁰.  Any eps > 0 certifies output-strict
-    dissipativity of the transformed loop, hence stability of the original
-    loop for every nonlinearity in the sector.  ``binding_pair`` is the
-    index of the pair that limits eps (None at eps = 1).
+    down to a multiple of 2⁻³⁰, or None if eps = 0 fails or a pair is not
+    finite.  Any eps > 0 certifies output-strict dissipativity of the
+    transformed loop, hence stability of the original loop for every
+    nonlinearity in the sector.  ``binding_pair`` is the index of the pair
+    that limits eps (None at eps = 1), the first non-finite pair if any.
     """
     transformed = loop_transform(sys, bounds)
     certified, binding = supply_margin(transformed, SupplyRate.output_strict(0.0, sys.m),
@@ -251,8 +244,7 @@ def solve_monotone_inclusion(k1_inverse: Callable, k2: Callable,
     L_est the Lipschitz constant of F sampled at seed 0; NoConvergenceError
     after 5000 steps.
     """
-    v1 = np.atleast_1d(np.asarray(v1, dtype=float))
-    v2 = np.atleast_1d(np.asarray(v2, dtype=float))
+    v1, v2 = (np.atleast_1d(np.asarray(v, dtype=float)) for v in (v1, v2))
     lam_a = numerics.sym_eigen(w2.R + w1.Q).max
     lam_b = numerics.sym_eigen(w1.R + w2.Q).max
     mu = -min(lam_a, lam_b)

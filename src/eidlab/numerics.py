@@ -27,7 +27,7 @@ SYMMETRY_RTOL = 1e-12
 def require_finite(a, what: str = "array") -> np.ndarray:
     """Return ``a`` as a float array, raising NonFiniteError on NaN/Inf."""
     a = np.asarray(a, dtype=float)
-    if not np.all(np.isfinite(a)):
+    if not np.isfinite(a).all():
         raise NonFiniteError(f"{what} contains NaN or Inf entries")
     return a
 
@@ -38,8 +38,9 @@ def symmetrize(A) -> np.ndarray:
     A = require_finite(A, "matrix")
     if A.ndim != 2 or A.shape[0] != A.shape[1]:
         raise NonSymmetricError(f"expected a square matrix, got shape {A.shape}")
-    scale = max(np.linalg.norm(A), 1.0)
-    asym = np.linalg.norm(A - A.T)
+    # Frobenius norms, as np.linalg.norm gives them, without its wrapper's cost
+    scale = max(np.sqrt(np.vdot(A, A)), 1.0)
+    asym = np.sqrt(np.vdot(A - A.T, A - A.T))
     if asym > SYMMETRY_RTOL * scale:
         raise NonSymmetricError(
             f"matrix asymmetry {asym:.3e} exceeds {SYMMETRY_RTOL:.1e} * {scale:.3e}")
@@ -111,9 +112,8 @@ def psd_sqrt(A, tol: float = DEFAULT_PSD_TOL) -> np.ndarray:
     eig = sym_eigen(A)
     if eig.min < -tol:
         raise RhatNotPsdError(f"matrix has eigenvalue {eig.min:.3e} < 0")
-    vals = np.clip(eig.eigenvalues, 0.0, None)
     V = eig.eigenvectors
-    return V @ np.diag(np.sqrt(vals)) @ V.T
+    return (V * np.sqrt(np.clip(eig.eigenvalues, 0.0, None))) @ V.T
 
 
 def psd_storage(P) -> np.ndarray:

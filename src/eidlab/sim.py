@@ -216,12 +216,12 @@ def audit_dissipation(traj: Trajectory, storage, supply, ubar, ybar,
     step with its input held (:meth:`Trajectory.per_step` of w(u - ubar,
     y - ybar)): a trapezoid in continuous time, w(u_k, y_k) in discrete
     time.  Positive entries of ``violations`` beyond ``tol`` fail the
-    audit; per-step comparison localizes where the inequality breaks.
+    audit, and so does a NaN, which is the ``worst_step``: per-step
+    comparison localizes where the inequality breaks.
     """
     if traj.states.ndim != 2:
         raise ValueError("audit_dissipation audits a single trajectory, not a batch")
-    ubar = np.atleast_1d(np.asarray(ubar, dtype=float))
-    ybar = np.atleast_1d(np.asarray(ybar, dtype=float))
+    ubar, ybar = (np.atleast_1d(np.asarray(v, dtype=float)) for v in (ubar, ybar))
     N = len(traj) - 1
     if tol is None:
         horizon = traj.times[-1] if traj.dt is not None else 1.0
@@ -274,9 +274,7 @@ def stability_experiment(sys, xbar, ubar=None, radius: float = 0.1,
     if probes < 1:
         raise ValueError(f"need at least one probe, got probes={probes}")
     xbar = np.atleast_1d(np.asarray(xbar, dtype=float))
-    if ubar is None:
-        ubar = np.zeros(sys.m)
-    ubar = np.atleast_1d(np.asarray(ubar, dtype=float))
+    ubar = np.zeros(sys.m) if ubar is None else np.atleast_1d(np.asarray(ubar, dtype=float))
     conv_tol = 0.05 * radius
     x0 = xbar + sphere_probes(sys.n, probes, radius)
     if sys.discrete:

@@ -199,9 +199,7 @@ class SeparableConvex:
                                          f" and {mu.size}")
         if n is not None and mu.size == 1:
             mu = np.full(n, mu[0])
-        if c is None:
-            c = np.zeros_like(mu)
-        c = np.atleast_1d(np.asarray(c, dtype=float))
+        c = np.zeros_like(mu) if c is None else np.atleast_1d(np.asarray(c, dtype=float))
         if c.size == 1 and mu.size > 1:
             c = np.full(mu.size, c[0])
         if c.shape != mu.shape:

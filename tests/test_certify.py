@@ -25,7 +25,7 @@ from eidlab import (
     verify_eid_dt,
     verify_kyp_lti,
 )
-from eidlab.errors import DimensionMismatchError, RhatNotPsdError
+from eidlab.errors import DimensionMismatchError, NonFiniteError, RhatNotPsdError
 from eidlab.sim import audit_dissipation, simulate_dt
 
 
@@ -472,9 +472,10 @@ def test_sample_pairs_needs_a_positive_count(ph, count):
 
 
 def _reference_residuals(sys, w, storage, pairs, W, ell, mode):
-    """Conditions (a) and (b) one pair at a time, with one lstsq per pair."""
+    """Conditions (a) and (b) and the pair scale one pair at a time, with
+    one lstsq per pair."""
     qjs = w.Q @ sys.J + w.S
-    a_viol, b_res = [], []
+    a_viol, b_res, sigma = [], [], []
     for x, xb in pairs:
         x = np.atleast_1d(np.asarray(x, dtype=float))
         xb = np.atleast_1d(np.asarray(xb, dtype=float))
@@ -484,10 +485,13 @@ def _reference_residuals(sys, w, storage, pairs, W, ell, mode):
             dx = x - xb
             s = float(df @ storage @ df) - float(dx @ storage @ dx)
             c = qjs.T @ dh - sys.G.T @ (storage @ df)
+            t = np.linalg.norm(storage) * (df @ df + dx @ dx)
         else:
             dgrad = np.asarray(storage.grad_V(x)) - np.asarray(storage.grad_V(xb))
             s = float(dgrad @ df)
             c = qjs.T @ dh - 0.5 * sys.G.T @ dgrad
+            t = np.linalg.norm(dgrad) * np.linalg.norm(df)
+        sigma.append(t + np.linalg.norm(w.Q) * (dh @ dh) + np.linalg.norm(c))
         if ell is None:
             lvec = np.linalg.lstsq(W.T, c, rcond=None)[0]
         else:
@@ -495,7 +499,7 @@ def _reference_residuals(sys, w, storage, pairs, W, ell, mode):
         b_res.append(np.linalg.norm(W.T @ lvec[:W.shape[0]] - c))
         gap = s - (float(dh @ w.Q @ dh) - float(lvec @ lvec))
         a_viol.append(abs(gap) if mode == "equality" else max(gap, 0.0))
-    return np.array(a_viol), np.array(b_res)
+    return np.array(a_viol), np.array(b_res), np.array(sigma)
 
 
 def _row_only_storage(ph):
@@ -545,14 +549,16 @@ def test_stacked_kernel_matches_per_pair_reference(case, mode):
     pairs = sample_pairs(sys, region, count=400, seed=6)
     verify = verify_eid_dt if sys.discrete else verify_eid_ct
     cert = verify(sys, w, storage, pairs, ell=ell, mode=mode)
-    a_ref, b_ref = _reference_residuals(sys, w, storage, pairs, cert.W, ell, mode)
+    a_ref, b_ref, sigma_ref = _reference_residuals(sys, w, storage, pairs, cert.W, ell, mode)
     X, Xbar = certify._stack_pairs(pairs, sys.n)
-    _, D = certify._dissipation_stacks(sys, storage, X, Xbar, w)[0]
+    _, D, sigma = certify._dissipation_stacks(sys, storage, X, Xbar, w)[0]
     a_viol, b_res = certify._residuals(sys, D, X, Xbar, cert.W, ell, mode)
     np.testing.assert_allclose(a_viol, a_ref, rtol=0, atol=1e-12)
     np.testing.assert_allclose(b_res, b_ref, rtol=0, atol=1e-12)
-    ref_passed = (a_ref.max() <= cert.tolerances["tol_a"]
-                  and b_ref.max() <= cert.tolerances["tol_b"]
+    np.testing.assert_allclose(sigma, sigma_ref, rtol=1e-12, atol=1e-12)
+    # each pair's (a) and (b) tolerances are relative to 1 + its scale
+    ref_passed = ((a_ref / (1 + sigma_ref)).max() <= cert.tolerances["tol_a"]
+                  and (b_ref / (1 + sigma_ref)).max() <= cert.tolerances["tol_b"]
                   and cert.stats.c_residual <= cert.tolerances["tol_c"])
     assert cert.passed == ref_passed
     # below 1e-12, rounding-level ties may pick another pair
@@ -705,3 +711,106 @@ def test_supply_margin_computes_the_pair_terms_once(monkeypatch):
     theta, binding = supply_margin(smib, osp(0.0), osp(2.0), gen, pairs)
     assert counts == {"f": 2, "grad_V": 2, "stack": 1}
     assert (theta, binding) == supply_margin(smib, osp(0.0), osp(2.0), smib.storage, pairs)
+
+
+# ---------------------------------------------------------------------------
+# the pass rule: per-pair scales and non-finite pairs
+
+
+def _mix(w0, w1, theta):
+    """(1 - theta) w0 + theta w1."""
+    return SupplyRate((1 - theta) * w0.Q + theta * w1.Q, (1 - theta) * w0.S + theta * w1.S,
+                      (1 - theta) * w0.R + theta * w1.R, warn_definite=False)
+
+
+@pytest.mark.parametrize("scale", [1.0, 1e4, 1e5, 1e6])
+def test_exact_osp_verdict_and_margin_survive_box_scale(scale):
+    # OSP(1) holds exactly on second_order (dV = -y²), yet with absolute
+    # tolerances its rounding alone failed the certificate from box scale
+    # 1e5 on (max (a) 2.9e-6 at 1e5, 3.7e-4 at 1e6) while supply_margin
+    # said it held; OSP(1.0001) fails at every scale
+    so = catalog_build("second_order", {"mu": 1.0, "c": 0.5})
+    pairs = sample_pairs(so, (-scale * np.ones(2), scale * np.ones(2)), count=500, seed=0)
+    osp = lambda a: SupplyRate.output_strict(a, 1)
+    assert verify_eid_ct(so, osp(1.0), so.storage, pairs).passed
+    assert not verify_eid_ct(so, osp(1.0001), so.storage, pairs).passed
+    theta, _ = supply_margin(so, osp(1.0), osp(2.0), so.storage, pairs)
+    assert theta is not None
+    assert verify_eid_ct(so, _mix(osp(1.0), osp(2.0), theta), so.storage, pairs).passed
+
+
+@pytest.mark.parametrize("scale", [1e4, 1e5])
+def test_exact_ph_equality_certificate_survives_box_scale(ph, scale):
+    # acceptance 1's certificate: its (a) residual is pure rounding, 1.2e-7
+    # at box scale 1e4 and 1.5e-5 at 1e5, which failed an absolute 1e-9
+    sqR, gH = ph.meta["sqrt_R"], ph.meta["grad_H"]
+    ell = lambda x, xb: sqR @ (gH(x) - gH(xb))
+    pairs = sample_pairs(ph, (-scale * np.ones(4), scale * np.ones(4)), count=500, seed=0)
+    cert = verify_eid_ct(ph, SupplyRate.passivity(2), ph.storage, pairs, ell=ell,
+                         mode="equality", tol_a=1e-9, tol_b=1e-9, tol_c=1e-9)
+    assert cert.passed and cert.stats.nonfinite_pairs == 0
+
+
+def _so_pairs_with_nan():
+    so = catalog_build("second_order", {"mu": 1.0, "c": 0.5})
+    pairs = sample_pairs(so, (-np.ones(2), np.ones(2)), count=50, seed=0)
+    pairs[5, 0] = np.nan
+    return so, pairs
+
+
+def test_nan_pair_fails_the_certificate_and_is_counted():
+    so, pairs = _so_pairs_with_nan()
+    cert = verify_eid_ct(so, SupplyRate.output_strict(0.0, 1), so.storage, pairs)
+    assert not cert.passed and cert.stats.nonfinite_pairs == 1
+    assert cert.stats.worst_a_index == cert.stats.worst_b_index == 5
+    assert np.isnan(cert.stats.max_a_violation)
+    assert json.loads(cert.to_json())["residuals"]["nonfinite_pairs"] == 1
+
+
+@pytest.mark.parametrize("x", [[1e200, 0.0], [np.inf, 0.0]])
+def test_pair_whose_terms_overflow_counts_as_not_finite(x):
+    # |Δ∇V| |Δf| ~ 1e400 at x = (1e200, 0): its scale is not finite, so the
+    # pair is the worst of both verdicts, which the certificate used to pass;
+    # an Inf state is reported the same way, with no numpy warning
+    so, pairs = _so_pairs_with_nan()
+    pairs[5, 0] = x
+    osp = lambda a: SupplyRate.output_strict(a, 1)
+    cert = verify_eid_ct(so, osp(0.0), so.storage, pairs)
+    assert not cert.passed and cert.stats.nonfinite_pairs == 1
+    assert cert.stats.worst_a_index == 5
+    assert supply_margin(so, osp(0.0), osp(2.0), so.storage, pairs) == (None, 5)
+
+
+def test_supply_margin_over_a_nan_pair_is_none():
+    # the NaN pair read as a pass: the margin was (0.0, 5), certifying OSP(0)
+    so, pairs = _so_pairs_with_nan()
+    osp = lambda a: SupplyRate.output_strict(a, 1)
+    assert supply_margin(so, osp(0.0), osp(2.0), so.storage, pairs) == (None, 5)
+
+
+def test_factor_dissipation_raises_on_a_nan_pair():
+    # the one-pair form of the rule: one pair alone raises
+    so, pairs = _so_pairs_with_nan()
+    with pytest.raises(NonFiniteError):
+        factor_dissipation(so, SupplyRate.output_strict(0.0, 1), so.storage, pairs[5])
+
+
+def test_sector_check_over_nan_margins_does_not_hold():
+    # with psi NaN on part of the probes the check read 0 violations and
+    # holds True, with a NaN min_margin
+    psi = StaticNonlinearity(lambda z: np.where(z > 1.0, np.nan, np.tanh(z)), m=1)
+    probes = np.random.default_rng(0).uniform(-3.0, 3.0, size=(10, 2, 1))
+    rep = check_sector(psi, SectorBounds.scalar(0.0, 1.0), probes)
+    assert not rep["holds"] and rep["nonfinite_pairs"] > 0
+    assert np.isnan(rep["min_margin"])
+    finite = probes[(probes <= 1.0).all(axis=(1, 2))]
+    rep = check_sector(psi, SectorBounds.scalar(0.0, 1.0), finite)
+    assert rep["holds"] and rep["nonfinite_pairs"] == 0
+
+
+def test_sector_probes_of_another_width_are_errors():
+    # (10, 2, 3) probes against an m = 2 sector raised numpy's matmul ValueError
+    psi = StaticNonlinearity(np.tanh, m=2)
+    probes = np.random.default_rng(0).normal(size=(10, 2, 3))
+    with pytest.raises(DimensionMismatchError, match="width 3"):
+        check_sector(psi, SectorBounds(np.zeros((2, 2)), np.eye(2)), probes)

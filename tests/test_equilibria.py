@@ -160,7 +160,7 @@ def _assert_matches_double_loop(samples, w, tol=1e-9):
     rep = check_relation_dissipativity(samples, w, tol)
     assert rep["argmin_pair"] == argmin
     assert rep["nonfinite_pairs"] == nonfinite
-    assert rep["monotone"] == (not violations)
+    assert rep["monotone"] == (not violations and not nonfinite)
     assert [v[:2] for v in rep["violations"]] == [v[:2] for v in violations]
     np.testing.assert_allclose([v[2] for v in rep["violations"]], [v[2] for v in violations],
                                rtol=1e-12, atol=0.0)
@@ -276,13 +276,28 @@ def test_relation_check_rejects_a_supply_of_other_dimensions():
 
 def test_relation_minimum_passes_over_nan_pairs_only():
     # a NaN sample makes its pairs NaN, which neither violate nor win the
-    # minimum but are counted; the other pairs of those rows still count
+    # minimum but are counted; the other pairs of those rows still count.
+    # A counted pair leaves the relation not monotone
     Z = np.array([[0.0, 0.0], [1.0, 0.5], [2.0, 3.0], [np.nan, 1.0]])
     rep = _assert_matches_double_loop(_io_samples(Z, 1), SupplyRate.passivity(1))
     assert rep["argmin_pair"] == (0, 1) and rep["min_pair_value"] == 0.5
-    assert rep["monotone"] and rep["nonfinite_pairs"] == 3
+    assert not rep["monotone"] and not rep["violations"] and rep["nonfinite_pairs"] == 3
     coco = cocoercivity_check(_io_samples(Z, 1), 0.0)
-    assert coco["holds"] and coco["nonfinite_pairs"] == 3
+    assert not coco["holds"] and coco["violations"] == 0 and coco["nonfinite_pairs"] == 3
+
+
+def test_relation_check_over_a_nan_output_is_not_monotone():
+    # one NaN output among 30 samples read monotone with 29 nonfinite_pairs
+    sys = catalog_build("gradient_ff", {"mu": 2.0, "g": 1.0, "j": 0.9, "n": 1})
+    samples = EquilibriumMap(sys).sample_io_relation((-np.ones(1), np.ones(1)), 30, seed=0)
+    assert check_relation_dissipativity(samples, SupplyRate.passivity(1))["monotone"]
+    samples.y[3] = np.nan
+    rep = check_relation_dissipativity(samples, SupplyRate.passivity(1))
+    assert not rep["monotone"] and not rep["violations"]
+    assert rep["nonfinite_pairs"] == len(samples) - 1
+    assert np.isfinite(rep["min_pair_value"]) and 3 not in rep["argmin_pair"]
+    coco = cocoercivity_check(samples, 0.0)
+    assert not coco["holds"] and coco["nonfinite_pairs"] == len(samples) - 1
 
 
 def test_cocoercivity_check():

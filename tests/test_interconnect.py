@@ -303,6 +303,16 @@ def test_circle_unstable_sector_fails():
     assert not res["passed"]
 
 
+def test_circle_over_a_nan_pair_certifies_nothing():
+    # a NaN pair read as eps = 0.0: a margin over it is None, bound by it
+    sys = catalog_build("smib", {"M": 1.0, "D": 1.0, "b": 1.0, "V": 1.0, "P_m": 0.2})
+    pairs = sample_pairs(sys, (np.array([-1.2, -0.5]), np.array([1.2, 0.5])), count=100, seed=3)
+    pairs[7, 1] = np.nan
+    res = circle_criterion(sys, SectorBounds.scalar(0.0, 1.0), sys.storage, pairs)
+    assert res["certified_eps"] is None and not res["passed"] and res["verdict"] == "fail"
+    assert res["binding_pair"] == 7
+
+
 # ---------------------------------------------------------------------------
 # static closed loops
 

@@ -202,6 +202,21 @@ def test_audit_holds_each_steps_input_through_the_feedthrough():
     assert audit.passed and audit.max_violation < 1e-7
 
 
+def test_audit_over_a_nan_output_fails_at_that_step():
+    # a non-finite supply is the worst step, so no tolerance passes it
+    sys = catalog_build("second_order", {"mu": 1.0})
+    emap = EquilibriumMap(sys)
+    ubar = np.array([0.5])
+    eq = emap.ku_ky(emap.solve_equilibrium(ubar, np.zeros(2)))
+    traj = simulate_ct(sys, eq.x + np.array([0.2, -0.1]), u=lambda t: ubar, T=0.5, dt=1e-2)
+    storage = BregmanStorage(sys.storage, eq.x)
+    assert audit_dissipation(traj, storage, SupplyRate.passivity(1), eq.u, eq.y).passed
+    traj.outputs[17] = np.nan
+    audit = audit_dissipation(traj, storage, SupplyRate.passivity(1), eq.u, eq.y)
+    assert not audit.passed and audit.worst_step == 17
+    assert np.isnan(audit.max_violation)
+
+
 def test_audit_detects_wrong_storage():
     # the unshifted energy difference V(x) - V(xbar) omits the gradient
     # correction and is not a valid storage away from the origin
