@@ -338,26 +338,46 @@ def supply_margin(sys, w0: SupplyRate, w1: SupplyRate, storage, pairs):
     """The largest theta in [0, 1] at which (1-theta) w0 + theta w1 has D ⪰ 0
     on every pair, and the index in ``pairs`` of the binding pair: ``(None,
     worst pair)`` if w0 fails or a pair is not finite, ``(1.0, None)`` if w1
-    passes.  D is affine in theta, so the feasible theta form an interval;
-    its end is bisected on the stack's smallest eigenvalue, with a rounding
-    slack of 1e-12 (1 + σ) per pair, σ the larger of its scales under w0 and
-    w1, and rounded down to a multiple of 2⁻³⁰.  ``storage`` is as for
-    :func:`factor_dissipation`.
+    passes.  Each pair has a rounding slack of 1e-12 (1 + σ), σ the larger
+    of its scales under w0 and w1, and theta is a multiple of 2⁻³⁰.
+
+    D is affine in theta, so phi(theta), the least over pairs of λ_min(D)
+    plus slack, is concave.  A bracket lo (phi >= 0) < hi (phi < 0) on the
+    2⁻³⁰ grid starts at [0, 1]; 2⁻³⁰ is tried first, where an exact
+    certificate ends, then the root of the binding pair's tangent at hi,
+    which concavity puts at or above the answer, floored to the grid and
+    clipped inside the bracket.  A slope that is not negative, and any step
+    after 30 tangent steps, takes the grid midpoint.  That is at most 63
+    stack eigen-solves, 3 at an exact certificate and typically 5 to 9,
+    where a 30-step bisection takes 33 for the same (theta, pair).
+    ``storage`` is as for :func:`factor_dissipation`.
     """
     (_, D0, s0), (_, D1, s1) = _dissipation_stacks(sys, storage, *_stack_pairs(pairs, sys.n),
                                                    w0, w1)
-    dD, slack = D1 - D0, 1e-12 * (1.0 + np.maximum(s0, s1))
+    dD, slack, q = D1 - D0, 1e-12 * (1.0 + np.maximum(s0, s1)), 2.0 ** -30
     margin = lambda theta: np.linalg.eigvalsh(D0 + theta * dD)[:, 0] + slack
-    at_zero = margin(0.0)
-    if not at_zero.min() >= 0:
-        return None, int(np.argmin(at_zero))
-    if margin(1.0).min() >= 0:
+    at = margin(0.0)
+    if not at.min() >= 0:
+        return None, int(np.argmin(at))
+    at = margin(1.0)
+    if at.min() >= 0:
         return 1.0, None
-    lo, hi = 0.0, 1.0
-    for _ in range(30):  # each midpoint, so lo, is a multiple of 2⁻³⁰
-        mid = 0.5 * (lo + hi)
-        lo, hi = (mid, hi) if margin(mid).min() >= 0 else (lo, mid)
-    return lo, int(np.argmin(margin(hi)))
+    lo, hi, theta, tangents = 0.0, 1.0, q, 0
+    while True:
+        m = margin(theta)
+        lo, hi, at = (theta, hi, at) if m.min() >= 0 else (lo, theta, m)
+        if hi - lo <= q:
+            return float(lo), int(np.argmin(at))
+        k = int(np.argmin(at))
+        v = np.linalg.eigh(D0[k] + hi * dD[k])[1][:, 0]
+        slope = v @ dD[k] @ v  # of λ_min(D_k) at hi; NaN fails the test below
+        # tangents from above converge at least as fast as bisection unless
+        # phi is flat at its root, where the budget of 30 bounds the search
+        if slope < 0 and tangents < 30:
+            theta, tangents = hi - at[k] / slope, tangents + 1
+        else:
+            theta = 0.5 * (lo + hi)
+        theta = min(max(np.floor(theta / q) * q, lo + q), hi - q)
 
 
 def sector_supply(bounds: SectorBounds) -> SupplyRate:
@@ -372,9 +392,10 @@ def check_sector(psi: StaticNonlinearity, bounds: SectorBounds, probes,
 
     Evaluates the incremental dissipation form :func:`sector_supply` on
     each of at least one probe pair of width ``bounds.m`` and reports the
-    minimum margin; the sector holds when it is at least ``-tol``.  A margin
-    that is not finite is counted in ``nonfinite_pairs`` and makes the
-    minimum NaN, which does not hold.
+    minimum margin; the sector holds when no margin is below ``-tol``
+    (1 + ‖M‖ |Δ[ψ; z]|²), M the supply's block, relative to the size of the
+    pair's terms.  A margin that is not finite is counted in
+    ``nonfinite_pairs`` and makes the minimum NaN, which does not hold.
     """
     if len(probes) < 1:
         raise ValueError("need at least one probe pair")
@@ -382,11 +403,13 @@ def check_sector(psi: StaticNonlinearity, bounds: SectorBounds, probes,
     if Z.shape[-1] != bounds.m:
         raise DimensionMismatchError(f"probe width {Z.shape[-1]} != sector m = {bounds.m}")
     Psi = _Stacked(psi)(Z.reshape(-1, Z.shape[-1])).reshape(Z.shape)
-    margins = sector_supply(bounds).evaluate(Z[:, 1] - Z[:, 0], Psi[:, 1] - Psi[:, 0])
+    w, dz, dpsi = sector_supply(bounds), Z[:, 1] - Z[:, 0], Psi[:, 1] - Psi[:, 0]
+    margins = w.evaluate(dz, dpsi)
     nonfinite = ~np.isfinite(margins)
     margins[nonfinite] = np.nan  # the worst margin, which no tolerance passes
-    return {"min_margin": float(margins.min()), "violations": int(np.sum(margins < -tol)),
-            "holds": bool(margins.min() >= -tol), "nonfinite_pairs": int(nonfinite.sum())}
+    floor = -tol * (1.0 + np.linalg.norm(w.block()) * np.sum(dz * dz + dpsi * dpsi, axis=1))
+    return {"min_margin": float(margins.min()), "violations": int(np.sum(margins < floor)),
+            "holds": bool(np.all(margins >= floor)), "nonfinite_pairs": int(nonfinite.sum())}
 
 
 def verify_kyp_lti(F, G, H, J, w: SupplyRate, P, tol: float = 1e-9) -> dict:

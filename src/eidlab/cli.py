@@ -141,14 +141,8 @@ def _start(system_file, config_file, seed, tol, out_dir, needs_system) -> _Run:
 
 
 def _emit(command: str, run: _Run, verdict: str, metrics: dict, artifacts) -> int:
-    report = {
-        "command": command,
-        "config_hash": _config_hash(run.cfg),
-        "seed": run.seed,
-        "verdict": verdict,
-        "metrics": metrics,
-        "artifacts": [str(a) for a in artifacts],
-    }
+    report = {"command": command, "config_hash": _config_hash(run.cfg), "seed": run.seed,
+              "verdict": verdict, "metrics": metrics, "artifacts": [str(a) for a in artifacts]}
     text = json.dumps(report, indent=2, default=_jsonify)
     (run.out / f"{command.replace('-', '_')}_report.json").write_text(text)
     click.echo(text)
@@ -264,8 +258,7 @@ def _gain(run):
 def _compose(run):
     """Supply-rate composition and kappa search across the feedback loop."""
     cfg = run.cfg
-    w1 = _parse_supply(cfg["w1"])
-    w2 = _parse_supply(cfg["w2"])
+    w1, w2 = _parse_supply(cfg["w1"]), _parse_supply(cfg["w2"])
     if "kappa" in cfg:
         comp = interconnect.compose_supply(w1, w2, float(cfg["kappa"]))
         lam = comp.lambda_max_q

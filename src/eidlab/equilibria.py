@@ -181,17 +181,19 @@ def check_relation_dissipativity(samples, w: SupplyRate, tol: float = 1e-9) -> d
     :class:`RelationSamples`.
 
     The monotone (incrementally passive) check is the special case
-    (Q, S, R) = (0, I/2, 0).  Reports the minimum pair value and the
-    violating pairs; a sampled check, not a proof.  With z = [y; u] and
-    M = ``w.block()`` a pair's value is d_i + d_j - 2 z_iᵀ M z_j,
-    d_i = z_iᵀ M z_i: one matrix product screens a block of about
-    _SCREEN_BLOCK pairs (a row at least), so memory stays linear in the
-    sample count.  Only pairs that may lie below ``-tol`` or be the minimum
-    within a rounding bound, or whose screen is not finite, are evaluated
-    exactly as ``w.evaluate(u_i - u_j, y_i - y_j)``; ties go to the first
-    pair in row-major order.  A pair whose exact value is not finite (a NaN
-    or Inf sample) neither violates nor wins the minimum; such pairs are
-    counted in ``nonfinite_pairs``, and any leaves the relation not ``monotone``.
+    (Q, S, R) = (0, I/2, 0).  With z = [y; u] and M = ``w.block()``,
+    reports the minimum pair value and the violating pairs, those below
+    ``-tol`` (1 + ‖M‖_F |z_i - z_j|²), relative to the size of the pair's
+    terms; a sampled check, not a proof.  A pair's value is
+    d_i + d_j - 2 z_iᵀ M z_j, d_i = z_iᵀ M z_i: one matrix product screens
+    a block of about _SCREEN_BLOCK pairs (a row at least), so memory stays
+    linear in the sample count.  Only pairs that may lie below ``-tol`` or
+    be the minimum within a rounding bound, or whose screen is not finite,
+    are evaluated exactly as ``w.evaluate(u_i - u_j, y_i - y_j)``; ties go
+    to the first pair in row-major order.  A pair whose exact value is not
+    finite (a NaN or Inf sample) neither violates nor wins the minimum; such
+    pairs are counted in ``nonfinite_pairs``, and any leaves the relation
+    not ``monotone``.
     """
     if len(samples) < 2:
         raise ValueError("need at least two samples")
@@ -226,7 +228,8 @@ def check_relation_dissipativity(samples, w: SupplyRate, tol: float = 1e-9) -> d
                 low = np.argmin(np.where(np.isnan(vals), np.inf, vals))
                 if vals[low] < best:
                     best, argmin = float(vals[low]), (int(ii[low]), int(jj[low]))
-                bad = vals < -tol
+                dz = Z[ii] - Z[jj]
+                bad = vals < -tol * (1.0 + np.linalg.norm(M) * np.vecdot(dz, dz))
                 violations += zip(ii[bad].tolist(), jj[bad].tolist(), vals[bad].tolist())
     return {
         "min_pair_value": float(best),

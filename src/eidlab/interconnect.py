@@ -65,8 +65,7 @@ def compose_closed_loop(loop: FeedbackLoop):
     (I - Jd E) y = h + Jd v is inverted once.
     """
     s1, s2 = loop.sys1, loop.sys2
-    n1, n2 = s1.n, s2.n
-    p1, p2 = s1.p, s2.p
+    n1, n2, p1, p2 = s1.n, s2.n, s1.p, s2.p
     B = np.block([[s1.G, np.zeros((n1, s2.m))],
                   [np.zeros((n2, s1.m)), s2.G]])
     E = np.block([[np.zeros((s1.m, p1)), -np.eye(p2)],
@@ -169,13 +168,8 @@ def kappa_search(w1: SupplyRate, w2: SupplyRate,
         kappas = np.geomspace(kappas[max(best - 1, 0)], kappas[min(best + 1, grid - 1)], grid)
     composed = compose_supply(w1, w2, kappa)
     lam = composed.lambda_max_q
-    return {
-        "kappa": kappa,
-        "lambda_max_q": lam,
-        "composed": composed,
-        "passed": bool(lam < -tol),
-        "verdict": "pass" if lam < -tol else "fail",
-    }
+    return {"kappa": kappa, "lambda_max_q": lam, "composed": composed,
+            "passed": bool(lam < -tol), "verdict": "pass" if lam < -tol else "fail"}
 
 
 def loop_transform(sys: CtSystem, bounds: SectorBounds) -> CtSystem:
@@ -211,7 +205,9 @@ def circle_criterion(sys: CtSystem, bounds: SectorBounds,
     the largest eps in [0, 1] at which the transformed system has D ⪰ 0 on
     every pair with supply (-eps I, I/2, 0): the sampled supremum, rounded
     down to a multiple of 2⁻³⁰, or None if eps = 0 fails or a pair is not
-    finite.  Any eps > 0 certifies output-strict dissipativity of the
+    finite.  The smallest eigenvalue over the pairs is concave in eps, which
+    :func:`supply_margin` searches by tangent steps in about 8 stack
+    eigen-solves.  Any eps > 0 certifies output-strict dissipativity of the
     transformed loop, hence stability of the original loop for every
     nonlinearity in the sector.  ``binding_pair`` is the index of the pair
     that limits eps (None at eps = 1), the first non-finite pair if any.
@@ -220,13 +216,8 @@ def circle_criterion(sys: CtSystem, bounds: SectorBounds,
     certified, binding = supply_margin(transformed, SupplyRate.output_strict(0.0, sys.m),
                                        SupplyRate.output_strict(1.0, sys.m), gen, pairs)
     passed = certified is not None and certified > tol
-    return {
-        "certified_eps": certified,
-        "passed": passed,
-        "verdict": "pass" if passed else "fail",
-        "transformed": transformed,
-        "binding_pair": binding,
-    }
+    return {"certified_eps": certified, "passed": passed, "verdict": "pass" if passed else "fail",
+            "transformed": transformed, "binding_pair": binding}
 
 
 def solve_monotone_inclusion(k1_inverse: Callable, k2: Callable,

@@ -45,8 +45,7 @@ class SupplyRate:
         if self.Q.shape != (p, p) or self.R.shape != (m, m):
             raise DimensionMismatchError(
                 f"incompatible supply blocks Q{self.Q.shape} S{self.S.shape} R{self.R.shape}")
-        self.p = p
-        self.m = m
+        self.p, self.m = p, m
         if warn_definite:
             eig = numerics.sym_eigen(self.block())
             if eig.min > -1e-12 or eig.max < 1e-12:
@@ -60,8 +59,7 @@ class SupplyRate:
     def evaluate(self, u, y):
         """w(u, y) as a float for one (u, y) pair, or as a (K,) array for
         (K, m) / (K, p) stacks of pairs."""
-        u = np.asarray(u, dtype=float)
-        y = np.asarray(y, dtype=float)
+        u, y = np.asarray(u, dtype=float), np.asarray(y, dtype=float)
         U, Y = np.atleast_2d(u, y)
         vals = (np.sum((Y @ self.Q) * Y, axis=1) + 2.0 * np.sum((Y @ self.S) * U, axis=1)
                 + np.sum((U @ self.R) * U, axis=1))
@@ -169,13 +167,8 @@ class StorageGenerator:
         # x @ P rather than P @ x: the same for one state (P is symmetric),
         # and row by row on an (N, n) stack, even where N = n
         grad_V = lambda x: np.atleast_1d(np.asarray(x, dtype=float)) @ P
-        return cls(
-            V=lambda x: 0.5 * (grad_V(x) * np.atleast_1d(x)).sum(axis=-1),
-            grad_V=grad_V,
-            convexity_class=cls_name,
-            mu=mu,
-            name=name,
-        )
+        return cls(V=lambda x: 0.5 * (grad_V(x) * np.atleast_1d(x)).sum(axis=-1),
+                   grad_V=grad_V, convexity_class=cls_name, mu=mu, name=name)
 
 
 def _logcosh(z):
@@ -305,8 +298,7 @@ class _ControlAffine:
                  storage: Optional[StorageGenerator] = None, meta: Optional[dict] = None):
         self.G = np.atleast_2d(np.asarray(G, dtype=float))
         self.n, self.m = self.G.shape
-        self._f = _Stacked(f)
-        self._h = _Stacked(h)
+        self._f, self._h = _Stacked(f), _Stacked(h)
         if J is None:
             J = np.zeros((self._h(np.zeros(self.n)).size, self.m))
         self.J = np.atleast_2d(np.asarray(J, dtype=float))
@@ -319,9 +311,7 @@ class _ControlAffine:
         if sv.size < self.m or sv[self.m - 1] <= 1e-10:
             raise DimensionMismatchError("G must have full column rank")
         self.f_jac = None if f_jac is None else _Stacked(f_jac, 2)
-        self.name = name
-        self.storage = storage
-        self.meta = dict(meta or {})
+        self.name, self.storage, self.meta = name, storage, dict(meta or {})
 
     # f and h run in every RK4 stage; calling the rule's __call__ by name
     # skips the slower dispatch of calling the rule object itself

@@ -353,6 +353,17 @@ def test_tanh_violates_narrow_sector():
     assert rep["violations"] > 0
 
 
+@pytest.mark.parametrize("scale", [1.0, 1e3, 1e4, 1e6])
+def test_sector_boundary_holds_at_every_probe_scale(scale):
+    # psi(z) = 0.3 z lies on the edge of the sector [0.3, 1], so its margins
+    # are rounding only; against an absolute tol they failed from 1e4 on
+    psi = StaticNonlinearity(lambda z: 0.3 * z, m=1)
+    probes = np.random.default_rng(0).uniform(-scale, scale, size=(300, 2, 1))
+    rep = check_sector(psi, SectorBounds.scalar(0.3, 1.0), probes)
+    assert rep["holds"] and rep["violations"] == 0
+    assert not check_sector(psi, SectorBounds.scalar(0.301, 1.0), probes)["holds"]
+
+
 def test_sector_supply_form():
     w = sector_supply(SectorBounds.scalar(-1.0, 2.0))
     assert w.Q[0, 0] == -1.0
@@ -711,6 +722,155 @@ def test_supply_margin_computes_the_pair_terms_once(monkeypatch):
     theta, binding = supply_margin(smib, osp(0.0), osp(2.0), gen, pairs)
     assert counts == {"f": 2, "grad_V": 2, "stack": 1}
     assert (theta, binding) == supply_margin(smib, osp(0.0), osp(2.0), smib.storage, pairs)
+
+
+# ---------------------------------------------------------------------------
+# supply margins against the bisection they replaced
+
+
+def _bisection_margin(sys, w0, w1, storage, pairs):
+    """supply_margin as the 30-step bisection on the stack's smallest
+    eigenvalue: 33 stack eigen-solves for an answer inside (0, 1)."""
+    from eidlab import certify
+
+    X, Xbar = certify._stack_pairs(pairs, sys.n)
+    (_, D0, s0), (_, D1, s1) = certify._dissipation_stacks(sys, storage, X, Xbar, w0, w1)
+    dD, slack = D1 - D0, 1e-12 * (1.0 + np.maximum(s0, s1))
+    margin = lambda theta: np.linalg.eigvalsh(D0 + theta * dD)[:, 0] + slack
+    at_zero = margin(0.0)
+    if not at_zero.min() >= 0:
+        return None, int(np.argmin(at_zero))
+    if margin(1.0).min() >= 0:
+        return 1.0, None
+    lo, hi = 0.0, 1.0
+    for _ in range(30):
+        mid = 0.5 * (lo + hi)
+        lo, hi = (mid, hi) if margin(mid).min() >= 0 else (lo, mid)
+    return lo, int(np.argmin(margin(hi)))
+
+
+_SMIB = {"M": 1.0, "D": 1.0, "b": 1.0, "V": 1.0, "P_m": 0.2}
+
+
+def _margin_case(name, seed):
+    """(sys, w0, w1, storage, pairs) of a margin case family at a pair seed."""
+    from eidlab.interconnect import loop_transform
+
+    osp = lambda a, m=1: SupplyRate.output_strict(a, m)
+    box = lambda n: (-np.ones(n), np.ones(n))
+    family, _, arg = name.partition(":")
+    if family == "smib-circle":  # circle_criterion's margin over the sector [arg, 1]
+        smib = catalog_build("smib", _SMIB)
+        pairs = sample_pairs(smib, (np.array([-1.2, -0.5]), np.array([1.2, 0.5])), count=400,
+                             seed=seed)
+        transformed = loop_transform(smib, SectorBounds.scalar(float(arg), 1.0))
+        return transformed, osp(0.0), osp(1.0), smib.storage, pairs
+    if family in ("second_order", "second_order-nan"):  # arg: OSP(a) -> OSP(2)
+        so = catalog_build("second_order", {"mu": 1.0, "c": 0.5})
+        pairs = sample_pairs(so, box(2), count=300, seed=seed)
+        if family == "second_order-nan":
+            pairs[5, 0] = np.nan
+        return so, osp(float(arg)), osp(2.0), so.storage, pairs
+    if family == "port_hamiltonian":
+        ph = catalog_build("port_hamiltonian", PH_PARAMS)
+        return (ph, SupplyRate.passivity(2), osp(5.0, 2), ph.storage,
+                sample_pairs(ph, box(4), count=500, seed=seed))
+    if family == "ahu_saddle":
+        ahu = catalog_build("ahu_saddle", {"mu": [1.0] * 4, "c": [0.5] * 4, "b": [1.0, -0.5],
+                                           "A": [[1, 0, 1, 0], [0, 1, 0, 1]], "alpha": 1.0})
+        return (ahu, SupplyRate.passivity(4), osp(3.0, 4), ahu.storage,
+                sample_pairs(ahu, box(6), count=500, seed=seed))
+    if family == "gradient_ff":  # arg: nu, from OSP(0) to OSP(1) with input excess nu
+        gff = catalog_build("gradient_ff", {"mu": 2.0, "g": 1.0, "j": 0.9, "n": 1})
+        w = lambda rho: SupplyRate([[-rho]], [[0.5]], [[-float(arg)]], warn_definite=False)
+        return gff, w(0.0), w(1.0), gff.storage, sample_pairs(gff, box(1), count=300, seed=seed)
+    # dt-l2: arg is "gamma0-gamma1", l2 gains under the storage 2|x - x̄|²
+    g0, g1 = (float(g) for g in arg.split("-"))
+    lti = catalog_build("lti", {"F": [[0.5]], "G": [[1.0]], "discrete": True})
+    return (lti, SupplyRate.l2_gain(g0, 1, 1), SupplyRate.l2_gain(g1, 1, 1), 2.0 * np.eye(1),
+            sample_pairs(lti, box(1), count=200, seed=seed))
+
+
+_MARGIN_CASES = [
+    "smib-circle:0.0", "smib-circle:-0.5", "smib-circle:-1.5",
+    "second_order:0.0", "port_hamiltonian", "ahu_saddle",
+    "gradient_ff:0.0", "gradient_ff:0.2", "gradient_ff:0.5", "gradient_ff:0.8",
+    "dt-l2:5.0-1.5",
+]
+# cases at the ends of [0, 1], each with the theta it must reach
+_MARGIN_ENDS = {
+    "second_order:1.0": 0.0,  # OSP(1) holds exactly
+    "second_order-nan:0.0": None,  # pair 5 is NaN, and binds
+    "dt-l2:3.0-2.5": 1.0,
+    "dt-l2:1.9-3.0": None,  # w0 fails
+}
+
+
+@pytest.mark.parametrize("seed", [0, 1, 3])
+@pytest.mark.parametrize("name", _MARGIN_CASES + sorted(_MARGIN_ENDS))
+def test_supply_margin_matches_the_bisection_bitwise(name, seed):
+    case = _margin_case(name, seed)
+    expected = _bisection_margin(*case)
+    theta, binding = supply_margin(*case)
+    assert (theta, binding) == expected
+    assert type(theta) is type(expected[0])
+    if name in _MARGIN_ENDS:
+        assert theta == _MARGIN_ENDS[name]
+    if name == "second_order-nan:0.0":
+        assert binding == 5
+
+
+def _count_stack_eigen_solves(monkeypatch, n_pairs):
+    """Count eigvalsh and eigh calls on a whole (n_pairs, m+1, m+1) stack."""
+    calls = []
+
+    def counting(fn):
+        def wrapped(A, *args, **kwargs):
+            if np.ndim(A) == 3 and len(A) == n_pairs:
+                calls.append(fn.__name__)
+            return fn(A, *args, **kwargs)
+        wrapped.__name__ = fn.__name__
+        return wrapped
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", counting(np.linalg.eigvalsh))
+    monkeypatch.setattr(np.linalg, "eigh", counting(np.linalg.eigh))
+    return calls
+
+
+def test_supply_margin_stack_eigen_solves(monkeypatch):
+    from eidlab.interconnect import circle_criterion
+
+    cases = {name: _margin_case(name, 3) for name in
+             ("second_order:1.0", "dt-l2:3.0-2.5", "dt-l2:1.9-3.0")}
+    _, _, _, gen, pairs = _margin_case("smib-circle:0.0", 3)
+    calls = _count_stack_eigen_solves(monkeypatch, len(pairs))
+    # acceptance 6's circle margin: the bisection made 33
+    res = circle_criterion(catalog_build("smib", _SMIB), SectorBounds.scalar(0.0, 1.0), gen, pairs)
+    assert res["certified_eps"] == 0.5 and len(calls) <= 10
+    expected = {
+        "second_order:1.0": 3,  # the two ends and 2⁻³⁰, where an exact certificate ends
+        "dt-l2:3.0-2.5": 2,  # (1.0, None): both ends
+        "dt-l2:1.9-3.0": 1,  # (None, k): w0 alone, w1 is not looked at
+    }
+    for name, case in cases.items():
+        calls = _count_stack_eigen_solves(monkeypatch, len(case[4]))
+        supply_margin(*case)
+        assert len(calls) == expected[name], name
+
+
+@pytest.mark.parametrize("scale, solves", [(np.nan, 33), (1e6, 63)])
+def test_supply_margin_safeguard_bounds_the_search(monkeypatch, scale, solves):
+    # a NaN slope takes the grid midpoint at every step, as the bisection
+    # did; a slope 1e12 times too steep makes each tangent step one grid
+    # step until the budget of 30 runs out, and the midpoints finish: the
+    # worst case, 63 solves, with the same answer
+    case = _margin_case("gradient_ff:0.2", 0)
+    expected = _bisection_margin(*case)
+    eigh = np.linalg.eigh
+    monkeypatch.setattr(np.linalg, "eigh", lambda A: (eigh(A)[0], scale * eigh(A)[1]))
+    calls = _count_stack_eigen_solves(monkeypatch, len(case[4]))
+    assert supply_margin(*case) == expected
+    assert len(calls) == solves
 
 
 # ---------------------------------------------------------------------------

@@ -140,17 +140,19 @@ def test_relation_violations_detected():
 def _double_loop(samples, w, tol=1e-9):
     """Reference: every pair (i, j), i < j, in row-major order, each row's
     values in one ``w.evaluate`` of the differences; the minimum goes to the
-    first pair attaining it, the violations are those below -tol, and the
-    non-finite values are counted."""
+    first pair attaining it, the violations are those below
+    -tol (1 + ‖M‖_F |z_i - z_j|²), and the non-finite values are counted."""
     U, Y = samples.u, samples.y
     best, argmin, violations, nonfinite = np.inf, None, [], 0
     for i in range(len(samples) - 1):
         vals = w.evaluate(U[i] - U[i + 1:], Y[i] - Y[i + 1:])
+        dz = np.hstack([Y[i] - Y[i + 1:], U[i] - U[i + 1:]])
+        floors = -tol * (1 + np.linalg.norm(w.block()) * np.sum(dz * dz, axis=1))
         nonfinite += int(np.sum(~np.isfinite(vals)))
-        for j, val in enumerate(vals.tolist(), start=i + 1):
+        for j, val, floor in zip(range(i + 1, len(samples)), vals.tolist(), floors):
             if val < best:
                 best, argmin = val, (i, j)
-            if val < -tol:
+            if val < floor:
                 violations.append((i, j, val))
     return best, argmin, violations, nonfinite
 
@@ -298,6 +300,31 @@ def test_relation_check_over_a_nan_output_is_not_monotone():
     assert np.isfinite(rep["min_pair_value"]) and 3 not in rep["argmin_pair"]
     coco = cocoercivity_check(samples, 0.0)
     assert not coco["holds"] and coco["nonfinite_pairs"] == len(samples) - 1
+
+
+@pytest.mark.parametrize("scale", [1.0, 1e3, 1e4])
+def test_lossless_relation_reads_monotone_at_every_box_scale(scale):
+    # y = x, u = -F x: the supply (sym(F), I/2, 0) is exactly zero on every
+    # pair, so its values are rounding only; judged against an absolute tol
+    # they read 2 violations at box scale 1e3 and 373 at 1e4.  A supply
+    # 1e-6 |Δy|² stricter fails at every scale
+    F = np.array([[-1.0, 0.3], [0.0, -2.0]])
+    lti = catalog_build("lti", {"F": F.tolist(), "G": np.eye(2).tolist()})
+    samples = EquilibriumMap(lti).sample_io_relation((-scale * np.ones(2), scale * np.ones(2)),
+                                                     60, seed=0)
+    Q = 0.5 * (F + F.T)
+    lossless = SupplyRate(Q, 0.5 * np.eye(2), np.zeros((2, 2)), warn_definite=False)
+    stricter = SupplyRate(Q - 1e-6 * np.eye(2), 0.5 * np.eye(2), np.zeros((2, 2)),
+                          warn_definite=False)
+    rep = _assert_matches_double_loop(samples, lossless)
+    assert rep["monotone"] and not rep["violations"]
+    assert not check_relation_dissipativity(samples, stricter)["monotone"]
+    # the scalar relation u = 3y is cocoercive with rho = 3 exactly
+    sc = catalog_build("lti", {"F": [[-3.0]], "G": [[1.0]]})
+    samples = EquilibriumMap(sc).sample_io_relation((-scale * np.ones(1), scale * np.ones(1)),
+                                                    60, seed=0)
+    assert cocoercivity_check(samples, 3.0)["holds"]
+    assert not cocoercivity_check(samples, 3.0001)["holds"]
 
 
 def test_cocoercivity_check():
