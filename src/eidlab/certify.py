@@ -329,9 +329,9 @@ def factor_dissipation(sys, w: SupplyRate, storage, pair) -> FactorizationResult
     discrete time.  A pair that is not finite raises NonFiniteError."""
     rhat_eff, (D,), _ = _dissipation_stacks(sys, storage, *_stack_pairs([pair], sys.n), w)[0]
     eig = numerics.sym_eigen(D)
-    rank = int(np.sum(eig.eigenvalues > 1e-9 * max(abs(eig.max), 1.0)))
+    rank = int(np.sum(eig > 1e-9 * max(abs(eig[-1]), 1.0)))
     return FactorizationResult(a=float(D[0, 0]), b_difference=D[1:, 0], rhat_eff=rhat_eff,
-                               D=D, psd_margin=eig.min, rank=rank)
+                               D=D, psd_margin=float(eig[0]), rank=rank)
 
 
 def supply_margin(sys, w0: SupplyRate, w1: SupplyRate, storage, pairs):
@@ -428,5 +428,5 @@ def verify_kyp_lti(F, G, H, J, w: SupplyRate, P, tol: float = 1e-9) -> dict:
     top = np.block([[F.T @ P + P @ F, P @ G], [G.T @ P, np.zeros((m, m))]])
     io = np.block([[H, J], [np.zeros((m, n)), np.eye(m)]])
     M = top - io.T @ w.block() @ io
-    lam_max = numerics.sym_eigen(M).max
+    lam_max = numerics.sym_eigen(M)[-1]
     return {"M": M, "lambda_max": float(lam_max), "passed": bool(lam_max <= tol)}

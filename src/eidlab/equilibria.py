@@ -40,7 +40,7 @@ def annihilator(G) -> np.ndarray:
 
 @dataclass
 class IoSample:
-    """An equilibrium configuration (x, u, y) with its residual."""
+    """An equilibrium configuration (x, u, y) with its assignability residual."""
 
     x: np.ndarray
     u: np.ndarray
@@ -96,24 +96,23 @@ class EquilibriumMap:
     # equilibrium maps -------------------------------------------------------
 
     def _assign(self, X):
-        """Least-squares inputs of G u = D, D the required G u, with the
-        outputs and the residuals of that equation and of the assignability
-        constraint, at each row of an (N, n) stack."""
+        """Least-squares inputs of G u = D, D the required G u, the outputs,
+        and the residuals |G_perp D| (also of G u = D, as G_perp has
+        orthonormal rows), at each row of an (N, n) stack."""
         sys = self.system
         D = self._gu_at(X)
         U = (D @ sys.G) @ self._gram_inv.T
         Y = sys.output(X, U)
-        residual = np.linalg.norm(U @ sys.G.T - D, axis=-1)
-        return U, Y, residual, np.linalg.norm(D @ self.G_perp.T, axis=-1)
+        return U, Y, np.linalg.norm(D @ self.G_perp.T, axis=-1)
 
     def ku_ky(self, xbar) -> IoSample:
         """Equilibrium input/output for an assignable state; raises
         NotAssignableError when the annihilator residual exceeds the tolerance."""
         xbar = np.atleast_1d(np.asarray(xbar, dtype=float))
-        u, y, residual, res = (a[0] for a in self._assign(xbar[None]))
+        u, y, res = (a[0] for a in self._assign(xbar[None]))
         if res > DEFAULT_RESIDUAL_TOL:
             raise NotAssignableError(f"state is not an assignable equilibrium (residual {res:.3e})")
-        return IoSample(x=xbar, u=u, y=y, residual=float(residual))
+        return IoSample(x=xbar, u=u, y=y, residual=float(res))
 
     def solve_equilibrium(self, ubar, x0) -> np.ndarray:
         """Newton solve of the forced equilibrium equation for given input,
@@ -139,15 +138,15 @@ class EquilibriumMap:
         Candidates are drawn uniformly in ``region = (lo, hi)`` and, for
         underactuated systems, projected onto the equilibrium set as one
         stack.  Deterministic for a fixed seed; candidates whose projection
-        fails are counted, not raised.
+        fails are counted, not raised.  A converged row (residual <= 1e-11)
+        is kept.
         """
         lo, hi = (np.asarray(b, dtype=float) for b in region)
         rng = np.random.default_rng(seed)
         X = self.project(rng.uniform(lo, hi, size=(count, self.system.n)))
         X = X[~np.isnan(X[:, 0])]
-        U, Y, _, res = self._assign(X)
-        keep = res <= DEFAULT_RESIDUAL_TOL
-        return RelationSamples(X[keep], U[keep], Y[keep], count - int(keep.sum()))
+        U, Y, _ = self._assign(X)
+        return RelationSamples(X, U, Y, count - len(X))
 
 
 @dataclass

@@ -86,9 +86,9 @@ def ahu_gain(M, A, K) -> GainBound:
         raise DomainError("M must be diagonal with positive entries")
     if np.linalg.matrix_rank(A) < A.shape[0]:
         raise RankDeficientError("A must have full row rank")
-    if numerics.sym_eigen(K).min < -1e-10:
+    if np.linalg.eigh(K).eigenvalues[0] < -1e-10:
         raise DomainError("K must be PSD")
-    lam_min = numerics.sym_eigen(M + A.T @ K @ A).min
+    lam_min = numerics.sym_eigen(M + A.T @ K @ A)[0]
     if lam_min <= 0:
         raise DomainError("M + AᵀKA must be positive definite")
     gamma = 1.0 / lam_min

@@ -120,7 +120,7 @@ class ComposedSupply:
 
     @property
     def lambda_max_q(self) -> float:
-        return numerics.sym_eigen(self.Q_cl).max
+        return float(np.linalg.eigh(self.Q_cl).eigenvalues[-1])
 
 
 def compose_supply(w1: SupplyRate, w2: SupplyRate, kappa: float) -> ComposedSupply:
@@ -236,8 +236,8 @@ def solve_monotone_inclusion(k1_inverse: Callable, k2: Callable,
     after 5000 steps.
     """
     v1, v2 = (np.atleast_1d(np.asarray(v, dtype=float)) for v in (v1, v2))
-    lam_a = numerics.sym_eigen(w2.R + w1.Q).max
-    lam_b = numerics.sym_eigen(w1.R + w2.Q).max
+    lam_a = np.linalg.eigh(w2.R + w1.Q).eigenvalues[-1]
+    lam_b = np.linalg.eigh(w1.R + w2.Q).eigenvalues[-1]
     mu = -min(lam_a, lam_b)
     if mu <= 0:
         raise ConditionsNotMetError(

@@ -6,7 +6,6 @@ in this package have at most a few dozen states).  All functions are pure.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
@@ -47,34 +46,13 @@ def symmetrize(A) -> np.ndarray:
     return 0.5 * (A + A.T)
 
 
-@dataclass(frozen=True)
-class EigenResult:
-    """Spectral decomposition of a symmetric matrix.
-
-    Eigenvalues are sorted ascending; ``eigenvectors[:, i]`` corresponds to
-    ``eigenvalues[i]``.
-    """
-
-    eigenvalues: np.ndarray
-    eigenvectors: np.ndarray
-
-    @property
-    def min(self) -> float:
-        return float(self.eigenvalues[0])
-
-    @property
-    def max(self) -> float:
-        return float(self.eigenvalues[-1])
-
-
-def sym_eigen(A) -> EigenResult:
-    """Full spectral decomposition of a symmetric matrix.
-
-    Raises NonSymmetricError if the relative asymmetry of ``A`` exceeds
-    SYMMETRY_RTOL.  Ordering is deterministic (ascending eigenvalues).
-    """
-    vals, vecs = np.linalg.eigh(symmetrize(A))
-    return EigenResult(eigenvalues=vals, eigenvectors=vecs)
+def sym_eigen(A) -> np.ndarray:
+    """Ascending eigenvalues of a symmetric matrix not yet checked, or
+    NonSymmetricError if its relative asymmetry exceeds SYMMETRY_RTOL.  A
+    matrix from :func:`symmetrize` goes to ``np.linalg.eigh`` directly:
+    single matrices go to ``eigh`` throughout, as in :func:`psd_sqrt`, since
+    ``eigvalsh``'s eigenvalues can differ in the last bits from order 3 on."""
+    return np.linalg.eigh(symmetrize(A)).eigenvalues
 
 
 class Definiteness(str, Enum):
@@ -92,7 +70,7 @@ def psd_check(A, tol: float = DEFAULT_PSD_TOL) -> Definiteness:
     PSD and NSD; this function reports PSD for that case.
     """
     eig = sym_eigen(A)
-    lo, hi = eig.min, eig.max
+    lo, hi = eig[0], eig[-1]
     if lo > tol:
         return Definiteness.PD
     if hi < -tol:
@@ -109,11 +87,10 @@ def psd_sqrt(A, tol: float = DEFAULT_PSD_TOL) -> np.ndarray:
 
     Raises RhatNotPsdError when ``A`` has an eigenvalue below -tol.
     """
-    eig = sym_eigen(A)
-    if eig.min < -tol:
-        raise RhatNotPsdError(f"matrix has eigenvalue {eig.min:.3e} < 0")
-    V = eig.eigenvectors
-    return (V * np.sqrt(np.clip(eig.eigenvalues, 0.0, None))) @ V.T
+    lam, V = np.linalg.eigh(symmetrize(A))
+    if lam[0] < -tol:
+        raise RhatNotPsdError(f"matrix has eigenvalue {lam[0]:.3e} < 0")
+    return (V * np.sqrt(np.clip(lam, 0.0, None))) @ V.T
 
 
 def psd_storage(P) -> np.ndarray:
@@ -121,7 +98,7 @@ def psd_storage(P) -> np.ndarray:
     it is positive semidefinite to within 1e-10.  Every use of a P checks it
     here: certificates, margins and trajectory audits."""
     P = symmetrize(np.atleast_2d(np.asarray(P, dtype=float)))
-    if sym_eigen(P).min < -1e-10:
+    if np.linalg.eigh(P).eigenvalues[0] < -1e-10:
         raise RhatNotPsdError("P must be positive semidefinite")
     return P
 

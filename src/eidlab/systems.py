@@ -47,8 +47,8 @@ class SupplyRate:
                 f"incompatible supply blocks Q{self.Q.shape} S{self.S.shape} R{self.R.shape}")
         self.p, self.m = p, m
         if warn_definite:
-            eig = numerics.sym_eigen(self.block())
-            if eig.min > -1e-12 or eig.max < 1e-12:
+            eig = np.linalg.eigh(self.block()).eigenvalues
+            if eig[0] > -1e-12 or eig[-1] < 1e-12:
                 # sign-definite supplies make the dissipation inequality
                 # trivial or infeasible; callers may do this on purpose
                 warnings.warn("supply-rate block matrix is sign-definite", stacklevel=2)
@@ -107,14 +107,12 @@ class StorageGenerator:
     """Convex scalar function with gradient, from which Bregman storage
     families are derived.
 
-    ``convexity_class`` is one of {"convex", "strictly_convex",
-    "strongly_convex"}; ``mu`` is the declared strong-convexity modulus (only
-    meaningful for the last class).
+    ``mu`` is the declared strong-convexity modulus: a generator with
+    ``mu > 0`` is strongly convex, one with ``mu = 0`` (the default) convex.
     """
 
     V: Callable[[np.ndarray], float]
     grad_V: Callable[[np.ndarray], np.ndarray]
-    convexity_class: str = "convex"
     mu: float = 0.0
     name: str = "storage"
     _stacked: dict = field(default_factory=dict, init=False, repr=False, compare=False)
@@ -135,7 +133,7 @@ class StorageGenerator:
         Checks the analytic gradient against finite differences (to 1e-5
         relative) and, for a declared strongly convex generator, the secant
         inequality [∇V(x)-∇V(z)]ᵀ(x-z) >= mu ||x-z||² on one (probes, 2, n)
-        block of random pairs, ``probes`` >= 1.
+        block of random pairs, ``probes`` >= 1 (monotonicity at ``mu = 0``).
         """
         if probes < 1:
             raise ValueError(f"need at least one probe, got probes={probes}")
@@ -150,25 +148,22 @@ class StorageGenerator:
         apart = d > 1e-16
         secant = np.einsum("ij,ij->i", g - self._values("grad_V", Z), X - Z)[apart] / d[apart]
         worst_secant = float(np.min(secant, initial=np.inf))
-        mu_req = self.mu if self.convexity_class == "strongly_convex" else 0.0
         return {
             "grad_consistent": worst_grad <= 1e-5,
             "max_grad_mismatch": worst_grad,
             "min_secant_ratio": worst_secant,
-            "secant_ok": worst_secant >= mu_req - 1e-9,
+            "secant_ok": worst_secant >= self.mu - 1e-9,
         }
 
     @classmethod
     def quadratic(cls, P, name: str = "quadratic") -> "StorageGenerator":
         P = numerics.symmetrize(np.atleast_2d(np.asarray(P, dtype=float)))
-        eig = numerics.sym_eigen(P)
-        mu = max(eig.min, 0.0)
-        cls_name = "strongly_convex" if eig.min > 1e-12 else "convex"
+        mu = max(float(np.linalg.eigh(P).eigenvalues[0]), 0.0)
         # x @ P rather than P @ x: the same for one state (P is symmetric),
         # and row by row on an (N, n) stack, even where N = n
         grad_V = lambda x: np.atleast_1d(np.asarray(x, dtype=float)) @ P
         return cls(V=lambda x: 0.5 * (grad_V(x) * np.atleast_1d(x)).sum(axis=-1),
-                   grad_V=grad_V, convexity_class=cls_name, mu=mu, name=name)
+                   grad_V=grad_V, mu=mu, name=name)
 
 
 def _logcosh(z):
@@ -299,12 +294,12 @@ class _ControlAffine:
         self.G = np.atleast_2d(np.asarray(G, dtype=float))
         self.n, self.m = self.G.shape
         self._f, self._h = _Stacked(f), _Stacked(h)
+        self.p = self._h(np.zeros(self.n)).size
         if J is None:
-            J = np.zeros((self._h(np.zeros(self.n)).size, self.m))
+            J = np.zeros((self.p, self.m))
         self.J = np.atleast_2d(np.asarray(J, dtype=float))
-        self.p = self.J.shape[0]
         if self.J.shape != (self.p, self.m):
-            raise DimensionMismatchError("J must be p x m")
+            raise DimensionMismatchError(f"J must be p x m = {self.p} x {self.m}")
         if self.m > self.n or self.p > self.n:
             raise DimensionMismatchError(f"require m, p <= n; n={self.n}, m={self.m}, p={self.p}")
         sv = np.linalg.svd(self.G, compute_uv=False)
@@ -438,7 +433,6 @@ def _build_second_order(params: dict):
     gen = StorageGenerator(
         V=lambda x: U(x[..., :1]) + 0.5 * x[..., 1] ** 2,
         grad_V=lambda x: np.array([U.grad(x.T[:1])[0], x.T[1]]).T,
-        convexity_class="strongly_convex",
         mu=min(U.mu, 1.0),
         name="mechanical energy",
     )
@@ -449,17 +443,21 @@ def _build_second_order(params: dict):
 def _build_port_hamiltonian(params: dict):
     _require(params, "J", "R", "G")
     Jm = np.atleast_2d(np.asarray(params["J"], dtype=float))
-    Rm = numerics.symmetrize(np.atleast_2d(np.asarray(params["R"], dtype=float)))
+    Rm = np.atleast_2d(np.asarray(params["R"], dtype=float))
     G = np.atleast_2d(np.asarray(params["G"], dtype=float))
     n = G.shape[0]
-    if np.linalg.norm(Jm + Jm.T) > 1e-10:
-        raise NonSymmetricError("interconnection matrix must be skew-symmetric")
-    if numerics.sym_eigen(Rm).min < -1e-10:
-        raise ValueError("dissipation matrix must be PSD")
     d = np.asarray(params.get("d", np.zeros(n)), dtype=float)
     ham = params.get("hamiltonian", {})
     P = np.atleast_2d(np.asarray(ham.get("P", np.eye(n)), dtype=float))
     c = np.atleast_1d(np.asarray(ham.get("c", np.zeros(n)), dtype=float))
+    if any(M.shape != (n, n) for M in (Jm, Rm, P)) or c.shape != (n,) or d.shape != (n,):
+        raise DimensionMismatchError(f"J, R and P must be {n} x {n} and c, d of length {n}"
+                                     f" for the {n} rows of G")
+    Rm = numerics.symmetrize(Rm)
+    if np.linalg.norm(Jm + Jm.T) > 1e-10:
+        raise NonSymmetricError("interconnection matrix must be skew-symmetric")
+    if np.linalg.eigh(Rm).eigenvalues[0] < -1e-10:
+        raise ValueError("dissipation matrix must be PSD")
 
     Pt = P.T
 
@@ -471,10 +469,8 @@ def _build_port_hamiltonian(params: dict):
         x = np.atleast_1d(np.asarray(x, dtype=float))
         return x @ Pt + c * np.tanh(x)
 
-    mu = max(numerics.sym_eigen(P).min, 0.0)
-    gen = StorageGenerator(V=H, grad_V=grad_H,
-                           convexity_class="strongly_convex" if mu > 1e-12 else "convex",
-                           mu=mu, name="hamiltonian")
+    mu = max(float(numerics.sym_eigen(P)[0]), 0.0)
+    gen = StorageGenerator(V=H, grad_V=grad_H, mu=mu, name="hamiltonian")
     At = (Jm - Rm).T
     # grad_H(x) Aᵀ + d = x PᵀAᵀ + tanh(x) diag(c) Aᵀ + d
     f, f_jac = _matrix_drift(Pt @ At, c[:, None] * At, d)
@@ -493,6 +489,8 @@ def _build_gradient_ff(params: dict):
     g = float(params["g"])
     j = float(params["j"])
     tau = np.atleast_1d(np.asarray(params.get("tau", np.ones(n)), dtype=float))
+    if tau.size not in (1, n):
+        raise DimensionMismatchError(f"need 1 or n = {n} entries in tau, got {tau.size}")
     if tau.size == 1:
         tau = np.full(n, tau[0])
     if np.any(tau <= 0):
@@ -520,11 +518,11 @@ def _build_ahu_saddle(params: dict):
     if np.linalg.matrix_rank(A) < n2:
         raise ValueError("A must have full row rank")
     K = numerics.symmetrize(np.atleast_2d(np.asarray(params.get("K", np.zeros((n2, n2))), dtype=float)))
-    if numerics.sym_eigen(K).min < -1e-10:
+    if np.linalg.eigh(K).eigenvalues[0] < -1e-10:
         raise ValueError("K must be PSD")
 
     M_plus = np.diag(phi.mu_vec) + A.T @ K @ A
-    lam_min = numerics.sym_eigen(M_plus).min
+    lam_min = numerics.sym_eigen(M_plus)[0]
     alpha = float(params.get("alpha", 2.0 / lam_min if lam_min > 0 else 1.0))
 
     # [-grad phi(z) - (res K + lam) A, res] with res = z Aᵀ - b, in x = [z, lam]
@@ -571,7 +569,6 @@ def _build_smib(params: dict):
     gen = StorageGenerator(
         V=lambda x: 0.5 * M * x[..., 1] ** 2 + bv2 * (1.0 - np.cos(x[..., 0])),
         grad_V=lambda x: np.array([bv2 * np.sin(x.T[0]), M * x.T[1]]).T,
-        convexity_class="convex",
         name="smib energy",
     )
     meta = {"family": "smib", "M": M, "D": D, "b": bcoef, "V": Vbus, "P_m": Pm}
@@ -614,8 +611,11 @@ def _build_lti(params: dict):
     _require(params, "F", "G")
     F = np.atleast_2d(np.asarray(params["F"], dtype=float))
     G = np.atleast_2d(np.asarray(params["G"], dtype=float))
-    n = F.shape[0]
+    n = G.shape[0]
     H = np.atleast_2d(np.asarray(params.get("H", np.eye(n)), dtype=float))
+    if F.shape != (n, n) or H.shape[1] != n:
+        raise DimensionMismatchError(f"F must be {n} x {n} and H have {n} columns"
+                                     f" for the {n} rows of G")
     J = np.atleast_2d(np.asarray(params["J"], dtype=float)) if "J" in params else None
     discrete = bool(params.get("discrete", False))
     f, f_jac = _matrix_drift(F.T, 0.0 * F)  # f_jac broadcasts F over a stack

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from eidlab import numerics
+from eidlab import certify, gains, numerics
 from eidlab.errors import (
     DimensionMismatchError,
     NoConvergenceError,
@@ -10,6 +10,7 @@ from eidlab.errors import (
     RhatNotPsdError,
     SingularJacobianError,
 )
+from eidlab.systems import StorageGenerator, SupplyRate, catalog_build
 
 
 def test_require_finite_passes_and_raises():
@@ -39,6 +40,39 @@ def test_symmetrize_rejects_genuine_asymmetry():
         numerics.symmetrize(np.ones((2, 3)))
 
 
+_I2, _W = np.eye(2), SupplyRate.l2_gain(2.0, 2, 2)
+_PH = {"J": [[0.0, 1.0], [-1.0, 0.0]], "R": 0.5 * _I2, "G": [[1.0], [0.0]]}
+_DTI = catalog_build("dt_integrator", {"alpha": 0.5, "n": 2})
+# each public entry of a symmetric matrix, as a call of that matrix: the
+# matrix is checked there once, and later eigen-solves take it as it is
+_ENTRY_POINTS = {
+    "SupplyRate.Q": lambda M: SupplyRate(M, 0.5 * _I2, -_I2, warn_definite=False),
+    "SupplyRate.R": lambda M: SupplyRate(-_I2, 0.5 * _I2, M, warn_definite=False),
+    "StorageGenerator.quadratic": StorageGenerator.quadratic,
+    "port_hamiltonian.R": lambda M: catalog_build("port_hamiltonian", {**_PH, "R": M}),
+    "port_hamiltonian.P": lambda M: catalog_build("port_hamiltonian",
+                                                  {**_PH, "hamiltonian": {"P": M}}),
+    "ahu_saddle.K": lambda M: catalog_build("ahu_saddle", {"mu": 1.0, "n1": 2, "A": _I2,
+                                                           "b": [0.0, 0.0], "K": M}),
+    "ahu_gain.K": lambda M: gains.ahu_gain(_I2, _I2, M),
+    "verify_eid_dt.P": lambda M: certify.verify_eid_dt(
+        _DTI, _W, M, certify.sample_pairs(_DTI, (-np.ones(2), np.ones(2)), count=4, seed=0)),
+    "verify_kyp_lti.P": lambda M: certify.verify_kyp_lti(-_I2, _I2, _I2, 0.0 * _I2, _W, M),
+}
+
+
+@pytest.mark.parametrize("bad, error", [
+    ([[1.0, 0.5], [0.0, 1.0]], NonSymmetricError),
+    ([[1.0, 0.0], [0.0, np.nan]], NonFiniteError),
+], ids=["asymmetric", "nan"])
+@pytest.mark.parametrize("entry", list(_ENTRY_POINTS))
+def test_each_matrix_entry_point_checks_its_matrix(entry, bad, error):
+    call = _ENTRY_POINTS[entry]
+    call(np.eye(2))  # a valid matrix passes the entry
+    with pytest.raises(error):
+        call(np.array(bad))
+
+
 def test_sym_eigen_matches_characteristic_polynomial():
     # 2x2 eigenvalues by the quadratic formula as an independent oracle
     A = np.array([[3.0, 1.0], [1.0, -2.0]])
@@ -46,12 +80,13 @@ def test_sym_eigen_matches_characteristic_polynomial():
     disc = np.sqrt(tr**2 - 4.0 * det)
     lo, hi = (tr - disc) / 2.0, (tr + disc) / 2.0
     eig = numerics.sym_eigen(A)
-    assert eig.min == pytest.approx(lo, abs=1e-12)
-    assert eig.max == pytest.approx(hi, abs=1e-12)
-    # eigenvector residual
-    for i in range(2):
-        v = eig.eigenvectors[:, i]
-        assert np.linalg.norm(A @ v - eig.eigenvalues[i] * v) < 1e-12
+    # a plain ascending array
+    assert isinstance(eig, np.ndarray) and eig.shape == (2,)
+    assert eig[0] == pytest.approx(lo, abs=1e-12)
+    assert eig[-1] == pytest.approx(hi, abs=1e-12)
+    # each eigenvalue makes A - lambda I singular
+    for lam in eig:
+        assert abs(np.linalg.det(A - lam * np.eye(2))) < 1e-12
 
 
 def _form_oracle(A, tol=1e-8, trials=2000, seed=0):

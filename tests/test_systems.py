@@ -93,14 +93,12 @@ def test_quadratic_generator_validation():
     assert rep["grad_consistent"]
     assert rep["secant_ok"]
     assert gen.mu == pytest.approx(1.0)
-    assert gen.convexity_class == "strongly_convex"
 
 
 def test_validate_catches_wrong_gradient():
     gen = StorageGenerator(
         V=lambda x: float(x[0] ** 2),
         grad_V=lambda x: np.array([x[0]]),  # off by a factor of 2
-        convexity_class="convex",
     )
     rep = gen.validate((np.array([-1.0]), np.array([1.0])), probes=50)
     assert not rep["grad_consistent"]
@@ -171,6 +169,9 @@ def test_catalog_missing_params():
         catalog_build("smib", {"M": 1.0})
 
 
+_PH2 = {"J": [[0.0, 1.0], [-1.0, 0.0]], "R": np.diag([0.5, 0.1]).tolist(), "G": [[1.0], [0.0]]}
+
+
 @pytest.mark.parametrize("family,params", [
     # each used to build a system of another width, or (second_order) a
     # storage whose V read mu = [1, 3] while grad_V and the drift read mu_0
@@ -180,10 +181,31 @@ def test_catalog_missing_params():
     # and these raised IndexError
     ("gradient_ff", {"mu": 1.0, "g": 1.0, "j": 0.5, "n": 0}),
     ("dt_gradient", {"mu": 1.0, "alpha": 0.1, "n": 0}),
+    # parameters that do not fit the state: each built a system that failed
+    # at its first f call, or raised a numpy ValueError from a matrix
+    # product or a broadcast
+    pytest.param("lti", {"F": -np.eye(3), "G": [[1.0], [0.0]], "H": [[1.0, 0.0]]}, id="lti/F"),
+    pytest.param("port_hamiltonian", {**_PH2, "J": np.zeros((3, 3))}, id="ph/J"),
+    pytest.param("port_hamiltonian", {**_PH2, "R": np.eye(3)}, id="ph/R"),
+    pytest.param("port_hamiltonian", {**_PH2, "hamiltonian": {"P": np.eye(3)}}, id="ph/P"),
+    pytest.param("port_hamiltonian", {**_PH2, "hamiltonian": {"c": [0.1, 0.2, 0.3]}}, id="ph/c"),
+    pytest.param("port_hamiltonian", {**_PH2, "d": [0.0, 0.0, 1.0]}, id="ph/d"),
+    pytest.param("gradient_ff", {"mu": [1.0, 2.0], "g": 1.0, "j": 0.5, "tau": [1.0, 2.0, 3.0]},
+                 id="gradient_ff/tau"),
 ])
 def test_catalog_n_must_fit_mu(family, params):
     with pytest.raises(DimensionMismatchError):
         catalog_build(family, params)
+
+
+def test_feedthrough_must_match_the_output_width():
+    # a 1 x 2 J on a 2-wide h used to build with p = 1 and fail at certify
+    I2 = np.eye(2).tolist()
+    with pytest.raises(DimensionMismatchError, match="2 x 2"):
+        catalog_build("lti", {"F": (-np.eye(2)).tolist(), "G": I2, "H": I2, "J": [[0.0, 0.0]]})
+    sys = catalog_build("lti", {"F": (-np.eye(2)).tolist(), "G": I2, "H": [[1.0, 1.0]],
+                                "J": [[0.0, 0.5]]})
+    assert (sys.p, sys.m) == (1, 2)
 
 
 def test_empty_integrator_is_an_error():
@@ -562,9 +584,8 @@ def _validate_ref(gen, region, probes, seed):
         if d > 1e-16:
             gz = np.asarray(gen.grad_V(z), dtype=float)
             worst_secant = min(worst_secant, float((g - gz) @ (x - z)) / d)
-    mu_req = gen.mu if gen.convexity_class == "strongly_convex" else 0.0
     return {"grad_consistent": worst_grad <= 1e-5, "max_grad_mismatch": worst_grad,
-            "min_secant_ratio": worst_secant, "secant_ok": worst_secant >= mu_req - 1e-9}
+            "min_secant_ratio": worst_secant, "secant_ok": worst_secant >= gen.mu - 1e-9}
 
 
 def _validate_system_ref(sys, probes=20, seed=0, box=2.0):
@@ -637,7 +658,7 @@ def _row_generator():
     # float() and component indexing only take one state
     return StorageGenerator(V=lambda x: float(x[0] ** 2 + 0.5 * x[1] ** 2 + np.cos(x[0])),
                             grad_V=lambda x: np.array([2.0 * x[0] - np.sin(x[0]), x[1]]),
-                            convexity_class="strongly_convex", mu=1.0)
+                            mu=1.0)
 
 
 def _row_system():
