@@ -208,22 +208,21 @@ def _dissipation_stacks(sys, storage, X, Xbar, *supplies) -> list:
         D[:, 1:, 1:] = rhat_eff
         # ‖Q‖ is the Frobenius norm, a bound on the spectral one
         sigma = t + np.vdot(w.Q, w.Q) ** 0.5 * hh + np.sqrt(np.vecdot(C, C))
-        if not np.isfinite(sigma).all():  # all of D: eigvalsh may ignore a NaN a
-            D[~np.isfinite(sigma)] = np.nan
+        D[~np.isfinite(sigma)] = np.nan  # all of D: σ may overflow where D does not
         stacks.append((rhat_eff, D, sigma))
     return stacks
 
 
-def _residuals(sys, D, X, Xbar, W, ell, mode):
+def _residuals(sys, D, X, Xbar, W, W_pinv, ell, mode):
     """The (a) violations and (b) residuals at each row of the dissipation
     stack D of the pairs X, X̄: condition (a) is the gap ||ell||² - a, (b)
-    the residual ||Wᵀ ell - c||, with one min-norm solve or one ``ell``
-    call for all rows."""
+    the residual ||Wᵀ ell - c||, with one product by the pseudo-inverse of a
+    symmetric W, one min-norm ``lstsq`` without it, or one ``ell`` call."""
     C = D[:, 0, 1:]
     if ell is None:
         # minimum-norm solution of Wᵀ ell = c: any kernel component of Wᵀ
         # only makes condition (a) harder, so this is the favourable choice
-        L = np.linalg.lstsq(W.T, C.T, rcond=None)[0].T
+        L = C @ W_pinv if W_pinv is not None else np.linalg.lstsq(W.T, C.T, rcond=None)[0].T
     else:
         # ell(x, xb) on the stacks X, X̄ as one (N, 2n) stack, or row by row
         n = X.shape[1]
@@ -240,20 +239,27 @@ def _residuals(sys, D, X, Xbar, W, ell, mode):
 def _verify_eid(sys, w: SupplyRate, storage, pairs, W, ell, mode,
                 tol_a, tol_b, tol_c, seed) -> EidCertificate:
     """Conditions (a)-(c) on every pair, for either time domain, read from
-    the pairs' dissipation stack and scales."""
+    the pairs' dissipation stack and scales.  Without a given W, one ``eigh``
+    of Rhat_eff gives the canonical W and its pseudo-inverse (``lstsq``'s
+    cutoff eps·m·√λ_max) for every min-norm ell; a given W keeps ``lstsq``."""
     if mode not in ("equality", "inequality"):
         raise ValueError(f"unknown mode {mode!r}")
     X, Xbar = _stack_pairs(pairs, sys.n)
     rhat_eff, D, sigma = _dissipation_stacks(sys, storage, X, Xbar, w)[0]
+    W_pinv = None
     if W is None:
         # clipped: an indefinite Rhat_eff fails (c) by at least |lambda_min|
-        W = numerics.psd_sqrt(rhat_eff, np.inf)
+        lam, V = np.linalg.eigh(numerics.symmetrize(rhat_eff))
+        root = np.sqrt(np.clip(lam, 0.0, None))
+        inv = np.divide(1.0, root, out=np.zeros_like(root),
+                        where=root > np.finfo(float).eps * sys.m * root[-1])
+        W, W_pinv = (V * root) @ V.T, (V * inv) @ V.T
     W = np.atleast_2d(np.asarray(W, dtype=float))
     if W.shape[1] != sys.m:
         raise DimensionMismatchError(f"W must have {sys.m} columns")
     c_res = float(np.linalg.norm(W.T @ W - rhat_eff))
 
-    a_viol, b_res = _residuals(sys, D, X, Xbar, W, ell, mode)
+    a_viol, b_res = _residuals(sys, D, X, Xbar, W, W_pinv, ell, mode)
     # argmax takes the first NaN as the largest value: finite maxima, finite pairs
     ia, ib = int(a_viol.argmax()), int(b_res.argmax())
     finite = np.isfinite(a_viol[ia] + b_res[ib])
@@ -344,18 +350,18 @@ def supply_margin(sys, w0: SupplyRate, w1: SupplyRate, storage, pairs):
     D is affine in theta, so phi(theta), the least over pairs of λ_min(D)
     plus slack, is concave.  A bracket lo (phi >= 0) < hi (phi < 0) on the
     2⁻³⁰ grid starts at [0, 1]; 2⁻³⁰ is tried first, where an exact
-    certificate ends, then the root of the binding pair's tangent at hi,
-    which concavity puts at or above the answer, floored to the grid and
-    clipped inside the bracket.  A slope that is not negative, and any step
-    after 30 tangent steps, takes the grid midpoint.  That is at most 63
-    stack eigen-solves, 3 at an exact certificate and typically 5 to 9,
-    where a 30-step bisection takes 33 for the same (theta, pair).
-    ``storage`` is as for :func:`factor_dissipation`.
+    certificate ends, then the root of the binding pair's tangent at hi (one
+    ``eigh`` of its D), which concavity puts at or above the answer, floored
+    to the grid and clipped inside the bracket.  A slope that is not
+    negative, and any step after 30 tangent steps, takes the grid midpoint:
+    at most 63 :func:`numerics.stack_eigvalsh` solves of the stack (closed
+    form at m = 1), 3 at an exact certificate and typically 5 to 9, where a
+    30-step bisection takes 33.  ``storage`` is as for :func:`factor_dissipation`.
     """
     (_, D0, s0), (_, D1, s1) = _dissipation_stacks(sys, storage, *_stack_pairs(pairs, sys.n),
                                                    w0, w1)
     dD, slack, q = D1 - D0, 1e-12 * (1.0 + np.maximum(s0, s1)), 2.0 ** -30
-    margin = lambda theta: np.linalg.eigvalsh(D0 + theta * dD)[:, 0] + slack
+    margin = lambda theta: numerics.stack_eigvalsh(D0 + theta * dD)[:, 0] + slack
     at = margin(0.0)
     if not at.min() >= 0:
         return None, int(np.argmin(at))

@@ -120,7 +120,15 @@ class ComposedSupply:
 
     @property
     def lambda_max_q(self) -> float:
-        return float(np.linalg.eigh(self.Q_cl).eigenvalues[-1])
+        return float(numerics.stack_eigvalsh(self.Q_cl[None])[0, -1])
+
+
+def _q_cl_parts(w1: SupplyRate, w2: SupplyRate):
+    """(q0, q1) with Q_cl(kappa) = q0 + kappa q1, for one kappa or a stack."""
+    if w1.m != w2.p or w2.m != w1.p:
+        raise DimensionMismatchError("supply dimensions do not match the loop")
+    return (np.block([[w1.Q, -w1.S], [-w1.S.T, w1.R]]),
+            np.block([[w2.R, w2.S.T], [w2.S, w2.Q]]))
 
 
 def compose_supply(w1: SupplyRate, w2: SupplyRate, kappa: float) -> ComposedSupply:
@@ -131,17 +139,14 @@ def compose_supply(w1: SupplyRate, w2: SupplyRate, kappa: float) -> ComposedSupp
 
         Q_cl = [[Q1 + k R2,  -S1 + k S2ᵀ], [-S1ᵀ + k S2,  R1 + k Q2]].
     """
-    if kappa <= 0:
-        raise ValueError("kappa must be positive")
-    if w1.m != w2.p or w2.m != w1.p:
-        raise DimensionMismatchError("supply dimensions do not match the loop")
+    if not 0 < kappa < np.inf:
+        raise ValueError(f"kappa must be positive and finite, got {kappa}")
+    q0, q1 = _q_cl_parts(w1, w2)
     k = float(kappa)
-    Q_cl = np.block([[w1.Q + k * w2.R, -w1.S + k * w2.S.T],
-                     [-w1.S.T + k * w2.S, w1.R + k * w2.Q]])
+    Q_cl = numerics.symmetrize(q0 + k * q1)
     S_cl = np.block([[w1.S, k * w2.R], [-w1.R, k * w2.S]])
     R_cl = np.block([[w1.R, np.zeros((w1.m, w2.m))], [np.zeros((w2.m, w1.m)), k * w2.R]])
-    return ComposedSupply(Q_cl=numerics.symmetrize(Q_cl), S_cl=S_cl,
-                          R_cl=numerics.symmetrize(R_cl), kappa=k)
+    return ComposedSupply(Q_cl=Q_cl, S_cl=S_cl, R_cl=numerics.symmetrize(R_cl), kappa=k)
 
 
 def kappa_search(w1: SupplyRate, w2: SupplyRate,
@@ -149,26 +154,27 @@ def kappa_search(w1: SupplyRate, w2: SupplyRate,
                  tol: float = 1e-9) -> dict:
     """Search for kappa > 0 making the composed output block negative definite.
 
-    Q_cl(kappa) = Q_cl(1) + (kappa - 1)(Q_cl(2) - Q_cl(1)) is affine, so its
-    largest eigenvalue is convex in kappa.  A log grid of ``grid`` points
-    over ``kappa_range`` is narrowed ten times to the neighbours of its best
-    point, each round one stacked ``eigvalsh``; ties break toward the
-    smallest kappa.  A Fail verdict means no kappa in the range certifies,
-    not that none exists.
+    Q_cl(kappa) is affine, so its largest eigenvalue is convex in kappa.  A
+    log grid of ``grid`` >= 3 points over ``kappa_range``, 0 < lo < hi < inf,
+    is narrowed ten times to the neighbours of its best point, each round one
+    :func:`numerics.stack_eigvalsh` of the Q_cl that :func:`compose_supply`
+    builds, as ``lambda_max_q`` reads it: the lambda reported and judged is
+    the least one ranked.  Ties break toward the smallest kappa.  A Fail
+    verdict means no kappa in the range certifies, not that none exists.
     """
     lo, hi = kappa_range
-    if lo <= 0 or hi <= lo:
-        raise ValueError("kappa_range must be a positive increasing interval")
-    q1 = compose_supply(w1, w2, 1.0).Q_cl
-    dq = compose_supply(w1, w2, 2.0).Q_cl - q1
+    if not 0 < lo < hi < np.inf:
+        raise ValueError(f"kappa_range must satisfy 0 < lo < hi < inf, got {kappa_range}")
+    if grid < 3:
+        raise ValueError(f"grid must be >= 3 to narrow, got {grid}")
+    q0, q1 = _q_cl_parts(w1, w2)
     kappas = np.geomspace(lo, hi, grid)
     for _ in range(11):  # the log grid, then ten narrowed grids
-        best = int(np.argmin(np.linalg.eigvalsh(q1 + (kappas - 1.0)[:, None, None] * dq)[:, -1]))
-        kappa = float(kappas[best])
+        lams = numerics.stack_eigvalsh(q0 + kappas[:, None, None] * q1)[:, -1]
+        best = int(np.argmin(lams))
+        kappa, lam = float(kappas[best]), float(lams[best])
         kappas = np.geomspace(kappas[max(best - 1, 0)], kappas[min(best + 1, grid - 1)], grid)
-    composed = compose_supply(w1, w2, kappa)
-    lam = composed.lambda_max_q
-    return {"kappa": kappa, "lambda_max_q": lam, "composed": composed,
+    return {"kappa": kappa, "lambda_max_q": lam, "composed": compose_supply(w1, w2, kappa),
             "passed": bool(lam < -tol), "verdict": "pass" if lam < -tol else "fail"}
 
 

@@ -49,10 +49,35 @@ def symmetrize(A) -> np.ndarray:
 def sym_eigen(A) -> np.ndarray:
     """Ascending eigenvalues of a symmetric matrix not yet checked, or
     NonSymmetricError if its relative asymmetry exceeds SYMMETRY_RTOL.  A
-    matrix from :func:`symmetrize` goes to ``np.linalg.eigh`` directly:
-    single matrices go to ``eigh`` throughout, as in :func:`psd_sqrt`, since
-    ``eigvalsh``'s eigenvalues can differ in the last bits from order 3 on."""
+    checked matrix goes to ``np.linalg.eigh`` directly, as single matrices do
+    throughout; stacks go to :func:`stack_eigvalsh`, whose values can differ
+    in the last bits, and so does a Q_cl that a kappa search ranked."""
     return np.linalg.eigh(symmetrize(A)).eigenvalues
+
+
+def stack_eigvalsh(A) -> np.ndarray:
+    """Ascending eigenvalues, as (K, k), of each matrix of a (K, k, k) symmetric
+    stack: the entries at order 1, LAPACK's DLAEV2 formulas on the whole stack
+    at order 2, where ``np.linalg.eigvalsh`` spends ~300 ns per matrix in call
+    overhead, and ``eigvalsh`` from order 3 on.  A matrix with a NaN or Inf
+    entry has no finite eigenvalue; ``eigvalsh`` may ignore a NaN, or raise."""
+    A = np.asarray(A, dtype=float)
+    if A.shape[-1] == 1:
+        return A[..., 0].copy()
+    if A.shape[-1] > 2:
+        finite = np.isfinite(A).all(axis=(-2, -1))
+        lam = np.linalg.eigvalsh(A if finite.all() else np.where(finite[..., None, None], A, 0.0))
+        lam[~finite] = np.nan
+        return lam
+    a, b, c = A[..., 0, 0], A[..., 0, 1], A[..., 1, 1]
+    big = np.abs(a) > np.abs(c)
+    with np.errstate(all="ignore"):  # rt1 is 0 only at the zero matrix, where sm = 0
+        sm, rt = a + c, np.hypot(a - c, 2.0 * b)
+        rt1 = 0.5 * (sm + np.where(sm < 0, -rt, rt))  # the root of larger modulus
+        # the other as (acmx/rt1)·acmn - (b/rt1)·b, which keeps relative accuracy
+        rt2 = np.where(sm == 0, -0.5 * rt,
+                       (np.where(big, a, c) / rt1) * np.where(big, c, a) - (b / rt1) * b)
+    return np.stack([np.minimum(rt1, rt2), np.maximum(rt1, rt2)], axis=-1)
 
 
 class Definiteness(str, Enum):

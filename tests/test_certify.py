@@ -563,10 +563,14 @@ def test_stacked_kernel_matches_per_pair_reference(case, mode):
     a_ref, b_ref, sigma_ref = _reference_residuals(sys, w, storage, pairs, cert.W, ell, mode)
     X, Xbar = certify._stack_pairs(pairs, sys.n)
     _, D, sigma = certify._dissipation_stacks(sys, storage, X, Xbar, w)[0]
-    a_viol, b_res = certify._residuals(sys, D, X, Xbar, cert.W, ell, mode)
+    a_viol, b_res = certify._residuals(sys, D, X, Xbar, cert.W, np.linalg.pinv(cert.W), ell,
+                                       mode)
     np.testing.assert_allclose(a_viol, a_ref, rtol=0, atol=1e-12)
     np.testing.assert_allclose(b_res, b_ref, rtol=0, atol=1e-12)
     np.testing.assert_allclose(sigma, sigma_ref, rtol=1e-12, atol=1e-12)
+    # the verdict's own worst residuals, with its own pseudo-inverse
+    assert cert.stats.max_a_violation == pytest.approx(a_ref.max(), rel=0, abs=1e-12)
+    assert cert.stats.max_b_residual == pytest.approx(b_ref.max(), rel=0, abs=1e-12)
     # each pair's (a) and (b) tolerances are relative to 1 + its scale
     ref_passed = ((a_ref / (1 + sigma_ref)).max() <= cert.tolerances["tol_a"]
                   and (b_ref / (1 + sigma_ref)).max() <= cert.tolerances["tol_b"]
@@ -821,19 +825,19 @@ def test_supply_margin_matches_the_bisection_bitwise(name, seed):
 
 
 def _count_stack_eigen_solves(monkeypatch, n_pairs):
-    """Count eigvalsh and eigh calls on a whole (n_pairs, m+1, m+1) stack."""
+    """Count calls of the stack eigenvalue kernel on a whole (n_pairs, m+1,
+    m+1) stack."""
+    from eidlab import numerics
+
     calls = []
+    kernel = numerics.stack_eigvalsh
 
-    def counting(fn):
-        def wrapped(A, *args, **kwargs):
-            if np.ndim(A) == 3 and len(A) == n_pairs:
-                calls.append(fn.__name__)
-            return fn(A, *args, **kwargs)
-        wrapped.__name__ = fn.__name__
-        return wrapped
+    def counting(A):
+        if np.ndim(A) == 3 and len(A) == n_pairs:
+            calls.append(A.shape)
+        return kernel(A)
 
-    monkeypatch.setattr(np.linalg, "eigvalsh", counting(np.linalg.eigvalsh))
-    monkeypatch.setattr(np.linalg, "eigh", counting(np.linalg.eigh))
+    monkeypatch.setattr(numerics, "stack_eigvalsh", counting)
     return calls
 
 
@@ -946,6 +950,15 @@ def test_supply_margin_over_a_nan_pair_is_none():
     so, pairs = _so_pairs_with_nan()
     osp = lambda a: SupplyRate.output_strict(a, 1)
     assert supply_margin(so, osp(0.0), osp(2.0), so.storage, pairs) == (None, 5)
+
+
+def test_supply_margin_over_a_nan_pair_with_two_inputs_is_none(ph):
+    # on (N, 3, 3) stacks eigvalsh raised LinAlgError at a NaN pair
+    pairs = sample_pairs(ph, (-np.ones(4), np.ones(4)), count=100, seed=0)
+    pairs[7, 1, 2] = np.nan
+    margin = supply_margin(ph, SupplyRate.passivity(2), SupplyRate.output_strict(5.0, 2),
+                           ph.storage, pairs)
+    assert margin == (None, 7)
 
 
 def test_factor_dissipation_raises_on_a_nan_pair():

@@ -142,10 +142,13 @@ def test_composition_quadratic_form_identity():
         assert direct == pytest.approx(composed, abs=1e-12)
 
 
-def test_compose_supply_rejects_bad_kappa():
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("kappa", [0.0, -1.0, np.nan, np.inf])
+def test_compose_supply_rejects_bad_kappa(kappa):
+    # NaN and Inf raised a NonFiniteError about "matrix"
     w = SupplyRate.passivity(1)
-    with pytest.raises(ValueError):
-        compose_supply(w, w, 0.0)
+    with pytest.raises(ValueError, match="kappa"):
+        compose_supply(w, w, kappa)
 
 
 def test_example6_composed_blocks():
@@ -193,17 +196,22 @@ def test_kappa_search_verdict_monotone_in_tol():
     assert kappa_search(w_osp, w_osp, tol=1e-12)["passed"]
 
 
+def _random_supply_pairs():
+    """60 random supply pairs (w1, w2) of width 1 or 2."""
+    rng = np.random.default_rng(0)
+    for _ in range(60):
+        m = int(rng.integers(1, 3))
+        sym = lambda: (lambda A: A + A.T)(rng.normal(size=(m, m)))
+        yield tuple(SupplyRate(sym(), rng.normal(size=(m, m)), sym(), warn_definite=False)
+                    for _ in range(2))
+
+
 def test_kappa_search_matches_dense_reference_grid():
     # lambda_max of Q_cl(kappa) from the compose formula on 20,001 log-spaced
     # kappas; the search may not end above the best of them (the bound is
     # relative because lambda reaches 1e3 here, where one rounding is ~1e-13)
-    rng = np.random.default_rng(0)
     kappas = np.geomspace(1e-4, 1e4, 20_001)[:, None, None]
-    for _ in range(60):
-        m = int(rng.integers(1, 3))
-        sym = lambda: (lambda A: A + A.T)(rng.normal(size=(m, m)))
-        w1, w2 = (SupplyRate(sym(), rng.normal(size=(m, m)), sym(), warn_definite=False)
-                  for _ in range(2))
+    for w1, w2 in _random_supply_pairs():
         q_cl = np.block([[w1.Q + kappas * w2.R, -w1.S + kappas * w2.S.T],
                          [-w1.S.T + kappas * w2.S, w1.R + kappas * w2.Q]])
         ref = np.linalg.eigvalsh(q_cl)[:, -1].min()
@@ -212,10 +220,48 @@ def test_kappa_search_matches_dense_reference_grid():
         assert res["lambda_max_q"] == compose_supply(w1, w2, res["kappa"]).lambda_max_q
 
 
-def test_kappa_search_rejects_bad_range():
-    w = SupplyRate.passivity(1)
-    with pytest.raises(ValueError):
-        kappa_search(w, w, kappa_range=(0.0, 1.0))
+def test_kappa_search_reports_the_least_ranked_lambda(monkeypatch):
+    # the verdict rests on the number the search minimised: the least
+    # lambda_max of its last grid, bit for bit; it used to rank eigvalsh of
+    # q1 + (kappa - 1) dq and report eigh of a rebuilt Q_cl
+    from eidlab import numerics
+
+    ranked, kernel = [], numerics.stack_eigvalsh
+
+    def recording(A):
+        lam = kernel(A)
+        ranked.append(lam[:, -1])
+        return lam
+
+    monkeypatch.setattr(numerics, "stack_eigvalsh", recording)
+    for w1, w2 in _random_supply_pairs():
+        ranked.clear()
+        res = kappa_search(w1, w2)
+        assert [len(r) for r in ranked] == [60] * 11
+        assert res["lambda_max_q"] == ranked[-1].min()
+        assert res["lambda_max_q"] == compose_supply(w1, w2, res["kappa"]).lambda_max_q
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("kwargs, match", [
+    ({"kappa_range": (0.0, 1.0)}, "kappa_range"),
+    ({"kappa_range": (1.0, 1.0)}, "kappa_range"),
+    ({"kappa_range": (np.nan, 1.0)}, "kappa_range"),
+    ({"kappa_range": (1e-4, np.nan)}, "kappa_range"),
+    ({"kappa_range": (1e-4, np.inf)}, "kappa_range"),
+    ({"kappa_range": (-np.inf, 1.0)}, "kappa_range"),
+    ({"grid": 0}, "grid"),
+    ({"grid": 1}, "grid"),
+    ({"grid": 2}, "grid"),
+])
+def test_kappa_search_input_errors_name_the_argument(kwargs, match):
+    # grid 0 raised numpy's "argmin of an empty sequence"; grids 1 and 2
+    # never narrowed and failed at kappa = 1e-4 where kappa = 1 passes; a
+    # NaN or Inf end leaked a RuntimeWarning and a NonFiniteError
+    w = SupplyRate.output_strict(1.0, 1)
+    with pytest.raises(ValueError, match=match):
+        kappa_search(w, w, **kwargs)
+    assert kappa_search(w, w, grid=3)["passed"]
 
 
 # ---------------------------------------------------------------------------

@@ -89,6 +89,82 @@ def test_sym_eigen_matches_characteristic_polynomial():
         assert abs(np.linalg.det(A - lam * np.eye(2))) < 1e-12
 
 
+
+# ---------------------------------------------------------------------------
+# the stack eigenvalue kernel
+
+
+@pytest.mark.parametrize("scale", [1e-8, 1.0, 1e8])
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_stack_eigvalsh_matches_lapack(k, scale):
+    rng = np.random.default_rng(k)
+    A = scale * rng.normal(size=(2000, k, k))
+    A = A + A.transpose(0, 2, 1)
+    lam = numerics.stack_eigvalsh(A)
+    assert lam.shape == (2000, k) and (np.diff(lam, axis=1) >= 0).all()
+    bound = 4 * np.finfo(float).eps * (1 + np.abs(A).max(axis=(1, 2)))
+    assert (np.abs(lam - np.linalg.eigvalsh(A)).max(axis=1) <= bound).all()
+
+
+@pytest.mark.parametrize("s", [1e-7, 1e-8, 0.0])
+def test_stack_eigvalsh_small_eigenvalue_is_exact(s):
+    # the smaller root keeps relative accuracy: s² exactly, in either slot
+    lam = numerics.stack_eigvalsh(np.array([np.diag([1.0, s * s]), np.diag([s * s, 1.0])]))
+    assert np.array_equal(lam, [[s * s, 1.0], [s * s, 1.0]])
+
+
+def test_stack_eigvalsh_zero_matrix_and_equal_diagonal_ties():
+    A = np.array([np.zeros((2, 2)), 2.0 * np.eye(2), -3.0 * np.eye(2),
+                  [[-0.0, 1.0], [1.0, -0.0]], [[0.0, -2.0], [-2.0, 0.0]],
+                  [[1.0, 1e-9], [1e-9, 1.0]], [[-5.0, 3.0], [3.0, -5.0]]])
+    lam = numerics.stack_eigvalsh(A)
+    assert np.array_equal(lam[:5], [[0.0, 0.0], [2.0, 2.0], [-3.0, -3.0], [-1.0, 1.0],
+                                    [-2.0, 2.0]])
+    np.testing.assert_allclose(lam[5:], [[1.0 - 1e-9, 1.0 + 1e-9], [-8.0, -2.0]],
+                               rtol=4 * np.finfo(float).eps)
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_stack_eigvalsh_non_finite_matrices_have_no_finite_eigenvalue(k):
+    # every placement of NaN, Inf and -Inf; eigvalsh alone returns [0, 0]
+    # for [[NaN, 0], [0, 1]] and raises from order 3 on
+    rng = np.random.default_rng(0)
+    stack = [[[0.0, np.inf], [np.inf, 0.0]]] if k == 2 else []
+    for bad in (np.nan, np.inf, -np.inf):
+        for i in range(k):
+            for j in range(i, k):
+                A = rng.normal(size=(k, k))
+                A = A + A.T
+                A[i, j] = A[j, i] = bad
+                stack.append(A)
+    stack.append([[np.nan, 0.0], [0.0, 1.0]] if k == 2 else np.full((k, k), np.nan))
+    A = np.array(stack + [np.eye(k)])
+    lam = numerics.stack_eigvalsh(A)
+    assert not np.isfinite(lam[:-1]).any(axis=1).any()
+    assert np.isnan(lam[np.isnan(A).any(axis=(1, 2))]).all()
+    assert np.array_equal(lam[-1], np.ones(k))
+
+
+def test_stacked_eigenvalues_go_through_the_kernel():
+    # an AST scan of src/eidlab: eigvalsh is named only inside
+    # numerics.stack_eigvalsh, so no stacked solve can bypass the kernel
+    import ast
+    from pathlib import Path
+
+    found, kernel = [], set()
+    for path in sorted((Path(__file__).resolve().parents[1] / "src" / "eidlab").rglob("*.py")):
+        tree = ast.parse(path.read_text())
+        if path.name == "numerics.py":
+            kernel = {id(node) for fn in ast.walk(tree) if isinstance(fn, ast.FunctionDef)
+                      and fn.name == "stack_eigvalsh" for node in ast.walk(fn)}
+        for node in ast.walk(tree):
+            names = ([a.name.split(".")[-1] for a in node.names]
+                     if isinstance(node, (ast.Import, ast.ImportFrom))
+                     else [getattr(node, "attr", getattr(node, "id", None))])
+            if "eigvalsh" in names and id(node) not in kernel:
+                found.append(f"{path.name}:{node.lineno}")
+    assert kernel and not found, f"eigvalsh outside numerics.stack_eigvalsh: {found}"
+
 def _form_oracle(A, tol=1e-8, trials=2000, seed=0):
     """Sign classification of x'Ax by dense sampling plus eigen-direction
     probes; independent of psd_check's implementation."""
