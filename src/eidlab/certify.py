@@ -208,7 +208,8 @@ def _dissipation_stacks(sys, storage, X, Xbar, *supplies) -> list:
         D[:, 1:, 1:] = rhat_eff
         # ‖Q‖ is the Frobenius norm, a bound on the spectral one
         sigma = t + np.vdot(w.Q, w.Q) ** 0.5 * hh + np.sqrt(np.vecdot(C, C))
-        D[~np.isfinite(sigma)] = np.nan  # all of D: σ may overflow where D does not
+        if not np.isfinite(sigma).all():  # all of D: σ may overflow where D does not
+            D[~np.isfinite(sigma)] = np.nan
         stacks.append((rhat_eff, D, sigma))
     return stacks
 
@@ -216,13 +217,13 @@ def _dissipation_stacks(sys, storage, X, Xbar, *supplies) -> list:
 def _residuals(sys, D, X, Xbar, W, W_pinv, ell, mode):
     """The (a) violations and (b) residuals at each row of the dissipation
     stack D of the pairs X, X̄: condition (a) is the gap ||ell||² - a, (b)
-    the residual ||Wᵀ ell - c||, with one product by the pseudo-inverse of a
-    symmetric W, one min-norm ``lstsq`` without it, or one ``ell`` call."""
+    the residual ||Wᵀ ell - c||, with one product by the pseudo-inverse W_pinv
+    of W or one ``ell`` call."""
     C = D[:, 0, 1:]
     if ell is None:
         # minimum-norm solution of Wᵀ ell = c: any kernel component of Wᵀ
         # only makes condition (a) harder, so this is the favourable choice
-        L = C @ W_pinv if W_pinv is not None else np.linalg.lstsq(W.T, C.T, rcond=None)[0].T
+        L = C @ W_pinv
     else:
         # ell(x, xb) on the stacks X, X̄ as one (N, 2n) stack, or row by row
         n = X.shape[1]
@@ -239,9 +240,9 @@ def _residuals(sys, D, X, Xbar, W, W_pinv, ell, mode):
 def _verify_eid(sys, w: SupplyRate, storage, pairs, W, ell, mode,
                 tol_a, tol_b, tol_c, seed) -> EidCertificate:
     """Conditions (a)-(c) on every pair, for either time domain, read from
-    the pairs' dissipation stack and scales.  Without a given W, one ``eigh``
-    of Rhat_eff gives the canonical W and its pseudo-inverse (``lstsq``'s
-    cutoff eps·m·√λ_max) for every min-norm ell; a given W keeps ``lstsq``."""
+    the pairs' dissipation stack and scales.  The min-norm ell of every pair
+    is one product by W's pseudo-inverse: from the ``eigh`` that forms the
+    canonical W (:func:`numerics.psd_sqrt_pinv`), or ``pinv`` of a given W."""
     if mode not in ("equality", "inequality"):
         raise ValueError(f"unknown mode {mode!r}")
     X, Xbar = _stack_pairs(pairs, sys.n)
@@ -249,14 +250,12 @@ def _verify_eid(sys, w: SupplyRate, storage, pairs, W, ell, mode,
     W_pinv = None
     if W is None:
         # clipped: an indefinite Rhat_eff fails (c) by at least |lambda_min|
-        lam, V = np.linalg.eigh(numerics.symmetrize(rhat_eff))
-        root = np.sqrt(np.clip(lam, 0.0, None))
-        inv = np.divide(1.0, root, out=np.zeros_like(root),
-                        where=root > np.finfo(float).eps * sys.m * root[-1])
-        W, W_pinv = (V * root) @ V.T, (V * inv) @ V.T
+        W, W_pinv = numerics.psd_sqrt_pinv(rhat_eff, np.inf)
     W = np.atleast_2d(np.asarray(W, dtype=float))
     if W.shape[1] != sys.m:
         raise DimensionMismatchError(f"W must have {sys.m} columns")
+    if W_pinv is None and ell is None:  # a given W, with lstsq's rcond=None cutoff
+        W_pinv = np.linalg.pinv(W, rcond=np.finfo(float).eps * max(W.shape))
     c_res = float(np.linalg.norm(W.T @ W - rhat_eff))
 
     a_viol, b_res = _residuals(sys, D, X, Xbar, W, W_pinv, ell, mode)

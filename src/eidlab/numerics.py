@@ -112,10 +112,19 @@ def psd_sqrt(A, tol: float = DEFAULT_PSD_TOL) -> np.ndarray:
 
     Raises RhatNotPsdError when ``A`` has an eigenvalue below -tol.
     """
+    return psd_sqrt_pinv(A, tol)[0]
+
+
+def psd_sqrt_pinv(A, tol: float) -> tuple:
+    """:func:`psd_sqrt` of A and its pseudo-inverse, from the same ``eigh``:
+    roots at most eps·k·√λ_max are dropped, as ``lstsq(rcond=None)`` drops them."""
     lam, V = np.linalg.eigh(symmetrize(A))
     if lam[0] < -tol:
         raise RhatNotPsdError(f"matrix has eigenvalue {lam[0]:.3e} < 0")
-    return (V * np.sqrt(np.clip(lam, 0.0, None))) @ V.T
+    root = np.sqrt(np.clip(lam, 0.0, None))
+    inv = np.divide(1.0, root, out=np.zeros_like(root),
+                    where=root > np.finfo(float).eps * len(root) * root[-1])
+    return (V * root) @ V.T, (V * inv) @ V.T
 
 
 def psd_storage(P) -> np.ndarray:

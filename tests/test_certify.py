@@ -554,7 +554,7 @@ def _equivalence_cases():
 @pytest.mark.parametrize("mode", ["equality", "inequality"])
 @pytest.mark.parametrize("case", sorted(_equivalence_cases()))
 def test_stacked_kernel_matches_per_pair_reference(case, mode):
-    from eidlab import certify
+    from eidlab import certify, numerics
 
     sys, region, w, storage, ell = _equivalence_cases()[case]
     pairs = sample_pairs(sys, region, count=400, seed=6)
@@ -562,25 +562,33 @@ def test_stacked_kernel_matches_per_pair_reference(case, mode):
     cert = verify(sys, w, storage, pairs, ell=ell, mode=mode)
     a_ref, b_ref, sigma_ref = _reference_residuals(sys, w, storage, pairs, cert.W, ell, mode)
     X, Xbar = certify._stack_pairs(pairs, sys.n)
-    _, D, sigma = certify._dissipation_stacks(sys, storage, X, Xbar, w)[0]
-    a_viol, b_res = certify._residuals(sys, D, X, Xbar, cert.W, np.linalg.pinv(cert.W), ell,
-                                       mode)
+    rhat_eff, D, sigma = certify._dissipation_stacks(sys, storage, X, Xbar, w)[0]
+    # the canonical W and the pseudo-inverse that verification takes from its eigh
+    W, W_pinv = numerics.psd_sqrt_pinv(rhat_eff, np.inf)
+    np.testing.assert_array_equal(W, cert.W)
+    a_viol, b_res = certify._residuals(sys, D, X, Xbar, W, W_pinv, ell, mode)
     np.testing.assert_allclose(a_viol, a_ref, rtol=0, atol=1e-12)
     np.testing.assert_allclose(b_res, b_ref, rtol=0, atol=1e-12)
     np.testing.assert_allclose(sigma, sigma_ref, rtol=1e-12, atol=1e-12)
-    # the verdict's own worst residuals, with its own pseudo-inverse
-    assert cert.stats.max_a_violation == pytest.approx(a_ref.max(), rel=0, abs=1e-12)
-    assert cert.stats.max_b_residual == pytest.approx(b_ref.max(), rel=0, abs=1e-12)
-    # each pair's (a) and (b) tolerances are relative to 1 + its scale
-    ref_passed = ((a_ref / (1 + sigma_ref)).max() <= cert.tolerances["tol_a"]
-                  and (b_ref / (1 + sigma_ref)).max() <= cert.tolerances["tol_b"]
-                  and cert.stats.c_residual <= cert.tolerances["tol_c"])
-    assert cert.passed == ref_passed
-    # below 1e-12, rounding-level ties may pick another pair
-    if a_ref.max() > 1e-12:
-        assert cert.stats.worst_a_index == int(np.argmax(a_ref))
-    if b_ref.max() > 1e-12:
-        assert cert.stats.worst_b_index == int(np.argmax(b_ref))
+    # a rotated W passed in, with a zero row where the min-norm ell is used:
+    # verification forms its pseudo-inverse with pinv
+    rot = np.linalg.qr(np.random.default_rng(3).normal(size=(sys.m, sys.m)))[0] @ W
+    given_W = np.vstack([rot, np.zeros((1, sys.m))]) if ell is None else rot
+    given = verify(sys, w, storage, pairs, W=given_W, ell=ell, mode=mode)
+    given_ref = _reference_residuals(sys, w, storage, pairs, given_W, ell, mode)
+    for c, (a_ref, b_ref, sigma_ref) in ((cert, (a_ref, b_ref, sigma_ref)), (given, given_ref)):
+        assert c.stats.max_a_violation == pytest.approx(a_ref.max(), rel=0, abs=1e-12)
+        assert c.stats.max_b_residual == pytest.approx(b_ref.max(), rel=0, abs=1e-12)
+        # each pair's (a) and (b) tolerances are relative to 1 + its scale
+        ref_passed = ((a_ref / (1 + sigma_ref)).max() <= c.tolerances["tol_a"]
+                      and (b_ref / (1 + sigma_ref)).max() <= c.tolerances["tol_b"]
+                      and c.stats.c_residual <= c.tolerances["tol_c"])
+        assert c.passed == ref_passed
+        # below 1e-12, rounding-level ties may pick another pair
+        if a_ref.max() > 1e-12:
+            assert c.stats.worst_a_index == int(np.argmax(a_ref))
+        if b_ref.max() > 1e-12:
+            assert c.stats.worst_b_index == int(np.argmax(b_ref))
 
 
 def test_equivalence_cases_take_the_intended_paths():
