@@ -11,7 +11,6 @@ from .certify import (
     EidCertificate,
     FactorizationResult,
     bregman,
-    canonical_w,
     check_sector,
     factor_dissipation,
     sample_pairs,
@@ -75,7 +74,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BregmanStorage", "EidCertificate", "FactorizationResult", "bregman",
-    "canonical_w", "check_sector", "factor_dissipation", "sample_pairs",
+    "check_sector", "factor_dissipation", "sample_pairs",
     "sector_supply", "supply_margin", "verify_eid_ct", "verify_eid_dt", "verify_kyp_lti",
     "EquilibriumMap", "IoSample", "RelationSamples", "annihilator",
     "check_relation_dissipativity", "cocoercivity_check",

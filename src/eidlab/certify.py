@@ -81,16 +81,6 @@ def sample_pairs(sys, region, count: int = DEFAULT_PAIR_COUNT, seed: int = 0) ->
     return np.stack([np.vstack([eq[:1], X]), eq[np.r_[0, picks]]], axis=1)
 
 
-def canonical_w(rhat) -> np.ndarray:
-    """Symmetric PSD square root of Rhat, the canonical constant factor.
-
-    Any other valid W differs from this one by a left orthogonal factor, so
-    nothing is lost by the choice.  Raises RhatNotPsdError when Rhat has an
-    eigenvalue below -DEFAULT_TOL_C (no constant W exists).
-    """
-    return numerics.psd_sqrt(rhat, DEFAULT_TOL_C)
-
-
 @dataclass
 class ResidualStats:
     """Largest residuals; each worst index and worst pair [x, x̄] names the pair

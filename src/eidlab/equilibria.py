@@ -17,7 +17,7 @@ import numpy as np
 
 from . import numerics
 from .errors import DimensionMismatchError, NotAssignableError
-from .systems import SupplyRate
+from .systems import SupplyRate, _Affine
 
 DEFAULT_RESIDUAL_TOL = 1e-8
 _SCREEN_BLOCK = 8192  # pair values screened at once by the relation check
@@ -59,10 +59,6 @@ class EquilibriumMap:
     def __post_init__(self):
         self.G_perp = annihilator(self.system.G)
         self._gram_inv = np.linalg.inv(self.system.G.T @ self.system.G)
-
-    @property
-    def fully_actuated(self) -> bool:
-        return self.G_perp.shape[0] == 0
 
     # residuals --------------------------------------------------------------
 
@@ -259,7 +255,8 @@ def maximality_conditions(sys, samples: Optional[RelationSamples] = None,
     - ``f_homeomorphism_hint``: drift Jacobian (f, or f - id in discrete
       time) nonsingular at 20 random probes in the box [-2, 2]ⁿ — a hint
       only, not a proof;
-    - ``f_zero_or_identity``: exact test on catalog metadata.
+    - ``f_zero_or_identity``: exact test of a matrix-form drift, true when
+      it is x A with A = 0, or A = I in discrete time.
     """
     if not sys.square:
         raise ValueError("maximal-monotonicity conditions apply to square systems")
@@ -270,6 +267,7 @@ def maximality_conditions(sys, samples: Optional[RelationSamples] = None,
     Jf = numerics.fd_jacobian(sys.f, X) if sys.f_jac is None else sys.f_jac(X)
     Jf = Jf - np.eye(sys.n) * sys.discrete
     report["f_homeomorphism_hint"] = bool(np.all(np.linalg.svd(Jf, compute_uv=False)[:, -1] > 1e-8))
-    flag = "f_is_identity" if sys.discrete else "f_is_zero"
-    report["f_zero_or_identity"] = bool(sys.meta.get(flag, False))
+    f = sys._f.fn
+    report["f_zero_or_identity"] = (isinstance(f, _Affine) and f.B is None and f.d is None
+                                    and np.array_equal(f.A, np.eye(sys.n) * sys.discrete))
     return report

@@ -56,22 +56,29 @@ class FeedbackLoop:
             )
 
 
+def _blockdiag(a, b):
+    """[[a, 0], [0, b]] for two matrices, or row by row for two stacks."""
+    (ra, ca), (rb, cb) = a.shape[-2:], b.shape[-2:]
+    out = np.zeros(a.shape[:-2] + (ra + rb, ca + cb))
+    out[..., :ra, :ca], out[..., ra:, ca:] = a, b
+    return out
+
+
 def compose_closed_loop(loop: FeedbackLoop):
     """Assemble the closed-loop system on the stacked state (x1, x2).
 
     Inputs are the exogenous (v1, v2), outputs the internal (y1, y2).
     The feedthrough coupling is resolved exactly: with E the signed
     routing matrix (u = v + E y), the output equation
-    (I - Jd E) y = h + Jd v is inverted once.
+    (I - Jd E) y = h + Jd v is inverted once.  When both parts carry
+    ``f_jac`` and ``h_jac``, the loop's ``f_jac`` is blockdiag(J_f) +
+    B E (I - Jd E)⁻¹ blockdiag(J_h), one matrix per row; else it has none.
     """
     s1, s2 = loop.sys1, loop.sys2
     n1, n2, p1, p2 = s1.n, s2.n, s1.p, s2.p
-    B = np.block([[s1.G, np.zeros((n1, s2.m))],
-                  [np.zeros((n2, s1.m)), s2.G]])
+    B, Jd = _blockdiag(s1.G, s2.G), _blockdiag(s1.J, s2.J)
     E = np.block([[np.zeros((s1.m, p1)), -np.eye(p2)],
                   [np.eye(p1), np.zeros((s2.m, p2))]])
-    Jd = np.block([[s1.J, np.zeros((p1, s2.m))],
-                   [np.zeros((p2, s1.m)), s2.J]])
     L = np.eye(p1 + p2) - Jd @ E
     Linv = np.linalg.inv(L)
     BE = B @ E
@@ -83,10 +90,16 @@ def compose_closed_loop(loop: FeedbackLoop):
         drift = np.concatenate([s1.f(x[..., :n1]), s2.f(x[..., n1:])], axis=-1)
         return drift + h_cl(x) @ BE.T
 
+    def f_jac(x):
+        x1, x2 = x[..., :n1], x[..., n1:]
+        return (_blockdiag(s1.f_jac(x1), s2.f_jac(x2))
+                + BE @ Linv @ _blockdiag(s1.h_jac(x1), s2.h_jac(x2)))
+
+    analytic = all(s.f_jac is not None and s.h_jac is not None for s in (s1, s2))
     G_cl = B + B @ E @ Linv @ Jd
     J_cl = Linv @ Jd
     cls = DtSystem if s1.discrete else CtSystem
-    return cls(f_cl, h_cl, G_cl, J=J_cl,
+    return cls(f_cl, h_cl, G_cl, J=J_cl, f_jac=f_jac if analytic else None,
                name=f"loop({s1.name},{s2.name})",
                meta={"family": "feedback_loop", "n1": n1, "n2": n2})
 
@@ -94,7 +107,8 @@ def compose_closed_loop(loop: FeedbackLoop):
 def static_feedback(sys, psi):
     """Close a system against a memoryless map in negative feedback,
     u = v - psi(y), the convention of the absolute-stability setup.
-    Requires J = 0 so the loop is trivially well posed.
+    Requires J = 0 so the loop is trivially well posed.  The result has no
+    ``f_jac``: J_f - G Dpsi(h) J_h would need the slope of psi.
     """
     if not np.all(sys.J == 0.0):
         raise NonzeroFeedthroughError("static feedback requires J = 0")
@@ -170,12 +184,12 @@ def kappa_search(w1: SupplyRate, w2: SupplyRate,
     if grid < 3:
         raise ValueError(f"grid must be >= 3 to narrow, got {grid}")
     q0, q1 = _q_cl_parts(w1, w2)
-    kappas = np.geomspace(lo, hi, grid)
     for _ in range(11):  # the log grid, then ten narrowed grids
+        kappas = np.geomspace(lo, hi, grid)
         lams = numerics.stack_eigvalsh(q0 + kappas[:, None, None] * q1)[:, -1]
         best = int(np.argmin(lams))
-        kappa, lam = float(kappas[best]), float(lams[best])
-        kappas = np.geomspace(kappas[max(best - 1, 0)], kappas[min(best + 1, grid - 1)], grid)
+        lo, hi = kappas[max(best - 1, 0)], kappas[min(best + 1, grid - 1)]
+    kappa, lam = float(kappas[best]), float(lams[best])
     return {"kappa": kappa, "lambda_max_q": lam, "composed": compose_supply(w1, w2, kappa),
             "passed": bool(lam < -tol), "verdict": "pass" if lam < -tol else "fail"}
 
@@ -187,6 +201,7 @@ def loop_transform(sys: CtSystem, bounds: SectorBounds) -> CtSystem:
     xdot = f(x) - G K1 h(x) + G u, y = K h(x) + u with K = K2 - K1.  A
     nonlinearity in the incremental sector [K1, K2] maps, after the same
     transformation, into the incremental sector [0, I] seen by this system.
+    With ``f_jac`` and ``h_jac`` on ``sys``, its ``f_jac`` is J_f - G K1 J_h.
     """
     if sys.discrete:
         raise DimensionMismatchError("loop_transform applies to continuous-time systems")
@@ -200,7 +215,9 @@ def loop_transform(sys: CtSystem, bounds: SectorBounds) -> CtSystem:
     K = bounds.K
     f_t = lambda x: sys.f(x) - sys.h(x) @ GK1.T
     h_t = lambda x: sys.h(x) @ K.T
-    return CtSystem(f_t, h_t, sys.G, J=np.eye(sys.m),
+    analytic = sys.f_jac is not None and sys.h_jac is not None
+    f_jac = (lambda x: sys.f_jac(x) - GK1 @ sys.h_jac(x)) if analytic else None
+    return CtSystem(f_t, h_t, sys.G, J=np.eye(sys.m), f_jac=f_jac,
                     name=f"{sys.name}-transformed", storage=sys.storage,
                     meta=dict(sys.meta))
 

@@ -159,9 +159,7 @@ class StorageGenerator:
     def quadratic(cls, P, name: str = "quadratic") -> "StorageGenerator":
         P = numerics.symmetrize(np.atleast_2d(np.asarray(P, dtype=float)))
         mu = max(float(np.linalg.eigh(P).eigenvalues[0]), 0.0)
-        # x @ P rather than P @ x: the same for one state (P is symmetric),
-        # and row by row on an (N, n) stack, even where N = n
-        grad_V = lambda x: np.atleast_1d(np.asarray(x, dtype=float)) @ P
+        grad_V = _Affine(P)
         return cls(V=lambda x: 0.5 * (grad_V(x) * np.atleast_1d(x)).sum(axis=-1),
                    grad_V=grad_V, mu=mu, name=name)
 
@@ -280,11 +278,33 @@ class _Stacked:
         return maps
 
 
+class _Affine:
+    """The matrix form x A + tanh(x) B + d at one state or on an (N, n) stack,
+    from matrices formed once at build time, a zero B or d left out; ``jac``
+    is its Jacobian Aᵀ + Bᵀ diag(sech² x), one matrix per row."""
+
+    def __init__(self, A, B=None, d=None):
+        self.A = A
+        self.B, self.d = (None if v is None or not np.any(v) else v for v in (B, d))
+
+    def __call__(self, x) -> np.ndarray:
+        x = np.atleast_1d(x)
+        y = x @ self.A if self.B is None else x @ self.A + np.tanh(x) @ self.B
+        return y if self.d is None else y + self.d
+
+    def jac(self, x) -> np.ndarray:
+        x = np.atleast_1d(x)
+        At = np.broadcast_to(self.A.T, x.shape[:-1] + self.A.T.shape)
+        return At if self.B is None else At + self.B.T * (1.0 - np.tanh(x) ** 2)[..., None, :]
+
+
 class _ControlAffine:
     """Shared implementation for CT and DT control-affine systems.
 
     ``f``, ``h`` and an optional ``f_jac`` accept one state or an (N, n)
     stack of states, each through its own stack rule (:class:`_Stacked`).
+    A matrix-form f (:class:`_Affine`) gives ``f_jac`` when none is passed,
+    and a matrix-form h gives the read-only ``h_jac``, None for any other h.
     """
 
     discrete: bool = False
@@ -305,8 +325,13 @@ class _ControlAffine:
         sv = np.linalg.svd(self.G, compute_uv=False)
         if sv.size < self.m or sv[self.m - 1] <= 1e-10:
             raise DimensionMismatchError("G must have full column rank")
+        f_jac = f.jac if f_jac is None and isinstance(f, _Affine) else f_jac
         self.f_jac = None if f_jac is None else _Stacked(f_jac, 2)
         self.name, self.storage, self.meta = name, storage, dict(meta or {})
+
+    @property
+    def h_jac(self):
+        return self._h.fn.jac if isinstance(self._h.fn, _Affine) else None
 
     # f and h run in every RK4 stage; calling the rule's __call__ by name
     # skips the slower dispatch of calling the rule object itself
@@ -411,32 +436,21 @@ def _phi_from_params(params: dict, n_key: str = "n") -> SeparableConvex:
     return SeparableConvex(params["mu"], params.get("c"), n=params.get(n_key))
 
 
-def _matrix_drift(A, B, d=0.0):
-    """The drift x A + tanh(x) B + d at one state or on an (N, n) stack, from
-    matrices formed once at build time (a zero B leaves out the tanh term),
-    and its Jacobian Aᵀ + Bᵀ diag(sech² x), one matrix per row."""
-    At, Bt = A.T, B.T
-    jac = lambda x: At + Bt * (1.0 - np.tanh(np.atleast_1d(x)) ** 2)[..., None, :]
-    if np.any(B):
-        return lambda x: np.atleast_1d(x) @ A + np.tanh(np.atleast_1d(x)) @ B + d, jac
-    return lambda x: np.atleast_1d(x) @ A + d, jac
-
-
 def _build_second_order(params: dict):
     # xdot1 = x2, xdot2 = -U'(x1) - x2 + u, y = x2, with U strictly convex;
     # U'(z) = mu z + c tanh z makes the drift a matrix form
     U = _phi_from_params({**params, "n": 1})
     (mu,), (c,) = U.mu_vec, U.c_vec
-    f, f_jac = _matrix_drift(np.array([[0.0, -mu], [1.0, -1.0]]), np.array([[0.0, -c], [0.0, 0.0]]))
-    h = lambda x: x[..., 1:]
+    f = _Affine(np.array([[0.0, -mu], [1.0, -1.0]]), np.array([[0.0, -c], [0.0, 0.0]]))
+    h = _Affine(np.array([[0.0], [1.0]]))
     G = np.array([[0.0], [1.0]])
     gen = StorageGenerator(
         V=lambda x: U(x[..., :1]) + 0.5 * x[..., 1] ** 2,
-        grad_V=lambda x: np.array([U.grad(x.T[:1])[0], x.T[1]]).T,
+        grad_V=_Affine(np.diag([mu, 1.0]), np.diag([c, 0.0])),
         mu=min(U.mu, 1.0),
         name="mechanical energy",
     )
-    return CtSystem(f, h, G, f_jac=f_jac, name="second_order", storage=gen,
+    return CtSystem(f, h, G, name="second_order", storage=gen,
                     meta={"family": "second_order", "U": U})
 
 
@@ -472,13 +486,13 @@ def _build_port_hamiltonian(params: dict):
     mu = max(float(numerics.sym_eigen(P)[0]), 0.0)
     gen = StorageGenerator(V=H, grad_V=grad_H, mu=mu, name="hamiltonian")
     At = (Jm - Rm).T
-    # grad_H(x) Aᵀ + d = x PᵀAᵀ + tanh(x) diag(c) Aᵀ + d
-    f, f_jac = _matrix_drift(Pt @ At, c[:, None] * At, d)
-    h = lambda x: grad_H(x) @ G
+    # grad_H(x) M = x Pᵀ M + tanh(x) diag(c) M, for M = Aᵀ (plus d) and M = G
+    f = _Affine(Pt @ At, c[:, None] * At, d)
+    h = _Affine(Pt @ G, c[:, None] * G)
     sqR = numerics.psd_sqrt(Rm)
     meta = {"family": "port_hamiltonian", "R": Rm, "Jmat": Jm, "sqrt_R": sqR,
             "grad_H": grad_H}
-    return CtSystem(f, h, G, f_jac=f_jac, name="port_hamiltonian", storage=gen, meta=meta)
+    return CtSystem(f, h, G, name="port_hamiltonian", storage=gen, meta=meta)
 
 
 def _build_gradient_ff(params: dict):
@@ -496,13 +510,13 @@ def _build_gradient_ff(params: dict):
     if np.any(tau <= 0):
         raise ValueError("tau must be positive")
     tinv = 1.0 / tau
-    f, f_jac = _matrix_drift(np.diag(-tinv * phi.mu_vec), np.diag(-tinv * phi.c_vec))
-    h = lambda x: g * np.atleast_1d(x)
+    f = _Affine(np.diag(-tinv * phi.mu_vec), np.diag(-tinv * phi.c_vec))
+    h = _Affine(g * np.eye(n))
     G = np.diag(tinv) * g
     J = j * np.eye(n)
     gen = StorageGenerator.quadratic(np.diag(tau), name="tau-weighted quadratic")
     meta = {"family": "gradient_ff", "phi": phi, "g": g, "j": j, "tau": tau}
-    return CtSystem(f, h, G, J=J, f_jac=f_jac, name="gradient_ff", storage=gen, meta=meta)
+    return CtSystem(f, h, G, J=J, name="gradient_ff", storage=gen, meta=meta)
 
 
 def _build_ahu_saddle(params: dict):
@@ -527,9 +541,9 @@ def _build_ahu_saddle(params: dict):
 
     # [-grad phi(z) - (res K + lam) A, res] with res = z Aᵀ - b, in x = [z, lam]
     Af = np.block([[-np.diag(phi.mu_vec) - A.T @ K @ A, A.T], [-A, np.zeros((n2, n2))]])
-    f, f_jac = _matrix_drift(Af, np.diag(np.concatenate([-phi.c_vec, np.zeros(n2)])),
-                      np.concatenate([b @ K @ A, -b]))
-    h = lambda x: x[..., :n1]
+    f = _Affine(Af, np.diag(np.concatenate([-phi.c_vec, np.zeros(n2)])),
+                np.concatenate([b @ K @ A, -b]))
+    h = _Affine(np.eye(n1 + n2, n1))
     G = np.vstack([np.eye(n1), np.zeros((n2, n1))])
     gen = StorageGenerator.quadratic(
         np.diag(np.concatenate([np.full(n1, alpha), np.ones(n2)])),
@@ -537,7 +551,7 @@ def _build_ahu_saddle(params: dict):
     )
     meta = {"family": "ahu_saddle", "phi": phi, "A": A, "b": b, "K": K,
             "alpha": alpha, "n1": n1, "n2": n2}
-    return CtSystem(f, h, G, f_jac=f_jac, name="ahu_saddle", storage=gen, meta=meta)
+    return CtSystem(f, h, G, name="ahu_saddle", storage=gen, meta=meta)
 
 
 def _build_smib(params: dict):
@@ -562,7 +576,7 @@ def _build_smib(params: dict):
         J[..., 0, 1], J[..., 1, 0], J[..., 1, 1] = 1.0, -bv2 / M * np.cos(x[..., 0]), -D / M
         return J
 
-    h = lambda x: x[..., 1:]
+    h = _Affine(np.array([[0.0], [1.0]]))
     G = np.array([[0.0], [1.0 / M]])
     # energy function; convex only on |theta| <= pi/2, which is the region
     # the absolute-stability analysis restricts itself to
@@ -583,13 +597,13 @@ def _build_dt_gradient(params: dict):
     if alpha <= 0:
         raise ValueError("alpha must be positive")
     n = phi.n
-    f, f_jac = _matrix_drift(np.eye(n) - alpha * np.diag(phi.mu_vec), np.diag(-alpha * phi.c_vec))
-    h = lambda x: np.atleast_1d(x)
+    f = _Affine(np.eye(n) - alpha * np.diag(phi.mu_vec), np.diag(-alpha * phi.c_vec))
+    h = _Affine(np.eye(n))
     G = alpha * np.eye(n)
     gen = StorageGenerator.quadratic(np.eye(n) / alpha, name="scaled quadratic")
     meta = {"family": "dt_gradient", "phi": phi, "alpha": alpha,
             "P": np.eye(n) / (2.0 * alpha)}
-    return DtSystem(f, h, G, f_jac=f_jac, name="dt_gradient", storage=gen, meta=meta)
+    return DtSystem(f, h, G, name="dt_gradient", storage=gen, meta=meta)
 
 
 def _build_dt_integrator(params: dict):
@@ -598,13 +612,11 @@ def _build_dt_integrator(params: dict):
     n = int(params.get("n", 1))
     if alpha <= 0 or n < 1:
         raise ValueError("need alpha > 0 and n >= 1")
-    f = h = lambda x: np.atleast_1d(np.asarray(x, dtype=float))
-    f_jac = lambda x: np.broadcast_to(np.eye(n), np.shape(x)[:-1] + (n, n))
+    f = h = _Affine(np.eye(n))
     G = alpha * np.eye(n)
     gen = StorageGenerator.quadratic(np.eye(n) / alpha, name="scaled quadratic")
-    meta = {"family": "dt_integrator", "alpha": alpha, "f_is_identity": True,
-            "P": np.eye(n) / (2.0 * alpha)}
-    return DtSystem(f, h, G, f_jac=f_jac, name="dt_integrator", storage=gen, meta=meta)
+    meta = {"family": "dt_integrator", "alpha": alpha, "P": np.eye(n) / (2.0 * alpha)}
+    return DtSystem(f, h, G, name="dt_integrator", storage=gen, meta=meta)
 
 
 def _build_lti(params: dict):
@@ -618,11 +630,9 @@ def _build_lti(params: dict):
                                      f" for the {n} rows of G")
     J = np.atleast_2d(np.asarray(params["J"], dtype=float)) if "J" in params else None
     discrete = bool(params.get("discrete", False))
-    f, f_jac = _matrix_drift(F.T, 0.0 * F)  # f_jac broadcasts F over a stack
-    h = lambda x: np.atleast_1d(x) @ H.T
-    meta = {"family": "lti", "F": F, "H": H, "f_is_zero": bool(np.all(F == 0))}
+    meta = {"family": "lti", "F": F, "H": H}
     cls = DtSystem if discrete else CtSystem
-    return cls(f, h, G, J=J, f_jac=f_jac, name="lti", meta=meta)
+    return cls(_Affine(F.T), _Affine(H.T), G, J=J, name="lti", meta=meta)
 
 
 _FAMILIES = {

@@ -14,7 +14,6 @@ from eidlab import (
     StorageGenerator,
     SupplyRate,
     bregman,
-    canonical_w,
     catalog_build,
     check_sector,
     factor_dissipation,
@@ -25,6 +24,8 @@ from eidlab import (
     verify_eid_dt,
     verify_kyp_lti,
 )
+from eidlab import numerics
+from eidlab.certify import DEFAULT_TOL_C
 from eidlab.errors import DimensionMismatchError, NonFiniteError, RhatNotPsdError
 from eidlab.sim import audit_dissipation, simulate_dt
 
@@ -83,14 +84,15 @@ def test_bregman_storage_callable_and_grad(ph):
 
 
 def test_canonical_w_square_root():
+    # the canonical W is the symmetric PSD square root of Rhat
     rhat = np.array([[4.0, 0.0], [0.0, 1.0]])
-    W = canonical_w(rhat)
+    W = numerics.psd_sqrt(rhat, DEFAULT_TOL_C)
     assert np.allclose(W.T @ W, rhat)
 
 
 def test_canonical_w_rejects_indefinite():
     with pytest.raises(RhatNotPsdError):
-        canonical_w(np.diag([1.0, -0.5]))
+        numerics.psd_sqrt(np.diag([1.0, -0.5]), DEFAULT_TOL_C)
 
 
 # ---------------------------------------------------------------------------
@@ -213,7 +215,7 @@ def test_dt_rejects_w_with_wrong_column_count():
 
 def test_infeasible_rhat_fails_instead_of_raising():
     # Rhat = -nu + 2 j/2 - j² rho = -3.75e-3 < 0: no W satisfies (c), which
-    # is a fail verdict; canonical_w and an indefinite P still raise
+    # is a fail verdict; the canonical W and an indefinite P still raise
     sys = catalog_build("gradient_ff", {"mu": 2.0, "g": 1.0, "j": 0.9, "n": 1})
     pairs = sample_pairs(sys, (-np.ones(1), np.ones(1)), count=60, seed=11)
     w = SupplyRate([[-0.375]], [[0.5]], [[-0.6]], warn_definite=False)
@@ -221,7 +223,7 @@ def test_infeasible_rhat_fails_instead_of_raising():
     assert not cert.passed
     assert cert.stats.c_residual >= 3.75e-3 * (1 - 1e-12)
     with pytest.raises(RhatNotPsdError, match=r"-3\.750e-03"):
-        canonical_w(w.rhat(sys.J))
+        numerics.psd_sqrt(w.rhat(sys.J), DEFAULT_TOL_C)
 
 
 def test_dt_rejects_indefinite_p():
@@ -554,7 +556,7 @@ def _equivalence_cases():
 @pytest.mark.parametrize("mode", ["equality", "inequality"])
 @pytest.mark.parametrize("case", sorted(_equivalence_cases()))
 def test_stacked_kernel_matches_per_pair_reference(case, mode):
-    from eidlab import certify, numerics
+    from eidlab import certify
 
     sys, region, w, storage, ell = _equivalence_cases()[case]
     pairs = sample_pairs(sys, region, count=400, seed=6)
@@ -835,8 +837,6 @@ def test_supply_margin_matches_the_bisection_bitwise(name, seed):
 def _count_stack_eigen_solves(monkeypatch, n_pairs):
     """Count calls of the stack eigenvalue kernel on a whole (n_pairs, m+1,
     m+1) stack."""
-    from eidlab import numerics
-
     calls = []
     kernel = numerics.stack_eigvalsh
 

@@ -36,7 +36,7 @@ def test_ku_ky_gradient_flow_closed_form():
     # equilibrium input of the gradient flow solves g u = grad phi(x)
     sys = catalog_build("gradient_ff", {"mu": 2.0, "g": 1.5, "j": 0.4, "n": 2})
     emap = EquilibriumMap(sys)
-    assert emap.fully_actuated
+    assert emap.G_perp.shape[0] == 0
     xbar = np.array([0.3, -0.8])
     eq = emap.ku_ky(xbar)
     phi = sys.meta["phi"]
@@ -77,7 +77,7 @@ def test_underactuated_discrete_time_equilibria():
     F, G = np.array([[0.5, 0.2], [-0.1, 0.3]]), np.array([[1.0], [0.5]])
     sys = catalog_build("lti", {"F": F.tolist(), "G": G.tolist(), "discrete": True})
     emap = EquilibriumMap(sys)
-    assert not emap.fully_actuated
+    assert emap.G_perp.shape[0] != 0
     eq_res = lambda x, u: np.linalg.norm((F - np.eye(2)) @ x + G @ np.atleast_1d(u))
     x = emap.project(np.array([0.7, -0.4]))
     eq = emap.ku_ky(x)

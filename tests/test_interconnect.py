@@ -16,6 +16,7 @@ from eidlab import (
     sample_pairs,
     solve_monotone_inclusion,
     static_feedback,
+    validate_system,
     verify_eid_ct,
 )
 from eidlab.equilibria import EquilibriumMap
@@ -220,6 +221,15 @@ def test_kappa_search_matches_dense_reference_grid():
         assert res["lambda_max_q"] == compose_supply(w1, w2, res["kappa"]).lambda_max_q
 
 
+def test_kappa_search_builds_only_the_grids_it_ranks(monkeypatch):
+    # a twelfth grid used to be built after the last ranking
+    built, geomspace = [], np.geomspace
+    monkeypatch.setattr(np, "geomspace", lambda *a: built.append(a) or geomspace(*a))
+    w = SupplyRate.output_strict(1.0, 1)
+    kappa_search(w, w)
+    assert len(built) == 11
+
+
 def test_kappa_search_reports_the_least_ranked_lambda(monkeypatch):
     # the verdict rests on the number the search minimised: the least
     # lambda_max of its last grid, bit for bit; it used to rank eigvalsh of
@@ -262,6 +272,43 @@ def test_kappa_search_input_errors_name_the_argument(kwargs, match):
     with pytest.raises(ValueError, match=match):
         kappa_search(w, w, **kwargs)
     assert kappa_search(w, w, grid=3)["passed"]
+
+
+# ---------------------------------------------------------------------------
+# Jacobians of composed systems
+
+
+SMIB = {"M": 1.0, "D": 1.0, "b": 1.0, "V": 1.0, "P_m": 0.2}
+G2 = {"mu": 1.0, "c": 0.4, "g": 1.5, "j": 0.5, "n": 1}
+COMPOSED = {
+    "loop_transform(smib)": lambda: loop_transform(catalog_build("smib", SMIB),
+                                                   SectorBounds.scalar(0.2, 1.5)),
+    "loop(smib,g2)": lambda: compose_closed_loop(FeedbackLoop(
+        catalog_build("smib", SMIB), catalog_build("gradient_ff", G2))),
+    "loop(second_order,g2)": lambda: compose_closed_loop(FeedbackLoop(
+        catalog_build("second_order", {"mu": 1.0, "c": 0.5}), catalog_build("gradient_ff", G2))),
+}
+
+
+@pytest.mark.parametrize("case", sorted(COMPOSED))
+def test_composed_systems_project_with_their_parts_jacobians(case, monkeypatch):
+    # each used to take 2 finite-difference Jacobians to project 50 candidates
+    from eidlab import numerics
+
+    sys = COMPOSED[case]()
+    rep = validate_system(sys, probes=50, seed=1)
+    assert rep["ok"] and rep["jacobian_consistent"] and rep["max_jacobian_mismatch"] <= 1e-7
+    X = np.random.default_rng(3).uniform(-2.0, 2.0, size=(6, sys.n))
+    np.testing.assert_allclose(sys.f_jac(X), np.array([sys.f_jac(x) for x in X]),
+                               rtol=0, atol=1e-12)
+    calls, fd_jacobian = [], numerics.fd_jacobian
+    monkeypatch.setattr(numerics, "fd_jacobian", lambda F, x: calls.append(1) or fd_jacobian(F, x))
+    emap = EquilibriumMap(sys)
+    P = emap.project(np.random.default_rng(0).uniform(-1.0, 1.0, size=(50, sys.n)))
+    assert calls == []
+    P = P[~np.isnan(P[:, 0])]
+    assert len(P) >= 45
+    assert max(emap.assignability_residual(x) for x in P) <= 1e-10
 
 
 # ---------------------------------------------------------------------------

@@ -272,7 +272,7 @@ def test_dt_families():
     x = np.array([2.0])
     assert g.step(x, np.zeros(1))[0] == pytest.approx(2.0 - 0.5 * 2.0)
     i = catalog_build("dt_integrator", {"alpha": 0.5, "n": 2})
-    assert i.meta["f_is_identity"]
+    assert maximality_conditions(i)["f_zero_or_identity"]
     assert np.allclose(i.step(np.zeros(2), np.ones(2)), 0.5 * np.ones(2))
 
 
@@ -398,6 +398,49 @@ def test_catalog_jacobians_match_finite_differences(family):
     assert sys.f_jac(X[0]).shape == (sys.n, sys.n)
     np.testing.assert_allclose(sys.f_jac(X), np.array([sys.f_jac(x) for x in X]),
                                rtol=0, atol=1e-12)
+    # h_jac against central differences of h, on one state and on a stack
+    for x in (X[0], X):
+        Jh, Jn = sys.h_jac(x), numerics.fd_jacobian(sys.h, x)
+        assert Jh.shape == x.shape[:-1] + (sys.p, sys.n)
+        mismatch = np.linalg.norm(Jh - Jn, axis=(-2, -1)) / np.maximum(
+            np.linalg.norm(Jn, axis=(-2, -1)), 1.0)
+        assert np.max(mismatch) <= 1e-7
+
+
+@pytest.mark.parametrize("family", sorted(FAMILIES))
+def test_catalog_families_hold_matrix_forms(family):
+    # a new family cannot slip back to closures: f and h are matrix forms
+    # (all but smib's sine drift), and every family carries both Jacobians
+    sys = catalog_build(family, FAMILIES[family])
+    assert sys.f_jac is not None and sys.h_jac is not None
+    assert isinstance(sys._h.fn, systems._Affine)
+    assert isinstance(sys._f.fn, systems._Affine) == (family != "smib")
+
+
+def test_matrix_form_drops_zero_terms_and_broadcasts_its_jacobian():
+    A, B = np.array([[1.0, 2.0], [0.0, -1.0]]), np.diag([0.5, 0.0])
+    form = systems._Affine(A, np.zeros((2, 2)), np.zeros(2))
+    assert form.B is None and form.d is None
+    X = np.random.default_rng(0).uniform(-2.0, 2.0, size=(5, 2))
+    np.testing.assert_array_equal(form(X), X @ A)
+    assert form.jac(X).shape == (5, 2, 2) and np.all(form.jac(X) == A.T)
+    full = systems._Affine(A, B, np.array([0.1, -0.2]))
+    np.testing.assert_array_equal(full(X[0]), X[0] @ A + np.tanh(X[0]) @ B + [0.1, -0.2])
+    np.testing.assert_allclose(full.jac(X), numerics.fd_jacobian(full, X), rtol=0, atol=1e-8)
+
+
+@pytest.mark.parametrize("F, discrete, expected", [
+    ([[1.0, 0.0], [0.0, 1.0]], True, True),
+    ([[0.0, 0.0], [0.0, 0.0]], False, True),
+    ([[1.0, 0.0], [0.0, 1.0]], False, False),
+    ([[0.0, 0.0], [0.0, 0.0]], True, False),
+    ([[1.0, 0.0], [0.0, 0.5]], True, False),
+])
+def test_maximality_reads_zero_or_identity_from_the_drift(F, discrete, expected):
+    # an lti F = I in discrete time used to read False: the flag came from
+    # family metadata that only dt_integrator set
+    sys = catalog_build("lti", {"F": F, "G": [[1.0, 0.0], [0.0, 1.0]], "discrete": discrete})
+    assert maximality_conditions(sys)["f_zero_or_identity"] is expected
 
 
 def _assert_stack_matches_rows(sys, rows=7, seed=0):
