@@ -103,8 +103,8 @@ def _input_at(u, x0: np.ndarray, m: int, dt: float, min_steps: int = 0):
 
 def _integrate(sys, x0: np.ndarray, u_at, steps: int, advance,
                dt: Optional[float]) -> Trajectory:
-    """The one step loop behind both simulators: ``advance(x, u)`` maps the
-    state (or stack of states) to the next one."""
+    """The one step loop behind both simulators: ``advance(x, g)`` maps the
+    state (or stack of states) to the next one under the forcing g = u_k Gᵀ."""
     x = x0
     lead = x.shape[:-1]
     states = np.empty(lead + (steps + 1, sys.n))
@@ -118,7 +118,7 @@ def _integrate(sys, x0: np.ndarray, u_at, steps: int, advance,
         for k in range(steps):
             uk = u_at(k)
             inputs[..., k, :] = uk
-            nxt = advance(x, uk)
+            nxt = advance(x, np.atleast_1d(uk) @ sys.G.T)
             if not np.isfinite(nxt).all():
                 if x.ndim == 1:
                     raise NonFiniteError(
@@ -144,8 +144,9 @@ def simulate_ct(sys, x0, u=None, T: float = 1.0, dt: float = 1e-3) -> Trajectory
     """RK4 integration with zero-order-hold inputs.
 
     ``x0`` is one state (n,) or an (N, n) stack of initial states that are
-    integrated together as one batched trajectory; ``sys.f`` and ``sys.h``
-    then see the whole stack per evaluation.
+    integrated together as one batched trajectory.  The drift's stack rule
+    is bound once to the shape of ``x0``: each RK4 stage is one drift
+    evaluation and one add, and ``sys.h`` sees all states in one call.
 
     ``u`` may be None (zero input), a callable of time returning one input
     or per-row inputs, a constant (m,) or per-row (N, m) array, or per-step
@@ -161,8 +162,9 @@ def simulate_ct(sys, x0, u=None, T: float = 1.0, dt: float = 1e-3) -> Trajectory
         raise ValueError("need dt > 0 and T > 0")
     steps = max(1, int(round(T / dt)))
     x0 = np.atleast_1d(np.asarray(x0, dtype=float))
-    forced = lambda z, g: sys.f(z) + g  # sys.rhs, with g = u_k Gᵀ formed once per step
-    advance = lambda x, uk: numerics.rk4_step(forced, x, np.atleast_1d(uk) @ sys.G.T, dt)
+    f = sys._f.bind(x0)
+    forced = lambda z, g: f(z) + g  # sys.rhs, with g = u_k Gᵀ formed once per step
+    advance = lambda x, g: numerics.rk4_step(forced, x, g, dt)
     return _integrate(sys, x0, _input_at(u, x0, sys.m, dt), steps, advance, dt)
 
 
@@ -171,13 +173,14 @@ def simulate_dt(sys, x0, u=None, steps: int = 1) -> Trajectory:
 
     Takes the same one-state or (N, n) stack ``x0`` and the same forms of
     ``u`` as :func:`simulate_ct`, with time counted in steps; per-step input
-    values must cover all ``steps``.  Divergence is handled as there.
+    values must cover all ``steps``.  The drift is bound and divergence handled as there.
     """
     if steps < 1:
         raise ValueError("steps must be >= 1")
     x0 = np.atleast_1d(np.asarray(x0, dtype=float))
+    f = sys._f.bind(x0)
     return _integrate(sys, x0, _input_at(u, x0, sys.m, 1.0, min_steps=steps), steps,
-                      sys.step, None)
+                      lambda x, g: f(x) + g, None)
 
 
 @dataclass

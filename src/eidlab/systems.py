@@ -225,10 +225,11 @@ class _Stacked:
     point, or on an (N, k) stack.  On the first stack of each width k, a
     fixed 3-row probe decides whether ``fn`` maps stacks to the stack of its
     row values; raising, a wrong shape or a wrong value all say no, and such
-    stacks go row by row.  Each value has ``ndim`` dimensions: 0, 1 (a
-    scalar becomes length 1) or 2.  On the row path an empty stack takes
-    the value shape of a probe row; if no probe row evaluates, the value
-    axes have size 0.
+    stacks go row by row, the result shaped once.  Each value has ``ndim``
+    dimensions: 0, 1 (a scalar becomes length 1) or 2.  On the row path an
+    empty stack takes the value shape of a probe row; if no probe row
+    evaluates, the value axes have size 0.  :meth:`bind` picks the rule
+    once for the many calls of one trajectory's RK4 stages.
     """
 
     def __init__(self, fn, ndim: int = 1):
@@ -240,17 +241,24 @@ class _Stacked:
     def __call__(self, x) -> np.ndarray:
         x = np.asarray(x, dtype=float)
         if x.ndim == 2 and x.shape[1] in self._stacks:
-            # f and h run in every RK4 stage: a stack of a width known to
-            # map stacks goes straight to fn
+            # a closure's inner f and h run in every RK4 stage: a stack of a
+            # width known to map stacks goes straight to fn
             return np.asarray(self.fn(x), dtype=float)
         if x.ndim < 2:
             return _AS_VALUE[self.ndim](np.asarray(self.fn(x), dtype=float))
         k = x.shape[-1]
         if self.maps_stacks(k):
             return np.asarray(self.fn(x), dtype=float)
-        # the callable at each row; no rows keep the value shape
-        out = np.array([self(r) for r in x.reshape(-1, k)])
-        return out.reshape(x.shape[:-1] + (out.shape[1:] if len(out) else self._rows[k]))
+        # fn at each row (ragged values raise); no rows keep a probe row's shape
+        out = np.array([self.fn(r) for r in x.reshape(-1, k)], dtype=float)
+        value = _AS_VALUE[self.ndim](out[0]).shape if len(out) else self._rows[k]
+        return out.reshape(x.shape[:-1] + value)
+
+    def bind(self, x):
+        """The callable for arrays shaped like ``x``: ``fn`` where it maps them, else the rule."""
+        if isinstance(self.fn, _Affine) or (np.ndim(x) == 2 and self.maps_stacks(x.shape[1])):
+            return self.fn
+        return self.__call__
 
     def maps_stacks(self, k) -> bool:
         """Whether ``fn`` maps stacks of width ``k``, probed on the first
@@ -333,8 +341,8 @@ class _ControlAffine:
     def h_jac(self):
         return self._h.fn.jac if isinstance(self._h.fn, _Affine) else None
 
-    # f and h run in every RK4 stage; calling the rule's __call__ by name
-    # skips the slower dispatch of calling the rule object itself
+    # a closure's f and h (static_feedback's) run in every RK4 stage; calling
+    # the rule's __call__ by name skips the slower dispatch of the rule object
     def f(self, x) -> np.ndarray:
         """Drift at one state (n,) or at each row of an (N, n) stack."""
         return self._f.__call__(x)

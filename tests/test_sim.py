@@ -17,7 +17,8 @@ from eidlab.sim import (
     stability_experiment,
 )
 from eidlab.interconnect import static_feedback
-from eidlab.systems import CtSystem, StorageGenerator, SupplyRate, catalog_build
+from eidlab.systems import (CtSystem, DtSystem, StorageGenerator, SupplyRate, _Affine,
+                            catalog_build)
 
 
 # ---------------------------------------------------------------------------
@@ -349,19 +350,32 @@ def test_batched_ct_trajectory_layout_and_rows():
 
 
 def _count_calls(sys):
-    """Count the calls of ``sys.f`` and ``sys.h`` by shadowing the methods."""
-    calls = {"f": 0, "h": 0}
-    for name in calls:
-        def counted(x, _fn=getattr(sys, name), _name=name):
-            calls[_name] += 1
-            return _fn(x)
-        setattr(sys, name, counted)
+    """Count the drift evaluations of the RK4 stages, which call the
+    callable that ``sys._f.bind`` returns, the ``bind`` calls and the calls
+    of ``sys.h``."""
+    calls = {"f": 0, "bind": 0, "h": 0}
+    bind, h = sys._f.bind, sys.h
+
+    def counted_bind(x):
+        calls["bind"] += 1
+        f = bind(x)
+
+        def counted_f(z):
+            calls["f"] += 1
+            return f(z)
+        return counted_f
+
+    def counted_h(x):
+        calls["h"] += 1
+        return h(x)
+    sys._f.bind, sys.h = counted_bind, counted_h
     return calls
 
 
 def test_stacked_rk4_makes_four_f_calls_per_step_and_one_h_call():
-    # the held forcing u_k Gᵀ is formed once per step, so each stage is one
-    # f call and one add, with the floats of a loop of rk4_step on rhs
+    # the drift is bound once per trajectory and the held forcing u_k Gᵀ
+    # formed once per step, so each stage is one drift evaluation and one
+    # add, with the floats of a loop of rk4_step on rhs
     smib = catalog_build("smib", {"M": 1.0, "D": 1.0, "b": 1.0, "V": 1.0, "P_m": 0.2})
     lti = catalog_build("lti", {"F": [[-1.0, 2.0], [0.5, -3.0]], "G": [[1.0], [0.5]],
                                 "H": [[1.0, 1.0]], "J": [[0.3]]})
@@ -371,7 +385,7 @@ def test_stacked_rk4_makes_four_f_calls_per_step_and_one_h_call():
     for sys in (lti, smib, static_feedback(smib, np.tanh)):
         calls = _count_calls(sys)
         traj = simulate_ct(sys, X0, U, T=0.5, dt=0.02)
-        assert calls == {"f": 4 * 25, "h": 1}
+        assert calls == {"f": 4 * 25, "bind": 1, "h": 1}
         x = X0
         for k in range(25):
             x = numerics.rk4_step(sys.rhs, x, U[:, k], 0.02)
@@ -450,3 +464,118 @@ def test_batched_stability_experiment_matches_per_probe_runs():
     ref = _per_probe_distances(dtg, eq.x, eq.u, 0.3, 16, steps=40)
     np.testing.assert_allclose(rep["final_distances"], ref, rtol=0, atol=1e-12)
     assert rep["converged_fraction"] == 1.0 and rep["nonconverged"] == []
+
+
+# ---------------------------------------------------------------------------
+# the drift bound once per trajectory
+
+
+def _bound_drift_systems():
+    """Systems whose drift takes each path of ``_Stacked.bind``: matrix forms,
+    a stack-capable callable, the row path of a row-only ``A @ x`` (which is
+    wrong on an (n, n) stack) or of a list, and the one-state value wrap of a
+    scalar."""
+    rng = np.random.default_rng(11)
+    A = -np.eye(3) + 0.3 * rng.normal(size=(3, 3))
+    B, d = 0.2 * rng.normal(size=(3, 3)), rng.normal(size=3)
+    G3 = rng.normal(size=(3, 3))  # dense, m = 3
+    smib = catalog_build("smib", {"M": 1.0, "D": 1.0, "b": 1.0, "V": 1.0, "P_m": 0.2})
+    out = {
+        "ct/form": CtSystem(_Affine(A.T, B, d), lambda x: x[..., :2], G3),
+        "ct/smib": smib,
+        "ct/static_feedback": static_feedback(smib, np.tanh),
+        "dt/form": DtSystem(_Affine(0.5 * A.T, B, d), lambda x: x[..., :2], G3),
+        "dt/dt_gradient": catalog_build("dt_gradient", {"mu": [1.0, 2.0], "c": 0.5,
+                                                        "alpha": 0.5}),
+    }
+    for cls, scale in ((CtSystem, 1.0), (DtSystem, 0.5)):
+        kind = "dt" if cls is DtSystem else "ct"
+        out[f"{kind}/row_only"] = cls(lambda x, M=scale * A: M @ x, lambda x: x[:1], G3)
+        out[f"{kind}/list"] = cls(lambda x, M=scale * A: list(M @ x), lambda x: x[:1], G3)
+        out[f"{kind}/scalar"] = cls(lambda x, s=scale: -s * x[0] + s * np.sin(x[0]) ** 2,
+                                    lambda x: x, [[1.0]])
+    return out
+
+
+BOUND_DRIFT_SYSTEMS = sorted(_bound_drift_systems())
+
+
+def _reference_run(sys, x0, u_at, steps, dt):
+    """The per-step reference: ``rk4_step`` on ``sys.rhs``, or ``sys.step``,
+    with a diverged row of a stack frozen.  Returns the states, the diverged
+    flags, and for one state the step at which it went non-finite."""
+    x, states = x0, [x0]
+    diverged = np.zeros(x0.shape[:-1], dtype=bool)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(steps):
+            uk = u_at(k)
+            nxt = sys.step(x, uk) if sys.discrete else numerics.rk4_step(sys.rhs, x, uk, dt)
+            bad = ~np.isfinite(nxt).all(axis=-1)
+            if x.ndim == 1 and bad:
+                return np.array(states), None, k + 1
+            diverged |= bad
+            nxt[diverged] = x[diverged]
+            x = nxt
+            states.append(x)
+    return np.stack(states, axis=-2), diverged, None
+
+
+def _run(sys, x0, u, steps, dt):
+    if sys.discrete:
+        return simulate_dt(sys, x0, u, steps=steps)
+    return simulate_ct(sys, x0, u, T=steps * dt, dt=dt)
+
+
+def _count_probes(rule):
+    """Record each width on which ``rule`` runs its probe."""
+    probes, decide = [], rule.maps_stacks
+
+    def counted(k):
+        if k not in rule._stacks and k not in rule._rows:
+            probes.append(k)
+        return decide(k)
+    rule.maps_stacks = counted
+    return probes
+
+
+@pytest.mark.parametrize("inputs", ["per_step", "constant"])
+@pytest.mark.parametrize("lead", [(), (3,)], ids=["one", "stack"])
+@pytest.mark.parametrize("name", BOUND_DRIFT_SYSTEMS)
+def test_bound_drift_matches_the_per_step_reference(name, lead, inputs):
+    sys = _bound_drift_systems()[name]
+    probes = _count_probes(sys._f)
+    rng = np.random.default_rng(5)
+    steps, dt = 30, 0.02
+    x0 = rng.uniform(-0.5, 0.5, size=lead + (sys.n,))
+    U = rng.normal(size=lead + (steps, sys.m))
+    u = U if inputs == "per_step" else U[..., 0, :]
+    traj = _run(sys, x0, u, steps, dt)
+    assert len(probes) <= 1
+    states, diverged, _ = _reference_run(
+        sys, x0, (lambda k: U[..., k, :]) if inputs == "per_step" else (lambda k: u), steps, dt)
+    np.testing.assert_array_equal(traj.states, states)
+    if lead:
+        np.testing.assert_array_equal(traj.diverged, diverged)
+    else:
+        assert traj.diverged is None
+
+
+@pytest.mark.parametrize("discrete", [False, True], ids=["ct", "dt"])
+@pytest.mark.parametrize("stack_capable", [True, False], ids=["stacks", "rows"])
+def test_bound_drift_freezes_and_raises_at_the_reference_step(discrete, stack_capable):
+    # xdot = -x + x^2 escapes from 1.5 in finite time; x+ = x^2 overflows from 2
+    ct = (lambda x: -x + x**2) if stack_capable else (lambda x: np.array([-x[0] + x[0]**2]))
+    dt_f = (lambda x: x**2) if stack_capable else (lambda x: np.array([x[0] ** 2]))
+    sys = DtSystem(dt_f, lambda x: x, [[1.0]]) if discrete else CtSystem(ct, lambda x: x, [[1.0]])
+    X0 = np.array([[0.5], [2.0 if discrete else 1.5], [-0.5]])
+    steps, dt = (20, 1.0) if discrete else (500, 1e-2)
+    zero = np.zeros(1)
+    traj = _run(sys, X0, None, steps, dt)
+    states, diverged, _ = _reference_run(sys, X0, lambda k: zero, steps, dt)
+    np.testing.assert_array_equal(diverged, [False, True, False])
+    np.testing.assert_array_equal(traj.diverged, diverged)
+    np.testing.assert_array_equal(traj.states, states)
+    _, _, step = _reference_run(sys, X0[1], lambda k: zero, steps, dt)
+    assert step is not None
+    with pytest.raises(NonFiniteError, match=f"at step {step}$"):
+        _run(sys, X0[1], None, steps, dt)

@@ -557,6 +557,40 @@ def test_row_only_callables_keep_the_value_shape_on_empty_stacks():
     assert root(np.zeros((0, 2))).shape == (0, 3)
 
 
+ROW_RULES = {
+    "0/float": (0, lambda x: float(x[0] ** 2 + x[1])),
+    "0/length-1": (0, lambda x: np.array([x[0] * x[1]])),
+    "1/vector": (1, lambda x: np.array([x[1], -x[0]])),
+    "1/list": (1, lambda x: [x[1], x[0] * x[1]]),
+    "1/scalar": (1, lambda x: x[0] * x[1]),
+    "2/matrix": (2, lambda x: np.array([[0.0, 1.0], [-1.0, 0.0]]) * x[0]),
+    "2/vector": (2, lambda x: np.array([x[1], x[0]])),
+    # raises on every probe row, so only the stack's own rows give the shape
+    "1/no-probe-row": (1, lambda x: np.array([math.log(x[0] - 1.0), x[1]])),
+}
+
+
+@pytest.mark.parametrize("case", sorted(ROW_RULES))
+def test_row_path_matches_the_per_row_values(case):
+    ndim, fn = ROW_RULES[case]
+    rule = systems._Stacked(fn, ndim)
+    assert not rule.maps_stacks(2)
+    X = np.random.default_rng(2).uniform(1.5, 2.5, size=(2, 3, 2))
+    # each row as the rule reads one state: a scalar value becomes length 1
+    want = np.array([[rule(x) for x in rows] for rows in X])
+    got = rule(X)
+    assert got.shape == (2, 3) + want.shape[2:]
+    np.testing.assert_array_equal(got, want)
+    np.testing.assert_array_equal(rule(X[0]), want[0])
+
+
+def test_row_path_rejects_ragged_values():
+    rule = systems._Stacked(lambda x: np.ones(1 + int(x[0] > 0.0)))
+    assert not rule.maps_stacks(2)
+    with pytest.raises(ValueError):
+        rule(np.array([[-1.0, 0.0], [1.0, 0.0]]))
+
+
 @pytest.mark.parametrize("validator", ["storage", "system", "sector"])
 def test_validators_need_at_least_one_sample(validator):
     # with no samples every sampled check would hold vacuously
