@@ -231,8 +231,8 @@ def _verify_eid(sys, w: SupplyRate, storage, pairs, W, ell, mode,
                 tol_a, tol_b, tol_c, seed) -> EidCertificate:
     """Conditions (a)-(c) on every pair, for either time domain, read from
     the pairs' dissipation stack and scales.  The min-norm ell of every pair
-    is one product by W's pseudo-inverse: from the ``eigh`` that forms the
-    canonical W (:func:`numerics.psd_sqrt_pinv`), or ``pinv`` of a given W."""
+    is one product by W's pseudo-inverse, from the solve that forms the canonical W
+    (:func:`numerics.psd_sqrt_pinv`, in closed form at m <= 2) or ``pinv`` of a given W."""
     if mode not in ("equality", "inequality"):
         raise ValueError(f"unknown mode {mode!r}")
     X, Xbar = _stack_pairs(pairs, sys.n)
@@ -340,11 +340,11 @@ def supply_margin(sys, w0: SupplyRate, w1: SupplyRate, storage, pairs):
     plus slack, is concave.  A bracket lo (phi >= 0) < hi (phi < 0) on the
     2⁻³⁰ grid starts at [0, 1]; 2⁻³⁰ is tried first, where an exact
     certificate ends, then the root of the binding pair's tangent at hi (one
-    ``eigh`` of its D), which concavity puts at or above the answer, floored
-    to the grid and clipped inside the bracket.  A slope that is not
-    negative, and any step after 30 tangent steps, takes the grid midpoint:
-    at most 63 :func:`numerics.stack_eigvalsh` solves of the stack (closed
-    form at m = 1), 3 at an exact certificate and typically 5 to 9, where a
+    :func:`numerics.sym_eigh` of its D), which concavity puts at or above the
+    answer, floored to the grid and clipped inside the bracket.  A slope that
+    is not negative, and any step after 30 tangent steps, takes the grid
+    midpoint: at most 63 :func:`numerics.stack_eigvalsh` solves of the stack
+    (closed form at m = 1), 3 at an exact certificate and typically 5 to 9, where a
     30-step bisection takes 33.  ``storage`` is as for :func:`factor_dissipation`.
     """
     (_, D0, s0), (_, D1, s1) = _dissipation_stacks(sys, storage, *_stack_pairs(pairs, sys.n),
@@ -364,7 +364,7 @@ def supply_margin(sys, w0: SupplyRate, w1: SupplyRate, storage, pairs):
         if hi - lo <= q:
             return float(lo), int(np.argmin(at))
         k = int(np.argmin(at))
-        v = np.linalg.eigh(D0[k] + hi * dD[k])[1][:, 0]
+        v = numerics.sym_eigh(D0[k] + hi * dD[k])[1][:, 0]
         slope = v @ dD[k] @ v  # of λ_min(D_k) at hi; NaN fails the test below
         # tangents from above converge at least as fast as bisection unless
         # phi is flat at its root, where the budget of 30 bounds the search

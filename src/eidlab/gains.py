@@ -21,8 +21,7 @@ from .sim import simulate_ct, simulate_dt
 
 __all__ = [
     "GainBound", "FeasibleRegion", "gamma_completion", "ifp_osp_gain",
-    "dt_gradient_gain", "ahu_gain", "empirical_gain",
-    "gaussian_disturbances", "sinusoid_disturbances", "power_iterate_disturbance",
+    "dt_gradient_gain", "ahu_gain", "empirical_gain", "gaussian_disturbances",
 ]
 
 
@@ -165,19 +164,6 @@ def gaussian_disturbances(count: int, m: int, steps: int, seed: int = 0,
     return list(sig)
 
 
-def sinusoid_disturbances(count: int, m: int, steps: int, dt: float = 1.0,
-                          seed: int = 0, scale: float = 1.0):
-    """Random sinusoids, active on the first 60% of the horizon as for
-    :func:`gaussian_disturbances`."""
-    active = max(1, int(0.6 * steps))
-    freq, phase = np.random.default_rng(seed).uniform(
-        [[0.05], [0.0]], [[2.0], [2.0 * np.pi]], size=(count, 2, m)).transpose(1, 0, 2)
-    t = np.arange(active) * dt
-    sig = np.zeros((count, steps, m))
-    sig[:, :active] = scale * np.sin(t[:, None] * freq[:, None] + phase[:, None])
-    return list(sig)
-
-
 def empirical_gain(sys, xbar, disturbances, horizon: Optional[float] = None,
                    dt: float = 1e-3) -> dict:
     """Empirical L2 (ell2) gain from an equilibrium: max over the disturbance
@@ -224,29 +210,3 @@ def empirical_gain(sys, xbar, disturbances, horizon: Optional[float] = None,
     if not np.isfinite(best):
         raise NonFiniteError("trajectory norms became non-finite")
     return {"gain": best, "truncated": truncated, "n_signals": len(disturbances)}
-
-
-def power_iterate_disturbance(sys, xbar, v0, rounds: int = 5, dt: float = 1e-3):
-    """Refine a disturbance toward the worst case by output alignment.
-
-    Re-scales the (time-reversed) output deviation into the next input; an
-    adjoint-free heuristic that tightens the empirical lower bound.
-    """
-    xbar = np.atleast_1d(np.asarray(xbar, dtype=float))
-    ybar = sys.h(xbar)
-    v = np.atleast_2d(np.asarray(v0, dtype=float)).copy()
-    energy = float(np.sum(v**2))
-    if energy <= 0:
-        raise ValueError("seed disturbance must have positive energy")
-    for _ in range(rounds):
-        traj = (simulate_dt(sys, xbar, v, steps=len(v)) if sys.discrete
-                else simulate_ct(sys, xbar, v, T=len(v) * dt, dt=dt))
-        dy = traj.outputs[:-1] - ybar
-        if dy.shape[1] != v.shape[1]:
-            break  # non-square channel; keep the current iterate
-        cand = dy[::-1]
-        norm = np.linalg.norm(cand)
-        if norm <= 1e-14:
-            break
-        v = cand * np.sqrt(energy) / norm
-    return v

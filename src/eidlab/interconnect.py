@@ -12,6 +12,7 @@ interconnection of two monotone relations.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -185,7 +186,8 @@ def kappa_search(w1: SupplyRate, w2: SupplyRate,
         raise ValueError(f"grid must be >= 3 to narrow, got {grid}")
     q0, q1 = _q_cl_parts(w1, w2)
     for _ in range(11):  # the log grid, then ten narrowed grids
-        kappas = np.geomspace(lo, hi, grid)
+        kappas = np.exp(np.linspace(math.log(lo), math.log(hi), grid))
+        kappas[[0, -1]] = lo, hi  # the ends exactly: exp(log x) may miss x by an ulp
         lams = numerics.stack_eigvalsh(q0 + kappas[:, None, None] * q1)[:, -1]
         best = int(np.argmin(lams))
         lo, hi = kappas[max(best - 1, 0)], kappas[min(best + 1, grid - 1)]

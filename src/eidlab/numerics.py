@@ -6,6 +6,7 @@ in this package have at most a few dozen states).  All functions are pure.
 
 from __future__ import annotations
 
+import math
 from enum import Enum
 
 import numpy as np
@@ -21,6 +22,7 @@ from .errors import (
 
 DEFAULT_PSD_TOL = 1e-8
 SYMMETRY_RTOL = 1e-12
+_SCALAR_SHAPES = ((1, 1), (2, 2))  # solved by sym_eigh without LAPACK
 
 
 def require_finite(a, what: str = "array") -> np.ndarray:
@@ -31,6 +33,13 @@ def require_finite(a, what: str = "array") -> np.ndarray:
     return a
 
 
+def _require_symmetric(asym, scale) -> None:
+    """NonSymmetricError if the asymmetry exceeds SYMMETRY_RTOL times the scale."""
+    if asym > SYMMETRY_RTOL * scale:
+        raise NonSymmetricError(
+            f"matrix asymmetry {asym:.3e} exceeds {SYMMETRY_RTOL:.1e} * {scale:.3e}")
+
+
 def symmetrize(A) -> np.ndarray:
     """Check A is symmetric to within SYMMETRY_RTOL (relative) and return
     (A+Aᵀ)/2."""
@@ -38,21 +47,51 @@ def symmetrize(A) -> np.ndarray:
     if A.ndim != 2 or A.shape[0] != A.shape[1]:
         raise NonSymmetricError(f"expected a square matrix, got shape {A.shape}")
     # Frobenius norms, as np.linalg.norm gives them, without its wrapper's cost
-    scale = max(np.sqrt(np.vdot(A, A)), 1.0)
-    asym = np.sqrt(np.vdot(A - A.T, A - A.T))
-    if asym > SYMMETRY_RTOL * scale:
-        raise NonSymmetricError(
-            f"matrix asymmetry {asym:.3e} exceeds {SYMMETRY_RTOL:.1e} * {scale:.3e}")
+    _require_symmetric(np.sqrt(np.vdot(A - A.T, A - A.T)), max(np.sqrt(np.vdot(A, A)), 1.0))
     return 0.5 * (A + A.T)
 
 
+def _scalar_eigh(A: np.ndarray) -> tuple:
+    """Ascending eigenvalues, and the unit eigenvector (cs, sn) of the largest, as
+    Python floats, of a matrix of order 1 or 2 after :func:`symmetrize`'s checks made on
+    its entries; at order 2, DLAEV2's roots (as :func:`stack_eigvalsh`) and its vector."""
+    entries = A.ravel().tolist()
+    if not all(map(math.isfinite, entries)):
+        raise NonFiniteError("matrix contains NaN or Inf entries")
+    if len(entries) == 1:
+        return entries, 1.0, 0.0
+    a, b, b2, c = entries
+    _require_symmetric(math.hypot(b - b2, b2 - b), max(math.hypot(*entries), 1.0))
+    b = 0.5 * (b + b2)
+    sm, df = a + c, a - c
+    rt = math.hypot(df, 2.0 * b)
+    rt1 = 0.5 * (sm + (rt if sm >= 0 else -rt))  # the root of larger modulus
+    big, small = (a, c) if abs(a) > abs(c) else (c, a)
+    # the other with relative accuracy; rt1 is 0 only at the zero matrix
+    rt2 = (big / rt1) * small - (b / rt1) * b if rt1 else 0.0
+    # the larger's eigenvector (hi - c, b) ~ (b, hi - a) in its form free of
+    # cancellation, 2 (hi - c) = df + rt or 2 (hi - a) = rt - df; (1, 0) at a tie
+    x, y = (df + rt or 1.0, 2.0 * b) if df >= 0 else (2.0 * b, rt - df)
+    n = math.hypot(x, y)
+    return [min(rt1, rt2), max(rt1, rt2)], x / n, y / n
+
+
+def sym_eigh(A) -> tuple:
+    """Ascending eigenvalues and orthonormal eigenvectors (the columns) of one
+    symmetric matrix, with :func:`symmetrize`'s checks: in closed form on
+    Python floats at orders 1-2 (:func:`_scalar_eigh`), where ``np.linalg.eigh``
+    spends 7-8 µs in call overhead, and ``eigh`` from order 3 on."""
+    A = np.asarray(A, dtype=float)
+    if A.shape not in _SCALAR_SHAPES:
+        return np.linalg.eigh(symmetrize(A))
+    lam, cs, sn = _scalar_eigh(A)
+    return np.array(lam), np.array([[-sn, cs], [cs, sn]] if len(lam) == 2 else [[cs]])
+
+
 def sym_eigen(A) -> np.ndarray:
-    """Ascending eigenvalues of a symmetric matrix not yet checked, or
-    NonSymmetricError if its relative asymmetry exceeds SYMMETRY_RTOL.  A
-    checked matrix goes to ``np.linalg.eigh`` directly, as single matrices do
-    throughout; stacks go to :func:`stack_eigvalsh`, whose values can differ
-    in the last bits, and so does a Q_cl that a kappa search ranked."""
-    return np.linalg.eigh(symmetrize(A)).eigenvalues
+    """The ascending eigenvalues of :func:`sym_eigh`.  Stacks go to
+    :func:`stack_eigvalsh`, and so does a Q_cl that a kappa search ranked."""
+    return sym_eigh(A)[0]
 
 
 def stack_eigvalsh(A) -> np.ndarray:
@@ -115,26 +154,40 @@ def psd_sqrt(A, tol: float = DEFAULT_PSD_TOL) -> np.ndarray:
     return psd_sqrt_pinv(A, tol)[0]
 
 
+def _spectral(d, c, s) -> np.ndarray:
+    """The matrix of order len(d) with eigenvalues d on :func:`_scalar_eigh`'s eigenvectors."""
+    if len(d) == 1:
+        return np.array([d])
+    off = (d[1] - d[0]) * c * s
+    return np.array([[d[0] * s * s + d[1] * c * c, off], [off, d[0] * c * c + d[1] * s * s]])
+
+
 def psd_sqrt_pinv(A, tol: float) -> tuple:
-    """:func:`psd_sqrt` of A and its pseudo-inverse, from the same ``eigh``:
-    roots at most eps·k·√λ_max are dropped, as ``lstsq(rcond=None)`` drops them."""
-    lam, V = np.linalg.eigh(symmetrize(A))
+    """:func:`psd_sqrt` of A and its pseudo-inverse, from one eigen-solve as in
+    :func:`sym_eigh` (both formed from its Python floats at orders 1-2): roots at
+    most eps·k·√λ_max are dropped, as ``lstsq(rcond=None)`` drops them."""
+    A = np.asarray(A, dtype=float)
+    if A.shape in _SCALAR_SHAPES:
+        lam, cs, sn = _scalar_eigh(A)
+        form = lambda d: _spectral(d, cs, sn)
+    else:
+        lam, V = np.linalg.eigh(symmetrize(A))
+        form = lambda d: (V * d) @ V.T
     if lam[0] < -tol:
         raise RhatNotPsdError(f"matrix has eigenvalue {lam[0]:.3e} < 0")
-    root = np.sqrt(np.clip(lam, 0.0, None))
-    inv = np.divide(1.0, root, out=np.zeros_like(root),
-                    where=root > np.finfo(float).eps * len(root) * root[-1])
-    return (V * root) @ V.T, (V * inv) @ V.T
+    root = [math.sqrt(max(x, 0.0)) for x in lam]
+    cut = math.ulp(1.0) * len(root) * root[-1]
+    return form(root), form([1.0 / r if r > cut else 0.0 for r in root])
 
 
 def psd_storage(P) -> np.ndarray:
     """A discrete-time storage matrix P, symmetrised; RhatNotPsdError unless
     it is positive semidefinite to within 1e-10.  Every use of a P checks it
     here: certificates, margins and trajectory audits."""
-    P = symmetrize(np.atleast_2d(np.asarray(P, dtype=float)))
-    if np.linalg.eigh(P).eigenvalues[0] < -1e-10:
+    P = np.atleast_2d(np.asarray(P, dtype=float))
+    if sym_eigen(P)[0] < -1e-10:
         raise RhatNotPsdError("P must be positive semidefinite")
-    return P
+    return 0.5 * (P + P.T)
 
 
 def fd_jacobian(F, x) -> np.ndarray:

@@ -565,7 +565,7 @@ def test_stacked_kernel_matches_per_pair_reference(case, mode):
     a_ref, b_ref, sigma_ref = _reference_residuals(sys, w, storage, pairs, cert.W, ell, mode)
     X, Xbar = certify._stack_pairs(pairs, sys.n)
     rhat_eff, D, sigma = certify._dissipation_stacks(sys, storage, X, Xbar, w)[0]
-    # the canonical W and the pseudo-inverse that verification takes from its eigh
+    # the canonical W and the pseudo-inverse that verification takes from one solve
     W, W_pinv = numerics.psd_sqrt_pinv(rhat_eff, np.inf)
     np.testing.assert_array_equal(W, cert.W)
     a_viol, b_res = certify._residuals(sys, D, X, Xbar, W, W_pinv, ell, mode)
@@ -875,14 +875,47 @@ def test_supply_margin_safeguard_bounds_the_search(monkeypatch, scale, solves):
     # a NaN slope takes the grid midpoint at every step, as the bisection
     # did; a slope 1e12 times too steep makes each tangent step one grid
     # step until the budget of 30 runs out, and the midpoints finish: the
-    # worst case, 63 solves, with the same answer
+    # worst case, 63 solves, with the same answer; injected where the
+    # tangent reads its eigenvector
     case = _margin_case("gradient_ff:0.2", 0)
     expected = _bisection_margin(*case)
-    eigh = np.linalg.eigh
-    monkeypatch.setattr(np.linalg, "eigh", lambda A: (eigh(A)[0], scale * eigh(A)[1]))
+    eigh = numerics.sym_eigh
+    monkeypatch.setattr(numerics, "sym_eigh", lambda A: (eigh(A)[0], scale * eigh(A)[1]))
     calls = _count_stack_eigen_solves(monkeypatch, len(case[4]))
     assert supply_margin(*case) == expected
     assert len(calls) == solves
+
+
+def test_small_verdicts_and_margins_need_no_lapack_eigh(monkeypatch):
+    # W and W⁺ of an m <= 2 verdict, a 2 x 2 discrete-time P and an m = 1
+    # margin's tangent come from numerics' closed form: with eigh made to
+    # raise they complete, with the answers they give without the patch
+    ph = catalog_build("port_hamiltonian", PH_PARAMS)
+    dti = catalog_build("dt_integrator", {"alpha": 0.5, "n": 2})
+    so, w0, w1, storage, pairs = _margin_case("second_order:1.0", 0)
+    ifp = SupplyRate(np.zeros((2, 2)), 0.5 * np.eye(2), 0.5 * np.eye(2), warn_definite=False)
+    box = lambda n: (-np.ones(n), np.ones(n))
+    ph_pairs, dti_pairs = sample_pairs(ph, box(4), count=50, seed=1), sample_pairs(dti, box(2),
+                                                                                   count=50, seed=1)
+    runs = {
+        "ct, m = 1": lambda: verify_eid_ct(so, w0, storage, pairs),
+        "ct, m = 2": lambda: verify_eid_ct(ph, SupplyRate.output_strict(0.1, 2), ph.storage,
+                                           ph_pairs),
+        "dt, 2 x 2 P": lambda: verify_eid_dt(dti, ifp, dti.meta["P"], dti_pairs),
+    }
+    expected = {name: run() for name, run in runs.items()}
+    margin = supply_margin(so, SupplyRate.output_strict(0.5, 1), w1, storage, pairs)
+    assert margin[0] not in (None, 1.0)  # a search, with tangent steps
+
+    def no_eigh(*args, **kwargs):
+        raise AssertionError("np.linalg.eigh called")
+
+    monkeypatch.setattr(np.linalg, "eigh", no_eigh)
+    for name, run in runs.items():
+        cert = run()
+        assert cert.passed == expected[name].passed and cert.passed, name
+        np.testing.assert_array_equal(cert.W, expected[name].W)
+    assert supply_margin(so, SupplyRate.output_strict(0.5, 1), w1, storage, pairs) == margin
 
 
 # ---------------------------------------------------------------------------

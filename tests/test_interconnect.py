@@ -222,9 +222,10 @@ def test_kappa_search_matches_dense_reference_grid():
 
 
 def test_kappa_search_builds_only_the_grids_it_ranks(monkeypatch):
-    # a twelfth grid used to be built after the last ranking
-    built, geomspace = [], np.geomspace
-    monkeypatch.setattr(np, "geomspace", lambda *a: built.append(a) or geomspace(*a))
+    # a twelfth grid used to be built after the last ranking; each grid is
+    # one linspace of log kappa
+    built, linspace = [], np.linspace
+    monkeypatch.setattr(np, "linspace", lambda *a: built.append(a) or linspace(*a))
     w = SupplyRate.output_strict(1.0, 1)
     kappa_search(w, w)
     assert len(built) == 11

@@ -165,6 +165,131 @@ def test_stacked_eigenvalues_go_through_the_kernel():
                 found.append(f"{path.name}:{node.lineno}")
     assert kernel and not found, f"eigvalsh outside numerics.stack_eigvalsh: {found}"
 
+# ---------------------------------------------------------------------------
+# the single-matrix kernel: closed form at orders 1-2, eigh from order 3
+
+
+_EPS = np.finfo(float).eps
+_SCALES = [1e-150, 1e-50, 1e-8, 1.0, 1e8, 1e50, 1e150]
+
+
+def _small_matrices(k, seed, count=400):
+    """Symmetric k x k matrices: indefinite, PSD, near rank 1 and diagonal."""
+    rng = np.random.default_rng(seed)
+    for i in range(count):
+        B = rng.normal(size=(k, k))
+        v = rng.normal(size=k)
+        yield (B + B.T, B @ B.T, np.outer(v, v) + 1e-9 * B @ B.T, np.diag(v))[i % 4]
+
+
+@pytest.mark.parametrize("scale", _SCALES)
+@pytest.mark.parametrize("k", [1, 2])
+def test_sym_eigh_matches_lapack(k, scale):
+    # eigenvalues, orthonormality and the reconstruction within a few ulps of |A|
+    for A in _small_matrices(k, seed=k):
+        A = scale * A
+        lam, V = numerics.sym_eigh(A)
+        ref = np.linalg.eigh(A).eigenvalues
+        norm = np.linalg.norm(A)
+        assert lam.shape == (k,) and V.shape == (k, k) and lam[0] <= lam[-1]
+        assert np.abs(lam - ref).max() <= 4 * _EPS * norm
+        assert np.abs(V.T @ V - np.eye(k)).max() <= 4 * _EPS
+        assert np.abs((V * lam) @ V.T - A).max() <= 4 * _EPS * norm
+
+
+@pytest.mark.parametrize("scale", _SCALES)
+@pytest.mark.parametrize("k", [1, 2])
+def test_psd_sqrt_pinv_matches_lapack(k, scale):
+    # the root of a PSD matrix to 1e-13 relative where eigh's least eigenvalue
+    # is not rounding noise (on a near rank-1 matrix its root is ~1e-8 |W|
+    # off), and the pseudo-inverse where it is well conditioned; W² = A holds
+    # within a few ulps of |A| everywhere
+    for A in _small_matrices(k, seed=10 + k):
+        A = scale * (A @ A.T)
+        W, W_pinv = numerics.psd_sqrt_pinv(A, np.inf)
+        lam, V = np.linalg.eigh(A)
+        root = np.sqrt(np.clip(lam, 0.0, None))
+        assert np.array_equal(W, W.T) and np.array_equal(W_pinv, W_pinv.T)
+        assert np.abs(W @ W - A).max() <= 8 * _EPS * np.linalg.norm(A)
+        if lam[0] >= 1e-4 * lam[-1]:
+            assert np.abs(W - (V * root) @ V.T).max() <= 1e-13 * root[-1]
+        if lam[0] >= 1e-2 * lam[-1]:
+            assert np.abs(W_pinv - (V / root) @ V.T).max() <= 1e-13 / root[0]
+
+
+def test_small_kernel_exact_cases():
+    eigh, sqrt_pinv = numerics.sym_eigh, lambda A: numerics.psd_sqrt_pinv(A, 1e-10)
+    for k in (1, 2):
+        lam, V = eigh(np.zeros((k, k)))
+        assert np.array_equal(lam, np.zeros(k)) and np.array_equal(V.T @ V, np.eye(k))
+        for M in sqrt_pinv(np.zeros((k, k))):
+            assert np.array_equal(M, np.zeros((k, k)))
+        # a tie on the diagonal, and an eigenvalue in [-tol, 0] clipped to 0
+        assert np.array_equal(eigh(-3.0 * np.eye(k))[0], [-3.0] * k)
+        W, W_pinv = sqrt_pinv(4.0 * np.eye(k))
+        assert np.array_equal(W, 2.0 * np.eye(k)) and np.array_equal(W_pinv, 0.5 * np.eye(k))
+        W, W_pinv = sqrt_pinv(np.diag([-1e-12, 4.0][:k]))
+        assert np.array_equal(W, np.diag([0.0, 2.0][:k]))
+        assert np.array_equal(W_pinv, np.diag([0.0, 0.5][:k]))
+        # beyond tol: the value in the message, as on the eigh path
+        with pytest.raises(RhatNotPsdError, match=r"-5\.000e-01"):
+            sqrt_pinv(np.diag([-0.5, 4.0][:k]))
+    # the smaller eigenvalue keeps relative accuracy, in either slot
+    for d in ([1.0, 1e-16], [1e-16, 1.0]):
+        assert np.array_equal(eigh(np.diag(d))[0], [1e-16, 1.0])
+    # distinct diagonal entries in either order
+    for d in ([1.0, 4.0], [4.0, 1.0]):
+        W, W_pinv = sqrt_pinv(np.diag(d))
+        assert np.array_equal(W, np.diag(np.sqrt(d)))
+        assert np.array_equal(W_pinv, np.diag(1 / np.sqrt(d)))
+    # rank 1: the zero eigenvalue exactly, and its root dropped from both
+    A = np.array([[3.0, 3.0], [3.0, 3.0]])
+    assert np.array_equal(eigh(A)[0], [0.0, 6.0])
+    for M in sqrt_pinv(A):
+        assert np.array_equal(M @ [1.0, -1.0], [0.0, 0.0])
+    W, W_pinv = sqrt_pinv(A)
+    np.testing.assert_allclose(W, A / np.sqrt(6.0), rtol=2 * _EPS)
+    np.testing.assert_allclose(W_pinv, A / 6.0 ** 1.5, rtol=2 * _EPS)
+
+
+@pytest.mark.parametrize("scale", [1e-150, 1.0, 1e150])
+def test_small_kernel_raises_at_the_eigh_path_thresholds(scale):
+    # the same errors as symmetrize and the order-3 path, at the same
+    # asymmetry and eigenvalue thresholds, on either side of each
+    k3 = lambda A: np.block([[A, np.zeros((2, 1))], [np.zeros((1, 2)), np.ones((1, 1))]])
+    for bad in (np.nan, np.inf, -np.inf):
+        for i, j in ((0, 0), (0, 1), (1, 0), (1, 1)):
+            A = scale * np.eye(2)
+            A[i, j] = bad
+            for call in (numerics.sym_eigh, numerics.sym_eigen, numerics.psd_storage,
+                         lambda M: numerics.psd_sqrt_pinv(M, np.inf)):
+                with pytest.raises(NonFiniteError):
+                    call(A)
+        with pytest.raises(NonFiniteError):
+            numerics.sym_eigh(np.array([[bad]]))
+    base = scale * np.array([[2.0, 1.0], [1.0, 3.0]])
+    threshold = numerics.SYMMETRY_RTOL * max(np.linalg.norm(base), 1.0) / np.sqrt(2.0)
+    for factor in (0.5, 0.9, 1.1, 2.0):
+        A = base + [[0.0, 0.0], [factor * threshold, 0.0]]
+        raised = []
+        for call in (numerics.symmetrize, numerics.sym_eigh, lambda M: numerics.sym_eigh(k3(M))):
+            try:
+                call(A)
+                raised.append(False)
+            except NonSymmetricError:
+                raised.append(True)
+        assert raised == [factor > 1.0] * 3, factor
+    tol = 1e-3 * scale
+    for factor in (0.9, 1.1):
+        A = scale * np.diag([-factor * 1e-3, 1.0])
+        for M in (A, k3(A)):
+            if factor > 1.0:
+                with pytest.raises(RhatNotPsdError):
+                    numerics.psd_sqrt_pinv(M, tol)
+            else:
+                assert numerics.psd_sqrt_pinv(M, tol)[0][0, 0] == 0.0
+
+
 def _form_oracle(A, tol=1e-8, trials=2000, seed=0):
     """Sign classification of x'Ax by dense sampling plus eigen-direction
     probes; independent of psd_check's implementation."""

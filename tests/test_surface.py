@@ -19,9 +19,6 @@ ROOT = Path(__file__).resolve().parents[1]
 ALLOWED = {
     # the definiteness check takes a caller's tolerance by specification
     ("psd_check", "tol"),
-    # its continuous-time step must match the empirical_gain(dt=) that the
-    # caller measures the refined signal with
-    ("power_iterate_disturbance", "dt"),
 }
 
 
