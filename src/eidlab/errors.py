@@ -52,7 +52,7 @@ class NonzeroFeedthroughError(EidLabError):
 class RhatNotPsdError(EidLabError):
     """A matrix required to be PSD has a negative eigenvalue: the effective
     feedthrough-matched matrix (so no constant factor W exists), a storage
-    matrix P, or the argument of a PSD square root."""
+    matrix P, a model's R or K, or the argument of a PSD square root."""
 
 
 class DomainError(EidLabError):

@@ -80,13 +80,11 @@ def ahu_gain(M, A, K) -> GainBound:
     alpha = 2 gamma^2 lambda_min.
     """
     M, A, K = (np.atleast_2d(np.asarray(B, dtype=float)) for B in (M, A, K))
-    K = numerics.symmetrize(K)
+    K = numerics.require_psd(K, "K")
     if np.any(M - np.diag(np.diagonal(M)) != 0.0) or np.any(np.diagonal(M) <= 0):
         raise DomainError("M must be diagonal with positive entries")
     if np.linalg.matrix_rank(A) < A.shape[0]:
         raise RankDeficientError("A must have full row rank")
-    if np.linalg.eigh(K).eigenvalues[0] < -1e-10:
-        raise DomainError("K must be PSD")
     lam_min = numerics.sym_eigen(M + A.T @ K @ A)[0]
     if lam_min <= 0:
         raise DomainError("M + AᵀKA must be positive definite")

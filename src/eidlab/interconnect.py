@@ -74,6 +74,7 @@ def compose_closed_loop(loop: FeedbackLoop):
     (I - Jd E) y = h + Jd v is inverted once.  When both parts carry
     ``f_jac`` and ``h_jac``, the loop's ``f_jac`` is blockdiag(J_f) +
     B E (I - Jd E)⁻¹ blockdiag(J_h), one matrix per row; else it has none.
+    These call only the parts' stack rules, so they map stacks unprobed.
     """
     s1, s2 = loop.sys1, loop.sys2
     n1, n2, p1, p2 = s1.n, s2.n, s1.p, s2.p
@@ -99,8 +100,9 @@ def compose_closed_loop(loop: FeedbackLoop):
     analytic = all(s.f_jac is not None and s.h_jac is not None for s in (s1, s2))
     G_cl = B + B @ E @ Linv @ Jd
     J_cl = Linv @ Jd
-    cls = DtSystem if s1.discrete else CtSystem
-    return cls(f_cl, h_cl, G_cl, J=J_cl, f_jac=f_jac if analytic else None,
+    cls, n = DtSystem if s1.discrete else CtSystem, (n1 + n2,)
+    return cls(_Stacked(f_cl, 1, n), _Stacked(h_cl, 1, n), G_cl, J=J_cl,
+               f_jac=_Stacked(f_jac, 2, n) if analytic else None,
                name=f"loop({s1.name},{s2.name})",
                meta={"family": "feedback_loop", "n1": n1, "n2": n2})
 
@@ -109,7 +111,8 @@ def static_feedback(sys, psi):
     """Close a system against a memoryless map in negative feedback,
     u = v - psi(y), the convention of the absolute-stability setup.
     Requires J = 0 so the loop is trivially well posed.  The result has no
-    ``f_jac``: J_f - G Dpsi(h) J_h would need the slope of psi.
+    ``f_jac``: J_f - G Dpsi(h) J_h would need the slope of psi.  Its h is the
+    part's stack rule; its f calls psi, a user callable, so it is probed.
     """
     if not np.all(sys.J == 0.0):
         raise NonzeroFeedthroughError("static feedback requires J = 0")
@@ -117,7 +120,7 @@ def static_feedback(sys, psi):
         raise NonSquareError("static feedback requires a square system")
     f_cl = lambda x: sys.f(x) - psi(sys.h(x)) @ sys.G.T
     cls = DtSystem if sys.discrete else CtSystem
-    return cls(f_cl, sys.h, sys.G, name=f"{sys.name}+static",
+    return cls(f_cl, sys._h, sys.G, name=f"{sys.name}+static",
                storage=sys.storage, meta=dict(sys.meta))
 
 
@@ -204,6 +207,7 @@ def loop_transform(sys: CtSystem, bounds: SectorBounds) -> CtSystem:
     nonlinearity in the incremental sector [K1, K2] maps, after the same
     transformation, into the incremental sector [0, I] seen by this system.
     With ``f_jac`` and ``h_jac`` on ``sys``, its ``f_jac`` is J_f - G K1 J_h.
+    These call only the stack rules of ``sys``, so they map stacks unprobed.
     """
     if sys.discrete:
         raise DimensionMismatchError("loop_transform applies to continuous-time systems")
@@ -213,12 +217,12 @@ def loop_transform(sys: CtSystem, bounds: SectorBounds) -> CtSystem:
         raise NonzeroFeedthroughError("loop transformation requires J = 0")
     if bounds.m != sys.m:
         raise DimensionMismatchError("sector dimension does not match the system")
-    GK1 = sys.G @ bounds.K1
-    K = bounds.K
-    f_t = lambda x: sys.f(x) - sys.h(x) @ GK1.T
-    h_t = lambda x: sys.h(x) @ K.T
+    GK1, K = sys.G @ bounds.K1, bounds.K
+    n = (sys.n,)  # the width the rules below map stacks of
+    f_t = _Stacked(lambda x: sys.f(x) - sys.h(x) @ GK1.T, 1, n)
+    h_t = _Stacked(lambda x: sys.h(x) @ K.T, 1, n)
     analytic = sys.f_jac is not None and sys.h_jac is not None
-    f_jac = (lambda x: sys.f_jac(x) - GK1 @ sys.h_jac(x)) if analytic else None
+    f_jac = _Stacked(lambda x: sys.f_jac(x) - GK1 @ sys.h_jac(x), 2, n) if analytic else None
     return CtSystem(f_t, h_t, sys.G, J=np.eye(sys.m), f_jac=f_jac,
                     name=f"{sys.name}-transformed", storage=sys.storage,
                     meta=dict(sys.meta))

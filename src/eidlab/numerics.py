@@ -180,14 +180,19 @@ def psd_sqrt_pinv(A, tol: float) -> tuple:
     return form(root), form([1.0 / r if r > cut else 0.0 for r in root])
 
 
-def psd_storage(P) -> np.ndarray:
-    """A discrete-time storage matrix P, symmetrised; RhatNotPsdError unless
-    it is positive semidefinite to within 1e-10.  Every use of a P checks it
-    here: certificates, margins and trajectory audits."""
-    P = np.atleast_2d(np.asarray(P, dtype=float))
-    if sym_eigen(P)[0] < -1e-10:
-        raise RhatNotPsdError("P must be positive semidefinite")
-    return 0.5 * (P + P.T)
+def require_psd(A, what: str) -> np.ndarray:
+    """``A`` symmetrised once, after :func:`symmetrize`'s checks; RhatNotPsdError naming
+    it ``what`` unless PSD to within 1e-10, by the least eigenvalue of :func:`_scalar_eigh`
+    at orders 1-2 (no LAPACK) or of ``eigh``.  Storage P and model R, K are checked here."""
+    A = np.atleast_2d(np.asarray(A, dtype=float))
+    if A.shape in _SCALAR_SHAPES:
+        least, A = _scalar_eigh(A)[0][0], 0.5 * (A + A.T)
+    else:
+        A = symmetrize(A)
+        least = np.linalg.eigh(A).eigenvalues[0]
+    if least < -1e-10:
+        raise RhatNotPsdError(f"{what} must be positive semidefinite")
+    return A
 
 
 def fd_jacobian(F, x) -> np.ndarray:

@@ -233,7 +233,7 @@ def audit_dissipation(traj: Trajectory, storage, supply, ubar, ybar,
     if callable(storage):
         Vs = _Stacked(storage, 0)(traj.states)
     else:
-        P = numerics.psd_storage(storage)
+        P = numerics.require_psd(storage, "P")
         D = traj.states - np.atleast_1d(np.asarray(xbar, dtype=float))
         Vs = np.einsum("ij,jk,ik->i", D, P, D)
     supplied = traj.per_step(lambda u, y: supply.evaluate(u - ubar, y - ybar))

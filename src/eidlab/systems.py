@@ -229,25 +229,22 @@ class _Stacked:
     dimensions: 0, 1 (a scalar becomes length 1) or 2.  On the row path an
     empty stack takes the value shape of a probe row; if no probe row
     evaluates, the value axes have size 0.  :meth:`bind` picks the rule
-    once for the many calls of one trajectory's RK4 stages.
+    once for the many calls of one trajectory's RK4 stages.  Widths in
+    ``stacks`` skip the probe: closures over library stack rules map them.
     """
 
-    def __init__(self, fn, ndim: int = 1):
+    def __init__(self, fn, ndim: int = 1, stacks=()):
         self.fn = fn
         self.ndim = ndim
-        self._stacks = set()  # widths on which fn maps stacks
+        self._stacks = set(stacks)  # widths on which fn maps stacks
         self._rows = {}       # the other probed widths -> shape of one value
 
     def __call__(self, x) -> np.ndarray:
         x = np.asarray(x, dtype=float)
-        if x.ndim == 2 and x.shape[1] in self._stacks:
-            # a closure's inner f and h run in every RK4 stage: a stack of a
-            # width known to map stacks goes straight to fn
-            return np.asarray(self.fn(x), dtype=float)
         if x.ndim < 2:
             return _AS_VALUE[self.ndim](np.asarray(self.fn(x), dtype=float))
         k = x.shape[-1]
-        if self.maps_stacks(k):
+        if k in self._stacks or self.maps_stacks(k):  # the set first: closures run per RK4 stage
             return np.asarray(self.fn(x), dtype=float)
         # fn at each row (ragged values raise); no rows keep a probe row's shape
         out = np.array([self.fn(r) for r in x.reshape(-1, k)], dtype=float)
@@ -310,7 +307,7 @@ class _ControlAffine:
     """Shared implementation for CT and DT control-affine systems.
 
     ``f``, ``h`` and an optional ``f_jac`` accept one state or an (N, n)
-    stack of states, each through its own stack rule (:class:`_Stacked`).
+    stack of states, each through a stack rule (:class:`_Stacked`), built or given.
     A matrix-form f (:class:`_Affine`) gives ``f_jac`` when none is passed,
     and a matrix-form h gives the read-only ``h_jac``, None for any other h.
     """
@@ -321,7 +318,7 @@ class _ControlAffine:
                  storage: Optional[StorageGenerator] = None, meta: Optional[dict] = None):
         self.G = np.atleast_2d(np.asarray(G, dtype=float))
         self.n, self.m = self.G.shape
-        self._f, self._h = _Stacked(f), _Stacked(h)
+        self._f, self._h = (r if isinstance(r, _Stacked) else _Stacked(r) for r in (f, h))
         self.p = self._h(np.zeros(self.n)).size
         if J is None:
             J = np.zeros((self.p, self.m))
@@ -334,7 +331,7 @@ class _ControlAffine:
         if sv.size < self.m or sv[self.m - 1] <= 1e-10:
             raise DimensionMismatchError("G must have full column rank")
         f_jac = f.jac if f_jac is None and isinstance(f, _Affine) else f_jac
-        self.f_jac = None if f_jac is None else _Stacked(f_jac, 2)
+        self.f_jac = f_jac if f_jac is None or isinstance(f_jac, _Stacked) else _Stacked(f_jac, 2)
         self.name, self.storage, self.meta = name, storage, dict(meta or {})
 
     @property
@@ -475,11 +472,9 @@ def _build_port_hamiltonian(params: dict):
     if any(M.shape != (n, n) for M in (Jm, Rm, P)) or c.shape != (n,) or d.shape != (n,):
         raise DimensionMismatchError(f"J, R and P must be {n} x {n} and c, d of length {n}"
                                      f" for the {n} rows of G")
-    Rm = numerics.symmetrize(Rm)
+    Rm = numerics.require_psd(Rm, "dissipation matrix R")
     if np.linalg.norm(Jm + Jm.T) > 1e-10:
         raise NonSymmetricError("interconnection matrix must be skew-symmetric")
-    if np.linalg.eigh(Rm).eigenvalues[0] < -1e-10:
-        raise ValueError("dissipation matrix must be PSD")
 
     Pt = P.T
 
@@ -539,9 +534,7 @@ def _build_ahu_saddle(params: dict):
         raise DimensionMismatchError("A, b, phi dimensions inconsistent")
     if np.linalg.matrix_rank(A) < n2:
         raise ValueError("A must have full row rank")
-    K = numerics.symmetrize(np.atleast_2d(np.asarray(params.get("K", np.zeros((n2, n2))), dtype=float)))
-    if np.linalg.eigh(K).eigenvalues[0] < -1e-10:
-        raise ValueError("K must be PSD")
+    K = numerics.require_psd(params.get("K", np.zeros((n2, n2))), "K")
 
     M_plus = np.diag(phi.mu_vec) + A.T @ K @ A
     lam_min = numerics.sym_eigen(M_plus)[0]

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from eidlab.errors import DomainError, RankDeficientError
+from eidlab.errors import DomainError, RankDeficientError, RhatNotPsdError
 from eidlab.gains import (
     FeasibleRegion,
     ahu_gain,
@@ -149,7 +149,7 @@ def test_ahu_gain_input_validation():
         ahu_gain(np.eye(2), A, np.zeros((2, 2)))
     with pytest.raises(DomainError):
         ahu_gain(np.array([[1.0, 0.5], [0.5, 1.0]]), np.eye(2), np.zeros((2, 2)))
-    with pytest.raises(DomainError):
+    with pytest.raises(RhatNotPsdError, match="K must be positive semidefinite"):
         ahu_gain(np.eye(2), np.eye(2), -np.eye(2))
 
 

@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
 
+from eidlab import systems
 from eidlab import (
+    CtSystem,
     FeedbackLoop,
     SectorBounds,
     SeparableConvex,
@@ -405,6 +407,87 @@ def test_circle_over_a_nan_pair_certifies_nothing():
     res = circle_criterion(sys, SectorBounds.scalar(0.0, 1.0), sys.storage, pairs)
     assert res["certified_eps"] is None and not res["passed"] and res["verdict"] == "fail"
     assert res["binding_pair"] == 7
+
+
+@pytest.mark.parametrize("sector", [(0.0, 1.0), (-1.5, 1.0)], ids=["pass", "fail"])
+def test_circle_criterion_evaluates_its_part_once(sector, monkeypatch):
+    # the transformed f and h map stacks by construction, so no probe runs:
+    # f once on each pair stack, h once at construction and twice each for
+    # the transformed f and h
+    sys = catalog_build("smib", SMIB)
+    pairs = sample_pairs(sys, (np.array([-1.2, -0.5]), np.array([1.2, 0.5])), count=400, seed=3)
+    calls = dict.fromkeys(("f", "h", "probe"), 0)
+
+    def counted(name, fn):
+        def call(x):
+            calls[name] += 1
+            return fn(x)
+        return call
+    sys._f.fn, sys._h.fn = counted("f", sys._f.fn), counted("h", sys._h.fn)
+    decide = systems._Stacked.maps_stacks
+
+    def probed(rule, k):
+        calls["probe"] += k not in rule._stacks and k not in rule._rows
+        return decide(rule, k)
+    monkeypatch.setattr(systems._Stacked, "maps_stacks", probed)
+    bounds = SectorBounds.scalar(*sector)
+    first = circle_criterion(sys, bounds, sys.storage, pairs)  # the part's own rules probe here
+    calls.update(f=0, h=0, probe=0)
+    again = circle_criterion(sys, bounds, sys.storage, pairs)
+    assert calls["probe"] == 0 and calls["f"] <= 2 and calls["h"] <= 5, calls
+    assert (again["certified_eps"], again["binding_pair"]) == (first["certified_eps"],
+                                                                first["binding_pair"])
+
+
+BUILT = {
+    "loop_transform": lambda smib: loop_transform(smib, SectorBounds.scalar(0.2, 1.5)),
+    "compose_closed_loop": lambda smib: compose_closed_loop(FeedbackLoop(
+        smib, catalog_build("second_order", {"mu": 1.0, "c": 0.5}))),
+    "static_feedback": lambda smib: static_feedback(smib, np.tanh),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BUILT))
+def test_composed_rules_give_the_bytes_of_a_probed_rule(case):
+    smib = catalog_build("smib", SMIB)
+    sys = BUILT[case](smib)
+    rules = [(sys._f, 1), (sys._h, 1)] + [(sys.f_jac, 2)] * (sys.f_jac is not None)
+    if case == "static_feedback":
+        # its h is the part's own rule; its f calls psi, so it keeps the probe
+        assert sys._h is smib._h and sys.n not in sys._f._stacks
+    else:
+        assert all(sys.n in rule._stacks for rule, _ in rules) and len(rules) == 3
+    rng = np.random.default_rng(8)
+    for X in (rng.uniform(-1.0, 1.0, sys.n), rng.uniform(-1.0, 1.0, (7, sys.n)),
+              np.zeros((0, sys.n))):
+        for rule, ndim in rules:
+            got, want = rule(X), systems._Stacked(rule.fn, ndim)(X)
+            assert (got.shape, got.dtype, got.tobytes()) == (want.shape, want.dtype,
+                                                             want.tobytes())
+
+
+def test_composed_systems_evaluate_a_row_only_part_row_by_row():
+    # the composed rules skip their probe; the part's own rule still finds
+    # that its f and h take one state only, so a stack gets its row values
+    def part():
+        return CtSystem(lambda x: np.array([x[1], -x[0]]), lambda x: np.array([x[1]]),
+                        [[0.0], [1.0]])
+    built = [loop_transform(part(), SectorBounds.scalar(0.2, 1.5)),
+             compose_closed_loop(FeedbackLoop(part(), _integrator())),
+             compose_closed_loop(FeedbackLoop(_integrator(), part())),
+             static_feedback(part(), np.tanh)]
+    rng = np.random.default_rng(9)
+    for sys in built:
+        for rows in (2, sys.n, 7):  # a (k, k) stack fed to the raw callable gives wrong rows
+            X = rng.uniform(-1.0, 1.0, (rows, sys.n))
+            for fn in (sys.f, sys.h):
+                np.testing.assert_allclose(fn(X), np.array([fn(x) for x in X]),
+                                           rtol=0, atol=1e-15)
+    lt, X = built[0], rng.uniform(-1.0, 1.0, (5, 2))
+    # f - G K1 h and K h, with K1 = 0.2 and K = 1.3
+    np.testing.assert_allclose(lt.f(X), np.stack([X[:, 1], -X[:, 0] - 0.2 * X[:, 1]], axis=1),
+                               rtol=0, atol=1e-15)
+    np.testing.assert_allclose(lt.h(X), 1.3 * X[:, 1:], rtol=0, atol=1e-15)
 
 
 # ---------------------------------------------------------------------------

@@ -261,7 +261,8 @@ def test_small_kernel_raises_at_the_eigh_path_thresholds(scale):
         for i, j in ((0, 0), (0, 1), (1, 0), (1, 1)):
             A = scale * np.eye(2)
             A[i, j] = bad
-            for call in (numerics.sym_eigh, numerics.sym_eigen, numerics.psd_storage,
+            for call in (numerics.sym_eigh, numerics.sym_eigen,
+                         lambda M: numerics.require_psd(M, "P"),
                          lambda M: numerics.psd_sqrt_pinv(M, np.inf)):
                 with pytest.raises(NonFiniteError):
                     call(A)

@@ -14,8 +14,10 @@ from eidlab.errors import (
     DimensionMismatchError,
     MissingParamError,
     NonSymmetricError,
+    RhatNotPsdError,
     UnknownSystemError,
 )
+from eidlab.gains import ahu_gain
 from eidlab.interconnect import solve_monotone_inclusion
 from eidlab.sim import audit_dissipation, ct_audit_tol, simulate_ct, simulate_dt
 from eidlab.systems import (
@@ -237,6 +239,27 @@ def test_port_hamiltonian_drift_and_skewness_check():
     assert np.allclose(sys.h(x), np.array(params["G"]).T @ gH)
     with pytest.raises(NonSymmetricError):
         catalog_build("port_hamiltonian", {**params, "J": [[0.0, 1.0], [1.0, 0.0]]})
+
+
+INDEFINITE = np.diag([1.0, -0.5])
+PSD_BUILDS = {
+    "port_hamiltonian/R": lambda: catalog_build("port_hamiltonian", {
+        "J": [[0.0, 1.0], [-1.0, 0.0]], "R": INDEFINITE, "G": [[1.0], [0.0]]}),
+    "ahu_saddle/K": lambda: catalog_build("ahu_saddle", {**FAMILIES["ahu_saddle"],
+                                                         "K": INDEFINITE}),
+    "ahu_gain/K": lambda: ahu_gain(np.eye(2), np.eye(2), INDEFINITE),
+}
+
+
+@pytest.mark.parametrize("case", sorted(PSD_BUILDS))
+def test_indefinite_data_matrices_raise_rhat_not_psd(case, monkeypatch):
+    # one PSD rule names the matrix, and solves a 2×2 without LAPACK
+    def no_lapack(*args, **kwargs):
+        raise AssertionError("np.linalg.eigh called")
+    monkeypatch.setattr(np.linalg, "eigh", no_lapack)
+    name = case.split("/")[1]
+    with pytest.raises(RhatNotPsdError, match=f"{name} must be positive semidefinite"):
+        PSD_BUILDS[case]()
 
 
 def test_gradient_ff_square_with_feedthrough():
