@@ -182,7 +182,7 @@ def _dissipation_stacks(sys, storage, X, Xbar, *supplies) -> list:
     matrix P in discrete time, whose check comes first; an empty pair set
     is a ValueError."""
     if sys.discrete:
-        storage = numerics.require_psd(storage, "P")
+        storage = numerics.require_psd(storage, "P")[0]
     if not len(X):
         raise ValueError("need at least one pair")
     dH, s, Cs, t = _pair_terms(sys, storage, X, Xbar)

@@ -80,10 +80,10 @@ def ahu_gain(M, A, K) -> GainBound:
     alpha = 2 gamma^2 lambda_min.
     """
     M, A, K = (np.atleast_2d(np.asarray(B, dtype=float)) for B in (M, A, K))
-    K = numerics.require_psd(K, "K")
+    K = numerics.require_psd(K, "K")[0]
     if np.any(M - np.diag(np.diagonal(M)) != 0.0) or np.any(np.diagonal(M) <= 0):
         raise DomainError("M must be diagonal with positive entries")
-    if np.linalg.matrix_rank(A) < A.shape[0]:
+    if not numerics.full_row_rank(A):
         raise RankDeficientError("A must have full row rank")
     lam_min = numerics.sym_eigen(M + A.T @ K @ A)[0]
     if lam_min <= 0:

@@ -267,8 +267,8 @@ def solve_monotone_inclusion(k1_inverse: Callable, k2: Callable,
     after 5000 steps.
     """
     v1, v2 = (np.atleast_1d(np.asarray(v, dtype=float)) for v in (v1, v2))
-    lam_a = np.linalg.eigh(w2.R + w1.Q).eigenvalues[-1]
-    lam_b = np.linalg.eigh(w1.R + w2.Q).eigenvalues[-1]
+    lam_a = numerics.sym_eigen(w2.R + w1.Q)[-1]
+    lam_b = numerics.sym_eigen(w1.R + w2.Q)[-1]
     mu = -min(lam_a, lam_b)
     if mu <= 0:
         raise ConditionsNotMetError(

@@ -180,19 +180,26 @@ def psd_sqrt_pinv(A, tol: float) -> tuple:
     return form(root), form([1.0 / r if r > cut else 0.0 for r in root])
 
 
-def require_psd(A, what: str) -> np.ndarray:
-    """``A`` symmetrised once, after :func:`symmetrize`'s checks; RhatNotPsdError naming
-    it ``what`` unless PSD to within 1e-10, by the least eigenvalue of :func:`_scalar_eigh`
-    at orders 1-2 (no LAPACK) or of ``eigh``.  Storage P and model R, K are checked here."""
+def require_psd(A, what: str) -> tuple:
+    """``A`` symmetrised once, after :func:`symmetrize`'s checks, and its least eigenvalue,
+    of :func:`_scalar_eigh` at orders 1-2 (no LAPACK) or of ``eigh``; RhatNotPsdError naming
+    it ``what`` unless that is at least -1e-10.  Storage P and model R, K are checked here."""
     A = np.atleast_2d(np.asarray(A, dtype=float))
     if A.shape in _SCALAR_SHAPES:
         least, A = _scalar_eigh(A)[0][0], 0.5 * (A + A.T)
     else:
         A = symmetrize(A)
-        least = np.linalg.eigh(A).eigenvalues[0]
+        least = float(np.linalg.eigh(A).eigenvalues[0])
     if least < -1e-10:
         raise RhatNotPsdError(f"{what} must be positive semidefinite")
-    return A
+    return A, least
+
+
+def full_row_rank(A) -> bool:
+    """Whether ``A`` has full row rank: its least singular value exceeds max(rows, cols)·eps
+    times its largest (``np.linalg.matrix_rank``'s threshold).  Columns: pass the transpose."""
+    sv = np.linalg.svd(A, compute_uv=False)
+    return len(sv) == len(A) and bool(sv[-1] > max(A.shape) * np.finfo(float).eps * sv[0])
 
 
 def fd_jacobian(F, x) -> np.ndarray:

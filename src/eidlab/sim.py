@@ -233,7 +233,7 @@ def audit_dissipation(traj: Trajectory, storage, supply, ubar, ybar,
     if callable(storage):
         Vs = _Stacked(storage, 0)(traj.states)
     else:
-        P = numerics.require_psd(storage, "P")
+        P = numerics.require_psd(storage, "P")[0]
         D = traj.states - np.atleast_1d(np.asarray(xbar, dtype=float))
         Vs = np.einsum("ij,jk,ik->i", D, P, D)
     supplied = traj.per_step(lambda u, y: supply.evaluate(u - ubar, y - ybar))

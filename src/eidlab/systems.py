@@ -21,8 +21,10 @@ import numpy as np
 from . import numerics
 from .errors import (
     DimensionMismatchError,
+    DomainError,
     MissingParamError,
     NonSymmetricError,
+    RankDeficientError,
     UnknownSystemError,
     ConfigError,
 )
@@ -47,7 +49,7 @@ class SupplyRate:
                 f"incompatible supply blocks Q{self.Q.shape} S{self.S.shape} R{self.R.shape}")
         self.p, self.m = p, m
         if warn_definite:
-            eig = np.linalg.eigh(self.block()).eigenvalues
+            eig = numerics.sym_eigen(self.block())
             if eig[0] > -1e-12 or eig[-1] < 1e-12:
                 # sign-definite supplies make the dissipation inequality
                 # trivial or infeasible; callers may do this on purpose
@@ -156,12 +158,22 @@ class StorageGenerator:
         }
 
     @classmethod
-    def quadratic(cls, P, name: str = "quadratic") -> "StorageGenerator":
-        P = numerics.symmetrize(np.atleast_2d(np.asarray(P, dtype=float)))
-        mu = max(float(np.linalg.eigh(P).eigenvalues[0]), 0.0)
-        grad_V = _Affine(P)
-        return cls(V=lambda x: 0.5 * (grad_V(x) * np.atleast_1d(x)).sum(axis=-1),
-                   grad_V=grad_V, mu=mu, name=name)
+    def quadratic(cls, P, c=None, name: str = "quadratic") -> "StorageGenerator":
+        """½xᵀPx + Σ cᵢ log cosh xᵢ, convex: P is checked PSD (RhatNotPsdError) and c >= 0
+        (DomainError); mu = max(λ_min(P), 0) and ∇V is the form x P + tanh(x) c."""
+        P, least = numerics.require_psd(P, "storage P")
+        c = np.zeros(len(P)) if c is None else np.atleast_1d(np.asarray(c, dtype=float))
+        if c.shape != (len(P),):
+            raise DimensionMismatchError(f"need {len(P)} storage weights c, got {c.shape}")
+        if not np.all(c >= 0):
+            raise DomainError("storage weights c must be nonnegative")
+        grad_V, Pt = _Affine(P, c), P.T
+
+        def V(x):
+            x = np.atleast_1d(x)
+            v = 0.5 * (x @ Pt) * x
+            return (v if grad_V.B is None else v + c * _logcosh(x)).sum(axis=-1)
+        return cls(V=V, grad_V=grad_V, mu=max(least, 0.0), name=name)
 
 
 def _logcosh(z):
@@ -285,8 +297,9 @@ class _Stacked:
 
 class _Affine:
     """The matrix form x A + tanh(x) B + d at one state or on an (N, n) stack,
-    from matrices formed once at build time, a zero B or d left out; ``jac``
-    is its Jacobian Aᵀ + Bᵀ diag(sech² x), one matrix per row."""
+    from matrices formed once at build time, a zero B or d left out and a 1-D
+    B read as diag(B), applied elementwise; ``jac`` is its Jacobian
+    Aᵀ + Bᵀ diag(sech² x), one matrix per row."""
 
     def __init__(self, A, B=None, d=None):
         self.A = A
@@ -294,13 +307,15 @@ class _Affine:
 
     def __call__(self, x) -> np.ndarray:
         x = np.atleast_1d(x)
-        y = x @ self.A if self.B is None else x @ self.A + np.tanh(x) @ self.B
+        y = x @ self.A if self.B is None else x @ self.A + (
+            np.tanh(x) * self.B if self.B.ndim == 1 else np.tanh(x) @ self.B)
         return y if self.d is None else y + self.d
 
     def jac(self, x) -> np.ndarray:
         x = np.atleast_1d(x)
         At = np.broadcast_to(self.A.T, x.shape[:-1] + self.A.T.shape)
-        return At if self.B is None else At + self.B.T * (1.0 - np.tanh(x) ** 2)[..., None, :]
+        Bt = None if self.B is None else np.diag(self.B) if self.B.ndim == 1 else self.B.T
+        return At if Bt is None else At + Bt * (1.0 - np.tanh(x) ** 2)[..., None, :]
 
 
 class _ControlAffine:
@@ -327,8 +342,7 @@ class _ControlAffine:
             raise DimensionMismatchError(f"J must be p x m = {self.p} x {self.m}")
         if self.m > self.n or self.p > self.n:
             raise DimensionMismatchError(f"require m, p <= n; n={self.n}, m={self.m}, p={self.p}")
-        sv = np.linalg.svd(self.G, compute_uv=False)
-        if sv.size < self.m or sv[self.m - 1] <= 1e-10:
+        if not numerics.full_row_rank(self.G.T):
             raise DimensionMismatchError("G must have full column rank")
         f_jac = f.jac if f_jac is None and isinstance(f, _Affine) else f_jac
         self.f_jac = f_jac if f_jac is None or isinstance(f_jac, _Stacked) else _Stacked(f_jac, 2)
@@ -449,12 +463,7 @@ def _build_second_order(params: dict):
     f = _Affine(np.array([[0.0, -mu], [1.0, -1.0]]), np.array([[0.0, -c], [0.0, 0.0]]))
     h = _Affine(np.array([[0.0], [1.0]]))
     G = np.array([[0.0], [1.0]])
-    gen = StorageGenerator(
-        V=lambda x: U(x[..., :1]) + 0.5 * x[..., 1] ** 2,
-        grad_V=_Affine(np.diag([mu, 1.0]), np.diag([c, 0.0])),
-        mu=min(U.mu, 1.0),
-        name="mechanical energy",
-    )
+    gen = StorageGenerator.quadratic(np.diag([mu, 1.0]), [c, 0.0], name="mechanical energy")
     return CtSystem(f, h, G, name="second_order", storage=gen,
                     meta={"family": "second_order", "U": U})
 
@@ -472,29 +481,17 @@ def _build_port_hamiltonian(params: dict):
     if any(M.shape != (n, n) for M in (Jm, Rm, P)) or c.shape != (n,) or d.shape != (n,):
         raise DimensionMismatchError(f"J, R and P must be {n} x {n} and c, d of length {n}"
                                      f" for the {n} rows of G")
-    Rm = numerics.require_psd(Rm, "dissipation matrix R")
+    Rm = numerics.require_psd(Rm, "dissipation matrix R")[0]
     if np.linalg.norm(Jm + Jm.T) > 1e-10:
         raise NonSymmetricError("interconnection matrix must be skew-symmetric")
-
-    Pt = P.T
-
-    def H(x):
-        x = np.atleast_1d(x)
-        return (0.5 * (x @ Pt) * x + c * _logcosh(x)).sum(axis=-1)
-
-    def grad_H(x):
-        x = np.atleast_1d(np.asarray(x, dtype=float))
-        return x @ Pt + c * np.tanh(x)
-
-    mu = max(float(numerics.sym_eigen(P)[0]), 0.0)
-    gen = StorageGenerator(V=H, grad_V=grad_H, mu=mu, name="hamiltonian")
+    gen = StorageGenerator.quadratic(P, c, name="hamiltonian")
     At = (Jm - Rm).T
-    # grad_H(x) M = x Pᵀ M + tanh(x) diag(c) M, for M = Aᵀ (plus d) and M = G
-    f = _Affine(Pt @ At, c[:, None] * At, d)
-    h = _Affine(Pt @ G, c[:, None] * G)
+    # ∇H(x) M = x Pᵀ M + tanh(x) diag(c) M, for M = Aᵀ (plus d) and M = G
+    f = _Affine(P.T @ At, c[:, None] * At, d)
+    h = _Affine(P.T @ G, c[:, None] * G)
     sqR = numerics.psd_sqrt(Rm)
     meta = {"family": "port_hamiltonian", "R": Rm, "Jmat": Jm, "sqrt_R": sqR,
-            "grad_H": grad_H}
+            "grad_H": gen.grad_V}
     return CtSystem(f, h, G, name="port_hamiltonian", storage=gen, meta=meta)
 
 
@@ -513,7 +510,7 @@ def _build_gradient_ff(params: dict):
     if np.any(tau <= 0):
         raise ValueError("tau must be positive")
     tinv = 1.0 / tau
-    f = _Affine(np.diag(-tinv * phi.mu_vec), np.diag(-tinv * phi.c_vec))
+    f = _Affine(np.diag(-tinv * phi.mu_vec), -tinv * phi.c_vec)
     h = _Affine(g * np.eye(n))
     G = np.diag(tinv) * g
     J = j * np.eye(n)
@@ -532,18 +529,15 @@ def _build_ahu_saddle(params: dict):
     n2, n1 = A.shape
     if n1 != phi.n or b.size != n2:
         raise DimensionMismatchError("A, b, phi dimensions inconsistent")
-    if np.linalg.matrix_rank(A) < n2:
-        raise ValueError("A must have full row rank")
-    K = numerics.require_psd(params.get("K", np.zeros((n2, n2))), "K")
-
-    M_plus = np.diag(phi.mu_vec) + A.T @ K @ A
-    lam_min = numerics.sym_eigen(M_plus)[0]
-    alpha = float(params.get("alpha", 2.0 / lam_min if lam_min > 0 else 1.0))
+    if not numerics.full_row_rank(A):
+        raise RankDeficientError("A must have full row rank")
+    K = numerics.require_psd(params.get("K", np.zeros((n2, n2))), "K")[0]
+    lam_min = numerics.sym_eigen(np.diag(phi.mu_vec) + A.T @ K @ A)[0]  # >= min mu > 0
+    alpha = float(params.get("alpha", 2.0 / lam_min))
 
     # [-grad phi(z) - (res K + lam) A, res] with res = z Aᵀ - b, in x = [z, lam]
     Af = np.block([[-np.diag(phi.mu_vec) - A.T @ K @ A, A.T], [-A, np.zeros((n2, n2))]])
-    f = _Affine(Af, np.diag(np.concatenate([-phi.c_vec, np.zeros(n2)])),
-                np.concatenate([b @ K @ A, -b]))
+    f = _Affine(Af, np.concatenate([-phi.c_vec, np.zeros(n2)]), np.concatenate([b @ K @ A, -b]))
     h = _Affine(np.eye(n1 + n2, n1))
     G = np.vstack([np.eye(n1), np.zeros((n2, n1))])
     gen = StorageGenerator.quadratic(
@@ -598,7 +592,7 @@ def _build_dt_gradient(params: dict):
     if alpha <= 0:
         raise ValueError("alpha must be positive")
     n = phi.n
-    f = _Affine(np.eye(n) - alpha * np.diag(phi.mu_vec), np.diag(-alpha * phi.c_vec))
+    f = _Affine(np.eye(n) - alpha * np.diag(phi.mu_vec), -alpha * phi.c_vec)
     h = _Affine(np.eye(n))
     G = alpha * np.eye(n)
     gen = StorageGenerator.quadratic(np.eye(n) / alpha, name="scaled quadratic")
@@ -707,8 +701,7 @@ def validate_system(sys, probes: int = 20, seed: int = 0) -> dict:
     if probes < 1:
         raise ValueError(f"need at least one probe, got probes={probes}")
     checks = {}
-    sv = np.linalg.svd(sys.G, compute_uv=False)
-    checks["G_full_column_rank"] = bool(sv.size >= sys.m and sv[sys.m - 1] > 1e-10)
+    checks["G_full_column_rank"] = numerics.full_row_rank(sys.G.T)
     X = np.random.default_rng(seed).uniform(-2.0, 2.0, size=(probes, sys.n))
     worst_jac = 0.0
     try:

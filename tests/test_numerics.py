@@ -165,6 +165,35 @@ def test_stacked_eigenvalues_go_through_the_kernel():
                 found.append(f"{path.name}:{node.lineno}")
     assert kernel and not found, f"eigvalsh outside numerics.stack_eigvalsh: {found}"
 
+
+def test_single_eigen_solves_go_through_numerics():
+    # an AST scan of src/eidlab: eigh is named only in numerics.py, so every
+    # single-matrix solve elsewhere goes through sym_eigh / sym_eigen
+    import ast
+    from pathlib import Path
+
+    found = []
+    for path in sorted((Path(__file__).resolve().parents[1] / "src" / "eidlab").rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            names = ([a.name.split(".")[-1] for a in node.names]
+                     if isinstance(node, (ast.Import, ast.ImportFrom))
+                     else [getattr(node, "attr", getattr(node, "id", None))])
+            if "eigh" in names and path.name != "numerics.py":
+                found.append(f"{path.name}:{node.lineno}")
+    assert not found, f"eigh outside numerics.py: {found}"
+
+
+def test_full_row_rank_threshold_is_relative():
+    # matrix_rank's rule: the least singular value above max(rows, cols)·eps
+    # times the largest, so scaling a matrix does not change its rank
+    for scale in (1e-150, 1e-11, 1.0, 1e150):
+        assert numerics.full_row_rank(scale * np.array([[1.0, 0.0, 2.0], [0.0, 1.0, 0.5]]))
+        assert not numerics.full_row_rank(scale * np.array([[1.0, 2.0], [2.0, 4.0]]))
+        assert numerics.full_row_rank(scale * np.diag([1.0, 3.0 * _EPS]))
+        assert not numerics.full_row_rank(scale * np.diag([1.0, _EPS]))
+    assert not numerics.full_row_rank(np.ones((3, 2)))  # more rows than columns
+    assert not numerics.full_row_rank(np.zeros((1, 2)))
+
 # ---------------------------------------------------------------------------
 # the single-matrix kernel: closed form at orders 1-2, eigh from order 3
 

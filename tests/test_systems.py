@@ -12,8 +12,10 @@ from eidlab.equilibria import EquilibriumMap, maximality_conditions
 from eidlab.errors import (
     ConfigError,
     DimensionMismatchError,
+    DomainError,
     MissingParamError,
     NonSymmetricError,
+    RankDeficientError,
     RhatNotPsdError,
     UnknownSystemError,
 )
@@ -104,6 +106,54 @@ def test_validate_catches_wrong_gradient():
     )
     rep = gen.validate((np.array([-1.0]), np.array([1.0])), probes=50)
     assert not rep["grad_consistent"]
+
+
+def _separable_cases():
+    """(P, c, SeparableConvex oracle, states): a scalar, one state and a stack."""
+    rng = np.random.default_rng(5)
+    for mu, c in (([2.0], [0.7]), ([1.0, 3.0, 0.5], [0.3, 0.0, 1.2])):
+        states = (rng.uniform(-3.0, 3.0, size=len(mu)), rng.uniform(-3.0, 3.0, size=(9, len(mu))))
+        yield np.diag(mu), c, SeparableConvex(mu, c), states + ((1.3,) if len(mu) == 1 else ())
+
+
+def test_quadratic_generator_with_weights_matches_separable_convex():
+    # ½xᵀ diag(mu) x + Σ c log cosh x is SeparableConvex(mu, c), an independent
+    # implementation of the same function and gradient
+    for P, c, phi, states in _separable_cases():
+        gen = StorageGenerator.quadratic(P, c)
+        assert gen.mu == phi.mu
+        for x in states:
+            np.testing.assert_allclose(gen.V(x), phi(x), rtol=0, atol=1e-12)
+            np.testing.assert_allclose(gen.grad_V(x), phi.grad(x), rtol=0, atol=1e-12)
+            np.testing.assert_allclose(gen.grad_V.jac(x),
+                                       numerics.fd_jacobian(gen.grad_V, np.atleast_1d(x)),
+                                       rtol=0, atol=1e-8)
+
+
+def test_quadratic_generator_with_weights_matches_the_per_row_formula():
+    P = np.array([[2.0, 0.5, 0.0], [0.5, 1.0, 0.3], [0.0, 0.3, 1.5]])
+    c = np.array([0.4, 0.0, 1.1])
+    gen = StorageGenerator.quadratic(P, c)
+    assert gen.mu == pytest.approx(np.linalg.eigvalsh(P)[0], abs=1e-15)
+    X = np.random.default_rng(6).uniform(-3.0, 3.0, size=(8, 3))
+    V = [0.5 * x @ P @ x + sum(ci * math.log(math.cosh(xi)) for ci, xi in zip(c, x)) for x in X]
+    grad = [P @ x + c * np.tanh(x) for x in X]
+    for got, want in ((gen.V(X), V), (gen.grad_V(X), grad), (gen.V(X[0]), V[0]),
+                      (gen.grad_V(X[0]), grad[0])):
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(gen.grad_V.jac(X), numerics.fd_jacobian(gen.grad_V, X),
+                               rtol=0, atol=1e-8)
+
+
+def test_quadratic_generator_checks_its_weights():
+    with pytest.raises(DimensionMismatchError, match="need 2 storage weights"):
+        StorageGenerator.quadratic(np.eye(2), [1.0])
+    for c in ([0.5, -0.1], [0.5, np.nan]):
+        with pytest.raises(DomainError, match="must be nonnegative"):
+            StorageGenerator.quadratic(np.eye(2), c)
+    with pytest.raises(DomainError, match="must be nonnegative"):
+        catalog_build("port_hamiltonian", {"J": [[0.0, 1.0], [-1.0, 0.0]], "R": np.eye(2),
+                                           "G": [[1.0], [0.0]], "hamiltonian": {"c": [0.1, -0.2]}})
 
 
 def test_separable_convex_constants_and_gradient():
@@ -248,7 +298,24 @@ PSD_BUILDS = {
     "ahu_saddle/K": lambda: catalog_build("ahu_saddle", {**FAMILIES["ahu_saddle"],
                                                          "K": INDEFINITE}),
     "ahu_gain/K": lambda: ahu_gain(np.eye(2), np.eye(2), INDEFINITE),
+    # the storage -x²/2 passed the sampled certificate of the unstable
+    # xdot = x + u, y = x for the supply -yu before convexity was checked
+    "quadratic/storage P": lambda: StorageGenerator.quadratic([[-1.0]]),
+    "port_hamiltonian/storage P": lambda: catalog_build("port_hamiltonian", {
+        "J": [[0.0, 1.0], [-1.0, 0.0]], "R": np.eye(2), "G": [[1.0], [0.0]],
+        "hamiltonian": {"P": INDEFINITE}}),
+    "ahu_saddle/storage P": lambda: catalog_build("ahu_saddle", {
+        "mu": [1.0], "A": [[1.0]], "b": [0.0], "alpha": -1.0}),
 }
+
+
+def test_rank_deficient_saddle_data_raise_one_error():
+    # the same full-row-rank rule, and the same error, in the model and the gain
+    A = [[1.0, 1.0], [2.0, 2.0]]
+    with pytest.raises(RankDeficientError, match="full row rank"):
+        catalog_build("ahu_saddle", {"mu": [1.0, 1.0], "A": A, "b": [0.0, 0.0]})
+    with pytest.raises(RankDeficientError, match="full row rank"):
+        ahu_gain(np.eye(2), A, np.zeros((2, 2)))
 
 
 @pytest.mark.parametrize("case", sorted(PSD_BUILDS))
@@ -310,6 +377,10 @@ def test_lti_family_and_jacobian():
 def test_g_rank_requirement():
     with pytest.raises(DimensionMismatchError):
         systems.CtSystem(lambda x: x, lambda x: x[:1], np.zeros((2, 1)))
+    # the rank rule is relative: a small but well-conditioned G has full
+    # column rank (an absolute 1e-10 on its singular values rejected it)
+    sys = systems.CtSystem(lambda x: -x, lambda x: x[..., :1], [[1e-11], [0.0]])
+    assert validate_system(sys)["G_full_column_rank"]
 
 
 # ---------------------------------------------------------------------------
@@ -438,6 +509,23 @@ def test_catalog_families_hold_matrix_forms(family):
     assert sys.f_jac is not None and sys.h_jac is not None
     assert isinstance(sys._h.fn, systems._Affine)
     assert isinstance(sys._f.fn, systems._Affine) == (family != "smib")
+    # so is every storage gradient but smib's energy, x P + tanh(x) c, and
+    # the port-Hamiltonian ∇H of the metadata is that form
+    if sys.storage is not None:
+        assert isinstance(sys.storage.grad_V, systems._Affine) == (family != "smib")
+    assert family != "port_hamiltonian" or sys.meta["grad_H"] is sys.storage.grad_V
+
+
+def test_matrix_form_reads_a_vector_b_as_its_diagonal():
+    A, b = np.array([[1.0, 2.0], [0.0, -1.0]]), np.array([0.5, -0.3])
+    diag, full = systems._Affine(A, b, np.array([0.1, 0.0])), systems._Affine(A, np.diag(b),
+                                                                             np.array([0.1, 0.0]))
+    rng = np.random.default_rng(1)
+    for x in (rng.uniform(-2.0, 2.0, size=2), rng.uniform(-2.0, 2.0, size=(6, 2)),
+              rng.uniform(-2.0, 2.0, size=(3, 4, 2))):
+        np.testing.assert_allclose(diag(x), full(x), rtol=0, atol=1e-15)
+        np.testing.assert_allclose(diag.jac(x), full.jac(x), rtol=0, atol=1e-15)
+    assert systems._Affine(A, np.zeros(2)).B is None
 
 
 def test_matrix_form_drops_zero_terms_and_broadcasts_its_jacobian():
