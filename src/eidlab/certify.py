@@ -26,7 +26,7 @@ import numpy as np
 
 from . import numerics
 from .equilibria import EquilibriumMap
-from .errors import DimensionMismatchError
+from .errors import DimensionMismatchError, DomainError
 from .systems import SectorBounds, StaticNonlinearity, StorageGenerator, SupplyRate, _Stacked
 
 DEFAULT_TOL_A = 1e-7
@@ -70,12 +70,12 @@ def sample_pairs(sys, region, count: int = DEFAULT_PAIR_COUNT, seed: int = 0) ->
     it forces a = 0 and b-difference = 0 and catches sign errors cheaply.
     """
     if count < 1:
-        raise ValueError(f"need at least one pair, got count={count}")
+        raise DomainError(f"need at least one pair, got count={count}")
     lo, hi = (np.asarray(b, dtype=float) for b in region)
     rng = np.random.default_rng(seed)
     eq = EquilibriumMap(sys).sample_io_relation(region, max(2, count // 8), seed=seed + 1).x
     if not len(eq):
-        raise ValueError("no equilibria found in the sampling region")
+        raise DomainError("no equilibria found in the sampling region")
     X = rng.uniform(lo, hi, size=(count - 1, sys.n))
     picks = rng.integers(len(eq), size=len(X))
     return np.stack([np.vstack([eq[:1], X]), eq[np.r_[0, picks]]], axis=1)
@@ -180,11 +180,11 @@ def _dissipation_stacks(sys, storage, X, Xbar, *supplies) -> list:
     pair whose σ is not finite has D all NaN, the worst value of every
     verdict.  ``storage`` is a StorageGenerator in continuous time or a PSD
     matrix P in discrete time, whose check comes first; an empty pair set
-    is a ValueError."""
+    is a DomainError."""
     if sys.discrete:
         storage = numerics.require_psd(storage, "P")[0]
     if not len(X):
-        raise ValueError("need at least one pair")
+        raise DomainError("need at least one pair")
     dH, s, Cs, t = _pair_terms(sys, storage, X, Xbar)
     hh = np.vecdot(dH, dH)
     stacks = []
@@ -234,7 +234,7 @@ def _verify_eid(sys, w: SupplyRate, storage, pairs, W, ell, mode,
     is one product by W's pseudo-inverse, from the solve that forms the canonical W
     (:func:`numerics.psd_sqrt_pinv`, in closed form at m <= 2) or ``pinv`` of a given W."""
     if mode not in ("equality", "inequality"):
-        raise ValueError(f"unknown mode {mode!r}")
+        raise DomainError(f"unknown mode {mode!r}")
     X, Xbar = _stack_pairs(pairs, sys.n)
     rhat_eff, D, sigma = _dissipation_stacks(sys, storage, X, Xbar, w)[0]
     W_pinv = None
@@ -393,7 +393,7 @@ def check_sector(psi: StaticNonlinearity, bounds: SectorBounds, probes,
     ``nonfinite_pairs`` and makes the minimum NaN, which does not hold.
     """
     if len(probes) < 1:
-        raise ValueError("need at least one probe pair")
+        raise DomainError("need at least one probe pair")
     Z = np.asarray(probes, dtype=float).reshape(len(probes), 2, -1)
     if Z.shape[-1] != bounds.m:
         raise DimensionMismatchError(f"probe width {Z.shape[-1]} != sector m = {bounds.m}")

@@ -16,7 +16,7 @@ from typing import Optional
 import numpy as np
 
 from . import numerics
-from .errors import DimensionMismatchError, NotAssignableError
+from .errors import DimensionMismatchError, DomainError, NonSquareError, NotAssignableError
 from .systems import SupplyRate, _Affine
 
 DEFAULT_RESIDUAL_TOL = 1e-8
@@ -162,7 +162,7 @@ class RelationSamples:
     def to_csv(self, path):
         """Columns x_1..x_n, u_1..u_m, y_1..y_p."""
         if not len(self):
-            raise ValueError("no samples to export")
+            raise DomainError("no samples to export")
         header = [f"{v}_{i+1}" for v, a in (("x", self.x), ("u", self.u), ("y", self.y))
                   for i in range(a.shape[1])]
         with open(path, "w", newline="") as fh:
@@ -191,7 +191,7 @@ def check_relation_dissipativity(samples, w: SupplyRate, tol: float = 1e-9) -> d
     not ``monotone``.
     """
     if len(samples) < 2:
-        raise ValueError("need at least two samples")
+        raise DomainError("need at least two samples")
     U, Y = samples.u, samples.y
     if (Y.shape[1], U.shape[1]) != (w.p, w.m):
         raise DimensionMismatchError(f"sample (p, m) {Y.shape[1], U.shape[1]} != supply {w.p, w.m}")
@@ -259,7 +259,7 @@ def maximality_conditions(sys, samples: Optional[RelationSamples] = None,
       it is x A with A = 0, or A = I in discrete time.
     """
     if not sys.square:
-        raise ValueError("maximal-monotonicity conditions apply to square systems")
+        raise NonSquareError("maximal-monotonicity conditions apply to square systems")
     report = {}
     if samples is not None and len(samples) >= 2:
         report["cocoercive_sampled"] = cocoercivity_check(samples, rho)["holds"]

@@ -1,4 +1,6 @@
-"""Exception hierarchy shared by all eidlab modules."""
+"""Exception hierarchy shared by all eidlab modules; every check in the package raises
+one of these.  DimensionMismatchError, NonSquareError and DomainError reject an
+argument, so they are also ValueErrors: ``except ValueError`` still catches them."""
 
 
 class EidLabError(Exception):
@@ -21,7 +23,7 @@ class SingularJacobianError(EidLabError):
     """Newton step could not be computed from a (near-)singular Jacobian."""
 
 
-class DimensionMismatchError(EidLabError):
+class DimensionMismatchError(EidLabError, ValueError):
     """Operands have incompatible shapes."""
 
 
@@ -41,7 +43,7 @@ class IllPosedError(EidLabError):
     """Feedback interconnection violates the well-posedness condition."""
 
 
-class NonSquareError(EidLabError):
+class NonSquareError(EidLabError, ValueError):
     """Operation requires a square (m == p) system."""
 
 
@@ -55,8 +57,8 @@ class RhatNotPsdError(EidLabError):
     matrix P, a model's R or K, or the argument of a PSD square root."""
 
 
-class DomainError(EidLabError):
-    """Closed-form formula evaluated outside its parameter domain."""
+class DomainError(EidLabError, ValueError):
+    """An argument outside its domain, e.g. a nonpositive parameter or an empty sample."""
 
 
 class RankDeficientError(EidLabError):

@@ -178,7 +178,7 @@ def empirical_gain(sys, xbar, disturbances, horizon: Optional[float] = None,
     """
     disturbances = [np.atleast_2d(np.asarray(v, dtype=float)) for v in disturbances]
     if not disturbances:
-        raise ValueError("disturbance set is empty")
+        raise DomainError("disturbance set is empty")
     xbar = np.atleast_1d(np.asarray(xbar, dtype=float))
     ybar = sys.h(xbar)
     by_length = {}

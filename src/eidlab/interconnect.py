@@ -23,6 +23,7 @@ from .certify import supply_margin
 from .errors import (
     ConditionsNotMetError,
     DimensionMismatchError,
+    DomainError,
     IllPosedError,
     NoConvergenceError,
     NonSquareError,
@@ -160,7 +161,7 @@ def compose_supply(w1: SupplyRate, w2: SupplyRate, kappa: float) -> ComposedSupp
         Q_cl = [[Q1 + k R2,  -S1 + k S2ᵀ], [-S1ᵀ + k S2,  R1 + k Q2]].
     """
     if not 0 < kappa < np.inf:
-        raise ValueError(f"kappa must be positive and finite, got {kappa}")
+        raise DomainError(f"kappa must be positive and finite, got {kappa}")
     q0, q1 = _q_cl_parts(w1, w2)
     k = float(kappa)
     Q_cl = numerics.symmetrize(q0 + k * q1)
@@ -184,9 +185,9 @@ def kappa_search(w1: SupplyRate, w2: SupplyRate,
     """
     lo, hi = kappa_range
     if not 0 < lo < hi < np.inf:
-        raise ValueError(f"kappa_range must satisfy 0 < lo < hi < inf, got {kappa_range}")
+        raise DomainError(f"kappa_range must satisfy 0 < lo < hi < inf, got {kappa_range}")
     if grid < 3:
-        raise ValueError(f"grid must be >= 3 to narrow, got {grid}")
+        raise DomainError(f"grid must be >= 3 to narrow, got {grid}")
     q0, q1 = _q_cl_parts(w1, w2)
     for _ in range(11):  # the log grid, then ten narrowed grids
         kappas = np.exp(np.linspace(math.log(lo), math.log(hi), grid))

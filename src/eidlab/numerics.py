@@ -13,6 +13,7 @@ import numpy as np
 
 from .errors import (
     DimensionMismatchError,
+    DomainError,
     NoConvergenceError,
     NonFiniteError,
     NonSymmetricError,
@@ -181,18 +182,14 @@ def psd_sqrt_pinv(A, tol: float) -> tuple:
 
 
 def require_psd(A, what: str) -> tuple:
-    """``A`` symmetrised once, after :func:`symmetrize`'s checks, and its least eigenvalue,
-    of :func:`_scalar_eigh` at orders 1-2 (no LAPACK) or of ``eigh``; RhatNotPsdError naming
-    it ``what`` unless that is at least -1e-10.  Storage P and model R, K are checked here."""
+    """``A`` symmetrised, after :func:`symmetrize`'s checks, and its least eigenvalue from
+    :func:`sym_eigen` (no LAPACK at orders 1-2); RhatNotPsdError naming it ``what`` unless
+    that is at least -1e-10.  Storage P and model R, K are checked here."""
     A = np.atleast_2d(np.asarray(A, dtype=float))
-    if A.shape in _SCALAR_SHAPES:
-        least, A = _scalar_eigh(A)[0][0], 0.5 * (A + A.T)
-    else:
-        A = symmetrize(A)
-        least = float(np.linalg.eigh(A).eigenvalues[0])
+    least = float(sym_eigen(A)[0])
     if least < -1e-10:
         raise RhatNotPsdError(f"{what} must be positive semidefinite")
-    return A, least
+    return 0.5 * (A + A.T), least
 
 
 def full_row_rank(A) -> bool:
@@ -298,8 +295,8 @@ def rk4_step(f, x, u, dt: float) -> np.ndarray:
     computed: a non-finite result is for the caller to detect, as the
     simulation loops do per row.
     """
-    if dt <= 0:
-        raise ValueError("dt must be positive")
+    if not dt > 0:  # NaN fails too
+        raise DomainError("dt must be positive")
     x = np.asarray(x, dtype=float)
     k1 = np.asarray(f(x, u), dtype=float)
     k2 = np.asarray(f(x + 0.5 * dt * k1, u), dtype=float)

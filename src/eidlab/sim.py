@@ -16,7 +16,7 @@ from typing import Optional
 import numpy as np
 
 from . import numerics
-from .errors import NonFiniteError
+from .errors import DimensionMismatchError, DomainError, NonFiniteError
 from .systems import _Stacked
 
 # tolerance constants: base audit slack plus an O(dt^4) RK4 allowance per
@@ -71,7 +71,7 @@ class Trajectory:
     def to_csv(self, path):
         """One row per sample; the last has no input and empty ``u_*`` cells."""
         if self.states.ndim != 2:
-            raise ValueError("to_csv writes a single trajectory, not a batch")
+            raise DimensionMismatchError("to_csv writes a single trajectory, not a batch")
         columns = {"x": self.states, "u": self.inputs, "y": self.outputs}
         header = ["t"] + [f"{v}_{i+1}" for v, a in columns.items() for i in range(a.shape[1])]
         no_input = [""] * self.inputs.shape[1]
@@ -96,7 +96,7 @@ def _input_at(u, x0: np.ndarray, m: int, dt: float, min_steps: int = 0):
     if arr.ndim <= x0.ndim:
         return lambda k: arr
     if arr.shape[-2] < min_steps:
-        raise ValueError(f"need {min_steps} input rows, got {arr.shape[-2]}")
+        raise DimensionMismatchError(f"need {min_steps} input rows, got {arr.shape[-2]}")
     last = arr.shape[-2] - 1
     return lambda k: arr[..., min(k, last), :]
 
@@ -158,8 +158,8 @@ def simulate_ct(sys, x0, u=None, T: float = 1.0, dt: float = 1e-3) -> Trajectory
     non-finite.  In a stack such a row is frozen at its last finite state
     and flagged in ``Trajectory.diverged``; the other rows run on.
     """
-    if dt <= 0 or T <= 0:
-        raise ValueError("need dt > 0 and T > 0")
+    if not (0 < dt < np.inf and 0 < T < np.inf):
+        raise DomainError("need finite dt > 0 and T > 0")
     steps = max(1, int(round(T / dt)))
     x0 = np.atleast_1d(np.asarray(x0, dtype=float))
     f = sys._f.bind(x0)
@@ -176,7 +176,7 @@ def simulate_dt(sys, x0, u=None, steps: int = 1) -> Trajectory:
     values must cover all ``steps``.  The drift is bound and divergence handled as there.
     """
     if steps < 1:
-        raise ValueError("steps must be >= 1")
+        raise DomainError("steps must be >= 1")
     x0 = np.atleast_1d(np.asarray(x0, dtype=float))
     f = sys._f.bind(x0)
     return _integrate(sys, x0, _input_at(u, x0, sys.m, 1.0, min_steps=steps), steps,
@@ -223,7 +223,7 @@ def audit_dissipation(traj: Trajectory, storage, supply, ubar, ybar,
     comparison localizes where the inequality breaks.
     """
     if traj.states.ndim != 2:
-        raise ValueError("audit_dissipation audits a single trajectory, not a batch")
+        raise DimensionMismatchError("audit_dissipation audits a single trajectory, not a batch")
     ubar, ybar = (np.atleast_1d(np.asarray(v, dtype=float)) for v in (ubar, ybar))
     N = len(traj) - 1
     if tol is None:
@@ -275,7 +275,7 @@ def stability_experiment(sys, xbar, ubar=None, radius: float = 0.1,
     that did not converge and ``n_diverged`` counts those that diverged.
     """
     if probes < 1:
-        raise ValueError(f"need at least one probe, got probes={probes}")
+        raise DomainError(f"need at least one probe, got probes={probes}")
     xbar = np.atleast_1d(np.asarray(xbar, dtype=float))
     ubar = np.zeros(sys.m) if ubar is None else np.atleast_1d(np.asarray(ubar, dtype=float))
     conv_tol = 0.05 * radius

@@ -138,7 +138,7 @@ class StorageGenerator:
         block of random pairs, ``probes`` >= 1 (monotonicity at ``mu = 0``).
         """
         if probes < 1:
-            raise ValueError(f"need at least one probe, got probes={probes}")
+            raise DomainError(f"need at least one probe, got probes={probes}")
         lo, hi = (np.asarray(b, dtype=float) for b in region)
         rng = np.random.default_rng(seed)
         X, Z = rng.uniform(lo, hi, size=(probes, 2, lo.size)).transpose(1, 0, 2)
@@ -162,11 +162,10 @@ class StorageGenerator:
         """½xᵀPx + Σ cᵢ log cosh xᵢ, convex: P is checked PSD (RhatNotPsdError) and c >= 0
         (DomainError); mu = max(λ_min(P), 0) and ∇V is the form x P + tanh(x) c."""
         P, least = numerics.require_psd(P, "storage P")
-        c = np.zeros(len(P)) if c is None else np.atleast_1d(np.asarray(c, dtype=float))
+        c = np.zeros(len(P)) if c is None else c
+        c = np.atleast_1d(_positive("storage weights c", c, strict=False))
         if c.shape != (len(P),):
             raise DimensionMismatchError(f"need {len(P)} storage weights c, got {c.shape}")
-        if not np.all(c >= 0):
-            raise DomainError("storage weights c must be nonnegative")
         grad_V, Pt = _Affine(P, c), P.T
 
         def V(x):
@@ -191,19 +190,17 @@ class SeparableConvex:
     """
 
     def __init__(self, mu, c=None, n: Optional[int] = None):
-        mu = np.atleast_1d(np.asarray(mu, dtype=float))
+        mu = np.atleast_1d(_positive("mu", mu))
         if n is not None and (n < 1 or mu.size not in (1, n)):
             raise DimensionMismatchError(f"need n >= 1 and 1 or n entries in mu, got n = {n}"
                                          f" and {mu.size}")
         if n is not None and mu.size == 1:
             mu = np.full(n, mu[0])
-        c = np.zeros_like(mu) if c is None else np.atleast_1d(np.asarray(c, dtype=float))
+        c = np.zeros_like(mu) if c is None else np.atleast_1d(_positive("c", c, strict=False))
         if c.size == 1 and mu.size > 1:
             c = np.full(mu.size, c[0])
         if c.shape != mu.shape:
             raise DimensionMismatchError("mu and c must have matching length")
-        if np.any(mu <= 0) or np.any(c < 0):
-            raise ValueError("need mu_i > 0 and c_i >= 0")
         self.mu_vec = mu
         self.c_vec = c
         self.n = mu.size
@@ -414,7 +411,7 @@ class SectorBounds:
             if np.any(M - np.diag(np.diagonal(M)) != 0.0):
                 raise NonSymmetricError("sector bounds must be diagonal")
         if np.any(np.diagonal(K2 - K1) <= 0):
-            raise ValueError("require K2 - K1 positive definite")
+            raise DomainError("require K2 - K1 positive definite")
 
     @property
     def K(self) -> np.ndarray:
@@ -448,6 +445,15 @@ def _require(params: dict, *keys):
     missing = [k for k in keys if k not in params]
     if missing:
         raise MissingParamError(f"missing parameter(s): {', '.join(missing)}")
+
+
+def _positive(name: str, value, strict: bool = True) -> np.ndarray:
+    """``value`` as floats if each is > 0 (>= 0 unless ``strict``; NaN fails both), else a
+    DomainError naming ``name``: the one check of the catalog's positive parameters."""
+    v = np.asarray(value, dtype=float)
+    if not all(x > 0 if strict else x >= 0 for x in v.ravel().tolist()):  # no numpy dispatch
+        raise DomainError(f"{name} must be {'positive' if strict else 'nonnegative'}")
+    return v
 
 
 def _phi_from_params(params: dict, n_key: str = "n") -> SeparableConvex:
@@ -502,13 +508,11 @@ def _build_gradient_ff(params: dict):
     n = phi.n
     g = float(params["g"])
     j = float(params["j"])
-    tau = np.atleast_1d(np.asarray(params.get("tau", np.ones(n)), dtype=float))
+    tau = np.atleast_1d(_positive("tau", params.get("tau", np.ones(n))))
     if tau.size not in (1, n):
         raise DimensionMismatchError(f"need 1 or n = {n} entries in tau, got {tau.size}")
     if tau.size == 1:
         tau = np.full(n, tau[0])
-    if np.any(tau <= 0):
-        raise ValueError("tau must be positive")
     tinv = 1.0 / tau
     f = _Affine(np.diag(-tinv * phi.mu_vec), -tinv * phi.c_vec)
     h = _Affine(g * np.eye(n))
@@ -552,13 +556,8 @@ def _build_ahu_saddle(params: dict):
 def _build_smib(params: dict):
     # swing dynamics: thetadot = omega, M omegadot = P_m - b V² sin(theta) - D omega + u
     _require(params, "M", "D", "b", "V")
-    M = float(params["M"])
-    D = float(params["D"])
-    bcoef = float(params["b"])
-    Vbus = float(params["V"])
+    M, D, bcoef, Vbus = (float(_positive(k, params[k])) for k in ("M", "D", "b", "V"))
     Pm = float(params.get("P_m", 0.0))
-    if min(M, D, bcoef, Vbus) <= 0:
-        raise ValueError("M, D, b, V must be positive")
     bv2 = bcoef * Vbus**2
 
     def f(x):
@@ -588,9 +587,7 @@ def _build_dt_gradient(params: dict):
     # x+ = x - alpha (grad phi(x) - v), y = x
     _require(params, "alpha")
     phi = _phi_from_params(params)
-    alpha = float(params["alpha"])
-    if alpha <= 0:
-        raise ValueError("alpha must be positive")
+    alpha = float(_positive("alpha", params["alpha"]))
     n = phi.n
     f = _Affine(np.eye(n) - alpha * np.diag(phi.mu_vec), -alpha * phi.c_vec)
     h = _Affine(np.eye(n))
@@ -603,10 +600,10 @@ def _build_dt_gradient(params: dict):
 
 def _build_dt_integrator(params: dict):
     _require(params, "alpha")
-    alpha = float(params["alpha"])
+    alpha = float(_positive("alpha", params["alpha"]))
     n = int(params.get("n", 1))
-    if alpha <= 0 or n < 1:
-        raise ValueError("need alpha > 0 and n >= 1")
+    if n < 1:
+        raise DimensionMismatchError(f"need n >= 1, got n = {n}")
     f = h = _Affine(np.eye(n))
     G = alpha * np.eye(n)
     gen = StorageGenerator.quadratic(np.eye(n) / alpha, name="scaled quadratic")
@@ -699,7 +696,7 @@ def validate_system(sys, probes: int = 20, seed: int = 0) -> dict:
     Failures are recorded in the report, never raised.
     """
     if probes < 1:
-        raise ValueError(f"need at least one probe, got probes={probes}")
+        raise DomainError(f"need at least one probe, got probes={probes}")
     checks = {}
     checks["G_full_column_rank"] = numerics.full_row_rank(sys.G.T)
     X = np.random.default_rng(seed).uniform(-2.0, 2.0, size=(probes, sys.n))

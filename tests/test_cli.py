@@ -473,4 +473,4 @@ def test_empty_integrator_is_an_error(runner, tmp_path):
         "schema": 1, "family": "dt_integrator", "params": {"alpha": 0.5, "n": 0},
     })
     result = runner.invoke(main, ["certify-dt", "--system", sys_path, "--out", str(tmp_path)])
-    assert _error(result) == "error: need alpha > 0 and n >= 1"
+    assert _error(result) == "error: need n >= 1, got n = 0"

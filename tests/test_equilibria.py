@@ -13,8 +13,8 @@ from eidlab.equilibria import (
     maximality_conditions,
 )
 from eidlab import numerics
-from eidlab.errors import (DimensionMismatchError, NonFiniteError, NotAssignableError,
-                           SingularJacobianError)
+from eidlab.errors import (DimensionMismatchError, NonFiniteError, NonSquareError,
+                           NotAssignableError, SingularJacobianError)
 from eidlab.systems import CtSystem, SupplyRate, catalog_build
 
 
@@ -357,7 +357,7 @@ def test_maximality_conditions_dt_integrator():
 def test_maximality_requires_square():
     sys = catalog_build("lti", {"F": [[-1.0, 0.0], [0.0, -1.0]],
                                 "G": [[1.0], [0.0]]})  # m=1, p=2
-    with pytest.raises(ValueError):
+    with pytest.raises(NonSquareError, match="square systems"):
         maximality_conditions(sys)
 
 

@@ -4,6 +4,7 @@ import pytest
 from eidlab import certify, gains, numerics
 from eidlab.errors import (
     DimensionMismatchError,
+    DomainError,
     NoConvergenceError,
     NonFiniteError,
     NonSymmetricError,
@@ -181,6 +182,32 @@ def test_single_eigen_solves_go_through_numerics():
             if "eigh" in names and path.name != "numerics.py":
                 found.append(f"{path.name}:{node.lineno}")
     assert not found, f"eigh outside numerics.py: {found}"
+
+
+def test_every_raise_names_an_eidlab_error():
+    # an AST scan of src/eidlab: each raise names a class defined in errors.py,
+    # so every failed check is an EidLabError, and the three that reject an
+    # argument are also ValueErrors for callers that catch those
+    import ast
+    from pathlib import Path
+
+    from eidlab import errors
+
+    src = Path(__file__).resolve().parents[1] / "src" / "eidlab"
+    defined = {node.name for node in ast.walk(ast.parse((src / "errors.py").read_text()))
+               if isinstance(node, ast.ClassDef)}
+    assert all(issubclass(getattr(errors, name), errors.EidLabError) for name in defined)
+    found = []
+    for path in sorted(src.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Raise):
+                exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+                if getattr(exc, "id", getattr(exc, "attr", None)) not in defined:
+                    found.append(f"{path.name}:{node.lineno}")
+    assert not found, f"raise of a class not defined in errors.py: {found}"
+    argument_errors = {errors.DimensionMismatchError, errors.NonSquareError, errors.DomainError}
+    assert {getattr(errors, name) for name in defined
+            if issubclass(getattr(errors, name), ValueError)} == argument_errors
 
 
 def test_full_row_rank_threshold_is_relative():
@@ -506,5 +533,7 @@ def test_rk4_observed_order_at_least_3_8():
 
 
 def test_rk4_rejects_nonpositive_dt():
-    with pytest.raises(ValueError):
-        numerics.rk4_step(lambda z, u: z, np.array([1.0]), None, 0.0)
+    # dt = NaN used to return a NaN state
+    for dt in (0.0, -1.0, np.nan):
+        with pytest.raises(DomainError, match="dt must be positive"):
+            numerics.rk4_step(lambda z, u: z, np.array([1.0]), None, dt)

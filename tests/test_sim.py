@@ -6,7 +6,7 @@ import pytest
 from eidlab import numerics
 from eidlab.certify import BregmanStorage
 from eidlab.equilibria import EquilibriumMap
-from eidlab.errors import NonFiniteError
+from eidlab.errors import DomainError, NonFiniteError
 from eidlab.sim import (
     DT_AUDIT_TOL,
     audit_dissipation,
@@ -71,6 +71,16 @@ def test_dt_constant_input_shifts_equilibrium():
     traj = simulate_dt(sys, np.zeros(1), u, steps=400)
     # fixed point solves grad phi(x) = v, so x = v / mu for the quadratic
     assert traj.states[-1, 0] == pytest.approx(v / mu, abs=1e-9)
+
+
+@pytest.mark.parametrize("dt, T", [(0.0, 1.0), (np.nan, 1.0), (0.01, np.nan), (0.01, -1.0),
+                                   (0.01, np.inf), (np.inf, 1.0)])
+def test_ct_step_and_horizon_checked(dt, T):
+    # a NaN dt or T used to escape as a plain ValueError from int(round(T / dt)),
+    # and T = inf as an OverflowError
+    sys = catalog_build("second_order", {"mu": 1.0})
+    with pytest.raises(DomainError, match="need finite dt > 0 and T > 0"):
+        simulate_ct(sys, np.zeros(2), np.zeros(1), T=T, dt=dt)
 
 
 def test_dt_input_length_checked():

@@ -483,6 +483,35 @@ FAMILIES = {
 }
 
 
+POSITIVE_PARAMS = [("second_order", "mu"), ("gradient_ff", "mu"), ("gradient_ff", "tau"),
+                   ("ahu_saddle", "mu"), ("smib", "M"), ("smib", "D"), ("smib", "b"),
+                   ("smib", "V"), ("dt_gradient", "mu"), ("dt_gradient", "alpha"),
+                   ("dt_integrator", "alpha")]
+WEIGHT_PARAMS = [("second_order", "c"), ("gradient_ff", "c"), ("ahu_saddle", "c"),
+                 ("dt_gradient", "c")]
+
+
+@pytest.mark.parametrize("family, key, bad",
+                         [(*fk, bad) for fk in POSITIVE_PARAMS for bad in (np.nan, 0.0, -1.0)]
+                         + [(*fk, bad) for fk in WEIGHT_PARAMS for bad in (np.nan, -1.0)])
+def test_catalog_parameters_share_one_positivity_check(family, key, bad):
+    # smib with D = NaN used to build a system whose f(0) is [0, nan], and
+    # second_order with mu = NaN raised a NonFiniteError about a "matrix";
+    # a vector parameter gets the bad value in its last entry
+    value = FAMILIES[family][key]
+    value = [*value[:-1], bad] if isinstance(value, list) else bad
+    word = "nonnegative" if key == "c" else "positive"
+    with pytest.raises(DomainError, match=f"^{key} must be {word}$"):
+        catalog_build(family, {**FAMILIES[family], key: value})
+    if key == "c":
+        # a negative weight raises one class whichever constructor sees it
+        with pytest.raises(DomainError) as from_catalog:
+            catalog_build("second_order", {"mu": 1.0, "c": -1.0})
+        with pytest.raises(DomainError) as from_storage:
+            StorageGenerator.quadratic(np.eye(1), [-1.0])
+        assert type(from_catalog.value) is type(from_storage.value)
+
+
 @pytest.mark.parametrize("family", sorted(FAMILIES))
 def test_catalog_jacobians_match_finite_differences(family):
     sys = catalog_build(family, FAMILIES[family])
