@@ -136,107 +136,105 @@ class EidCertificate:
         return text
 
 
-def _stack_pairs(pairs, n: int):
-    """The (N, n) stacks X, X̄ of an (N, 2, n) pair set, or a DimensionMismatchError."""
+def _stack_pairs(pairs, n: int) -> np.ndarray:
+    """The (2N, n) stack x_0, x̄_0, x_1, x̄_1, ... of an (N, 2, n) pair set, a
+    view where the pairs are C-contiguous, or a DimensionMismatchError."""
     P = np.asarray(pairs, dtype=float)
     if P.size != 2 * n * len(P):
         raise DimensionMismatchError(f"pairs of shape {P.shape} are not (N, 2, {n})")
-    return P.reshape(len(P), 2, n).transpose(1, 0, 2)
-
-
-def _pair_terms(sys, storage, X, Xbar):
-    """The supply-independent terms at each row of the (N, n) pair stacks
-    X, X̄: ΔH, the storage terms s, the storage part Cs of the
-    b-differences C = ΔH (QJ+S) - Cs and the size t of the terms of s.
-
-    ``storage`` is a StorageGenerator in continuous time, where s = Δ∇Vᵀ Δf,
-    Cs = ½ Δ∇Vᵀ G and t = |Δ∇V| |Δf|, and a symmetric PSD matrix P in
-    discrete time, where s = ΔfᵀPΔf - ΔxᵀPΔx, Cs = ΔfᵀPG and
-    t = ‖P‖ (|Δf|² + |Δx|²).
-    """
-    dF = sys.f(X) - sys.f(Xbar)
-    dH = sys.h(X) - sys.h(Xbar)
-    ff = np.vecdot(dF, dF)
-    if sys.discrete:
-        dX = X - Xbar
-        s = (np.einsum("ij,jk,ik->i", dF, storage, dF)
-             - np.einsum("ij,jk,ik->i", dX, storage, dX))
-        t = np.linalg.norm(storage) * (ff + np.vecdot(dX, dX))
-        return dH, s, (dF @ storage) @ sys.G, t
-    dgrad = storage._values("grad_V", X) - storage._values("grad_V", Xbar)
-    t = np.sqrt(np.vecdot(dgrad, dgrad)) * np.sqrt(ff)
-    return dH, np.einsum("ij,ij->i", dgrad, dF), 0.5 * dgrad @ sys.G, t
+    return P.reshape(2 * len(P), n)
 
 
 @np.errstate(over="ignore", invalid="ignore")  # a non-finite pair is reported, not warned
-def _dissipation_stacks(sys, storage, X, Xbar, *supplies) -> list:
-    """Per supply, Rhat_eff = Rhat (less GᵀPG in discrete time), the
-    (N, m+1, m+1) stack of dissipation matrices D = [[a, cᵀ], [c, Rhat_eff]]
-    at the rows of the (N, n) pair stacks X, X̄, with a = ΔhᵀQΔh - s and
-    c = (QJ+S)ᵀΔh - Cs, and the pair scales σ = t + ‖Q‖ |Δh|² + |c|, from
-    one evaluation of the pair terms.  A pair passes (a)-(c) with the best
-    W and ell exactly when its D is PSD, which every verdict judges up to
-    rounding relative to 1 + σ, the size of the terms D is formed from.  A
-    pair whose σ is not finite has D all NaN, the worst value of every
-    verdict.  ``storage`` is a StorageGenerator in continuous time or a PSD
-    matrix P in discrete time, whose check comes first; an empty pair set
-    is a DomainError."""
+def _supply_terms(sys, storage, Z, *supplies) -> list:
+    """Per supply, Rhat_eff = Rhat (less GᵀPG in discrete time) and, at the
+    pairs of the (2N, n) stack Z of :func:`_stack_pairs`, a = ΔhᵀQΔh - s,
+    c = (QJ+S)ᵀΔh - Cs and the pair scales σ = t + ‖Q‖ |Δh|² + |c|, from
+    one call each of f, h and ∇V on Z.  ``storage`` is a StorageGenerator in
+    continuous time, where s = Δ∇Vᵀ Δf, Cs = ½ Δ∇Vᵀ G and t = |Δ∇V| |Δf|,
+    or a PSD matrix P in discrete time, checked first, where
+    s = ΔfᵀPΔf - ΔxᵀPΔx, Cs = ΔfᵀPG and t = ‖P‖ (|Δf|² + |Δx|²).
+
+    A pair passes (a)-(c) with the best W and ell exactly when its
+    dissipation matrix D = [[a, cᵀ], [c, Rhat_eff]] is PSD, which every
+    verdict judges up to rounding relative to 1 + σ, the size of the terms
+    D is formed from.  A pair whose σ is not finite has a and c NaN, the
+    worst value of every verdict; an empty pair set is a DomainError."""
     if sys.discrete:
         storage = numerics.require_psd(storage, "P")[0]
-    if not len(X):
+    if not len(Z):
         raise DomainError("need at least one pair")
-    dH, s, Cs, t = _pair_terms(sys, storage, X, Xbar)
-    hh = np.vecdot(dH, dH)
-    stacks = []
+    dF, dH = (V[0::2] - V[1::2] for V in (sys.f(Z), sys.h(Z)))
+    ff, hh = np.vecdot(dF, dF), np.vecdot(dH, dH)
+    if sys.discrete:
+        dX, PdF = Z[0::2] - Z[1::2], dF @ storage
+        s = np.vecdot(PdF, dF) - np.vecdot(dX @ storage, dX)
+        t = np.vdot(storage, storage) ** 0.5 * (ff + np.vecdot(dX, dX))
+        Cs, GPG = PdF @ sys.G, sys.G.T @ storage @ sys.G
+    else:
+        dgrad = storage._values("grad_V", Z)
+        dgrad = dgrad[0::2] - dgrad[1::2]
+        s, Cs, GPG = np.vecdot(dgrad, dF), 0.5 * dgrad @ sys.G, 0.0
+        t = np.sqrt(np.vecdot(dgrad, dgrad)) * np.sqrt(ff)
+    terms = []
     for w in supplies:
-        rhat_eff = w.rhat(sys.J)
-        if sys.discrete:
-            rhat_eff = rhat_eff - sys.G.T @ storage @ sys.G
-        D = np.empty((len(s), sys.m + 1, sys.m + 1))
-        D[:, 0, 0] = np.einsum("ij,jk,ik->i", dH, w.Q, dH) - s
-        D[:, 0, 1:] = D[:, 1:, 0] = C = dH @ (w.Q @ sys.J + w.S) - Cs
-        D[:, 1:, 1:] = rhat_eff
+        a = np.vecdot(dH @ w.Q, dH) - s
+        C = dH @ (w.Q @ sys.J + w.S) - Cs
         # ‖Q‖ is the Frobenius norm, a bound on the spectral one
         sigma = t + np.vdot(w.Q, w.Q) ** 0.5 * hh + np.sqrt(np.vecdot(C, C))
-        if not np.isfinite(sigma).all():  # all of D: σ may overflow where D does not
-            D[~np.isfinite(sigma)] = np.nan
+        if not np.isfinite(sigma).all():  # σ may overflow where a and c do not
+            a[~np.isfinite(sigma)] = C[~np.isfinite(sigma)] = np.nan
+        terms.append((w.rhat(sys.J) - GPG, a, C, sigma))
+    return terms
+
+
+def _dissipation_stacks(sys, storage, pairs, *supplies) -> list:
+    """Per supply, Rhat_eff, the (N, m+1, m+1) stack of the pairs' dissipation
+    matrices D (:func:`_supply_terms`), all NaN where σ is not finite, and σ."""
+    stacks = []
+    for rhat_eff, a, C, sigma in _supply_terms(sys, storage, _stack_pairs(pairs, sys.n),
+                                               *supplies):
+        D = np.empty((len(a), sys.m + 1, sys.m + 1))
+        D[:, 0, 0], D[:, 0, 1:], D[:, 1:, 0], D[:, 1:, 1:] = a, C, C, rhat_eff
+        D[~np.isfinite(sigma)] = np.nan
         stacks.append((rhat_eff, D, sigma))
     return stacks
 
 
-def _residuals(sys, D, X, Xbar, W, W_pinv, ell, mode):
-    """The (a) violations and (b) residuals at each row of the dissipation
-    stack D of the pairs X, X̄: condition (a) is the gap ||ell||² - a, (b)
-    the residual ||Wᵀ ell - c||, with one product by the pseudo-inverse W_pinv
-    of W or one ``ell`` call."""
-    C = D[:, 0, 1:]
+def _residuals(a, C, Z, W, W_pinv, ell, mode):
+    """The (a) violations and (b) residuals of the pairs of the (2N, n)
+    stack Z, whose a and b-differences C are given: condition (a) is the gap
+    ||ell||² - a, (b) the residual ||Wᵀ ell - c||, with one product by the
+    pseudo-inverse W_pinv of W or one ``ell`` call."""
     if ell is None:
         # minimum-norm solution of Wᵀ ell = c: any kernel component of Wᵀ
         # only makes condition (a) harder, so this is the favourable choice
         L = C @ W_pinv
     else:
-        # ell(x, xb) on the stacks X, X̄ as one (N, 2n) stack, or row by row
-        n = X.shape[1]
-        L = _Stacked(lambda Z: ell(Z[..., :n], Z[..., n:]))(np.hstack([X, Xbar]))
+        # ell(x, xb) on the pairs as one (N, 2n) stack of rows [x, x̄], or row by row
+        n = Z.shape[1]
+        L = _Stacked(lambda Y: ell(Y[..., :n], Y[..., n:]))(Z.reshape(-1, 2 * n))
         if L.shape[-1] < W.shape[0]:
             raise DimensionMismatchError(
                 f"ell has {L.shape[-1]} components but W has {W.shape[0]} rows")
     # a longer ell pads W with zero rows, which leave WᵀW unchanged
-    b_res = np.linalg.norm(L[:, :W.shape[0]] @ W - C, axis=1)
-    gap = np.einsum("ij,ij->i", L, L) - D[:, 0, 0]
-    return (np.abs(gap) if mode == "equality" else np.maximum(gap, 0.0)), b_res
+    E = L[:, :W.shape[0]] @ W - C
+    gap = np.vecdot(L, L) - a
+    a_viol = np.abs(gap) if mode == "equality" else np.maximum(gap, 0.0)
+    return a_viol, np.sqrt(np.vecdot(E, E))
 
 
 def _verify_eid(sys, w: SupplyRate, storage, pairs, W, ell, mode,
                 tol_a, tol_b, tol_c, seed) -> EidCertificate:
     """Conditions (a)-(c) on every pair, for either time domain, read from
-    the pairs' dissipation stack and scales.  The min-norm ell of every pair
-    is one product by W's pseudo-inverse, from the solve that forms the canonical W
-    (:func:`numerics.psd_sqrt_pinv`, in closed form at m <= 2) or ``pinv`` of a given W."""
+    the pairs' a, c and scales (:func:`_supply_terms`), with no D built.  The
+    min-norm ell of every pair is one product by W's pseudo-inverse, from the
+    solve that forms the canonical W (:func:`numerics.psd_sqrt_pinv`, in
+    closed form at m <= 2) or ``pinv`` of a given W."""
     if mode not in ("equality", "inequality"):
         raise DomainError(f"unknown mode {mode!r}")
-    X, Xbar = _stack_pairs(pairs, sys.n)
-    rhat_eff, D, sigma = _dissipation_stacks(sys, storage, X, Xbar, w)[0]
+    Z = _stack_pairs(pairs, sys.n)
+    rhat_eff, a, C, sigma = _supply_terms(sys, storage, Z, w)[0]
     W_pinv = None
     if W is None:
         # clipped: an indefinite Rhat_eff fails (c) by at least |lambda_min|
@@ -246,16 +244,17 @@ def _verify_eid(sys, w: SupplyRate, storage, pairs, W, ell, mode,
         raise DimensionMismatchError(f"W must have {sys.m} columns")
     if W_pinv is None and ell is None:  # a given W, with lstsq's rcond=None cutoff
         W_pinv = np.linalg.pinv(W, rcond=np.finfo(float).eps * max(W.shape))
-    c_res = float(np.linalg.norm(W.T @ W - rhat_eff))
+    E = W.T @ W - rhat_eff
+    c_res = float(np.vdot(E, E) ** 0.5)
 
-    a_viol, b_res = _residuals(sys, D, X, Xbar, W, W_pinv, ell, mode)
+    a_viol, b_res = _residuals(a, C, Z, W, W_pinv, ell, mode)
     # argmax takes the first NaN as the largest value: finite maxima, finite pairs
     ia, ib = int(a_viol.argmax()), int(b_res.argmax())
     finite = np.isfinite(a_viol[ia] + b_res[ib])
     stats = ResidualStats(max_a_violation=float(a_viol[ia]), max_b_residual=float(b_res[ib]),
                           c_residual=c_res, worst_a_index=ia, worst_b_index=ib,
-                          worst_a_pair=[X[ia].tolist(), Xbar[ia].tolist()],
-                          worst_b_pair=[X[ib].tolist(), Xbar[ib].tolist()],
+                          worst_a_pair=Z[2 * ia:2 * ia + 2].tolist(),
+                          worst_b_pair=Z[2 * ib:2 * ib + 2].tolist(),
                           nonfinite_pairs=0 if finite else int(np.sum(~np.isfinite(a_viol + b_res))))
     # 1 + σ >= 1, so a worst residual within its tolerance needs no scale
     within = lambda r, i, tol: r[i] <= tol or (r / (1.0 + sigma)).max() <= tol
@@ -263,7 +262,7 @@ def _verify_eid(sys, w: SupplyRate, storage, pairs, W, ell, mode,
     return EidCertificate(
         system_name=sys.name, supply=w, W=W, mode=mode,
         tolerances={"tol_a": tol_a, "tol_b": tol_b, "tol_c": tol_c},
-        stats=stats, n_pairs=len(X), passed=passed, seed=seed,
+        stats=stats, n_pairs=len(a), passed=passed, seed=seed,
     )
 
 
@@ -322,7 +321,7 @@ def factor_dissipation(sys, w: SupplyRate, storage, pair) -> FactorizationResult
     margin and its rank (eigenvalues above 1e-9 relative to the largest).
     ``storage`` is a StorageGenerator in continuous time or a PSD matrix P in
     discrete time.  A pair that is not finite raises NonFiniteError."""
-    rhat_eff, (D,), _ = _dissipation_stacks(sys, storage, *_stack_pairs([pair], sys.n), w)[0]
+    rhat_eff, (D,), _ = _dissipation_stacks(sys, storage, [pair], w)[0]
     eig = numerics.sym_eigen(D)
     rank = int(np.sum(eig > 1e-9 * max(abs(eig[-1]), 1.0)))
     return FactorizationResult(a=float(D[0, 0]), b_difference=D[1:, 0], rhat_eff=rhat_eff,
@@ -347,8 +346,7 @@ def supply_margin(sys, w0: SupplyRate, w1: SupplyRate, storage, pairs):
     (closed form at m = 1), 3 at an exact certificate and typically 5 to 9, where a
     30-step bisection takes 33.  ``storage`` is as for :func:`factor_dissipation`.
     """
-    (_, D0, s0), (_, D1, s1) = _dissipation_stacks(sys, storage, *_stack_pairs(pairs, sys.n),
-                                                   w0, w1)
+    (_, D0, s0), (_, D1, s1) = _dissipation_stacks(sys, storage, pairs, w0, w1)
     dD, slack, q = D1 - D0, 1e-12 * (1.0 + np.maximum(s0, s1)), 2.0 ** -30
     margin = lambda theta: numerics.stack_eigvalsh(D0 + theta * dD)[:, 0] + slack
     at = margin(0.0)

@@ -70,7 +70,8 @@ class SupplyRate:
     def rhat(self, J) -> np.ndarray:
         """Feedthrough-matched input block R + JᵀS + SᵀJ + JᵀQJ."""
         J = np.atleast_2d(np.asarray(J, dtype=float))
-        return self.R + J.T @ self.S + self.S.T @ J + J.T @ self.Q @ J
+        JS = J.T @ self.S
+        return self.R + JS + JS.T + J.T @ self.Q @ J
 
     def __repr__(self):
         return f"SupplyRate(p={self.p}, m={self.m})"
@@ -537,7 +538,7 @@ def _build_ahu_saddle(params: dict):
         raise RankDeficientError("A must have full row rank")
     K = numerics.require_psd(params.get("K", np.zeros((n2, n2))), "K")[0]
     lam_min = numerics.sym_eigen(np.diag(phi.mu_vec) + A.T @ K @ A)[0]  # >= min mu > 0
-    alpha = float(params.get("alpha", 2.0 / lam_min))
+    alpha = float(_positive("alpha", params.get("alpha", 2.0 / lam_min)))
 
     # [-grad phi(z) - (res K + lam) A, res] with res = z Aᵀ - b, in x = [z, lam]
     Af = np.block([[-np.diag(phi.mu_vec) - A.T @ K @ A, A.T], [-A, np.zeros((n2, n2))]])

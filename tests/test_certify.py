@@ -563,12 +563,12 @@ def test_stacked_kernel_matches_per_pair_reference(case, mode):
     verify = verify_eid_dt if sys.discrete else verify_eid_ct
     cert = verify(sys, w, storage, pairs, ell=ell, mode=mode)
     a_ref, b_ref, sigma_ref = _reference_residuals(sys, w, storage, pairs, cert.W, ell, mode)
-    X, Xbar = certify._stack_pairs(pairs, sys.n)
-    rhat_eff, D, sigma = certify._dissipation_stacks(sys, storage, X, Xbar, w)[0]
+    Z = certify._stack_pairs(pairs, sys.n)
+    rhat_eff, a, C, sigma = certify._supply_terms(sys, storage, Z, w)[0]
     # the canonical W and the pseudo-inverse that verification takes from one solve
     W, W_pinv = numerics.psd_sqrt_pinv(rhat_eff, np.inf)
     np.testing.assert_array_equal(W, cert.W)
-    a_viol, b_res = certify._residuals(sys, D, X, Xbar, W, W_pinv, ell, mode)
+    a_viol, b_res = certify._residuals(a, C, Z, W, W_pinv, ell, mode)
     np.testing.assert_allclose(a_viol, a_ref, rtol=0, atol=1e-12)
     np.testing.assert_allclose(b_res, b_ref, rtol=0, atol=1e-12)
     np.testing.assert_allclose(sigma, sigma_ref, rtol=1e-12, atol=1e-12)
@@ -637,9 +637,52 @@ def test_verify_call_counts_do_not_grow_with_pairs(ph):
     assert all(v <= 8 for v in seen[0].values()), seen[0]
 
 
+def _layouts(pairs):
+    """The same pairs as a C-contiguous array, a strided slice of a wider
+    array, a Fortran-ordered copy and a nested list."""
+    wide = np.zeros(pairs.shape[:2] + (2 * pairs.shape[2],))
+    wide[..., ::2] = pairs
+    return {"contiguous": np.ascontiguousarray(pairs), "strided": wide[..., ::2],
+            "fortran": np.asfortranarray(pairs), "list": pairs.tolist()}
+
+
+def test_certificates_do_not_depend_on_the_pair_layout():
+    # the (2N, n) pair stack is a reshape of the pair set, so every memory
+    # layout of the same pairs gives the same certificate, bit for bit
+    so = catalog_build("second_order", {"mu": 1.0, "c": 0.5})
+    dti = catalog_build("dt_integrator", {"alpha": 0.5, "n": 2})
+    ifp = SupplyRate(np.zeros((2, 2)), 0.5 * np.eye(2), 0.25 * np.eye(2), warn_definite=False)
+    osp = lambda a: SupplyRate.output_strict(a, 1)
+    ct = sample_pairs(so, (-np.ones(2), np.ones(2)), count=300, seed=4)
+    dt = sample_pairs(dti, (-np.ones(2), np.ones(2)), count=300, seed=4)
+    ct_layouts, dt_layouts = _layouts(ct), _layouts(dt)
+    assert not (ct_layouts["strided"].flags.c_contiguous
+                or ct_layouts["fortran"].flags.c_contiguous)
+    answers = {}
+    for name in ct_layouts:
+        ct_pairs, dt_pairs = ct_layouts[name], dt_layouts[name]
+        answers[name] = (verify_eid_ct(so, osp(0.5), so.storage, ct_pairs).to_dict(),
+                         verify_eid_ct(so, osp(1.5), so.storage, ct_pairs).to_dict(),
+                         verify_eid_dt(dti, ifp, dti.meta["P"], dt_pairs).to_dict(),
+                         supply_margin(so, osp(0.0), osp(2.0), so.storage, ct_pairs))
+    assert answers["contiguous"][0]["verdict"] == "pass"
+    assert answers["contiguous"][1]["verdict"] == "fail"
+    assert 0 < answers["contiguous"][3][0] < 1
+    for name in ("strided", "fortran", "list"):
+        assert answers[name] == answers["contiguous"], name
+    # a pair set that is not (N, 2, n) is still rejected
+    for bad in (np.zeros((10, 3, 2)), np.zeros((10, 2, 3)), np.zeros((10, 5))):
+        with pytest.raises(DimensionMismatchError, match="are not"):
+            verify_eid_ct(so, osp(0.5), so.storage, bad)
+        with pytest.raises(DimensionMismatchError, match="are not"):
+            verify_eid_dt(dti, ifp, dti.meta["P"], bad)
+        with pytest.raises(DimensionMismatchError, match="are not"):
+            supply_margin(so, osp(0.0), osp(2.0), so.storage, bad)
+
+
 def test_second_verification_reuses_the_stack_probe(ph, ph_pairs):
     # the generator's stack capability is probed once (four grad_V calls);
-    # every later verification makes one grad_V call on X and one on X̄
+    # every verification makes one grad_V call on the (2N, n) pair stack
     calls = []
 
     def grad_V(x):
@@ -648,10 +691,10 @@ def test_second_verification_reuses_the_stack_probe(ph, ph_pairs):
 
     gen = StorageGenerator(V=ph.storage.V, grad_V=grad_V)
     first = verify_eid_ct(ph, SupplyRate.passivity(2), gen, ph_pairs)
-    assert len(calls) == 6
+    assert len(calls) == 5
     calls.clear()
     second = verify_eid_ct(ph, SupplyRate.output_strict(0.1, 2), gen, ph_pairs)
-    assert calls == [(len(ph_pairs), 4)] * 2
+    assert calls == [(2 * len(ph_pairs), 4)]
     assert first.passed and second.passed
 
 
@@ -709,7 +752,7 @@ def test_verify_passes_at_the_margin_and_fails_beyond_it():
 def test_supply_margin_computes_the_pair_terms_once(monkeypatch):
     # the supply-independent pair terms serve both supplies: one stacking
     # of the pairs and, as in one verification, one f and one grad_V call
-    # on each of X and X̄
+    # on the (2N, n) pair stack
     from eidlab import certify
 
     counts = {"f": 0, "grad_V": 0, "stack": 0}
@@ -730,11 +773,11 @@ def test_supply_margin_computes_the_pair_terms_once(monkeypatch):
     for key in counts:
         counts[key] = 0
     verify_eid_ct(smib, osp(0.0), gen, pairs)
-    assert counts == {"f": 2, "grad_V": 2, "stack": 1}
+    assert counts == {"f": 1, "grad_V": 1, "stack": 1}
     for key in counts:
         counts[key] = 0
     theta, binding = supply_margin(smib, osp(0.0), osp(2.0), gen, pairs)
-    assert counts == {"f": 2, "grad_V": 2, "stack": 1}
+    assert counts == {"f": 1, "grad_V": 1, "stack": 1}
     assert (theta, binding) == supply_margin(smib, osp(0.0), osp(2.0), smib.storage, pairs)
 
 
@@ -747,8 +790,7 @@ def _bisection_margin(sys, w0, w1, storage, pairs):
     eigenvalue: 33 stack eigen-solves for an answer inside (0, 1)."""
     from eidlab import certify
 
-    X, Xbar = certify._stack_pairs(pairs, sys.n)
-    (_, D0, s0), (_, D1, s1) = certify._dissipation_stacks(sys, storage, X, Xbar, w0, w1)
+    (_, D0, s0), (_, D1, s1) = certify._dissipation_stacks(sys, storage, pairs, w0, w1)
     dD, slack = D1 - D0, 1e-12 * (1.0 + np.maximum(s0, s1))
     margin = lambda theta: np.linalg.eigvalsh(D0 + theta * dD)[:, 0] + slack
     at_zero = margin(0.0)

@@ -81,7 +81,8 @@ def test_supply_on_equilibrium_pairs_is_the_dissipation_form(family, kind):
     samples = EquilibriumMap(sys).sample_io_relation(region, 24, seed=3)
     assert len(samples) >= 12
     i, j = np.triu_indices(len(samples), 1)
-    (_, D, sigma), = certify._dissipation_stacks(sys, storage, samples.x[i], samples.x[j], w)
+    pairs = np.stack([samples.x[i], samples.x[j]], axis=1)
+    (_, D, sigma), = certify._dissipation_stacks(sys, storage, pairs, w)
     du, dy = samples.u[i] - samples.u[j], samples.y[i] - samples.y[j]
     v = np.hstack([np.ones((len(du), 1)), du])
     gap = w.evaluate(du, dy) - np.einsum("ki,kij,kj->k", v, D, v)

@@ -412,8 +412,8 @@ def test_circle_over_a_nan_pair_certifies_nothing():
 @pytest.mark.parametrize("sector", [(0.0, 1.0), (-1.5, 1.0)], ids=["pass", "fail"])
 def test_circle_criterion_evaluates_its_part_once(sector, monkeypatch):
     # the transformed f and h map stacks by construction, so no probe runs:
-    # f once on each pair stack, h once at construction and twice each for
-    # the transformed f and h
+    # f once on the (2N, n) pair stack, h once at construction and once each
+    # for the transformed f and h
     sys = catalog_build("smib", SMIB)
     pairs = sample_pairs(sys, (np.array([-1.2, -0.5]), np.array([1.2, 0.5])), count=400, seed=3)
     calls = dict.fromkeys(("f", "h", "probe"), 0)
@@ -434,7 +434,7 @@ def test_circle_criterion_evaluates_its_part_once(sector, monkeypatch):
     first = circle_criterion(sys, bounds, sys.storage, pairs)  # the part's own rules probe here
     calls.update(f=0, h=0, probe=0)
     again = circle_criterion(sys, bounds, sys.storage, pairs)
-    assert calls["probe"] == 0 and calls["f"] <= 2 and calls["h"] <= 5, calls
+    assert calls["probe"] == 0 and calls["f"] <= 1 and calls["h"] <= 3, calls
     assert (again["certified_eps"], again["binding_pair"]) == (first["certified_eps"],
                                                                 first["binding_pair"])
 

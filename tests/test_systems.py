@@ -304,8 +304,6 @@ PSD_BUILDS = {
     "port_hamiltonian/storage P": lambda: catalog_build("port_hamiltonian", {
         "J": [[0.0, 1.0], [-1.0, 0.0]], "R": np.eye(2), "G": [[1.0], [0.0]],
         "hamiltonian": {"P": INDEFINITE}}),
-    "ahu_saddle/storage P": lambda: catalog_build("ahu_saddle", {
-        "mu": [1.0], "A": [[1.0]], "b": [0.0], "alpha": -1.0}),
 }
 
 
@@ -484,9 +482,9 @@ FAMILIES = {
 
 
 POSITIVE_PARAMS = [("second_order", "mu"), ("gradient_ff", "mu"), ("gradient_ff", "tau"),
-                   ("ahu_saddle", "mu"), ("smib", "M"), ("smib", "D"), ("smib", "b"),
-                   ("smib", "V"), ("dt_gradient", "mu"), ("dt_gradient", "alpha"),
-                   ("dt_integrator", "alpha")]
+                   ("ahu_saddle", "mu"), ("ahu_saddle", "alpha"), ("smib", "M"),
+                   ("smib", "D"), ("smib", "b"), ("smib", "V"), ("dt_gradient", "mu"),
+                   ("dt_gradient", "alpha"), ("dt_integrator", "alpha")]
 WEIGHT_PARAMS = [("second_order", "c"), ("gradient_ff", "c"), ("ahu_saddle", "c"),
                  ("dt_gradient", "c")]
 
@@ -496,9 +494,10 @@ WEIGHT_PARAMS = [("second_order", "c"), ("gradient_ff", "c"), ("ahu_saddle", "c"
                          + [(*fk, bad) for fk in WEIGHT_PARAMS for bad in (np.nan, -1.0)])
 def test_catalog_parameters_share_one_positivity_check(family, key, bad):
     # smib with D = NaN used to build a system whose f(0) is [0, nan], and
-    # second_order with mu = NaN raised a NonFiniteError about a "matrix";
-    # a vector parameter gets the bad value in its last entry
-    value = FAMILIES[family][key]
+    # second_order with mu = NaN raised a NonFiniteError about a "matrix",
+    # and ahu_saddle built its storage with alpha = 0 (a zero weight on the
+    # primal state); a vector parameter gets the bad value in its last entry
+    value = FAMILIES[family].get(key)
     value = [*value[:-1], bad] if isinstance(value, list) else bad
     word = "nonnegative" if key == "c" else "positive"
     with pytest.raises(DomainError, match=f"^{key} must be {word}$"):
