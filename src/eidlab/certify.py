@@ -138,9 +138,10 @@ class EidCertificate:
 
 def _stack_pairs(pairs, n: int) -> np.ndarray:
     """The (2N, n) stack x_0, x̄_0, x_1, x̄_1, ... of an (N, 2, n) pair set, a
-    view where the pairs are C-contiguous, or a DimensionMismatchError."""
+    view where the pairs are C-contiguous, or a DimensionMismatchError for a
+    non-empty set of any other shape, such as (N, 2n) rows or (N, n, 2) at n ≠ 2."""
     P = np.asarray(pairs, dtype=float)
-    if P.size != 2 * n * len(P):
+    if P.size and P.shape[1:] != (2, n):
         raise DimensionMismatchError(f"pairs of shape {P.shape} are not (N, 2, {n})")
     return P.reshape(2 * len(P), n)
 

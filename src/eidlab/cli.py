@@ -4,8 +4,9 @@ Every command reads JSON configuration, runs one analysis, writes a JSON
 report (and CSV artifacts where applicable) and exits 0 on a Pass verdict,
 2 on a valid run with a Fail verdict, and 1 on configuration or runtime
 errors.  Reports embed a hash of the resolved configuration and the seed so
-runs are reproducible and diffable in CI.  Each command is one analysis
-body registered with :func:`_command`, which owns everything else.
+runs are reproducible and diffable in CI.  Each command is one analysis body
+registered with :func:`_command`, which owns everything else; a body imports
+the modules it runs, so a process loads only those.
 """
 
 from __future__ import annotations
@@ -21,10 +22,7 @@ from typing import Any, Optional
 import click
 import numpy as np
 
-from . import certify as certify_mod
-from . import equilibria, gains, interconnect, sim
 from .errors import ConfigError, EidLabError
-from .systems import SectorBounds, SupplyRate, load_system
 
 _EXIT_PASS = 0
 _EXIT_ERROR = 1
@@ -47,6 +45,8 @@ def _config_hash(config: dict) -> str:
 
 
 def _parse_supply(spec: dict) -> SupplyRate:
+    from .systems import SupplyRate
+
     kind, m = spec.get("type"), int(spec.get("m", 1))
     if kind == "passivity":
         return SupplyRate.passivity(m)
@@ -107,16 +107,22 @@ class _Run:
         return (np.asarray(spec["lo"], dtype=float), np.asarray(spec["hi"], dtype=float))
 
     def pairs(self):
+        from . import certify
+
         count = int(self.cfg.get("pairs", 500))
-        return certify_mod.sample_pairs(self.system, self.region(), count=count, seed=self.seed)
+        return certify.sample_pairs(self.system, self.region(), count=count, seed=self.seed)
 
     def equilibrium(self):
         """The configured ``xbar`` projected onto the equilibrium set, and its (u, y)."""
+        from . import equilibria
+
         emap = equilibria.EquilibriumMap(self.system)
         xbar = emap.project(np.asarray(self.cfg["xbar"], dtype=float))
         return xbar, emap.ku_ky(xbar)
 
     def simulate(self, x0, u):
+        from . import sim
+
         if self.system.discrete:
             return sim.simulate_dt(self.system, x0, u, steps=int(self.cfg.get("steps", 100)))
         return sim.simulate_ct(self.system, x0, u, T=float(self.cfg.get("T", 1.0)),
@@ -130,11 +136,19 @@ def _start(system_file, config_file, seed, tol, out_dir, needs_system) -> _Run:
             cfg = json.load(fh)
         if not isinstance(cfg, dict):
             raise ConfigError("configuration must be a JSON object")
-    if needs_system and system_file is None:
-        raise ConfigError("--system is required for this command")
-    system = load_system(system_file) if needs_system else None
+    system = None
+    if needs_system:
+        if system_file is None:
+            raise ConfigError("--system is required for this command")
+        from .systems import load_system
+
+        system = load_system(system_file)
     if seed is None:
-        seed = int(os.environ.get("EIDLAB_SEED") or 0)
+        env_seed = os.environ.get("EIDLAB_SEED") or "0"
+        try:
+            seed = int(env_seed)
+        except ValueError:
+            raise ConfigError(f"EIDLAB_SEED must be an integer, got {env_seed!r}") from None
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     return _Run(cfg, seed, tol, out, system)
@@ -183,30 +197,38 @@ def _certificate(run: _Run, verify, storage):
 @_command("certify", needs_system=True)
 def _certify(run):
     """Continuous-time EID certification for a catalog system."""
-    return _certificate(run, certify_mod.verify_eid_ct, run.generator())
+    from . import certify
+
+    return _certificate(run, certify.verify_eid_ct, run.generator())
 
 
 @_command("certify-dt", needs_system=True)
 def _certify_dt(run):
     """Discrete-time EID certification with quadratic storage."""
-    return _certificate(run, certify_mod.verify_eid_dt, run.storage_matrix())
+    from . import certify
+
+    return _certificate(run, certify.verify_eid_dt, run.storage_matrix())
 
 
 @_command("kyp")
 def _kyp(run):
     """Linear dissipativity check for a given quadratic storage."""
+    from . import certify
+
     cfg = run.cfg
     w = _parse_supply(cfg["supply"])
     n, m = np.atleast_2d(cfg["G"]).shape
     H = np.atleast_2d(cfg.get("H", np.eye(n)))
     J = cfg.get("J", np.zeros((H.shape[0], m)))
-    res = certify_mod.verify_kyp_lti(cfg["F"], cfg["G"], H, J, w, cfg["P"], tol=run.tolerance)
+    res = certify.verify_kyp_lti(cfg["F"], cfg["G"], H, J, w, cfg["P"], tol=run.tolerance)
     return ("pass" if res["passed"] else "fail"), {"lambda_max": res["lambda_max"]}, []
 
 
 @_command("region")
 def _region(run):
     """Sweep the feedforward-passivity feasibility region to CSV."""
+    from . import gains
+
     cfg = run.cfg
     reg = gains.FeasibleRegion(mu=float(cfg["mu"]), g=float(cfg["g"]), j=float(cfg["j"]))
     nu_lo = float(cfg.get("nu_min", 0.0))
@@ -232,6 +254,8 @@ def _region(run):
 @_command("gain")
 def _gain(run):
     """Closed-form gain sweep to CSV."""
+    from . import gains
+
     cfg = run.cfg
     formula = cfg["formula"]
     if formula == "ifp_osp":
@@ -257,6 +281,8 @@ def _gain(run):
 @_command("compose")
 def _compose(run):
     """Supply-rate composition and kappa search across the feedback loop."""
+    from . import interconnect
+
     cfg = run.cfg
     w1, w2 = _parse_supply(cfg["w1"]), _parse_supply(cfg["w2"])
     if "kappa" in cfg:
@@ -276,8 +302,11 @@ def _compose(run):
 @_command("circle", needs_system=True)
 def _circle(run):
     """Sector absolute-stability certificate search."""
+    from . import interconnect, systems
+
     sector = run.cfg["sector"]
-    bounds = SectorBounds.scalar(float(sector["alpha"]), float(sector["beta"]), m=run.system.m)
+    bounds = systems.SectorBounds.scalar(float(sector["alpha"]), float(sector["beta"]),
+                                         m=run.system.m)
     res = interconnect.circle_criterion(run.system, bounds, run.generator(), run.pairs(),
                                         tol=run.tolerance)
     return res["verdict"], {"certified_eps": res["certified_eps"]}, []
@@ -299,12 +328,14 @@ def _simulate(run):
 @_command("audit", needs_system=True)
 def _audit(run):
     """Simulate and audit the dissipation inequality along the run."""
+    from . import certify, sim
+
     w = run.supply()
     xbar, eq = run.equilibrium()
     if run.system.discrete:
         storage = run.storage_matrix()
     else:
-        storage = certify_mod.BregmanStorage(run.generator(), xbar)
+        storage = certify.BregmanStorage(run.generator(), xbar)
     traj = run.simulate(run.cfg.get("x0", xbar), eq.u)
     audit = sim.audit_dissipation(traj, storage, w, eq.u, eq.y, xbar=xbar, tol=run.tol)
     csv_path = run.out / "audit.csv"
@@ -316,6 +347,8 @@ def _audit(run):
 @_command("stability", needs_system=True)
 def _stability(run):
     """Probe-shell convergence experiment around an equilibrium."""
+    from . import sim
+
     xbar, eq = run.equilibrium()
     res = sim.stability_experiment(
         run.system, xbar, eq.u,
@@ -334,6 +367,8 @@ def _stability(run):
 @_command("io-relation", needs_system=True)
 def _io_relation(run):
     """Sample the equilibrium I/O relation and check pairwise dissipativity."""
+    from . import equilibria
+
     emap = equilibria.EquilibriumMap(run.system)
     samples = emap.sample_io_relation(run.region(), int(run.cfg.get("count", 50)), seed=run.seed)
     csv_path = run.out / "io_relation.csv"

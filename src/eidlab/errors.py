@@ -1,6 +1,6 @@
 """Exception hierarchy shared by all eidlab modules; every check in the package raises
-one of these.  DimensionMismatchError, NonSquareError and DomainError reject an
-argument, so they are also ValueErrors: ``except ValueError`` still catches them."""
+one of these.  DimensionMismatchError, NonSquareError and DomainError reject an argument,
+so they are also ValueErrors; UnknownNameError, a failed lookup, is an AttributeError."""
 
 
 class EidLabError(Exception):
@@ -71,3 +71,7 @@ class ConditionsNotMetError(EidLabError):
 
 class ConfigError(EidLabError):
     """Malformed or incomplete configuration / JSON input."""
+
+
+class UnknownNameError(EidLabError, AttributeError):
+    """The package exports no name of this spelling."""

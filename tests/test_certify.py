@@ -263,6 +263,31 @@ def test_pairs_of_another_state_width_are_errors():
             run()
 
 
+def test_pairs_of_the_right_size_but_another_shape_are_errors(ph):
+    # only the size of a pair set was checked: a transposed (N, n, 2) set, (N,
+    # 2n) rows and a flat pair were read as (N, 2, n) pairs.  (At n = 2 a
+    # transposed set is (N, 2, 2) again, which no shape check can tell.)
+    so = catalog_build("second_order", {"mu": 1.0, "c": 0.5})
+    dti = catalog_build("dt_integrator", {"alpha": 0.5, "n": 3})
+    osp = lambda a, m: SupplyRate.output_strict(a, m)
+    for sys, storage, supply in ((so, so.storage, osp(0.5, 1)), (ph, ph.storage, osp(0.1, 2)),
+                                 (dti, dti.meta["P"], SupplyRate.passivity(3))):
+        pairs = sample_pairs(sys, (-np.ones(sys.n), np.ones(sys.n)), count=50, seed=0)
+        verify = verify_eid_dt if sys.discrete else verify_eid_ct
+        assert verify(sys, supply, storage, pairs).n_pairs == 50
+        bad = [pairs.reshape(50, -1)]
+        if sys.n != 2:
+            bad.append(pairs.transpose(0, 2, 1))
+        for P in bad:
+            with pytest.raises(DimensionMismatchError, match=rf"not \(N, 2, {sys.n}\)"):
+                verify(sys, supply, storage, P)
+            if not sys.discrete:
+                with pytest.raises(DimensionMismatchError, match="are not"):
+                    supply_margin(sys, osp(0.0, sys.m), supply, storage, P)
+        with pytest.raises(DimensionMismatchError, match="are not"):
+            factor_dissipation(sys, supply, storage, pairs[1].ravel())
+
+
 def test_every_dt_path_rejects_indefinite_p():
     # one check for all four: an unchecked P = -I once gave a fake "w0
     # fails" margin, a negative psd_margin and a passing audit instead of

@@ -276,6 +276,18 @@ def test_seed_env_fallback(runner, tmp_path, monkeypatch):
     assert _report(result)["seed"] == 77
 
 
+def test_non_integer_seed_env_is_a_config_error(runner, tmp_path, monkeypatch):
+    # int() used to fail with a message that named no setting
+    sys_path = _gradient_ff_system(tmp_path)
+    monkeypatch.setenv("EIDLAB_SEED", "abc")
+    result = runner.invoke(main, ["certify", "--system", sys_path, "--out", str(tmp_path)])
+    assert _error(result) == "error: EIDLAB_SEED must be an integer, got 'abc'"
+    # --seed wins, so the variable is never read
+    result = runner.invoke(main, ["certify", "--system", sys_path, "--seed", "3",
+                                  "--out", str(tmp_path)])
+    assert result.exit_code == 0, result.output
+
+
 def test_config_hash_deterministic(runner, tmp_path):
     cfg = _write(tmp_path, "cfg.json", {"mu": 2.0, "g": 1.0, "j": 0.9})
     hashes = set()
