@@ -29,8 +29,7 @@ from .errors import (
     NonSquareError,
     NonzeroFeedthroughError,
 )
-from .systems import (CtSystem, DtSystem, SectorBounds, StorageGenerator, SupplyRate,
-                      _Stacked)
+from .systems import CtSystem, DtSystem, SectorBounds, StorageGenerator, SupplyRate, _Stacked
 
 WELLPOSED_COND_MAX = 1e8
 
@@ -75,7 +74,6 @@ def compose_closed_loop(loop: FeedbackLoop):
     (I - Jd E) y = h + Jd v is inverted once.  When both parts carry
     ``f_jac`` and ``h_jac``, the loop's ``f_jac`` is blockdiag(J_f) +
     B E (I - Jd E)⁻¹ blockdiag(J_h), one matrix per row; else it has none.
-    These call only the parts' stack rules, so they map stacks unprobed.
     """
     s1, s2 = loop.sys1, loop.sys2
     n1, n2, p1, p2 = s1.n, s2.n, s1.p, s2.p
@@ -101,9 +99,8 @@ def compose_closed_loop(loop: FeedbackLoop):
     analytic = all(s.f_jac is not None and s.h_jac is not None for s in (s1, s2))
     G_cl = B + B @ E @ Linv @ Jd
     J_cl = Linv @ Jd
-    cls, n = DtSystem if s1.discrete else CtSystem, (n1 + n2,)
-    return cls(_Stacked(f_cl, 1, n), _Stacked(h_cl, 1, n), G_cl, J=J_cl,
-               f_jac=_Stacked(f_jac, 2, n) if analytic else None,
+    cls = DtSystem if s1.discrete else CtSystem
+    return cls(f_cl, h_cl, G_cl, J=J_cl, f_jac=f_jac if analytic else None,
                name=f"loop({s1.name},{s2.name})",
                meta={"family": "feedback_loop", "n1": n1, "n2": n2})
 
@@ -113,7 +110,7 @@ def static_feedback(sys, psi):
     u = v - psi(y), the convention of the absolute-stability setup.
     Requires J = 0 so the loop is trivially well posed.  The result has no
     ``f_jac``: J_f - G Dpsi(h) J_h would need the slope of psi.  Its h is the
-    part's stack rule; its f calls psi, a user callable, so it is probed.
+    part's h callable, so a matrix-form h keeps its ``h_jac``.
     """
     if not np.all(sys.J == 0.0):
         raise NonzeroFeedthroughError("static feedback requires J = 0")
@@ -121,7 +118,7 @@ def static_feedback(sys, psi):
         raise NonSquareError("static feedback requires a square system")
     f_cl = lambda x: sys.f(x) - psi(sys.h(x)) @ sys.G.T
     cls = DtSystem if sys.discrete else CtSystem
-    return cls(f_cl, sys._h, sys.G, name=f"{sys.name}+static",
+    return cls(f_cl, sys._h.fn, sys.G, name=f"{sys.name}+static",
                storage=sys.storage, meta=dict(sys.meta))
 
 
@@ -200,6 +197,18 @@ def kappa_search(w1: SupplyRate, w2: SupplyRate,
             "passed": bool(lam < -tol), "verdict": "pass" if lam < -tol else "fail"}
 
 
+def _check_sector_loop(sys, bounds: SectorBounds):
+    """The sector loop needs continuous time, m = p, J = 0 and a sector of width m."""
+    if sys.discrete:
+        raise DimensionMismatchError("the sector loop applies to continuous-time systems")
+    if not sys.square:
+        raise NonSquareError("the sector loop requires m = p")
+    if not np.all(sys.J == 0.0):
+        raise NonzeroFeedthroughError("the sector loop requires J = 0")
+    if bounds.m != sys.m:
+        raise DimensionMismatchError("sector dimension does not match the system")
+
+
 def loop_transform(sys: CtSystem, bounds: SectorBounds) -> CtSystem:
     """Sector loop transformation.
 
@@ -208,22 +217,13 @@ def loop_transform(sys: CtSystem, bounds: SectorBounds) -> CtSystem:
     nonlinearity in the incremental sector [K1, K2] maps, after the same
     transformation, into the incremental sector [0, I] seen by this system.
     With ``f_jac`` and ``h_jac`` on ``sys``, its ``f_jac`` is J_f - G K1 J_h.
-    These call only the stack rules of ``sys``, so they map stacks unprobed.
     """
-    if sys.discrete:
-        raise DimensionMismatchError("loop_transform applies to continuous-time systems")
-    if not sys.square:
-        raise NonSquareError("loop transformation requires m = p")
-    if not np.all(sys.J == 0.0):
-        raise NonzeroFeedthroughError("loop transformation requires J = 0")
-    if bounds.m != sys.m:
-        raise DimensionMismatchError("sector dimension does not match the system")
+    _check_sector_loop(sys, bounds)
     GK1, K = sys.G @ bounds.K1, bounds.K
-    n = (sys.n,)  # the width the rules below map stacks of
-    f_t = _Stacked(lambda x: sys.f(x) - sys.h(x) @ GK1.T, 1, n)
-    h_t = _Stacked(lambda x: sys.h(x) @ K.T, 1, n)
+    f_t = lambda x: sys.f(x) - sys.h(x) @ GK1.T
+    h_t = lambda x: sys.h(x) @ K.T
     analytic = sys.f_jac is not None and sys.h_jac is not None
-    f_jac = _Stacked(lambda x: sys.f_jac(x) - GK1 @ sys.h_jac(x), 2, n) if analytic else None
+    f_jac = (lambda x: sys.f_jac(x) - GK1 @ sys.h_jac(x)) if analytic else None
     return CtSystem(f_t, h_t, sys.G, J=np.eye(sys.m), f_jac=f_jac,
                     name=f"{sys.name}-transformed", storage=sys.storage,
                     meta=dict(sys.meta))
@@ -233,23 +233,24 @@ def circle_criterion(sys: CtSystem, bounds: SectorBounds,
                      gen: StorageGenerator, pairs, tol: float = 1e-9) -> dict:
     """Absolute-stability certificate over a sector of feedback nonlinearities.
 
-    Applies the loop transformation and finds, with :func:`supply_margin`,
-    the largest eps in [0, 1] at which the transformed system has D ⪰ 0 on
-    every pair with supply (-eps I, I/2, 0): the sampled supremum, rounded
-    down to a multiple of 2⁻³⁰, or None if eps = 0 fails or a pair is not
-    finite.  The smallest eigenvalue over the pairs is concave in eps, which
-    :func:`supply_margin` searches by tangent steps in about 8 stack
-    eigen-solves.  Any eps > 0 certifies output-strict dissipativity of the
-    transformed loop, hence stability of the original loop for every
-    nonlinearity in the sector.  ``binding_pair`` is the index of the pair
-    that limits eps (None at eps = 1), the first non-finite pair if any.
+    OSP(eps) of :func:`loop_transform`'s system (u_t = u + K1 y,
+    y_t = u + K2 y; same f, G and storage) is, on ``sys`` itself, the supply
+    from w0 = (K1 K2, (K1 + K2)/2, I) at eps = 0 to w1 = (-K2 K, -K/2, 0) at
+    eps = 1.  Each pair's D is Tᵀ D_t T, T = [[1, 0], [K1 Δh, I]], so both
+    are PSD together.  :func:`supply_margin` finds the largest such eps in
+    [0, 1], a multiple of 2⁻³⁰, from one f and one h call; None if eps = 0
+    fails or a pair is not finite.  Any eps > 0 certifies stability for every
+    nonlinearity in the sector.  ``binding_pair`` is the pair that limits eps
+    (None at eps = 1), the first non-finite pair if any.
     """
-    transformed = loop_transform(sys, bounds)
-    certified, binding = supply_margin(transformed, SupplyRate.output_strict(0.0, sys.m),
-                                       SupplyRate.output_strict(1.0, sys.m), gen, pairs)
+    _check_sector_loop(sys, bounds)
+    K1, K2, K = bounds.K1, bounds.K2, bounds.K
+    w0 = SupplyRate(K1 @ K2, 0.5 * (K1 + K2), np.eye(sys.m), warn_definite=False)
+    w1 = SupplyRate(-K2 @ K, -0.5 * K, np.zeros((sys.m, sys.m)), warn_definite=False)
+    certified, binding = supply_margin(sys, w0, w1, gen, pairs)
     passed = certified is not None and certified > tol
     return {"certified_eps": certified, "passed": passed, "verdict": "pass" if passed else "fail",
-            "transformed": transformed, "binding_pair": binding}
+            "binding_pair": binding}
 
 
 def solve_monotone_inclusion(k1_inverse: Callable, k2: Callable,

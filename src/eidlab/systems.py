@@ -239,14 +239,12 @@ class _Stacked:
     dimensions: 0, 1 (a scalar becomes length 1) or 2.  On the row path an
     empty stack takes the value shape of a probe row; if no probe row
     evaluates, the value axes have size 0.  :meth:`bind` picks the rule
-    once for the many calls of one trajectory's RK4 stages.  Widths in
-    ``stacks`` skip the probe: closures over library stack rules map them.
-    """
+    once for the many calls of one trajectory's RK4 stages."""
 
-    def __init__(self, fn, ndim: int = 1, stacks=()):
+    def __init__(self, fn, ndim: int = 1):
         self.fn = fn
         self.ndim = ndim
-        self._stacks = set(stacks)  # widths on which fn maps stacks
+        self._stacks = set()  # widths on which fn maps stacks
         self._rows = {}       # the other probed widths -> shape of one value
 
     def __call__(self, x) -> np.ndarray:
@@ -320,7 +318,7 @@ class _ControlAffine:
     """Shared implementation for CT and DT control-affine systems.
 
     ``f``, ``h`` and an optional ``f_jac`` accept one state or an (N, n)
-    stack of states, each through a stack rule (:class:`_Stacked`), built or given.
+    stack of states, each through a stack rule (:class:`_Stacked`).
     A matrix-form f (:class:`_Affine`) gives ``f_jac`` when none is passed,
     and a matrix-form h gives the read-only ``h_jac``, None for any other h.
     """
@@ -331,7 +329,7 @@ class _ControlAffine:
                  storage: Optional[StorageGenerator] = None, meta: Optional[dict] = None):
         self.G = np.atleast_2d(np.asarray(G, dtype=float))
         self.n, self.m = self.G.shape
-        self._f, self._h = (r if isinstance(r, _Stacked) else _Stacked(r) for r in (f, h))
+        self._f, self._h = _Stacked(f), _Stacked(h)
         self.p = self._h(np.zeros(self.n)).size
         if J is None:
             J = np.zeros((self.p, self.m))
@@ -343,7 +341,7 @@ class _ControlAffine:
         if not numerics.full_row_rank(self.G.T):
             raise DimensionMismatchError("G must have full column rank")
         f_jac = f.jac if f_jac is None and isinstance(f, _Affine) else f_jac
-        self.f_jac = f_jac if f_jac is None or isinstance(f_jac, _Stacked) else _Stacked(f_jac, 2)
+        self.f_jac = None if f_jac is None else _Stacked(f_jac, 2)
         self.name, self.storage, self.meta = name, storage, dict(meta or {})
 
     @property

@@ -937,6 +937,22 @@ def test_supply_margin_stack_eigen_solves(monkeypatch):
         assert len(calls) == expected[name], name
 
 
+def test_ahu_margin_from_two_pairs_reaches_the_exact_value():
+    # the exact passivity -> OSP(3) margin of the bench AHU on its box is
+    # theta* = (1 + sech²(1) / 2) / 3, reached by x = x̄ - t e1 at the
+    # equilibrium x̄ = (1, 0, 0, -0.5, 0, 0); at t = 1e-5 rounding takes over
+    ahu = catalog_build("ahu_saddle", {"mu": [1.0] * 4, "c": [0.5] * 4, "b": [1.0, -0.5],
+                                       "A": [[1, 0, 1, 0], [0, 1, 0, 1]], "alpha": 1.0})
+    xbar = np.array([1.0, 0.0, 0.0, -0.5, 0.0, 0.0])
+    assert EquilibriumMap(ahu).assignability_residual(xbar) == 0.0
+    pairs = np.array([[xbar, xbar], [xbar - 1e-3 * np.eye(6)[0], xbar]])
+    theta, _ = supply_margin(ahu, SupplyRate.passivity(4), SupplyRate.output_strict(3.0, 4),
+                             ahu.storage, pairs)
+    exact = (1.0 + 0.5 / np.cosh(1.0) ** 2) / 3.0
+    assert exact == pytest.approx(0.4033290569, abs=1e-10)
+    assert exact <= theta <= exact + 1e-4
+
+
 @pytest.mark.parametrize("scale, solves", [(np.nan, 33), (1e6, 63)])
 def test_supply_margin_safeguard_bounds_the_search(monkeypatch, scale, solves):
     # a NaN slope takes the grid midpoint at every step, as the bisection

@@ -18,6 +18,7 @@ from eidlab import (
     sample_pairs,
     solve_monotone_inclusion,
     static_feedback,
+    supply_margin,
     validate_system,
     verify_eid_ct,
 )
@@ -375,14 +376,17 @@ def test_circle_scalar_linear_oracle():
 
 
 def test_circle_margin_agrees_with_verification():
-    # the certified eps passes verify_eid_ct on the transformed system and
-    # eps + 1e-3 fails, on the SMIB pairs of acceptance 6
+    # a cross-formulation oracle: the eps certified on the sector supplies of
+    # sys passes verify_eid_ct on the loop-transformed system and eps + 1e-3
+    # fails, on the SMIB pairs of acceptance 6
     sys = catalog_build("smib", {"M": 1.0, "D": 1.0, "b": 1.0, "V": 1.0, "P_m": 0.2})
     pairs = sample_pairs(sys, (np.array([-1.2, -0.5]), np.array([1.2, 0.5])), count=400, seed=3)
-    res = circle_criterion(sys, SectorBounds.scalar(0.0, 1.0), sys.storage, pairs)
+    bounds = SectorBounds.scalar(0.0, 1.0)
+    res = circle_criterion(sys, bounds, sys.storage, pairs)
     eps = res["certified_eps"]
-    assert res["passed"] and 0.3 <= eps <= 0.5
-    verify = lambda e: verify_eid_ct(res["transformed"], SupplyRate.output_strict(e, 1),
+    assert res["passed"] and 0.3 <= eps <= 0.5 and "transformed" not in res
+    transformed = loop_transform(sys, bounds)
+    verify = lambda e: verify_eid_ct(transformed, SupplyRate.output_strict(e, 1),
                                      sys.storage, pairs).passed
     assert verify(eps) and not verify(eps + 1e-3)
     bad = circle_criterion(sys, SectorBounds.scalar(-1.5, 1.0), sys.storage, pairs)
@@ -409,11 +413,53 @@ def test_circle_over_a_nan_pair_certifies_nothing():
     assert res["binding_pair"] == 7
 
 
+@pytest.mark.parametrize("seed", range(5))
+def test_circle_matches_the_transformed_margin(seed):
+    # the sector supplies on sys and OSP(0) -> OSP(1) on the loop-transformed
+    # system give D matrices congruent pair by pair, so the same eps; 2⁻³⁰
+    # allows for the rounding of other BLAS builds
+    smib = catalog_build("smib", SMIB)
+    pairs = sample_pairs(smib, (np.array([-1.2, -0.5]), np.array([1.2, 0.5])), count=400,
+                         seed=seed)
+    osp = lambda a: SupplyRate.output_strict(a, 1)
+    for alpha in (0.0, -0.5, -1.5, 0.3):
+        bounds = SectorBounds.scalar(alpha, 1.0)
+        got = circle_criterion(smib, bounds, smib.storage, pairs)["certified_eps"]
+        want = supply_margin(loop_transform(smib, bounds), osp(0.0), osp(1.0), smib.storage,
+                             pairs)[0]
+        assert (got is None) == (want is None), alpha
+        assert got is None or abs(got - want) <= 2**-30, alpha
+
+
+def _sector_loop_misfits():
+    lti = catalog_build("lti", {"F": (-np.eye(2)).tolist(), "G": [[1.0], [0.0]],
+                                "H": np.eye(2).tolist()})
+    return {
+        "discrete": (catalog_build("dt_integrator", {"alpha": 0.5}), SectorBounds.scalar(0.0, 1.0),
+                     DimensionMismatchError),
+        "non_square": (lti, SectorBounds.scalar(0.0, 1.0), NonSquareError),
+        "feedthrough": (catalog_build("gradient_ff", {"mu": 1.0, "g": 1.0, "j": 0.5, "n": 1}),
+                        SectorBounds.scalar(0.0, 1.0), NonzeroFeedthroughError),
+        "sector_width": (catalog_build("smib", SMIB), SectorBounds.scalar(0.0, 1.0, m=2),
+                         DimensionMismatchError),
+    }
+
+
+@pytest.mark.parametrize("case", ["discrete", "non_square", "feedthrough", "sector_width"])
+@pytest.mark.parametrize("call", ["loop_transform", "circle_criterion"])
+def test_sector_loop_checks_raise_for_both_callers(call, case):
+    sys, bounds, error = _sector_loop_misfits()[case]
+    run = {"loop_transform": lambda: loop_transform(sys, bounds),
+           "circle_criterion": lambda: circle_criterion(sys, bounds, sys.storage,
+                                                        np.zeros((1, 2, sys.n)))}[call]
+    with pytest.raises(error):
+        run()
+
+
 @pytest.mark.parametrize("sector", [(0.0, 1.0), (-1.5, 1.0)], ids=["pass", "fail"])
 def test_circle_criterion_evaluates_its_part_once(sector, monkeypatch):
-    # the transformed f and h map stacks by construction, so no probe runs:
-    # f once on the (2N, n) pair stack, h once at construction and once each
-    # for the transformed f and h
+    # the sector supplies are read on sys itself, so no system is built and
+    # no probe runs: f and h once each on the (2N, n) pair stack
     sys = catalog_build("smib", SMIB)
     pairs = sample_pairs(sys, (np.array([-1.2, -0.5]), np.array([1.2, 0.5])), count=400, seed=3)
     calls = dict.fromkeys(("f", "h", "probe"), 0)
@@ -434,7 +480,7 @@ def test_circle_criterion_evaluates_its_part_once(sector, monkeypatch):
     first = circle_criterion(sys, bounds, sys.storage, pairs)  # the part's own rules probe here
     calls.update(f=0, h=0, probe=0)
     again = circle_criterion(sys, bounds, sys.storage, pairs)
-    assert calls["probe"] == 0 and calls["f"] <= 1 and calls["h"] <= 3, calls
+    assert calls["probe"] == 0 and calls["f"] == 1 and calls["h"] == 1, calls
     assert (again["certified_eps"], again["binding_pair"]) == (first["certified_eps"],
                                                                 first["binding_pair"])
 
@@ -452,11 +498,10 @@ def test_composed_rules_give_the_bytes_of_a_probed_rule(case):
     smib = catalog_build("smib", SMIB)
     sys = BUILT[case](smib)
     rules = [(sys._f, 1), (sys._h, 1)] + [(sys.f_jac, 2)] * (sys.f_jac is not None)
+    assert len(rules) == (2 if case == "static_feedback" else 3)
     if case == "static_feedback":
-        # its h is the part's own rule; its f calls psi, so it keeps the probe
-        assert sys._h is smib._h and sys.n not in sys._f._stacks
-    else:
-        assert all(sys.n in rule._stacks for rule, _ in rules) and len(rules) == 3
+        # its h is the part's own callable, so the matrix form keeps its h_jac
+        assert sys._h.fn is smib._h.fn and sys.h_jac is not None
     rng = np.random.default_rng(8)
     for X in (rng.uniform(-1.0, 1.0, sys.n), rng.uniform(-1.0, 1.0, (7, sys.n)),
               np.zeros((0, sys.n))):
@@ -464,11 +509,13 @@ def test_composed_rules_give_the_bytes_of_a_probed_rule(case):
             got, want = rule(X), systems._Stacked(rule.fn, ndim)(X)
             assert (got.shape, got.dtype, got.tobytes()) == (want.shape, want.dtype,
                                                              want.tobytes())
+    # the probe of the first stack call found that every composed rule maps stacks
+    assert all(sys.n in rule._stacks for rule, _ in rules)
 
 
 def test_composed_systems_evaluate_a_row_only_part_row_by_row():
-    # the composed rules skip their probe; the part's own rule still finds
-    # that its f and h take one state only, so a stack gets its row values
+    # the part's own rule finds that its f and h take one state only, so a
+    # stack through a composed rule gets its row values
     def part():
         return CtSystem(lambda x: np.array([x[1], -x[0]]), lambda x: np.array([x[1]]),
                         [[0.0], [1.0]])
