@@ -29,9 +29,8 @@ _EXPORTS = {
                      "loop_transform", "solve_monotone_inclusion", "static_feedback"),
     "sim": ("DissipationAudit", "Trajectory", "audit_dissipation", "simulate_ct",
             "simulate_dt", "stability_experiment"),
-    "systems": ("CtSystem", "DtSystem", "SectorBounds", "SeparableConvex",
-                "StaticNonlinearity", "StorageGenerator", "SupplyRate", "catalog_build",
-                "load_system", "validate_system"),
+    "systems": ("CtSystem", "DtSystem", "SectorBounds", "StorageGenerator", "SupplyRate",
+                "catalog_build", "load_system", "validate_system"),
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
 __all__ = list(_MODULE_OF)

@@ -27,7 +27,7 @@ import numpy as np
 from . import numerics
 from .equilibria import EquilibriumMap
 from .errors import DimensionMismatchError, DomainError
-from .systems import SectorBounds, StaticNonlinearity, StorageGenerator, SupplyRate, _Stacked
+from .systems import SectorBounds, StorageGenerator, SupplyRate, _Stacked
 
 DEFAULT_TOL_A = 1e-7
 DEFAULT_TOL_B = 1e-7
@@ -380,10 +380,11 @@ def sector_supply(bounds: SectorBounds) -> SupplyRate:
                       -bounds.K1 @ bounds.K2, warn_definite=False)
 
 
-def check_sector(psi: StaticNonlinearity, bounds: SectorBounds, probes,
+def check_sector(psi: Callable, bounds: SectorBounds, probes,
                  tol: float = 1e-9) -> dict:
-    """Validate a declared incremental sector by sampling pairs.
+    """Validate a declared incremental sector of a map ``psi`` by sampling pairs.
 
+    ``psi`` is any callable of one point, read through the stack rule.
     Evaluates the incremental dissipation form :func:`sector_supply` on
     each of at least one probe pair of width ``bounds.m`` and reports the
     minimum margin; the sector holds when no margin is below ``-tol``

@@ -18,6 +18,7 @@ import numpy as np
 from . import numerics
 from .errors import DomainError, NonFiniteError, RankDeficientError
 from .sim import simulate_ct, simulate_dt
+from .systems import _positive
 
 __all__ = [
     "GainBound", "FeasibleRegion", "gamma_completion", "ifp_osp_gain",
@@ -40,9 +41,9 @@ class GainBound:
 
 def gamma_completion(a: float, b: float):
     """Minimum of Gamma(delta) = (b + delta/2)/(a - 1/(2 delta)) over
-    delta > 1/(2a), returned as (gamma^2, delta*)."""
-    if a <= 0 or b < 0:
-        raise DomainError(f"need a > 0 and b >= 0, got a={a}, b={b}")
+    delta > 1/(2a), returned as (gamma^2, delta*); a > 0 and b >= 0."""
+    _positive("a", a)
+    _positive("b", b, strict=False)
     root = np.sqrt(4.0 * a * b + 1.0)
     delta_star = (root + 1.0) / (2.0 * a)
     gamma_sq = (1.0 / a**2) * (a * b + (1.0 + root) / 4.0) / (1.0 - 1.0 / (1.0 + root))
@@ -64,8 +65,8 @@ def dt_gradient_gain(mu: float, alpha: float) -> GainBound:
     excess alpha/2, so this is the completion bound at (a, b) = (mu, alpha/2).
     Tends to 1/mu as alpha -> 0 and increases monotonically in alpha.
     """
-    if mu <= 0 or alpha <= 0:
-        raise DomainError(f"need mu > 0 and alpha > 0, got mu={mu}, alpha={alpha}")
+    _positive("mu", mu)
+    _positive("alpha", alpha)
     gamma_sq, delta_star = gamma_completion(mu, 0.5 * alpha)
     return GainBound(gamma=float(np.sqrt(gamma_sq)), formula_id="dt_gradient",
                      parameters={"mu": float(mu), "alpha": float(alpha),
@@ -109,8 +110,8 @@ class FeasibleRegion:
     j: float
 
     def __post_init__(self):
-        if min(self.mu, self.g, self.j) <= 0:
-            raise DomainError("mu, g, j must all be positive")
+        for name in ("mu", "g", "j"):
+            _positive(name, getattr(self, name))
 
     # boundary curves --------------------------------------------------------
 

@@ -112,10 +112,7 @@ def static_feedback(sys, psi):
     ``f_jac``: J_f - G Dpsi(h) J_h would need the slope of psi.  Its h is the
     part's h callable, so a matrix-form h keeps its ``h_jac``.
     """
-    if not np.all(sys.J == 0.0):
-        raise NonzeroFeedthroughError("static feedback requires J = 0")
-    if sys.p != sys.m:
-        raise NonSquareError("static feedback requires a square system")
+    _check_square_no_feedthrough(sys)
     f_cl = lambda x: sys.f(x) - psi(sys.h(x)) @ sys.G.T
     cls = DtSystem if sys.discrete else CtSystem
     return cls(f_cl, sys._h.fn, sys.G, name=f"{sys.name}+static",
@@ -197,14 +194,19 @@ def kappa_search(w1: SupplyRate, w2: SupplyRate,
             "passed": bool(lam < -tol), "verdict": "pass" if lam < -tol else "fail"}
 
 
+def _check_square_no_feedthrough(sys):
+    """A part closed against a static map needs m = p and J = 0."""
+    if not sys.square:
+        raise NonSquareError("a loop through a static map requires m = p")
+    if not np.all(sys.J == 0.0):
+        raise NonzeroFeedthroughError("a loop through a static map requires J = 0")
+
+
 def _check_sector_loop(sys, bounds: SectorBounds):
     """The sector loop needs continuous time, m = p, J = 0 and a sector of width m."""
     if sys.discrete:
         raise DimensionMismatchError("the sector loop applies to continuous-time systems")
-    if not sys.square:
-        raise NonSquareError("the sector loop requires m = p")
-    if not np.all(sys.J == 0.0):
-        raise NonzeroFeedthroughError("the sector loop requires J = 0")
+    _check_square_no_feedthrough(sys)
     if bounds.m != sys.m:
         raise DimensionMismatchError("sector dimension does not match the system")
 

@@ -182,47 +182,6 @@ def _logcosh(z):
     return az + np.log1p(np.exp(-2.0 * az)) - np.log(2.0)
 
 
-class SeparableConvex:
-    """Separable phi(z) = sum_i (mu_i/2) z_i² + c_i log cosh(z_i).
-
-    Smooth, strongly convex with modulus min(mu_i), gradient Lipschitz with
-    constant max(mu_i + c_i); both constants are known in closed form, which
-    is why this family backs the catalog systems used in gain tests.
-    """
-
-    def __init__(self, mu, c=None, n: Optional[int] = None):
-        mu = np.atleast_1d(_positive("mu", mu))
-        if n is not None and (n < 1 or mu.size not in (1, n)):
-            raise DimensionMismatchError(f"need n >= 1 and 1 or n entries in mu, got n = {n}"
-                                         f" and {mu.size}")
-        if n is not None and mu.size == 1:
-            mu = np.full(n, mu[0])
-        c = np.zeros_like(mu) if c is None else np.atleast_1d(_positive("c", c, strict=False))
-        if c.size == 1 and mu.size > 1:
-            c = np.full(mu.size, c[0])
-        if c.shape != mu.shape:
-            raise DimensionMismatchError("mu and c must have matching length")
-        self.mu_vec = mu
-        self.c_vec = c
-        self.n = mu.size
-
-    @property
-    def mu(self) -> float:
-        return float(self.mu_vec.min())
-
-    @property
-    def lipschitz(self) -> float:
-        return float((self.mu_vec + self.c_vec).max())
-
-    def __call__(self, z) -> float:
-        z = np.atleast_1d(np.asarray(z, dtype=float))
-        return (0.5 * self.mu_vec * z**2 + self.c_vec * _logcosh(z)).sum(axis=-1)
-
-    def grad(self, z) -> np.ndarray:
-        z = np.atleast_1d(np.asarray(z, dtype=float))
-        return self.mu_vec * z + self.c_vec * np.tanh(z)
-
-
 # ---------------------------------------------------------------------------
 # systems
 
@@ -389,7 +348,7 @@ class DtSystem(_ControlAffine):
 
 
 # ---------------------------------------------------------------------------
-# static nonlinearities and sector bounds
+# sector bounds
 
 
 @dataclass(frozen=True)
@@ -425,17 +384,6 @@ class SectorBounds:
         return cls(alpha * np.eye(m), beta * np.eye(m))
 
 
-@dataclass
-class StaticNonlinearity:
-    """Memoryless map psi: R^m -> R^m."""
-
-    psi: Callable[[np.ndarray], np.ndarray]
-    m: int = 1
-
-    def __call__(self, z) -> np.ndarray:
-        return np.atleast_1d(np.asarray(self.psi(np.atleast_1d(z)), dtype=float))
-
-
 # ---------------------------------------------------------------------------
 # catalog
 
@@ -448,23 +396,36 @@ def _require(params: dict, *keys):
 
 def _positive(name: str, value, strict: bool = True) -> np.ndarray:
     """``value`` as floats if each is > 0 (>= 0 unless ``strict``; NaN fails both), else a
-    DomainError naming ``name``: the one check of the catalog's positive parameters."""
+    DomainError naming ``name``: the one check of the library's positive parameters."""
     v = np.asarray(value, dtype=float)
     if not all(x > 0 if strict else x >= 0 for x in v.ravel().tolist()):  # no numpy dispatch
         raise DomainError(f"{name} must be {'positive' if strict else 'nonnegative'}")
     return v
 
 
-def _phi_from_params(params: dict, n_key: str = "n") -> SeparableConvex:
+def _per_coordinate(name: str, value, n, strict: bool = True) -> np.ndarray:
+    """``value`` as n floats, one entry standing for all n, each passing :func:`_positive`;
+    any other shape, or n < 1, is a DimensionMismatchError."""
+    v = np.atleast_1d(_positive(name, value, strict))
+    if n < 1 or v.shape not in ((1,), (n,)):
+        raise DimensionMismatchError(f"need n >= 1 and 1 or n = {n} {name} values, got {v.shape}")
+    return np.full(n, v[0]) if v.size < n else v
+
+
+def _phi_from_params(params: dict, n_key: str = "n"):
+    """(mu, c, phi) for phi(z) = Σ ½ muᵢ zᵢ² + cᵢ log cosh zᵢ, n = params[n_key] or len(mu)."""
     _require(params, "mu")
-    return SeparableConvex(params["mu"], params.get("c"), n=params.get(n_key))
+    n = params.get(n_key)
+    n = np.size(params["mu"]) if n is None else n
+    mu = _per_coordinate("mu", params["mu"], n)
+    c = _per_coordinate("c", 0.0 if params.get("c") is None else params["c"], n, strict=False)
+    return mu, c, StorageGenerator.quadratic(np.diag(mu), c)
 
 
 def _build_second_order(params: dict):
     # xdot1 = x2, xdot2 = -U'(x1) - x2 + u, y = x2, with U strictly convex;
     # U'(z) = mu z + c tanh z makes the drift a matrix form
-    U = _phi_from_params({**params, "n": 1})
-    (mu,), (c,) = U.mu_vec, U.c_vec
+    (mu,), (c,), U = _phi_from_params({**params, "n": 1})
     f = _Affine(np.array([[0.0, -mu], [1.0, -1.0]]), np.array([[0.0, -c], [0.0, 0.0]]))
     h = _Affine(np.array([[0.0], [1.0]]))
     G = np.array([[0.0], [1.0]])
@@ -503,17 +464,13 @@ def _build_port_hamiltonian(params: dict):
 def _build_gradient_ff(params: dict):
     # tau xdot = -grad(phi) + g u, y = g x + j u; square system m = p = n
     _require(params, "g", "j")
-    phi = _phi_from_params(params)
-    n = phi.n
+    mu, c, phi = _phi_from_params(params)
+    n = mu.size
     g = float(params["g"])
     j = float(params["j"])
-    tau = np.atleast_1d(_positive("tau", params.get("tau", np.ones(n))))
-    if tau.size not in (1, n):
-        raise DimensionMismatchError(f"need 1 or n = {n} entries in tau, got {tau.size}")
-    if tau.size == 1:
-        tau = np.full(n, tau[0])
+    tau = _per_coordinate("tau", params.get("tau", 1.0), n)
     tinv = 1.0 / tau
-    f = _Affine(np.diag(-tinv * phi.mu_vec), -tinv * phi.c_vec)
+    f = _Affine(np.diag(-tinv * mu), -tinv * c)
     h = _Affine(g * np.eye(n))
     G = np.diag(tinv) * g
     J = j * np.eye(n)
@@ -526,21 +483,21 @@ def _build_ahu_saddle(params: dict):
     # primal-dual flow for min phi(z) + 0.5(Az-b)'K(Az-b) s.t. Az = b,
     # with disturbance input on the primal dynamics and output y = z
     _require(params, "A", "b")
-    phi = _phi_from_params(params, n_key="n1")
     A = np.atleast_2d(np.asarray(params["A"], dtype=float))
     b = np.atleast_1d(np.asarray(params["b"], dtype=float))
     n2, n1 = A.shape
-    if n1 != phi.n or b.size != n2:
+    K = numerics.require_psd(params.get("K", np.zeros((n2, n2))), "K")[0]
+    mu, c, phi = _phi_from_params(params, n_key="n1")
+    if n1 != mu.size or b.size != n2:
         raise DimensionMismatchError("A, b, phi dimensions inconsistent")
     if not numerics.full_row_rank(A):
         raise RankDeficientError("A must have full row rank")
-    K = numerics.require_psd(params.get("K", np.zeros((n2, n2))), "K")[0]
-    lam_min = numerics.sym_eigen(np.diag(phi.mu_vec) + A.T @ K @ A)[0]  # >= min mu > 0
+    lam_min = numerics.sym_eigen(np.diag(mu) + A.T @ K @ A)[0]  # >= min mu > 0
     alpha = float(_positive("alpha", params.get("alpha", 2.0 / lam_min)))
 
     # [-grad phi(z) - (res K + lam) A, res] with res = z Aᵀ - b, in x = [z, lam]
-    Af = np.block([[-np.diag(phi.mu_vec) - A.T @ K @ A, A.T], [-A, np.zeros((n2, n2))]])
-    f = _Affine(Af, np.concatenate([-phi.c_vec, np.zeros(n2)]), np.concatenate([b @ K @ A, -b]))
+    Af = np.block([[-np.diag(mu) - A.T @ K @ A, A.T], [-A, np.zeros((n2, n2))]])
+    f = _Affine(Af, np.concatenate([-c, np.zeros(n2)]), np.concatenate([b @ K @ A, -b]))
     h = _Affine(np.eye(n1 + n2, n1))
     G = np.vstack([np.eye(n1), np.zeros((n2, n1))])
     gen = StorageGenerator.quadratic(
@@ -585,10 +542,10 @@ def _build_smib(params: dict):
 def _build_dt_gradient(params: dict):
     # x+ = x - alpha (grad phi(x) - v), y = x
     _require(params, "alpha")
-    phi = _phi_from_params(params)
+    mu, c, phi = _phi_from_params(params)
     alpha = float(_positive("alpha", params["alpha"]))
-    n = phi.n
-    f = _Affine(np.eye(n) - alpha * np.diag(phi.mu_vec), -alpha * phi.c_vec)
+    n = mu.size
+    f = _Affine(np.eye(n) - alpha * np.diag(mu), -alpha * c)
     h = _Affine(np.eye(n))
     G = alpha * np.eye(n)
     gen = StorageGenerator.quadratic(np.eye(n) / alpha, name="scaled quadratic")

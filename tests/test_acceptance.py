@@ -39,8 +39,6 @@ from eidlab.sim import (
 )
 from eidlab.systems import (
     SectorBounds,
-    SeparableConvex,
-    StaticNonlinearity,
     StorageGenerator,
     SupplyRate,
     catalog_build,
@@ -202,7 +200,7 @@ def test_acceptance_5_gradient_step_size_boundary_and_gain():
 
 def test_acceptance_6_swing_equation_absolute_stability():
     sys = catalog_build("smib", SMIB_PARAMS)
-    psi = StaticNonlinearity(np.tanh, m=1)
+    psi = np.tanh
     rng = np.random.default_rng(0)
     probes = [(rng.uniform(-3, 3, 1), rng.uniform(-3, 3, 1)) for _ in range(300)]
     assert check_sector(psi, SectorBounds.scalar(0.0, 1.0), probes)["holds"]
@@ -265,7 +263,8 @@ def test_acceptance_7_gain_formulas_match_search_oracle():
 
 
 def test_acceptance_8_composed_loop_certificate():
-    mu, L, alpha, lam = 1.0, 1.5, 0.8, 0.7
+    mu, c, alpha, lam = 1.0, 0.5, 0.8, 0.7
+    L = mu + c  # the Lipschitz constant of grad phi
     w1 = SupplyRate(np.zeros((1, 1)), 0.5 * np.eye(1), (alpha / 2) * np.eye(1),
                     warn_definite=False)
     w2 = SupplyRate(-(lam / L) * np.eye(1), 0.5 * np.eye(1),
@@ -275,8 +274,8 @@ def test_acceptance_8_composed_loop_certificate():
     assert np.array_equal(comp.Q_cl, expected)
     assert comp.lambda_max_q < 0.0  # alpha < 2 lam / L
 
-    phi = SeparableConvex([1.0], [0.5])  # mu = 1, Lipschitz 1.5
-    assert phi.mu == mu and phi.lipschitz == L
+    phi = StorageGenerator.quadratic(np.diag([mu]), [c])
+    assert phi.mu == mu
     w_cl = comp.as_supply()
     P = np.array([[1.0 / (2.0 * alpha)]])
     rng = np.random.default_rng(8)
@@ -285,7 +284,7 @@ def test_acceptance_8_composed_loop_certificate():
         vbar = rng.uniform(-0.5, 0.5, size=2)
         # fixed point: grad phi(vbar2 + x) = vbar1
         from eidlab.numerics import newton_root
-        xb = newton_root(lambda x: phi.grad(vbar[1:] + x) - vbar[:1],
+        xb = newton_root(lambda x: phi.grad_V(vbar[1:] + x) - vbar[:1],
                          np.zeros(1))
         ybar = np.array([xb[0], vbar[0]])
         v = vbar[None, :] + 0.3 * rng.normal(size=(steps, 2))
@@ -295,13 +294,13 @@ def test_acceptance_8_composed_loop_certificate():
         inputs = np.empty((steps, 2))
         states[0] = x
         for k in range(steps):
-            y2 = phi.grad(v[k, 1:] + x)
+            y2 = phi.grad_V(v[k, 1:] + x)
             inputs[k] = v[k]
             outputs[k] = [x[0], y2[0]]
             x = x + alpha * (v[k, :1] - y2)
             states[k + 1] = x
         # u_{N-1} is still held at the final sample
-        outputs[-1] = [x[0], phi.grad(inputs[-1, 1:] + x)[0]]
+        outputs[-1] = [x[0], phi.grad_V(inputs[-1, 1:] + x)[0]]
         traj = Trajectory(times=np.arange(steps + 1, dtype=float),
                           states=states, inputs=inputs, outputs=outputs,
                           dt=None)

@@ -10,7 +10,6 @@ from eidlab import (
     CtSystem,
     EquilibriumMap,
     SectorBounds,
-    StaticNonlinearity,
     StorageGenerator,
     SupplyRate,
     bregman,
@@ -365,7 +364,7 @@ def _probe_pairs(count=300, seed=0, scale=3.0):
 
 
 def test_tanh_in_unit_sector():
-    psi = StaticNonlinearity(np.tanh, m=1)
+    psi = np.tanh
     rep = check_sector(psi, SectorBounds.scalar(0.0, 1.0), _probe_pairs())
     assert rep["holds"]
     assert rep["min_margin"] >= -1e-9
@@ -374,7 +373,7 @@ def test_tanh_in_unit_sector():
 def test_tanh_violates_narrow_sector():
     # increments of tanh between distant points have slope near zero,
     # outside [0.5, 1]
-    psi = StaticNonlinearity(np.tanh, m=1)
+    psi = np.tanh
     rep = check_sector(psi, SectorBounds.scalar(0.5, 1.0), _probe_pairs())
     assert not rep["holds"]
     assert rep["violations"] > 0
@@ -384,7 +383,7 @@ def test_tanh_violates_narrow_sector():
 def test_sector_boundary_holds_at_every_probe_scale(scale):
     # psi(z) = 0.3 z lies on the edge of the sector [0.3, 1], so its margins
     # are rounding only; against an absolute tol they failed from 1e4 on
-    psi = StaticNonlinearity(lambda z: 0.3 * z, m=1)
+    psi = lambda z: 0.3 * z
     probes = np.random.default_rng(0).uniform(-scale, scale, size=(300, 2, 1))
     rep = check_sector(psi, SectorBounds.scalar(0.3, 1.0), probes)
     assert rep["holds"] and rep["violations"] == 0
@@ -1095,7 +1094,7 @@ def test_factor_dissipation_raises_on_a_nan_pair():
 def test_sector_check_over_nan_margins_does_not_hold():
     # with psi NaN on part of the probes the check read 0 violations and
     # holds True, with a NaN min_margin
-    psi = StaticNonlinearity(lambda z: np.where(z > 1.0, np.nan, np.tanh(z)), m=1)
+    psi = lambda z: np.where(z > 1.0, np.nan, np.tanh(z))
     probes = np.random.default_rng(0).uniform(-3.0, 3.0, size=(10, 2, 1))
     rep = check_sector(psi, SectorBounds.scalar(0.0, 1.0), probes)
     assert not rep["holds"] and rep["nonfinite_pairs"] > 0
@@ -1107,7 +1106,7 @@ def test_sector_check_over_nan_margins_does_not_hold():
 
 def test_sector_probes_of_another_width_are_errors():
     # (10, 2, 3) probes against an m = 2 sector raised numpy's matmul ValueError
-    psi = StaticNonlinearity(np.tanh, m=2)
+    psi = np.tanh
     probes = np.random.default_rng(0).normal(size=(10, 2, 3))
     with pytest.raises(DimensionMismatchError, match="width 3"):
         check_sector(psi, SectorBounds(np.zeros((2, 2)), np.eye(2)), probes)

@@ -423,6 +423,14 @@ def test_non_object_config_is_a_config_error(runner, tmp_path):
     assert _error(result) == "error: configuration must be a JSON object"
 
 
+def test_region_with_a_nan_parameter_is_an_error(runner, tmp_path):
+    # json reads NaN, which passed the region's check: exit 0, verdict pass
+    # and a NaN rho_intercept_eq18
+    cfg = _write(tmp_path, "cfg.json", {"mu": float("nan"), "g": 1.0, "j": 0.9, "points": 3})
+    result = runner.invoke(main, ["region", "--config", cfg, "--out", str(tmp_path)])
+    assert _error(result) == "error: mu must be positive"
+
+
 def test_non_object_system_file_is_a_config_error(runner, tmp_path):
     # a null system file used to die with a TypeError traceback
     sys_path = _write(tmp_path, "sys.json", None)

@@ -40,7 +40,7 @@ def test_ku_ky_gradient_flow_closed_form():
     xbar = np.array([0.3, -0.8])
     eq = emap.ku_ky(xbar)
     phi = sys.meta["phi"]
-    assert np.allclose(eq.u, phi.grad(xbar) / 1.5, atol=1e-12)
+    assert np.allclose(eq.u, phi.grad_V(xbar) / 1.5, atol=1e-12)
     assert np.allclose(eq.y, 1.5 * xbar + 0.4 * eq.u, atol=1e-12)
     assert eq.residual < 1e-10
 
@@ -51,7 +51,7 @@ def test_ku_ky_discrete_time():
     xbar = np.array([1.2])
     eq = emap.ku_ky(xbar)
     # x = x - alpha(grad phi - u) at equilibrium means u = grad phi(x)
-    assert eq.u[0] == pytest.approx(sys.meta["phi"].grad(xbar)[0])
+    assert eq.u[0] == pytest.approx(sys.meta["phi"].grad_V(xbar)[0])
 
 
 def test_ku_ky_rejects_non_equilibrium_state():

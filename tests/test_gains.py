@@ -122,6 +122,15 @@ def test_gain_domain_errors():
         dt_gradient_gain(1.0, 0.0)
     with pytest.raises(DomainError):
         ifp_osp_gain(-1.0, 0.0)
+    # NaN passed the comparisons: gamma_completion returned (nan, nan), and
+    # the gains failed later in GainBound without naming the parameter
+    for call, name in ((lambda: gamma_completion(np.nan, 0.0), "a"),
+                       (lambda: gamma_completion(1.0, np.nan), "b"),
+                       (lambda: ifp_osp_gain(np.nan, 0.5), "a"),
+                       (lambda: dt_gradient_gain(np.nan, 0.5), "mu"),
+                       (lambda: dt_gradient_gain(1.0, np.nan), "alpha")):
+        with pytest.raises(DomainError, match=f"^{name} must be"):
+            call()
 
 
 # ---------------------------------------------------------------------------
@@ -188,6 +197,10 @@ def test_region_rejects_nonpositive_parameters():
         FeasibleRegion(mu=0.0, g=1.0, j=1.0)
     with pytest.raises(DomainError):
         FeasibleRegion(mu=1.0, g=1.0, j=-0.5)
+    # a NaN parameter built a region with NaN boundaries
+    for name in ("mu", "g", "j"):
+        with pytest.raises(DomainError, match=f"^{name} must be positive$"):
+            FeasibleRegion(**{"mu": 1.0, "g": 1.0, "j": 0.9, name: np.nan})
 
 
 # ---------------------------------------------------------------------------

@@ -6,7 +6,6 @@ from eidlab import (
     CtSystem,
     FeedbackLoop,
     SectorBounds,
-    SeparableConvex,
     StorageGenerator,
     SupplyRate,
     catalog_build,
@@ -445,13 +444,17 @@ def _sector_loop_misfits():
     }
 
 
-@pytest.mark.parametrize("case", ["discrete", "non_square", "feedthrough", "sector_width"])
-@pytest.mark.parametrize("call", ["loop_transform", "circle_criterion"])
+@pytest.mark.parametrize("call, case", [
+    *((call, case) for call in ("circle_criterion", "loop_transform")
+      for case in ("discrete", "feedthrough", "non_square", "sector_width")),
+    # static feedback closes discrete-time parts too, and takes no sector
+    ("static_feedback", "feedthrough"), ("static_feedback", "non_square")])
 def test_sector_loop_checks_raise_for_both_callers(call, case):
     sys, bounds, error = _sector_loop_misfits()[case]
     run = {"loop_transform": lambda: loop_transform(sys, bounds),
            "circle_criterion": lambda: circle_criterion(sys, bounds, sys.storage,
-                                                        np.zeros((1, 2, sys.n)))}[call]
+                                                        np.zeros((1, 2, sys.n))),
+           "static_feedback": lambda: static_feedback(sys, np.tanh)}[call]
     with pytest.raises(error):
         run()
 
@@ -563,16 +566,16 @@ def test_inclusion_linear_oracle():
 
 
 def test_inclusion_against_newton_oracle():
-    phi = SeparableConvex([1.0, 1.0], [0.5, 0.5])
+    phi = StorageGenerator.quadratic(np.eye(2), [0.5, 0.5])
     w1 = SupplyRate.output_strict(1.0, 2)
     w2 = SupplyRate(np.zeros((2, 2)), 0.5 * np.eye(2), -phi.mu * np.eye(2),
                     warn_definite=False)
     v1, v2 = np.array([0.8, -0.4]), np.array([0.1, 0.2])
-    y1, y2 = solve_monotone_inclusion(lambda y: y, phi.grad, v1, v2, w1, w2,
+    y1, y2 = solve_monotone_inclusion(lambda y: y, phi.grad_V, v1, v2, w1, w2,
                                       tol=1e-11)
-    oracle = newton_root(lambda y: y + phi.grad(v2 + y) - v1, np.zeros(2))
+    oracle = newton_root(lambda y: y + phi.grad_V(v2 + y) - v1, np.zeros(2))
     assert np.allclose(y1, oracle, atol=1e-8)
-    assert np.allclose(y2, phi.grad(v2 + y1))
+    assert np.allclose(y2, phi.grad_V(v2 + y1))
 
 
 def test_inclusion_odd_maps_zero_solution():

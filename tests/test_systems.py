@@ -24,8 +24,6 @@ from eidlab.interconnect import solve_monotone_inclusion
 from eidlab.sim import audit_dissipation, ct_audit_tol, simulate_ct, simulate_dt
 from eidlab.systems import (
     SectorBounds,
-    SeparableConvex,
-    StaticNonlinearity,
     StorageGenerator,
     SupplyRate,
     catalog_build,
@@ -108,41 +106,31 @@ def test_validate_catches_wrong_gradient():
     assert not rep["grad_consistent"]
 
 
-def _separable_cases():
-    """(P, c, SeparableConvex oracle, states): a scalar, one state and a stack."""
-    rng = np.random.default_rng(5)
-    for mu, c in (([2.0], [0.7]), ([1.0, 3.0, 0.5], [0.3, 0.0, 1.2])):
-        states = (rng.uniform(-3.0, 3.0, size=len(mu)), rng.uniform(-3.0, 3.0, size=(9, len(mu))))
-        yield np.diag(mu), c, SeparableConvex(mu, c), states + ((1.3,) if len(mu) == 1 else ())
-
-
-def test_quadratic_generator_with_weights_matches_separable_convex():
-    # ½xᵀ diag(mu) x + Σ c log cosh x is SeparableConvex(mu, c), an independent
-    # implementation of the same function and gradient
-    for P, c, phi, states in _separable_cases():
-        gen = StorageGenerator.quadratic(P, c)
-        assert gen.mu == phi.mu
-        for x in states:
-            np.testing.assert_allclose(gen.V(x), phi(x), rtol=0, atol=1e-12)
-            np.testing.assert_allclose(gen.grad_V(x), phi.grad(x), rtol=0, atol=1e-12)
-            np.testing.assert_allclose(gen.grad_V.jac(x),
-                                       numerics.fd_jacobian(gen.grad_V, np.atleast_1d(x)),
-                                       rtol=0, atol=1e-8)
-
-
 def test_quadratic_generator_with_weights_matches_the_per_row_formula():
-    P = np.array([[2.0, 0.5, 0.0], [0.5, 1.0, 0.3], [0.0, 0.3, 1.5]])
-    c = np.array([0.4, 0.0, 1.1])
-    gen = StorageGenerator.quadratic(P, c)
-    assert gen.mu == pytest.approx(np.linalg.eigvalsh(P)[0], abs=1e-15)
-    X = np.random.default_rng(6).uniform(-3.0, 3.0, size=(8, 3))
-    V = [0.5 * x @ P @ x + sum(ci * math.log(math.cosh(xi)) for ci, xi in zip(c, x)) for x in X]
-    grad = [P @ x + c * np.tanh(x) for x in X]
-    for got, want in ((gen.V(X), V), (gen.grad_V(X), grad), (gen.V(X[0]), V[0]),
-                      (gen.grad_V(X[0]), grad[0])):
-        np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
-    np.testing.assert_allclose(gen.grad_V.jac(X), numerics.fd_jacobian(gen.grad_V, X),
-                               rtol=0, atol=1e-8)
+    # a full P, and a diagonal P as the catalog builds φ; the scalar case also
+    # at the scalar state 1.3
+    rng = np.random.default_rng(6)
+    for P, c, scalars in ((np.array([[2.0, 0.5, 0.0], [0.5, 1.0, 0.3], [0.0, 0.3, 1.5]]),
+                           np.array([0.4, 0.0, 1.1]), ()),
+                          (np.diag([1.0, 3.0, 0.5]), np.array([0.3, 0.0, 1.2]), ()),
+                          (np.diag([2.0]), np.array([0.7]), (1.3,))):
+        gen = StorageGenerator.quadratic(P, c)
+        assert gen.mu == pytest.approx(np.linalg.eigvalsh(P)[0], abs=1e-15)
+        X = np.vstack([rng.uniform(-3.0, 3.0, size=(8, len(P))),
+                       np.reshape(scalars, (-1, len(P)))])
+        V = [0.5 * x @ P @ x + sum(ci * math.log(math.cosh(xi)) for ci, xi in zip(c, x))
+             for x in X]
+        grad = [P @ x + c * np.tanh(x) for x in X]
+        for got, want in ((gen.V(X), V), (gen.grad_V(X), grad), (gen.V(X[0]), V[0]),
+                          (gen.grad_V(X[0]), grad[0]),
+                          *((gen.V(x), V[-1]) for x in scalars),
+                          *((gen.grad_V(x), grad[-1]) for x in scalars)):
+            np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(gen.grad_V.jac(X), numerics.fd_jacobian(gen.grad_V, X),
+                                   rtol=0, atol=1e-8)
+    # overflow-safe: log cosh 500 = 500 - log 2 to far below one ulp
+    assert gen.V(500.0) == pytest.approx(0.5 * 2.0 * 500.0**2 + 0.7 * (500.0 - math.log(2.0)),
+                                         rel=1e-15)
 
 
 def test_quadratic_generator_checks_its_weights():
@@ -156,37 +144,8 @@ def test_quadratic_generator_checks_its_weights():
                                            "G": [[1.0], [0.0]], "hamiltonian": {"c": [0.1, -0.2]}})
 
 
-def test_separable_convex_constants_and_gradient():
-    phi = SeparableConvex([1.0, 2.0], [0.5, 0.0])
-    assert phi.mu == 1.0
-    assert phi.lipschitz == 2.0
-    z = np.array([0.3, -1.1])
-    h = 1e-6
-    for i in range(2):
-        zp, zm = z.copy(), z.copy()
-        zp[i] += h
-        zm[i] -= h
-        fd = (phi(zp) - phi(zm)) / (2 * h)
-        assert phi.grad(z)[i] == pytest.approx(fd, abs=1e-6)
-
-
-def test_separable_convex_overflow_safe():
-    phi = SeparableConvex([1.0], [1.0])
-    assert np.isfinite(phi(np.array([500.0])))
-
-
-def test_separable_convex_rejects_bad_params():
-    with pytest.raises(ValueError):
-        SeparableConvex([0.0])
-    with pytest.raises(DimensionMismatchError):
-        SeparableConvex([1.0, 1.0], [0.1, 0.1, 0.1])
-    for mu, n in (([1.0, 2.0], 3), (1.0, 0)):
-        with pytest.raises(DimensionMismatchError):
-            SeparableConvex(mu, n=n)
-
-
 # ---------------------------------------------------------------------------
-# sector bounds and nonlinearities
+# sector bounds
 
 
 def test_sector_bounds_properties():
@@ -200,11 +159,6 @@ def test_sector_bounds_rejects_degenerate_and_nondiagonal():
         SectorBounds.scalar(1.0, 1.0)
     with pytest.raises(NonSymmetricError):
         SectorBounds(np.zeros((2, 2)), np.array([[1.0, 0.2], [0.2, 1.0]]))
-
-
-def test_static_nonlinearity_wraps_output():
-    psi = StaticNonlinearity(np.tanh, m=1)
-    assert psi(0.5).shape == (1,)
 
 
 # ---------------------------------------------------------------------------
@@ -271,7 +225,7 @@ def test_second_order_shapes_and_drift():
     assert (sys.n, sys.m, sys.p) == (2, 1, 1)
     x = np.array([0.4, -0.2])
     U = sys.meta["U"]
-    assert np.allclose(sys.f(x), [x[1], -U.grad(x[:1])[0] - x[1]])
+    assert np.allclose(sys.f(x), [x[1], -U.grad_V(x[:1])[0] - x[1]])
     assert sys.h(x)[0] == x[1]
 
 
@@ -511,6 +465,53 @@ def test_catalog_parameters_share_one_positivity_check(family, key, bad):
         assert type(from_catalog.value) is type(from_storage.value)
 
 
+def _coordinates(sys, key):
+    """The per-coordinate values a catalog system was built from: tau, or φ's μ and c
+    read off its gradient form x diag(μ) + tanh(x) c."""
+    if key == "tau":
+        return sys.meta["tau"]
+    form = sys.meta["phi"].grad_V
+    return np.diagonal(form.A) if key == "mu" else form.B
+
+
+@pytest.mark.parametrize("family, key", [
+    ("gradient_ff", "mu"), ("gradient_ff", "c"), ("gradient_ff", "tau"), ("ahu_saddle", "mu"),
+    ("ahu_saddle", "c"), ("dt_gradient", "mu"), ("dt_gradient", "c")])
+def test_catalog_reads_per_coordinate_parameters(family, key):
+    # one entry stands for all n, n entries are read as given, and any other
+    # shape, or n = 0 with one entry, is a dimension error
+    n_key = "n1" if family == "ahu_saddle" else "n"
+    n = len(FAMILIES[family]["mu"])
+    params = {**FAMILIES[family], n_key: n}
+    values = np.linspace(0.5, 1.5, n)
+    np.testing.assert_array_equal(_coordinates(catalog_build(family, {**params, key: 0.7}), key),
+                                  np.full(n, 0.7))
+    np.testing.assert_array_equal(
+        _coordinates(catalog_build(family, {**params, key: values.tolist()}), key), values)
+    with pytest.raises(DimensionMismatchError, match=rf"n = {n} {key} values, got \({n + 1},\)$"):
+        catalog_build(family, {**params, key: [*values, 1.0]})
+    # a (1, n) mu built a gradient_ff whose drift raised a matmul error when called
+    with pytest.raises(DimensionMismatchError, match=rf"got \(1, {n}\)$"):
+        catalog_build(family, {**params, key: [values.tolist()]})
+    with pytest.raises(DimensionMismatchError, match="^need n >= 1 and 1 or n = 0 "):
+        catalog_build(family, {**params, key: 0.7, n_key: 0})
+    for bad in (np.nan, -1.0 if key == "c" else 0.0):
+        with pytest.raises(DomainError, match=f"^{key} must be"):
+            catalog_build(family, {**params, key: bad})
+
+
+@pytest.mark.parametrize("family", ["second_order", "gradient_ff", "ahu_saddle", "dt_gradient"])
+def test_catalog_phi_is_a_quadratic_generator(family):
+    # φ (second_order's U) is StorageGenerator.quadratic(diag(μ), c), modulus min μ
+    params = FAMILIES[family]
+    phi = catalog_build(family, params).meta["U" if family == "second_order" else "phi"]
+    mu = np.atleast_1d(params["mu"])
+    assert isinstance(phi, StorageGenerator) and isinstance(phi.grad_V, systems._Affine)
+    np.testing.assert_array_equal(phi.grad_V.A, np.diag(mu))
+    np.testing.assert_array_equal(phi.grad_V.B, np.full(len(mu), params["c"]))
+    assert phi.mu == mu.min()
+
+
 @pytest.mark.parametrize("family", sorted(FAMILIES))
 def test_catalog_jacobians_match_finite_differences(family):
     sys = catalog_build(family, FAMILIES[family])
@@ -627,15 +628,15 @@ def _composed_drift(family, params, meta):
     phi = meta["phi"]
     if family == "gradient_ff":
         tinv = 1.0 / meta["tau"]
-        return lambda x: -tinv * phi.grad(x)
+        return lambda x: -tinv * phi.grad_V(x)
     if family == "dt_gradient":
-        return lambda x: x - meta["alpha"] * phi.grad(x)
+        return lambda x: x - meta["alpha"] * phi.grad_V(x)
     A, b, K, n1 = meta["A"], meta["b"], meta["K"], meta["n1"]
 
     def f(x):
         z, lam = x[..., :n1], x[..., n1:]
         res = z @ A.T - b
-        return np.concatenate([-phi.grad(z) - (res @ K + lam) @ A, res], axis=-1)
+        return np.concatenate([-phi.grad_V(z) - (res @ K + lam) @ A, res], axis=-1)
     return f
 
 
@@ -737,8 +738,7 @@ def test_validators_need_at_least_one_sample(validator):
     run = {
         "storage": lambda: sys.storage.validate((-np.ones(2), np.ones(2)), probes=0),
         "system": lambda: validate_system(sys, probes=0),
-        "sector": lambda: check_sector(StaticNonlinearity(np.tanh), SectorBounds.scalar(0.0, 1.0),
-                                       []),
+        "sector": lambda: check_sector(np.tanh, SectorBounds.scalar(0.0, 1.0), []),
     }[validator]
     with pytest.raises(ValueError, match="at least one probe"):
         run()
@@ -935,10 +935,9 @@ def _cases():
     rng = np.random.default_rng(0)
     scalar_probes = [tuple(rng.uniform(-3.0, 3.0, size=(2, 1))) for _ in range(300)]
     plane_probes = [tuple(rng.uniform(-2.0, 2.0, size=(2, 2))) for _ in range(200)]
-    tanh = StaticNonlinearity(np.tanh)
+    tanh = np.tanh
     # indexing z[0], z[1] only takes one point
-    row_psi = StaticNonlinearity(
-        lambda z: np.array([np.tanh(z[0]), 0.5 * z[1] + 0.2 * np.sin(z[1])]), m=2)
+    row_psi = lambda z: np.array([np.tanh(z[0]), 0.5 * z[1] + 0.2 * np.sin(z[1])])
     for name, psi, bounds, probes in (
             ("tanh", tanh, SectorBounds.scalar(0.0, 1.0), scalar_probes),
             ("tanh-narrow", tanh, SectorBounds.scalar(0.5, 1.0), scalar_probes),
@@ -951,14 +950,14 @@ def _cases():
             lambda k=name: audit_dissipation(*_audit_args()[k]).__dict__,
             lambda k=name: _audit_ref(*_audit_args()[k]))
 
-    phi = SeparableConvex([1.0, 2.0], [0.5, 0.3])
+    phi = StorageGenerator.quadratic(np.diag([1.0, 2.0]), [0.5, 0.3])
     w1, w2 = SupplyRate.output_strict(1.0, 2), SupplyRate.input_feedforward(0.0, 2)
     row_k1 = lambda y: np.array([y[0] + 0.1 * np.tanh(y[1]), y[1]])
     v1, v2 = np.array([0.5, -1.0]), np.array([0.2, 0.1])
     for name, k1 in (("stacks", lambda y: y), ("row-only", row_k1)):
         cases[f"solve_monotone_inclusion/{name}"] = (
-            lambda k=k1: solve_monotone_inclusion(k, phi.grad, v1, v2, w1, w2),
-            lambda k=k1: _inclusion_ref(k, phi.grad, v1, v2, 1.0))
+            lambda k=k1: solve_monotone_inclusion(k, phi.grad_V, v1, v2, w1, w2),
+            lambda k=k1: _inclusion_ref(k, phi.grad_V, v1, v2, 1.0))
     return cases
 
 
