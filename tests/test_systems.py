@@ -106,31 +106,52 @@ def test_validate_catches_wrong_gradient():
     assert not rep["grad_consistent"]
 
 
+def _separable_cases():
+    """(mu, c, states): a scalar with the scalar state 1.3, and three coordinates."""
+    rng = np.random.default_rng(5)
+    for mu, c in (([2.0], [0.7]), ([1.0, 3.0, 0.5], [0.3, 0.0, 1.2])):
+        states = (rng.uniform(-3.0, 3.0, size=len(mu)), rng.uniform(-3.0, 3.0, size=(9, len(mu))))
+        yield np.array(mu), np.array(c), states + ((1.3,) if len(mu) == 1 else ())
+
+
+def test_quadratic_generator_with_weights_matches_separable_convex():
+    # with P = diag(mu), as the catalog builds φ, the generator is the separable
+    # Σ ½ mu x² + c log cosh x, summed coordinate by coordinate here
+    for mu, c, states in _separable_cases():
+        gen = StorageGenerator.quadratic(np.diag(mu), c)
+        assert gen.mu == mu.min()
+        for x in states:
+            xs = np.atleast_1d(x)
+            V = np.sum(0.5 * mu * xs**2 + c * (np.logaddexp(xs, -xs) - math.log(2.0)), axis=-1)
+            grad = mu * xs + c * np.tanh(xs)
+            np.testing.assert_allclose(gen.V(x), V, rtol=0, atol=1e-12)
+            np.testing.assert_allclose(gen.grad_V(x), grad, rtol=0, atol=1e-12)
+            np.testing.assert_allclose(gen.grad_V.jac(x), numerics.fd_jacobian(gen.grad_V, xs),
+                                       rtol=0, atol=1e-8)
+
+
 def test_quadratic_generator_with_weights_matches_the_per_row_formula():
-    # a full P, and a diagonal P as the catalog builds φ; the scalar case also
-    # at the scalar state 1.3
-    rng = np.random.default_rng(6)
-    for P, c, scalars in ((np.array([[2.0, 0.5, 0.0], [0.5, 1.0, 0.3], [0.0, 0.3, 1.5]]),
-                           np.array([0.4, 0.0, 1.1]), ()),
-                          (np.diag([1.0, 3.0, 0.5]), np.array([0.3, 0.0, 1.2]), ()),
-                          (np.diag([2.0]), np.array([0.7]), (1.3,))):
-        gen = StorageGenerator.quadratic(P, c)
-        assert gen.mu == pytest.approx(np.linalg.eigvalsh(P)[0], abs=1e-15)
-        X = np.vstack([rng.uniform(-3.0, 3.0, size=(8, len(P))),
-                       np.reshape(scalars, (-1, len(P)))])
-        V = [0.5 * x @ P @ x + sum(ci * math.log(math.cosh(xi)) for ci, xi in zip(c, x))
-             for x in X]
-        grad = [P @ x + c * np.tanh(x) for x in X]
-        for got, want in ((gen.V(X), V), (gen.grad_V(X), grad), (gen.V(X[0]), V[0]),
-                          (gen.grad_V(X[0]), grad[0]),
-                          *((gen.V(x), V[-1]) for x in scalars),
-                          *((gen.grad_V(x), grad[-1]) for x in scalars)):
-            np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
-        np.testing.assert_allclose(gen.grad_V.jac(X), numerics.fd_jacobian(gen.grad_V, X),
-                                   rtol=0, atol=1e-8)
-    # overflow-safe: log cosh 500 = 500 - log 2 to far below one ulp
-    assert gen.V(500.0) == pytest.approx(0.5 * 2.0 * 500.0**2 + 0.7 * (500.0 - math.log(2.0)),
-                                         rel=1e-15)
+    P = np.array([[2.0, 0.5, 0.0], [0.5, 1.0, 0.3], [0.0, 0.3, 1.5]])
+    c = np.array([0.4, 0.0, 1.1])
+    gen = StorageGenerator.quadratic(P, c)
+    assert gen.mu == pytest.approx(np.linalg.eigvalsh(P)[0], abs=1e-15)
+    X = np.random.default_rng(6).uniform(-3.0, 3.0, size=(8, 3))
+    V = [0.5 * x @ P @ x + sum(ci * math.log(math.cosh(xi)) for ci, xi in zip(c, x)) for x in X]
+    grad = [P @ x + c * np.tanh(x) for x in X]
+    for got, want in ((gen.V(X), V), (gen.grad_V(X), grad), (gen.V(X[0]), V[0]),
+                      (gen.grad_V(X[0]), grad[0])):
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(gen.grad_V.jac(X), numerics.fd_jacobian(gen.grad_V, X),
+                               rtol=0, atol=1e-8)
+
+
+def test_separable_convex_overflow_safe():
+    # log cosh x = |x| - log 2 to far below one ulp here; cosh itself overflows past 710
+    gen = StorageGenerator.quadratic(np.diag([2.0]), [0.7])
+    for x in (500.0, 1000.0, np.array([-1000.0])):
+        r = abs(float(np.squeeze(x)))
+        assert np.isfinite(gen.V(x))
+        assert gen.V(x) == pytest.approx(r**2 + 0.7 * (r - math.log(2.0)), rel=1e-15)
 
 
 def test_quadratic_generator_checks_its_weights():
