@@ -6,18 +6,22 @@ report (and CSV artifacts where applicable) and exits 0 on a Pass verdict,
 errors.  Reports embed a hash of the resolved configuration and the seed so
 runs are reproducible and diffable in CI.  Each command is one analysis body
 registered with :func:`_command`, which owns everything else; a body imports
-the modules it runs, so a process loads only those.
+the modules it runs, so a process loads only those.  A config key left out
+takes the library function's default and ``--tol`` is passed only when given;
+``--system`` is loaded when a body first needs it.  Explicit-kappa ``compose``,
+the one verdict judged here, passes when lambda_max(Q_cl) < -(--tol or 1e-9).
 """
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import os
 import sys
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Optional
+from typing import Optional
 
 import click
 import numpy as np
@@ -71,19 +75,28 @@ def _jsonify(obj):
 
 @dataclass
 class _Run:
-    """One command invocation: the configuration, seed, ``--tol`` as given,
-    output directory and (for commands that take one) the loaded system."""
+    """One command invocation: config, seed, ``--tol``, output directory, ``--system``."""
 
     cfg: dict
     seed: int
     tol: Optional[float]
     out: Path
-    system: Any = None
+    system_file: Optional[str]
 
-    @property
-    def tolerance(self) -> float:
-        """``--tol``, or 1e-9 for analyses without a default of their own."""
-        return 1e-9 if self.tol is None else self.tol
+    @functools.cached_property
+    def system(self):
+        """The ``--system`` description, loaded when a command first reads it."""
+        if self.system_file is None:
+            raise ConfigError("--system is required for this command")
+        from .systems import load_system
+
+        return load_system(self.system_file)
+
+    def given(self, *tols, **convert) -> dict:
+        """The keywords this run sets: ``--tol`` under each of ``tols`` if given,
+        and each key of ``convert`` the config sets, converted by its function."""
+        kw = {} if self.tol is None else dict.fromkeys(tols, self.tol)
+        return kw | {key: to(self.cfg[key]) for key, to in convert.items() if key in self.cfg}
 
     def supply(self) -> SupplyRate:
         """The configured supply rate; passivity on the system's inputs by default."""
@@ -91,14 +104,14 @@ class _Run:
 
     def generator(self):
         if self.system.storage is None:
-            raise EidLabError("system has no storage generator")
+            raise ConfigError("system has no storage generator")
         return self.system.storage
 
     def storage_matrix(self):
         """The discrete-time storage matrix P: the config's, else the system's."""
         P = self.cfg.get("P", self.system.meta.get("P"))
         if P is None:
-            raise EidLabError("no storage matrix P given or known for this system")
+            raise ConfigError("no storage matrix P given or known for this system")
         return np.asarray(P, dtype=float)
 
     def region(self):
@@ -125,24 +138,16 @@ class _Run:
 
         if self.system.discrete:
             return sim.simulate_dt(self.system, x0, u, steps=int(self.cfg.get("steps", 100)))
-        return sim.simulate_ct(self.system, x0, u, T=float(self.cfg.get("T", 1.0)),
-                               dt=float(self.cfg.get("dt", 1e-3)))
+        return sim.simulate_ct(self.system, x0, u, **self.given(T=float, dt=float))
 
 
-def _start(system_file, config_file, seed, tol, out_dir, needs_system) -> _Run:
+def _start(system_file, config_file, seed, tol, out_dir) -> _Run:
     cfg = {}
     if config_file is not None:
         with open(config_file) as fh:
             cfg = json.load(fh)
         if not isinstance(cfg, dict):
             raise ConfigError("configuration must be a JSON object")
-    system = None
-    if needs_system:
-        if system_file is None:
-            raise ConfigError("--system is required for this command")
-        from .systems import load_system
-
-        system = load_system(system_file)
     if seed is None:
         env_seed = os.environ.get("EIDLAB_SEED") or "0"
         try:
@@ -151,7 +156,7 @@ def _start(system_file, config_file, seed, tol, out_dir, needs_system) -> _Run:
             raise ConfigError(f"EIDLAB_SEED must be an integer, got {env_seed!r}") from None
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    return _Run(cfg, seed, tol, out, system)
+    return _Run(cfg, seed, tol, out, system_file)
 
 
 def _emit(command: str, run: _Run, verdict: str, metrics: dict, artifacts) -> int:
@@ -168,14 +173,14 @@ def main():
     """eid-lab: equilibrium-independent dissipativity certification."""
 
 
-def _command(name: str, needs_system: bool = False):
+def _command(name: str):
     """Register ``body(run) -> (verdict, metrics, artifacts)`` as command ``name``."""
     def register(body):
         def command(system_file, config_file, seed, tol, out_dir):
             try:
-                run = _start(system_file, config_file, seed, tol, out_dir, needs_system)
+                run = _start(system_file, config_file, seed, tol, out_dir)
                 code = _emit(name, run, *body(run))
-            except (EidLabError, OSError, KeyError, ValueError) as exc:
+            except (EidLabError, OSError, KeyError, ValueError, TypeError) as exc:
                 message = f"missing key {exc}" if isinstance(exc, KeyError) else exc
                 click.echo(f"error: {message}", err=True)
                 code = _EXIT_ERROR
@@ -188,13 +193,12 @@ def _command(name: str, needs_system: bool = False):
 
 
 def _certificate(run: _Run, verify, storage):
-    kw = {} if run.tol is None else {"tol_a": run.tol, "tol_b": run.tol}
-    cert = verify(run.system, run.supply(), storage, run.pairs(),
-                  mode=run.cfg.get("mode", "inequality"), seed=run.seed, **kw)
+    cert = verify(run.system, run.supply(), storage, run.pairs(), seed=run.seed,
+                  **run.given("tol_a", "tol_b", mode=str))
     return cert.verdict, cert.to_dict(), []
 
 
-@_command("certify", needs_system=True)
+@_command("certify")
 def _certify(run):
     """Continuous-time EID certification for a catalog system."""
     from . import certify
@@ -202,7 +206,7 @@ def _certify(run):
     return _certificate(run, certify.verify_eid_ct, run.generator())
 
 
-@_command("certify-dt", needs_system=True)
+@_command("certify-dt")
 def _certify_dt(run):
     """Discrete-time EID certification with quadratic storage."""
     from . import certify
@@ -220,7 +224,7 @@ def _kyp(run):
     n, m = np.atleast_2d(cfg["G"]).shape
     H = np.atleast_2d(cfg.get("H", np.eye(n)))
     J = cfg.get("J", np.zeros((H.shape[0], m)))
-    res = certify.verify_kyp_lti(cfg["F"], cfg["G"], H, J, w, cfg["P"], tol=run.tolerance)
+    res = certify.verify_kyp_lti(cfg["F"], cfg["G"], H, J, w, cfg["P"], **run.given("tol"))
     return ("pass" if res["passed"] else "fail"), {"lambda_max": res["lambda_max"]}, []
 
 
@@ -269,7 +273,7 @@ def _gain(run):
         K = cfg.get("K", np.zeros((np.atleast_2d(cfg["A"]).shape[0],) * 2))
         param, rows = "index", [(0.0, gains.ahu_gain(cfg["M"], cfg["A"], K).gamma)]
     else:
-        raise EidLabError(f"unknown gain formula {formula!r}")
+        raise ConfigError(f"unknown gain formula {formula!r}")
     csv_path = run.out / "gain_sweep.csv"
     with open(csv_path, "w") as fh:
         fh.write(f"{param},gamma\n")
@@ -288,18 +292,17 @@ def _compose(run):
     if "kappa" in cfg:
         comp = interconnect.compose_supply(w1, w2, float(cfg["kappa"]))
         lam = comp.lambda_max_q
-        verdict = "pass" if lam < -run.tolerance else "fail"
+        verdict = "pass" if lam < -(1e-9 if run.tol is None else run.tol) else "fail"
         metrics = {"kappa": comp.kappa, "lambda_max_q": lam,
                    "Q_cl": comp.Q_cl, "S_cl": comp.S_cl, "R_cl": comp.R_cl}
     else:
-        res = interconnect.kappa_search(w1, w2, tuple(cfg.get("kappa_range", (1e-4, 1e4))),
-                                        grid=int(cfg.get("grid", 60)), tol=run.tolerance)
+        res = interconnect.kappa_search(w1, w2, **run.given("tol", kappa_range=tuple, grid=int))
         verdict = res["verdict"]
         metrics = {"kappa": res["kappa"], "lambda_max_q": res["lambda_max_q"]}
     return verdict, metrics, []
 
 
-@_command("circle", needs_system=True)
+@_command("circle")
 def _circle(run):
     """Sector absolute-stability certificate search."""
     from . import interconnect, systems
@@ -308,16 +311,16 @@ def _circle(run):
     bounds = systems.SectorBounds.scalar(float(sector["alpha"]), float(sector["beta"]),
                                          m=run.system.m)
     res = interconnect.circle_criterion(run.system, bounds, run.generator(), run.pairs(),
-                                        tol=run.tolerance)
+                                        **run.given("tol"))
     return res["verdict"], {"certified_eps": res["certified_eps"]}, []
 
 
-@_command("simulate", needs_system=True)
+@_command("simulate")
 def _simulate(run):
     """Simulate a trajectory and export it to CSV."""
     spec = run.cfg.get("input", {"type": "zero"})
     if spec["type"] not in ("zero", "constant"):
-        raise EidLabError(f"unknown input type {spec['type']!r}")
+        raise ConfigError(f"unknown input type {spec['type']!r}")
     u = np.atleast_1d(np.asarray(spec["value"], dtype=float)) if spec["type"] == "constant" else None
     traj = run.simulate(run.cfg["x0"], u)
     csv_path = run.out / "trajectory.csv"
@@ -325,7 +328,7 @@ def _simulate(run):
     return "pass", {"final_state": traj.states[-1], "samples": len(traj)}, [csv_path]
 
 
-@_command("audit", needs_system=True)
+@_command("audit")
 def _audit(run):
     """Simulate and audit the dissipation inequality along the run."""
     from . import certify, sim
@@ -337,34 +340,28 @@ def _audit(run):
     else:
         storage = certify.BregmanStorage(run.generator(), xbar)
     traj = run.simulate(run.cfg.get("x0", xbar), eq.u)
-    audit = sim.audit_dissipation(traj, storage, w, eq.u, eq.y, xbar=xbar, tol=run.tol)
+    audit = sim.audit_dissipation(traj, storage, w, eq.u, eq.y, xbar=xbar, **run.given("tol"))
     csv_path = run.out / "audit.csv"
     audit.to_csv(csv_path, times=traj.times)
     metrics = {"max_violation": audit.max_violation, "tol": audit.tol}
     return audit.verdict, metrics, [csv_path]
 
 
-@_command("stability", needs_system=True)
+@_command("stability")
 def _stability(run):
     """Probe-shell convergence experiment around an equilibrium."""
     from . import sim
 
     xbar, eq = run.equilibrium()
-    res = sim.stability_experiment(
-        run.system, xbar, eq.u,
-        radius=float(run.cfg.get("radius", 0.1)),
-        probes=int(run.cfg.get("probes", 32)),
-        horizon=float(run.cfg.get("horizon", 20.0)),
-        dt=float(run.cfg.get("dt", 1e-3)),
-        steps=int(run.cfg.get("steps", 2000)),
-    )
+    res = sim.stability_experiment(run.system, xbar, eq.u, **run.given(
+        radius=float, probes=int, horizon=float, dt=float, steps=int))
     verdict = "pass" if res["converged_fraction"] == 1.0 else "fail"
     metrics = {"converged_fraction": res["converged_fraction"],
                "max_final_distance": res["max_final_distance"]}
     return verdict, metrics, []
 
 
-@_command("io-relation", needs_system=True)
+@_command("io-relation")
 def _io_relation(run):
     """Sample the equilibrium I/O relation and check pairwise dissipativity."""
     from . import equilibria
@@ -373,7 +370,7 @@ def _io_relation(run):
     samples = emap.sample_io_relation(run.region(), int(run.cfg.get("count", 50)), seed=run.seed)
     csv_path = run.out / "io_relation.csv"
     samples.to_csv(csv_path)
-    rep = equilibria.check_relation_dissipativity(samples, run.supply(), tol=run.tolerance)
+    rep = equilibria.check_relation_dissipativity(samples, run.supply(), **run.given("tol"))
     verdict = "pass" if rep["monotone"] else "fail"
     metrics = {"min_pair_value": rep["min_pair_value"],
                "n_samples": len(samples),

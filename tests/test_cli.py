@@ -154,6 +154,20 @@ def test_gain_sweep_includes_asymptote_row(runner, tmp_path):
     assert len(lines) == 5
 
 
+def test_gain_ahu_matches_the_library(runner, tmp_path):
+    from eidlab import gains
+
+    M, A = [[1.0, 0.0], [0.0, 2.0]], [[1.0, 1.0]]
+    cfg = _write(tmp_path, "cfg.json", {"formula": "ahu", "M": M, "A": A})
+    result = runner.invoke(main, ["gain", "--config", cfg, "--out", str(tmp_path)])
+    assert result.exit_code == 0, result.output
+    gamma = gains.ahu_gain(M, A, np.zeros((1, 1))).gamma
+    assert gamma == pytest.approx(1.0)
+    assert _report(result)["metrics"] == {"formula": "ahu", "max_gamma": gamma}
+    lines = (tmp_path / "gain_sweep.csv").read_text().splitlines()
+    assert lines == ["index,gamma", f"0.0,{gamma}"]
+
+
 # ---------------------------------------------------------------------------
 # interconnection commands
 
@@ -184,6 +198,47 @@ def test_compose_tol_zero_is_not_replaced(runner, tmp_path):
     args = ["compose", "--config", cfg, "--out", str(tmp_path)]
     assert runner.invoke(main, args + ["--tol", "0"]).exit_code == 0
     assert runner.invoke(main, args).exit_code == 2
+
+
+def test_compose_reads_an_input_feedforward_supply(runner, tmp_path):
+    from eidlab import interconnect
+    from eidlab.systems import SupplyRate
+
+    cfg = _write(tmp_path, "cfg.json", {"w1": {"type": "input_feedforward", "nu": 0.3},
+                                        "w2": {"type": "passivity"}, "kappa": 2.0})
+    result = runner.invoke(main, ["compose", "--config", cfg, "--out", str(tmp_path)])
+    assert result.exit_code in (0, 2), result.output
+    comp = interconnect.compose_supply(SupplyRate.input_feedforward(0.3, 1),
+                                       SupplyRate.passivity(1), 2.0)
+    metrics = _report(result)["metrics"]
+    for key in ("Q_cl", "S_cl", "R_cl"):
+        assert metrics[key] == getattr(comp, key).tolist()
+
+
+def test_keys_a_config_leaves_out_take_the_library_defaults(runner, tmp_path, monkeypatch):
+    # the CLI passes a key only when the config sets it, and --tol only when given
+    from eidlab import interconnect, sim
+
+    calls = []
+    monkeypatch.setattr(sim, "stability_experiment", lambda *a, **kw: calls.append(kw) or {
+        "converged_fraction": 1.0, "max_final_distance": 0.0})
+    monkeypatch.setattr(interconnect, "kappa_search", lambda *a, **kw: calls.append(kw) or {
+        "verdict": "pass", "kappa": 1.0, "lambda_max_q": -1.0})
+    sys_path = _write(tmp_path, "sys.json", {"schema": 1, **_SYSTEMS["dt_gradient"]})
+    supplies = {"w1": {"type": "passivity"}, "w2": {"type": "passivity"}}
+    for command, config, extra in [
+        ("stability", {"xbar": [0.0]}, []),
+        ("stability", {"xbar": [0.0], "probes": 3.0, "steps": 10}, []),
+        ("compose", supplies, []),
+        ("compose", {**supplies, "kappa_range": [0.1, 10], "grid": 5}, ["--tol", "0.5"]),
+    ]:
+        cfg = _write(tmp_path, "cfg.json", config)
+        result = runner.invoke(main, [command, "--system", sys_path, "--config", cfg,
+                                      "--out", str(tmp_path)] + extra)
+        assert result.exit_code == 0, result.output
+    assert calls == [{}, {"probes": 3, "steps": 10}, {},
+                     {"kappa_range": (0.1, 10), "grid": 5, "tol": 0.5}]
+    assert type(calls[1]["probes"]) is int
 
 
 def test_circle_certifies_smib_sector(runner, tmp_path):
@@ -415,6 +470,36 @@ def test_unknown_supply_type_is_named(runner, tmp_path):
     cfg = _write(tmp_path, "cfg.json", {"w1": {"type": "passivity"}, "w2": {"type": "pasivity"}})
     result = runner.invoke(main, ["compose", "--config", cfg, "--out", str(tmp_path)])
     assert _error(result) == "error: unknown supply type 'pasivity'"
+
+
+@pytest.mark.parametrize("command,config,message", [
+    ("gain", {"formula": "hinf", "grid": [1.0]}, "error: unknown gain formula 'hinf'"),
+    ("simulate", {"x0": [1.0], "input": {"type": "ramp"}}, "error: unknown input type 'ramp'"),
+])
+def test_unknown_choice_is_named(runner, tmp_path, command, config, message):
+    sys_path = _write(tmp_path, "sys.json", {"schema": 1, **_SYSTEMS["lti_decay"]})
+    cfg = _write(tmp_path, "cfg.json", config)
+    result = runner.invoke(main, [command, "--system", sys_path, "--config", cfg,
+                                  "--out", str(tmp_path)])
+    assert _error(result) == message
+
+
+@pytest.mark.parametrize("command,system,config,message", [
+    ("stability", _SYSTEMS["dt_gradient"], {"xbar": [0.0], "probes": None},
+     "error: int() argument must be"),
+    ("simulate", _SYSTEMS["lti_decay"], {"x0": [1.0], "T": None},
+     "error: float() argument must be"),
+    ("certify", {"family": "gradient_ff", "params": {"mu": 1.0, "g": 1.0, "j": 0.5, "n": 2.0}},
+     {"pairs": 10}, "error: "),
+], ids=["stability-probes-null", "simulate-T-null", "certify-float-n"])
+def test_wrong_json_type_is_one_error_line(runner, tmp_path, command, system, config, message):
+    # each of these used to escape as a TypeError traceback
+    sys_path = _write(tmp_path, "sys.json", {"schema": 1, **system})
+    cfg = _write(tmp_path, "cfg.json", config)
+    result = runner.invoke(main, [command, "--system", sys_path, "--config", cfg,
+                                  "--out", str(tmp_path)])
+    lines = _error(result).splitlines()
+    assert len(lines) == 1 and lines[0].startswith(message), result.stderr
 
 
 def test_non_object_config_is_a_config_error(runner, tmp_path):
