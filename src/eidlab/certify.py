@@ -146,6 +146,12 @@ def _stack_pairs(pairs, n: int) -> np.ndarray:
     return P.reshape(2 * len(P), n)
 
 
+def _check_shape(what: str, shape: tuple, expected: tuple):
+    """DimensionMismatchError naming ``what`` unless its ``shape`` is ``expected``."""
+    if shape != expected:
+        raise DimensionMismatchError(f"{what} is {shape}, expected {expected}")
+
+
 @np.errstate(over="ignore", invalid="ignore")  # a non-finite pair is reported, not warned
 def _supply_terms(sys, storage, Z, *supplies) -> list:
     """Per supply, Rhat_eff = Rhat (less GᵀPG in discrete time) and, at the
@@ -160,8 +166,12 @@ def _supply_terms(sys, storage, Z, *supplies) -> list:
     dissipation matrix D = [[a, cᵀ], [c, Rhat_eff]] is PSD, which every
     verdict judges up to rounding relative to 1 + σ, the size of the terms
     D is formed from.  A pair whose σ is not finite has a and c NaN, the
-    worst value of every verdict; an empty pair set is a DomainError."""
+    worst value of every verdict; an empty pair set is a DomainError, and a
+    supply, P or ∇V of another width than the system's a DimensionMismatchError."""
+    for w in supplies:
+        _check_shape("supply (p, m)", (w.p, w.m), (sys.p, sys.m))
     if sys.discrete:
+        _check_shape("storage P", np.shape(np.atleast_2d(storage)), (sys.n, sys.n))
         storage = numerics.require_psd(storage, "P")[0]
     if not len(Z):
         raise DomainError("need at least one pair")
@@ -173,7 +183,11 @@ def _supply_terms(sys, storage, Z, *supplies) -> list:
         t = np.vdot(storage, storage) ** 0.5 * (ff + np.vecdot(dX, dX))
         Cs, GPG = PdF @ sys.G, sys.G.T @ storage @ sys.G
     else:
-        dgrad = storage._values("grad_V", Z)
+        try:  # a generator of another width fails on the stack or returns another shape
+            dgrad = storage._values("grad_V", Z)
+        except (ValueError, IndexError) as exc:
+            raise DimensionMismatchError(f"storage grad_V fails on {Z.shape} states: {exc}") from exc
+        _check_shape("storage grad_V value", dgrad.shape, Z.shape)
         dgrad = dgrad[0::2] - dgrad[1::2]
         s, Cs, GPG = np.vecdot(dgrad, dF), 0.5 * dgrad @ sys.G, 0.0
         t = np.sqrt(np.vecdot(dgrad, dgrad)) * np.sqrt(ff)

@@ -231,22 +231,19 @@ def _kyp(run):
 @_command("region")
 def _region(run):
     """Sweep the feedforward-passivity feasibility region to CSV."""
-    from . import gains
+    from . import gains, systems
 
     cfg = run.cfg
     reg = gains.FeasibleRegion(mu=float(cfg["mu"]), g=float(cfg["g"]), j=float(cfg["j"]))
-    nu_lo = float(cfg.get("nu_min", 0.0))
-    nu_hi = float(cfg.get("nu_max", reg.nu_intercept))
-    points = int(cfg.get("points", 101))
+    nus = np.linspace(float(cfg.get("nu_min", 0.0)), float(cfg.get("nu_max", reg.nu_intercept)),
+                      int(cfg.get("points", 101)))
+    r16 = [reg.rho_max_feedthrough(nu) for nu in nus]
+    r18 = [reg.rho_max_curvature(nu) for nu in nus]
+    # probed at half the smaller bound; at rho = 0, membership reads nu < j
+    member = [int(reg.membership(nu, 0.5 * min(a, b))) for nu, a, b in zip(nus, r16, r18)]
     csv_path = run.out / "region.csv"
-    with open(csv_path, "w") as fh:
-        fh.write("nu,rho_max_eq16,rho_max_eq18,member\n")
-        for nu in np.linspace(nu_lo, nu_hi, points):
-            r16 = reg.rho_max_feedthrough(nu)
-            r18 = reg.rho_max_curvature(nu)
-            probe = 0.5 * min(r16, r18)
-            member = reg.membership(nu, probe) if probe > 0 else (nu < reg.nu_intercept)
-            fh.write(f"{nu},{r16},{r18},{int(member)}\n")
+    systems._write_csv(csv_path, {"nu": nus, "rho_max_eq16": r16, "rho_max_eq18": r18,
+                                  "member": member})
     metrics = {
         "nu_intercept": reg.nu_intercept,
         "rho_intercept_eq16": reg.rho_intercept_feedthrough,
@@ -258,28 +255,26 @@ def _region(run):
 @_command("gain")
 def _gain(run):
     """Closed-form gain sweep to CSV."""
-    from . import gains
+    from . import gains, systems
 
     cfg = run.cfg
     formula = cfg["formula"]
     if formula == "ifp_osp":
         b = float(cfg.get("b", 0.0))
-        param, rows = "a", [(a, gains.ifp_osp_gain(float(a), b).gamma) for a in cfg["grid"]]
+        param, grid = "a", cfg["grid"]
+        gammas = [gains.ifp_osp_gain(float(a), b).gamma for a in grid]
     elif formula == "dt_gradient":
         mu = float(cfg.get("mu", 1.0))
-        grid = [1e-6] + [float(v) for v in cfg["grid"]]  # asymptote row first
-        param, rows = "alpha", [(alpha, gains.dt_gradient_gain(mu, alpha).gamma) for alpha in grid]
+        param, grid = "alpha", [1e-6] + [float(v) for v in cfg["grid"]]  # asymptote row first
+        gammas = [gains.dt_gradient_gain(mu, alpha).gamma for alpha in grid]
     elif formula == "ahu":
         K = cfg.get("K", np.zeros((np.atleast_2d(cfg["A"]).shape[0],) * 2))
-        param, rows = "index", [(0.0, gains.ahu_gain(cfg["M"], cfg["A"], K).gamma)]
+        param, grid, gammas = "index", [0.0], [gains.ahu_gain(cfg["M"], cfg["A"], K).gamma]
     else:
         raise ConfigError(f"unknown gain formula {formula!r}")
     csv_path = run.out / "gain_sweep.csv"
-    with open(csv_path, "w") as fh:
-        fh.write(f"{param},gamma\n")
-        for k, g in rows:
-            fh.write(f"{k},{g}\n")
-    return "pass", {"formula": formula, "max_gamma": max(g for _, g in rows)}, [csv_path]
+    systems._write_csv(csv_path, {param: grid, "gamma": gammas})
+    return "pass", {"formula": formula, "max_gamma": max(gammas)}, [csv_path]
 
 
 @_command("compose")

@@ -9,7 +9,6 @@ carries a unique equilibrium input/output pair
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -17,7 +16,7 @@ import numpy as np
 
 from . import numerics
 from .errors import DimensionMismatchError, DomainError, NonSquareError, NotAssignableError
-from .systems import SupplyRate, _Affine
+from .systems import SupplyRate, _Affine, _write_csv
 
 DEFAULT_RESIDUAL_TOL = 1e-8
 _SCREEN_BLOCK = 8192  # pair values screened at once by the relation check
@@ -163,12 +162,7 @@ class RelationSamples:
         """Columns x_1..x_n, u_1..u_m, y_1..y_p."""
         if not len(self):
             raise DomainError("no samples to export")
-        header = [f"{v}_{i+1}" for v, a in (("x", self.x), ("u", self.u), ("y", self.y))
-                  for i in range(a.shape[1])]
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(header)
-            writer.writerows(np.hstack([self.x, self.u, self.y]))
+        _write_csv(path, {"x": self.x, "u": self.u, "y": self.y})
 
 
 def check_relation_dissipativity(samples, w: SupplyRate, tol: float = 1e-9) -> dict:

@@ -163,6 +163,7 @@ def gaussian_disturbances(count: int, m: int, steps: int, seed: int = 0,
     return list(sig)
 
 
+@np.errstate(over="ignore", invalid="ignore")  # a non-finite energy is reported, not warned
 def empirical_gain(sys, xbar, disturbances, horizon: Optional[float] = None,
                    dt: float = 1e-3) -> dict:
     """Empirical L2 (ell2) gain from an equilibrium: max over the disturbance
@@ -195,17 +196,17 @@ def empirical_gain(sys, xbar, disturbances, horizon: Optional[float] = None,
         else:
             T = horizon if horizon is not None else length * dt
             traj = simulate_ct(sys, x0, V, T=T, dt=dt)
-        num = np.sqrt(traj.per_step(lambda u, y: np.sum((y - ybar) ** 2, axis=-1)).sum(axis=-1))
-        den = np.sqrt(traj.per_step(lambda u, y: np.sum(u**2, axis=-1)).sum(axis=-1))
         if traj.diverged.any():
             raise NonFiniteError("trajectory states became non-finite")
+        num = np.sqrt(traj.per_step(lambda u, y: np.sum((y - ybar) ** 2, axis=-1)).sum(axis=-1))
+        den = np.sqrt(traj.per_step(lambda u, y: np.sum(u**2, axis=-1)).sum(axis=-1))
         live = den > 1e-14
         if not live.any():
             continue
         settle = np.linalg.norm(traj.states[:, -1] - xbar, axis=-1)
         scale = np.maximum(1.0, np.linalg.norm(V.reshape(len(group), -1), axis=-1))
         truncated |= bool(np.any(live & (settle > 1e-4 * scale)))
-        best = max(best, float(np.max(num[live] / den[live])))
+        best = float(np.max(num[live] / den[live], initial=best))  # a NaN ratio stays NaN
     if not np.isfinite(best):
         raise NonFiniteError("trajectory norms became non-finite")
     return {"gain": best, "truncated": truncated, "n_signals": len(disturbances)}

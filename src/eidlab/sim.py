@@ -9,7 +9,6 @@ fail from integrator error.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 from typing import Optional
 
@@ -17,7 +16,7 @@ import numpy as np
 
 from . import numerics
 from .errors import DimensionMismatchError, DomainError, NonFiniteError
-from .systems import _Stacked
+from .systems import _Stacked, _write_csv
 
 # tolerance constants: base audit slack plus an O(dt^4) RK4 allowance per
 # unit horizon in continuous time
@@ -72,15 +71,7 @@ class Trajectory:
         """One row per sample; the last has no input and empty ``u_*`` cells."""
         if self.states.ndim != 2:
             raise DimensionMismatchError("to_csv writes a single trajectory, not a batch")
-        columns = {"x": self.states, "u": self.inputs, "y": self.outputs}
-        header = ["t"] + [f"{v}_{i+1}" for v, a in columns.items() for i in range(a.shape[1])]
-        no_input = [""] * self.inputs.shape[1]
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(header)
-            for k in range(len(self)):
-                u = self.inputs[k] if k < len(self.inputs) else no_input
-                writer.writerow([self.times[k], *self.states[k], *u, *self.outputs[k]])
+        _write_csv(path, {"t": self.times, "x": self.states, "u": self.inputs, "y": self.outputs})
 
 
 def _input_at(u, x0: np.ndarray, m: int, dt: float, min_steps: int = 0):
@@ -200,13 +191,10 @@ class DissipationAudit:
         return "pass" if self.passed else "fail"
 
     def to_csv(self, path, times=None):
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["t", "V", "supplied", "violation"])
-            for k in range(self.violations.size):
-                t = times[k] if times is not None else k
-                writer.writerow([t, self.storage_series[k],
-                                 self.supply_series[k], self.violations[k]])
+        steps = self.violations.size  # V's last sample ends the last step
+        _write_csv(path, {"t": range(steps) if times is None else times[:steps],
+                          "V": self.storage_series, "supplied": self.supply_series,
+                          "violation": self.violations})
 
 
 def audit_dissipation(traj: Trajectory, storage, supply, ubar, ybar,

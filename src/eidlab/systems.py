@@ -9,6 +9,7 @@ also be loaded from JSON files.
 
 from __future__ import annotations
 
+import csv
 import json
 import os
 import warnings
@@ -412,11 +413,21 @@ def _per_coordinate(name: str, value, n, strict: bool = True) -> np.ndarray:
     return np.full(n, v[0]) if v.size < n else v
 
 
+def _integer(params: dict, key: str, default: int) -> int:
+    """``params[key]``, ``default`` where it is absent or null; a ConfigError naming ``key``
+    unless it is an integer (a bool, a string or a float such as 2.0 is not)."""
+    v = params.get(key)
+    if v is None:
+        return default
+    if isinstance(v, bool) or not isinstance(v, (int, np.integer)):
+        raise ConfigError(f"{key} must be an integer, got {v!r}")
+    return int(v)
+
+
 def _phi_from_params(params: dict, n_key: str = "n"):
     """(mu, c, phi) for phi(z) = Σ ½ muᵢ zᵢ² + cᵢ log cosh zᵢ, n = params[n_key] or len(mu)."""
     _require(params, "mu")
-    n = params.get(n_key)
-    n = np.size(params["mu"]) if n is None else n
+    n = _integer(params, n_key, np.size(params["mu"]))
     mu = _per_coordinate("mu", params["mu"], n)
     c = _per_coordinate("c", 0.0 if params.get("c") is None else params["c"], n, strict=False)
     return mu, c, StorageGenerator.quadratic(np.diag(mu), c)
@@ -557,7 +568,7 @@ def _build_dt_gradient(params: dict):
 def _build_dt_integrator(params: dict):
     _require(params, "alpha")
     alpha = float(_positive("alpha", params["alpha"]))
-    n = int(params.get("n", 1))
+    n = _integer(params, "n", 1)
     if n < 1:
         raise DimensionMismatchError(f"need n >= 1, got n = {n}")
     f = h = _Affine(np.eye(n))
@@ -638,6 +649,20 @@ def load_system(source):
     if not isinstance(params, dict):
         raise ConfigError("system 'params' must be a JSON object")
     return catalog_build(doc["family"], params)
+
+
+def _write_csv(path, columns: dict):
+    """The one CSV format of the package's artifacts, with csv's CRLF line ends.  A 1-D
+    column is one column named by its key, a 2-D one is ``key_1 … key_k``.  Row k holds row
+    k of each column; a column with fewer rows than the first leaves its cells empty."""
+    rows, blocks = len(next(iter(columns.values()))), []
+    for key, col in columns.items():
+        wide = np.ndim(col) == 2
+        names = [f"{key}_{i + 1}" for i in range(np.shape(col)[1])] if wide else [key]
+        body = list(col) if wide else [[v] for v in col]
+        blocks.append([names, *body, *[[""] * len(names)] * (rows - len(body))])
+    with open(path, "w", newline="") as fh:
+        csv.writer(fh).writerows([v for part in line for v in part] for line in zip(*blocks))
 
 
 # ---------------------------------------------------------------------------

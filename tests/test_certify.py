@@ -262,6 +262,43 @@ def test_pairs_of_another_state_width_are_errors():
             run()
 
 
+def _width_cases():
+    """Per case, a call with a supply, storage or P of another width than the
+    system's, and the start of the error it must raise."""
+    so = catalog_build("second_order", {"mu": 1.0, "c": 0.5})
+    dti = catalog_build("dt_integrator", {"alpha": 0.5, "n": 2})
+    box = (-np.ones(2), np.ones(2))
+    pairs, dt_pairs = (sample_pairs(s, box, count=20, seed=0) for s in (so, dti))
+    w1, w2 = SupplyRate.passivity(1), SupplyRate.passivity(2)
+    wide = r"supply \(p, m\) is \(2, 2\), expected \(1, 1\)"
+    return {
+        "supply/verify_eid_ct": (lambda: verify_eid_ct(so, w2, so.storage, pairs), wide),
+        "supply/supply_margin": (lambda: supply_margin(so, w1, w2, so.storage, pairs), wide),
+        "supply/factor_dissipation": (
+            lambda: factor_dissipation(so, w2, so.storage, pairs[1]), wide),
+        "storage_of_width_3": (
+            lambda: verify_eid_ct(so, w1, StorageGenerator.quadratic(np.eye(3)), pairs),
+            r"storage grad_V fails on \(40, 2\) states"),
+        "grad_V_of_width_1": (
+            lambda: verify_eid_ct(
+                so, w1, StorageGenerator(lambda x: x[..., 0], lambda x: x[..., :1]), pairs),
+            r"storage grad_V value is \(40, 1\), expected \(40, 2\)"),
+        "dt_P_3x3": (lambda: verify_eid_dt(dti, w2, np.eye(3), dt_pairs),
+                     r"storage P is \(3, 3\), expected \(2, 2\)"),
+    }
+
+
+@pytest.mark.parametrize("case", [
+    "supply/verify_eid_ct", "supply/supply_margin", "supply/factor_dissipation",
+    "storage_of_width_3", "grad_V_of_width_1", "dt_P_3x3"])
+def test_inputs_of_another_width_than_the_system_are_named(case):
+    # each of these raised numpy's matmul (or, for the grad_V of width 1,
+    # vecdot) ValueError, which names nothing of ours
+    call, fragment = _width_cases()[case]
+    with pytest.raises(DimensionMismatchError, match=f"^{fragment}"):
+        call()
+
+
 def test_pairs_of_the_right_size_but_another_shape_are_errors(ph):
     # only the size of a pair set was checked: a transposed (N, n, 2) set, (N,
     # 2n) rows and a flat pair were read as (N, 2, n) pairs.  (At n = 2 a

@@ -1,3 +1,4 @@
+import csv
 import json
 import os
 import subprocess
@@ -431,6 +432,12 @@ def test_command_contract(runner, tmp_path, command, system, config):
     assert json.loads(on_disk.read_text()) == rep
     for artifact in rep["artifacts"]:
         assert Path(artifact).is_file()
+        # every CSV artifact has the one format: CRLF line ends, and each row
+        # as wide as the header (region and gain wrote LF lines before)
+        raw = Path(artifact).read_bytes()
+        assert raw.endswith(b"\r\n") and raw.count(b"\n") == raw.count(b"\r\n"), artifact
+        rows = list(csv.reader(raw.decode().splitlines()))
+        assert {len(row) for row in rows} == {len(rows[0])}, artifact
 
 
 def test_module_entry_point_lists_every_command():
@@ -500,6 +507,27 @@ def test_wrong_json_type_is_one_error_line(runner, tmp_path, command, system, co
                                   "--out", str(tmp_path)])
     lines = _error(result).splitlines()
     assert len(lines) == 1 and lines[0].startswith(message), result.stderr
+
+
+def test_catalog_n_of_another_type_is_named(runner, tmp_path):
+    # dt_integrator with n 2.5 used to build n = 2 and certify it
+    sys_path = _write(tmp_path, "sys.json", {
+        "schema": 1, "family": "dt_integrator", "params": {"alpha": 0.5, "n": 2.5},
+    })
+    result = runner.invoke(main, ["certify-dt", "--system", sys_path, "--out", str(tmp_path)])
+    assert _error(result) == "error: n must be an integer, got 2.5"
+
+
+def test_jsonify_reads_numpy_scalars_and_names_other_objects():
+    from eidlab.cli import _jsonify
+
+    class Named:
+        def __str__(self):
+            return "named"
+
+    assert _jsonify(np.int64(3)) == 3 and type(_jsonify(np.int64(3))) is int
+    assert _jsonify(np.bool_(True)) is True
+    assert _jsonify(Named()) == "named"
 
 
 def test_non_object_config_is_a_config_error(runner, tmp_path):

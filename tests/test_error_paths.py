@@ -8,9 +8,9 @@ import pytest
 
 from eidlab.certify import sample_pairs, verify_eid_ct
 from eidlab.equilibria import RelationSamples
-from eidlab.errors import DimensionMismatchError, DomainError
-from eidlab.gains import empirical_gain
-from eidlab.interconnect import compose_supply
+from eidlab.errors import DimensionMismatchError, DomainError, NoConvergenceError
+from eidlab.gains import GainBound, ahu_gain, empirical_gain
+from eidlab.interconnect import compose_supply, solve_monotone_inclusion
 from eidlab.sim import simulate_dt
 from eidlab.systems import CtSystem, SectorBounds, SupplyRate, catalog_build, validate_system
 
@@ -52,6 +52,19 @@ _RAISES = {
         _ell_too_short, DimensionMismatchError, "ell has 1 components but W has 2 rows"),
     "no_equilibrium_in_box": (
         _no_equilibrium_in_the_box, DomainError, "no equilibria found in the sampling region"),
+    "gain_bound_nan": (
+        lambda: GainBound(gamma=np.nan, formula_id="ifp_osp"),
+        DomainError, "gain must be finite and nonnegative, got nan"),
+    # K = -1e-10 passes the PSD floor, and M + K = 1e-12 - 1e-10 < 0
+    "ahu_gain_indefinite": (
+        lambda: ahu_gain([[1e-12]], [[1.0]], [[-1e-10]]),
+        DomainError, "M \\+ AᵀKA must be positive definite"),
+    # the supplies claim strong monotonicity, but F = 0 never reaches v1 = 1
+    "monotone_inclusion_stalls": (
+        lambda: solve_monotone_inclusion(
+            lambda y: 0.0 * y, lambda z: 0.0 * z, [1.0], [0.0],
+            SupplyRate.output_strict(1.0, 1), SupplyRate.passivity(1)),
+        NoConvergenceError, "monotone inclusion iteration stalled, residual 1.000e\\+00"),
     "empty_relation_csv": (
         lambda: RelationSamples(np.zeros((0, 1)), np.zeros((0, 1)), np.zeros((0, 1)))
         .to_csv(os.devnull),

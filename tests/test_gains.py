@@ -1,7 +1,9 @@
+import warnings
+
 import numpy as np
 import pytest
 
-from eidlab.errors import DomainError, RankDeficientError, RhatNotPsdError
+from eidlab.errors import DomainError, NonFiniteError, RankDeficientError, RhatNotPsdError
 from eidlab.gains import (
     FeasibleRegion,
     ahu_gain,
@@ -229,6 +231,32 @@ def test_empirical_gain_rejects_empty_set():
     sys = catalog_build("dt_gradient", {"mu": 1.0, "alpha": 0.5})
     with pytest.raises(ValueError):
         empirical_gain(sys, np.zeros(1), [])
+
+
+@pytest.mark.parametrize("params, dt, samples, fragment", [
+    # diverges: the states go non-finite within 200 steps of 0.5
+    ({"F": [[1e3]], "G": [[1.0]]}, 0.5, 200, "states"),
+    # grows to about 1e188 in 20 steps, so the output energy overflows
+    ({"F": [[1e3]], "G": [[1.0]]}, 0.5, 20, "norms"),
+    ({"F": [[-1.0]], "G": [[1.0]], "H": [[1e200]]}, 0.01, 20, "norms"),
+], ids=["diverges", "grows", "output_overflows"])
+def test_empirical_gain_reports_non_finite_energies_without_warnings(params, dt, samples,
+                                                                       fragment):
+    # both energies used to be formed first and outside any errstate, so an
+    # overflow in the square warned before the NonFiniteError
+    lti = catalog_build("lti", params)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NonFiniteError, match=fragment):
+            empirical_gain(lti, np.zeros(1), [np.ones((samples, 1))], dt=dt)
+
+
+def test_empirical_gain_keeps_a_nan_ratio():
+    # input and output energies both overflow, so their ratio is NaN; it used
+    # to lose to the running maximum, and the gain read 0
+    lti = catalog_build("lti", {"F": [[-1.0]], "G": [[1.0]]})
+    with pytest.raises(NonFiniteError, match="norms"):
+        empirical_gain(lti, np.zeros(1), [np.full((20, 1), 1e160)], dt=0.01)
 
 
 def test_power_iteration_does_not_decrease_gain():

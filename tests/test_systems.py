@@ -241,6 +241,34 @@ def test_empty_integrator_is_an_error():
         catalog_build("dt_integrator", {"alpha": 0.5, "n": 0})
 
 
+_AHU = {"mu": 1.0, "A": [[1.0, 1.0]], "b": [1.0]}
+
+
+@pytest.mark.parametrize("family, params, key", [
+    # dt_integrator read int(n): 2.5 built n = 2 and true built n = 1
+    ("dt_integrator", {"alpha": 0.5, "n": 2.5}, "n"),
+    ("dt_integrator", {"alpha": 0.5, "n": True}, "n"),
+    ("dt_integrator", {"alpha": 0.5, "n": "2"}, "n"),
+    # gradient_ff raised numpy's TypeError on 2.0, a TypeError from < on "2",
+    # and built n = 1 on true
+    ("gradient_ff", {"mu": 1.0, "g": 1.0, "j": 0.5, "n": 2.0}, "n"),
+    ("gradient_ff", {"mu": 1.0, "g": 1.0, "j": 0.5, "n": "2"}, "n"),
+    ("gradient_ff", {"mu": 1.0, "g": 1.0, "j": 0.5, "n": True}, "n"),
+    ("ahu_saddle", {**_AHU, "n1": 2.0}, "n1"),
+    ("ahu_saddle", {**_AHU, "n1": "2"}, "n1"),
+], ids=["dt_integrator-2.5", "dt_integrator-true", "dt_integrator-str", "gradient_ff-2.0",
+        "gradient_ff-str", "gradient_ff-true", "ahu_saddle-2.0", "ahu_saddle-str"])
+def test_catalog_reads_n_as_an_integer(family, params, key):
+    with pytest.raises(ConfigError, match=rf"^{key} must be an integer, got {params[key]!r}$"):
+        catalog_build(family, params)
+
+
+def test_catalog_n_null_is_absent_and_numpy_integers_read():
+    assert catalog_build("dt_integrator", {"alpha": 0.5, "n": None}).n == 1
+    assert catalog_build("gradient_ff", {"mu": [1.0, 2.0], "g": 1.0, "j": 0.5, "n": None}).n == 2
+    assert catalog_build("ahu_saddle", {**_AHU, "n1": np.int64(2)}).n == 3
+
+
 def test_second_order_shapes_and_drift():
     sys = catalog_build("second_order", {"mu": 1.0, "c": 0.5})
     assert (sys.n, sys.m, sys.p) == (2, 1, 1)
