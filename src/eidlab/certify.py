@@ -55,7 +55,7 @@ class BregmanStorage:
 
     def __call__(self, x):
         x = np.atleast_1d(np.asarray(x, dtype=float))
-        v = self.generator._values("V", x) - self._vbar - (x - self.xbar) @ self._gbar
+        v = self.generator._values("V", x) - self._vbar - (x - self.xbar).dot(self._gbar)
         return float(v) if x.ndim < 2 else v
 
     def grad(self, x) -> np.ndarray:
@@ -178,10 +178,10 @@ def _supply_terms(sys, storage, Z, *supplies) -> list:
     dF, dH = (V[0::2] - V[1::2] for V in (sys.f(Z), sys.h(Z)))
     ff, hh = np.vecdot(dF, dF), np.vecdot(dH, dH)
     if sys.discrete:
-        dX, PdF = Z[0::2] - Z[1::2], dF @ storage
-        s = np.vecdot(PdF, dF) - np.vecdot(dX @ storage, dX)
+        dX, PdF = Z[0::2] - Z[1::2], dF.dot(storage)
+        s = np.vecdot(PdF, dF) - np.vecdot(dX.dot(storage), dX)
         t = np.vdot(storage, storage) ** 0.5 * (ff + np.vecdot(dX, dX))
-        Cs, GPG = PdF @ sys.G, sys.G.T @ storage @ sys.G
+        Cs, GPG = PdF.dot(sys.G), sys.G.T.dot(storage).dot(sys.G)
     else:
         try:  # a generator of another width fails on the stack or returns another shape
             dgrad = storage._values("grad_V", Z)
@@ -189,12 +189,12 @@ def _supply_terms(sys, storage, Z, *supplies) -> list:
             raise DimensionMismatchError(f"storage grad_V fails on {Z.shape} states: {exc}") from exc
         _check_shape("storage grad_V value", dgrad.shape, Z.shape)
         dgrad = dgrad[0::2] - dgrad[1::2]
-        s, Cs, GPG = np.vecdot(dgrad, dF), 0.5 * dgrad @ sys.G, 0.0
+        s, Cs, GPG = np.vecdot(dgrad, dF), (0.5 * dgrad).dot(sys.G), 0.0
         t = np.sqrt(np.vecdot(dgrad, dgrad)) * np.sqrt(ff)
     terms = []
     for w in supplies:
-        a = np.vecdot(dH @ w.Q, dH) - s
-        C = dH @ (w.Q @ sys.J + w.S) - Cs
+        a = np.vecdot(dH.dot(w.Q), dH) - s
+        C = dH.dot(w.Q.dot(sys.J) + w.S) - Cs
         # ‖Q‖ is the Frobenius norm, a bound on the spectral one
         sigma = t + np.vdot(w.Q, w.Q) ** 0.5 * hh + np.sqrt(np.vecdot(C, C))
         if not np.isfinite(sigma).all():  # σ may overflow where a and c do not
@@ -224,7 +224,7 @@ def _residuals(a, C, Z, W, W_pinv, ell, mode):
     if ell is None:
         # minimum-norm solution of Wᵀ ell = c: any kernel component of Wᵀ
         # only makes condition (a) harder, so this is the favourable choice
-        L = C @ W_pinv
+        L = C.dot(W_pinv)
     else:
         # ell(x, xb) on the pairs as one (N, 2n) stack of rows [x, x̄], or row by row
         n = Z.shape[1]
@@ -233,7 +233,7 @@ def _residuals(a, C, Z, W, W_pinv, ell, mode):
             raise DimensionMismatchError(
                 f"ell has {L.shape[-1]} components but W has {W.shape[0]} rows")
     # a longer ell pads W with zero rows, which leave WᵀW unchanged
-    E = L[:, :W.shape[0]] @ W - C
+    E = L[:, :W.shape[0]].dot(W) - C
     gap = np.vecdot(L, L) - a
     a_viol = np.abs(gap) if mode == "equality" else np.maximum(gap, 0.0)
     return a_viol, np.sqrt(np.vecdot(E, E))

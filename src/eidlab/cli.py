@@ -65,6 +65,14 @@ def _parse_supply(spec: dict) -> SupplyRate:
     return SupplyRate(spec["Q"], spec["S"], spec["R"], warn_definite=False)
 
 
+def _grid(cfg: dict) -> list:
+    """The config's ``grid`` as floats: a ConfigError unless it is a list of JSON numbers."""
+    grid = cfg["grid"]
+    if not isinstance(grid, list) or not all(type(v) in (int, float) for v in grid):
+        raise ConfigError(f"grid must be a list of numbers, got {grid!r}")
+    return [float(v) for v in grid]
+
+
 def _jsonify(obj):
     if isinstance(obj, np.ndarray):
         return obj.tolist()
@@ -261,11 +269,11 @@ def _gain(run):
     formula = cfg["formula"]
     if formula == "ifp_osp":
         b = float(cfg.get("b", 0.0))
-        param, grid = "a", cfg["grid"]
-        gammas = [gains.ifp_osp_gain(float(a), b).gamma for a in grid]
+        param, grid = "a", _grid(cfg)
+        gammas = [gains.ifp_osp_gain(a, b).gamma for a in grid]
     elif formula == "dt_gradient":
         mu = float(cfg.get("mu", 1.0))
-        param, grid = "alpha", [1e-6] + [float(v) for v in cfg["grid"]]  # asymptote row first
+        param, grid = "alpha", [1e-6] + _grid(cfg)  # asymptote row first
         gammas = [gains.dt_gradient_gain(mu, alpha).gamma for alpha in grid]
     elif formula == "ahu":
         K = cfg.get("K", np.zeros((np.atleast_2d(cfg["A"]).shape[0],) * 2))

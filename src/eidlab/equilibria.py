@@ -79,7 +79,7 @@ class EquilibriumMap:
     def _constraint(self, x) -> np.ndarray:
         """G_perp times the required G u, row by row: zero exactly at the
         assignable states."""
-        return self._gu_at(x) @ self.G_perp.T
+        return self._gu_at(x).dot(self.G_perp.T)
 
     def assignability_residual(self, x) -> float:
         return float(np.linalg.norm(self._constraint(np.atleast_1d(x))))
@@ -96,9 +96,9 @@ class EquilibriumMap:
         orthonormal rows), at each row of an (N, n) stack."""
         sys = self.system
         D = self._gu_at(X)
-        U = (D @ sys.G) @ self._gram_inv.T
+        U = D.dot(sys.G).dot(self._gram_inv.T)
         Y = sys.output(X, U)
-        return U, Y, np.linalg.norm(D @ self.G_perp.T, axis=-1)
+        return U, Y, np.linalg.norm(D.dot(self.G_perp.T), axis=-1)
 
     def ku_ky(self, xbar) -> IoSample:
         """Equilibrium input/output for an assignable state; raises

@@ -113,7 +113,7 @@ def static_feedback(sys, psi):
     part's h callable, so a matrix-form h keeps its ``h_jac``.
     """
     _check_square_no_feedthrough(sys)
-    f_cl = lambda x: sys.f(x) - psi(sys.h(x)) @ sys.G.T
+    f_cl = lambda x: sys.f(x) - psi(sys.h(x)).dot(sys.G.T)
     cls = DtSystem if sys.discrete else CtSystem
     return cls(f_cl, sys._h.fn, sys.G, name=f"{sys.name}+static",
                storage=sys.storage, meta=dict(sys.meta))
@@ -221,9 +221,9 @@ def loop_transform(sys: CtSystem, bounds: SectorBounds) -> CtSystem:
     With ``f_jac`` and ``h_jac`` on ``sys``, its ``f_jac`` is J_f - G K1 J_h.
     """
     _check_sector_loop(sys, bounds)
-    GK1, K = sys.G @ bounds.K1, bounds.K
-    f_t = lambda x: sys.f(x) - sys.h(x) @ GK1.T
-    h_t = lambda x: sys.h(x) @ K.T
+    GK1, K = sys.G.dot(bounds.K1), bounds.K
+    f_t = lambda x: sys.f(x) - sys.h(x).dot(GK1.T)
+    h_t = lambda x: sys.h(x).dot(K.T)
     analytic = sys.f_jac is not None and sys.h_jac is not None
     f_jac = (lambda x: sys.f_jac(x) - GK1 @ sys.h_jac(x)) if analytic else None
     return CtSystem(f_t, h_t, sys.G, J=np.eye(sys.m), f_jac=f_jac,

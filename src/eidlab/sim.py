@@ -83,7 +83,7 @@ def _input_at(u, x0: np.ndarray, m: int, dt: float, min_steps: int = 0):
         return lambda k: zero
     if callable(u):
         return lambda k: np.atleast_1d(np.asarray(u(k * dt), dtype=float))
-    arr = np.asarray(u, dtype=float)
+    arr = np.atleast_1d(np.asarray(u, dtype=float))
     if arr.ndim <= x0.ndim:
         return lambda k: arr
     if arr.shape[-2] < min_steps:
@@ -96,7 +96,7 @@ def _integrate(sys, x0: np.ndarray, u_at, steps: int, advance,
                dt: Optional[float]) -> Trajectory:
     """The one step loop behind both simulators: ``advance(x, g)`` maps the
     state (or stack of states) to the next one under the forcing g = u_k Gᵀ."""
-    x = x0
+    x, Gt = x0, sys.G.T
     lead = x.shape[:-1]
     states = np.empty(lead + (steps + 1, sys.n))
     inputs = np.empty(lead + (steps, sys.m))
@@ -107,9 +107,8 @@ def _integrate(sys, x0: np.ndarray, u_at, steps: int, advance,
     # flagged below, so numpy's warnings would only be noise
     with np.errstate(over="ignore", invalid="ignore"):
         for k in range(steps):
-            uk = u_at(k)
-            inputs[..., k, :] = uk
-            nxt = advance(x, np.atleast_1d(uk) @ sys.G.T)
+            inputs[..., k, :] = uk = u_at(k)
+            nxt = advance(x, uk.dot(Gt))
             if not np.isfinite(nxt).all():
                 if x.ndim == 1:
                     raise NonFiniteError(

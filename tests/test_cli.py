@@ -509,6 +509,31 @@ def test_wrong_json_type_is_one_error_line(runner, tmp_path, command, system, co
     assert len(lines) == 1 and lines[0].startswith(message), result.stderr
 
 
+@pytest.mark.parametrize("config", [
+    {"formula": "ifp_osp", "b": 0.5, "grid": [True, "0.5", 1]},
+    {"formula": "dt_gradient", "grid": [True, "0.3"]},
+    {"formula": "ifp_osp", "grid": 0.5},
+], ids=["ifp_osp", "dt_gradient", "not-a-list"])
+def test_gain_grid_reads_json_numbers_only(runner, tmp_path, config):
+    # ifp_osp used to read true and "0.5" through float() and exit 0, writing
+    # the rows True,… and 0.5,…; dt_gradient read the same grid as 1.0 and 0.3
+    cfg = _write(tmp_path, "cfg.json", config)
+    result = runner.invoke(main, ["gain", "--config", cfg, "--out", str(tmp_path)])
+    assert _error(result) == f"error: grid must be a list of numbers, got {config['grid']!r}"
+    assert not (tmp_path / "gain_sweep.csv").exists()
+
+
+def test_gain_grid_cells_hold_the_parameter_each_gamma_used(runner, tmp_path):
+    from eidlab import gains
+
+    cfg = _write(tmp_path, "cfg.json", {"formula": "ifp_osp", "b": 0.5, "grid": [1, 0.5]})
+    result = runner.invoke(main, ["gain", "--config", cfg, "--out", str(tmp_path)])
+    assert result.exit_code == 0, result.output
+    rows = [line.split(",") for line in (tmp_path / "gain_sweep.csv").read_text().splitlines()]
+    assert rows == [["a", "gamma"]] + [[repr(a), repr(gains.ifp_osp_gain(a, 0.5).gamma)]
+                                        for a in (1.0, 0.5)]
+
+
 def test_catalog_n_of_another_type_is_named(runner, tmp_path):
     # dt_integrator with n 2.5 used to build n = 2 and certify it
     sys_path = _write(tmp_path, "sys.json", {

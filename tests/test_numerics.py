@@ -184,6 +184,46 @@ def test_single_eigen_solves_go_through_numerics():
     assert not found, f"eigh outside numerics.py: {found}"
 
 
+# the per-call products of the forms, the certificate kernel, the equilibrium
+# maps, the loop closures and the step loop, by module, with the products that
+# keep @: each has a >= 3-D operand (a Jacobian stack, a batch's inputs), on
+# which ndarray.dot loops without BLAS and rounds otherwise
+HOT_PRODUCTS = {
+    "systems.py": {"_Affine.__call__": (), "_ControlAffine.output": (), "CtSystem.rhs": (),
+                   "DtSystem.step": (), "SupplyRate.evaluate": (),
+                   "StorageGenerator.quadratic": ()},
+    "certify.py": {"BregmanStorage.__call__": (), "_supply_terms": (), "_residuals": ()},
+    "equilibria.py": {"EquilibriumMap._constraint": (), "EquilibriumMap._assign": ()},
+    "interconnect.py": {"static_feedback": (), "loop_transform": ("GK1 @ sys.h_jac(x)",)},
+    "sim.py": {"_integrate": ("inputs @ sys.J.T",)},
+}
+
+
+def test_hot_small_products_take_ndarray_dot():
+    # an AST scan: the functions above write no @ but the listed ones, so an
+    # edit cannot quietly bring back the matmul ufunc's dispatch, which costs
+    # 0.78 µs against 0.39 µs for ndarray.dot on a 4-vector (numpy 2.4)
+    import ast
+    from pathlib import Path
+
+    src = Path(__file__).resolve().parents[1] / "src" / "eidlab"
+    found = []
+    for module, functions in HOT_PRODUCTS.items():
+        tree = ast.parse((src / module).read_text())
+        defs = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
+        defs.update({f"{cls.name}.{fn.name}": fn for cls in tree.body
+                     if isinstance(cls, ast.ClassDef) for fn in cls.body
+                     if isinstance(fn, ast.FunctionDef)})
+        assert set(functions) <= set(defs), f"{module}: missing {set(functions) - set(defs)}"
+        for name, kept in functions.items():
+            products = [ast.unparse(node) for node in ast.walk(defs[name])
+                        if isinstance(node, (ast.BinOp, ast.AugAssign))
+                        and isinstance(node.op, ast.MatMult)]
+            found += [f"{module}:{name}: {p}" for p in products if p not in kept]
+            assert set(kept) <= set(products), f"{name} no longer has {kept}: drop them"
+    assert not found, f"@ on a hot path: {found}"
+
+
 def test_every_raise_names_an_eidlab_error():
     # an AST scan of src/eidlab: each raise names a class defined in errors.py,
     # so every failed check is an EidLabError, and the three that reject an

@@ -73,6 +73,24 @@ def test_dt_constant_input_shifts_equilibrium():
     assert traj.states[-1, 0] == pytest.approx(v / mu, abs=1e-9)
 
 
+def test_scalar_constant_input_is_the_one_input_of_width_one():
+    # the step loop forms u_k Gᵀ with ndarray.dot, which reads a 0-D input as
+    # a scalar factor and would make one state a (1, n) stack: _input_at makes
+    # it the (1,) input, as u = [0.7] is, so a diverging state still raises
+    ct = catalog_build("second_order", {"mu": 1.0})
+    dt = catalog_build("lti", {"F": [[2.0, 0.0], [0.0, 0.5]], "G": [[1.0], [1.0]],
+                               "discrete": True})
+    for x0 in ([0.2, -0.1], [[0.2, -0.1], [-0.4, 0.3]]):
+        for run in (lambda u: simulate_ct(ct, x0, u, T=0.05, dt=0.01),
+                    lambda u: simulate_dt(dt, x0, u, steps=5)):
+            scalar, vector = run(0.7), run([0.7])
+            np.testing.assert_array_equal(scalar.states, vector.states)
+            np.testing.assert_array_equal(scalar.inputs, vector.inputs)
+    with pytest.raises(NonFiniteError), warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        simulate_dt(dt, [1.0, 0.0], 0.7, steps=2000)
+
+
 @pytest.mark.parametrize("dt, T", [(0.0, 1.0), (np.nan, 1.0), (0.01, np.nan), (0.01, -1.0),
                                    (0.01, np.inf), (np.inf, 1.0)])
 def test_ct_step_and_horizon_checked(dt, T):

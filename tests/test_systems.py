@@ -618,6 +618,30 @@ def test_matrix_form_drops_zero_terms_and_broadcasts_its_jacobian():
     np.testing.assert_allclose(full.jac(X), numerics.fd_jacobian(full, X), rtol=0, atol=1e-8)
 
 
+@pytest.mark.parametrize("family", sorted(FAMILIES))
+def test_matrix_forms_agree_on_every_layout(family):
+    # each catalog form (f, h, and ∇V where it is one) at one state, on a
+    # C-contiguous (N, n) stack, on a strided stack and on an (a, b, n) array
+    # is x A + tanh(x) B + d to 1e-12 relative, and the (a, b, n) value is the
+    # 2-D value of its reshape bit for bit: the form takes ndarray.dot for
+    # small products, which on a >= 3-D array would round otherwise
+    sys = catalog_build(family, FAMILIES[family])
+    forms = [fn for fn in (sys._f.fn, sys._h.fn, getattr(sys.storage, "grad_V", None))
+             if isinstance(fn, systems._Affine)]
+    assert len(forms) == {"smib": 1, "lti": 2}.get(family, 3)
+    X = np.random.default_rng(3).uniform(-1.5, 1.5, size=(24, sys.n))
+    for form in forms:
+        B = np.diag(form.B) if form.B is not None and form.B.ndim == 1 else form.B
+        for x in (X[0], X, X[::2], X.reshape(4, 6, sys.n)):
+            ref = x @ form.A + (0.0 if B is None else np.tanh(x) @ B)
+            ref = ref if form.d is None else ref + form.d
+            y = form(x)
+            assert y.shape == ref.shape
+            assert np.max(np.abs(y - ref)) <= 1e-12 * (1.0 + np.max(np.abs(ref)))
+        np.testing.assert_array_equal(form(X.reshape(4, 6, sys.n)),
+                                      form(X).reshape(4, 6, -1))
+
+
 @pytest.mark.parametrize("F, discrete, expected", [
     ([[1.0, 0.0], [0.0, 1.0]], True, True),
     ([[0.0, 0.0], [0.0, 0.0]], False, True),
