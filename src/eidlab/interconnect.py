@@ -110,10 +110,12 @@ def static_feedback(sys, psi):
     u = v - psi(y), the convention of the absolute-stability setup.
     Requires J = 0 so the loop is trivially well posed.  The result has no
     ``f_jac``: J_f - G Dpsi(h) J_h would need the slope of psi.  Its h is the
-    part's h callable, so a matrix-form h keeps its ``h_jac``.
+    part's h callable, so a matrix-form h keeps its ``h_jac``.  A scalar or a
+    list from psi is read as an array of at least one dimension.
     """
     _check_square_no_feedthrough(sys)
-    f_cl = lambda x: sys.f(x) - psi(sys.h(x)).dot(sys.G.T)
+    f_cl = lambda x: sys.f(x) - np.atleast_1d(
+        np.asarray(psi(sys.h(x)), dtype=float)).dot(sys.G.T)
     cls = DtSystem if sys.discrete else CtSystem
     return cls(f_cl, sys._h.fn, sys.G, name=f"{sys.name}+static",
                storage=sys.storage, meta=dict(sys.meta))
@@ -221,7 +223,7 @@ def loop_transform(sys: CtSystem, bounds: SectorBounds) -> CtSystem:
     With ``f_jac`` and ``h_jac`` on ``sys``, its ``f_jac`` is J_f - G K1 J_h.
     """
     _check_sector_loop(sys, bounds)
-    GK1, K = sys.G.dot(bounds.K1), bounds.K
+    GK1, K = sys.G @ bounds.K1, bounds.K
     f_t = lambda x: sys.f(x) - sys.h(x).dot(GK1.T)
     h_t = lambda x: sys.h(x).dot(K.T)
     analytic = sys.f_jac is not None and sys.h_jac is not None

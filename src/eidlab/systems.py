@@ -255,11 +255,10 @@ class _Affine:
     """The matrix form x A + tanh(x) B + d at one state or on an (N, n) stack,
     from matrices formed once at build time, a zero B or d left out and a 1-D
     B read as diag(B), applied elementwise; ``jac`` is its Jacobian
-    Aᵀ + Bᵀ diag(sech² x), one matrix per row.  One state or a C-contiguous
-    stack takes ``ndarray.dot``, 0.42 µs against 0.89 µs for the matmul
-    ufunc on a 4-vector (numpy 2.4.6, OpenBLAS, 2-vCPU Xeon); a strided or
-    ≥3-D x keeps matmul, where ``.dot`` copies (3.9 µs against 2.2 µs on a
-    (400, 2) view) or loops without BLAS (103 µs against 6.2 µs at (50, 40, 4))."""
+    Aᵀ + Bᵀ diag(sech² x), one matrix per row.  One state or an (N, n) stack
+    takes ``ndarray.dot``, 0.42 µs against 0.89 µs for the matmul ufunc on a
+    4-vector (numpy 2.4.6, OpenBLAS, 2-vCPU Xeon); a ≥3-D x keeps matmul,
+    where ``.dot`` loops without BLAS (103 µs against 6.2 µs at (50, 40, 4))."""
 
     def __init__(self, A, B=None, d=None):
         self.A = A
@@ -267,7 +266,7 @@ class _Affine:
 
     def __call__(self, x) -> np.ndarray:
         x = np.atleast_1d(x)
-        dot = np.ndarray.dot if x.ndim < 3 and x.flags.c_contiguous else np.matmul
+        dot = np.ndarray.dot if x.ndim < 3 else np.matmul
         y = dot(x, self.A) if self.B is None else dot(x, self.A) + (
             np.tanh(x) * self.B if self.B.ndim == 1 else dot(np.tanh(x), self.B))
         return y if self.d is None else y + self.d

@@ -106,6 +106,21 @@ def test_static_feedback_requires_square_and_no_feedthrough():
         static_feedback(sys, np.tanh)
 
 
+def test_static_feedback_reads_a_scalar_or_list_psi_as_one_input():
+    # a 0-D psi value must stay the one input of width one: read as a scalar
+    # factor of Gᵀ it would turn one state into a (1, n) stack
+    smib = catalog_build("smib", SMIB)
+    want = static_feedback(smib, np.tanh)
+    rng = np.random.default_rng(3)
+    x, X = rng.uniform(-1.0, 1.0, smib.n), rng.uniform(-1.0, 1.0, (5, smib.n))
+    for psi in (lambda y: np.tanh(y[0]), lambda y: float(np.tanh(y[0])),
+                lambda y: list(np.tanh(y))):
+        got = static_feedback(smib, psi)
+        assert got.f(x).shape == (smib.n,)
+        assert np.array_equal(got.f(x), want.f(x))
+        np.testing.assert_allclose(got.f(X), want.f(X), rtol=1e-12, atol=0.0)
+
+
 # ---------------------------------------------------------------------------
 # supply composition
 

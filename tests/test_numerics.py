@@ -186,15 +186,18 @@ def test_single_eigen_solves_go_through_numerics():
 
 # the per-call products of the forms, the certificate kernel, the equilibrium
 # maps, the loop closures and the step loop, by module, with the products that
-# keep @: each has a >= 3-D operand (a Jacobian stack, a batch's inputs), on
-# which ndarray.dot loops without BLAS and rounds otherwise
+# keep @: one runs once per build, the others have a >= 3-D operand (a Jacobian
+# stack, a batch's inputs), on which ndarray.dot loops without BLAS and rounds
+# otherwise
 HOT_PRODUCTS = {
     "systems.py": {"_Affine.__call__": (), "_ControlAffine.output": (), "CtSystem.rhs": (),
                    "DtSystem.step": (), "SupplyRate.evaluate": (),
                    "StorageGenerator.quadratic": ()},
     "certify.py": {"BregmanStorage.__call__": (), "_supply_terms": (), "_residuals": ()},
     "equilibria.py": {"EquilibriumMap._constraint": (), "EquilibriumMap._assign": ()},
-    "interconnect.py": {"static_feedback": (), "loop_transform": ("GK1 @ sys.h_jac(x)",)},
+    "interconnect.py": {"static_feedback": (),
+                        # the build-time G K1, then the Jacobian stack of f_jac
+                        "loop_transform": ("sys.G @ bounds.K1", "GK1 @ sys.h_jac(x)")},
     "sim.py": {"_integrate": ("inputs @ sys.J.T",)},
 }
 
